@@ -1,15 +1,14 @@
-//! Criterion wall-clock comparison of the two population engines.
+//! Criterion wall-clock of the population engine at 1 and 4 shards.
 //!
 //! Small populations so one iteration stays in the tens of
 //! milliseconds: the full 21/256/1024-node sweep lives in
 //! `figures -- scale` (ScaleParams::full), which writes
-//! `BENCH_scale.json`; this bench keeps the engine comparison under the
-//! tier-1 `--test` smoke gate so a regression in either engine's hot
-//! loop is caught by CI.
+//! `BENCH_scale.json`; this bench keeps the engine under the tier-1
+//! `--test` smoke gate so a regression in its hot loop is caught by CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2_bench::ScaleParams;
-use p2_core::{NodeConfig, ParallelHarness, Population, SimHarness};
+use p2_core::{NodeConfig, ParallelHarness, Population};
 use p2_net::SimConfig;
 use p2_types::TimeDelta;
 use std::hint::black_box;
@@ -26,9 +25,6 @@ fn chord_minute<H: Population>(mut sim: H) -> u64 {
 }
 
 fn bench_population_engines(c: &mut Criterion) {
-    c.bench_function("population_sequential_24n", |b| {
-        b.iter(|| chord_minute(SimHarness::with_seed(SEED)))
-    });
     for shards in [1usize, 4] {
         c.bench_function(&format!("population_sharded_24n_{shards}s"), |b| {
             b.iter(|| {

@@ -204,9 +204,9 @@ pub fn ablation_ring_checks(params: &BenchParams) -> Vec<Row> {
                 }
             }
             // Measure population-wide message delta.
-            let sent0 = tb.sim.net().stats().total_sent();
+            let sent0 = tb.sim.net_stats().total_sent();
             let mut s = measure_window(&mut tb, params.window_secs);
-            s.tx_messages = (tb.sim.net().stats().total_sent() - sent0) as f64;
+            s.tx_messages = (tb.sim.net_stats().total_sent() - sent0) as f64;
             samples.push(s);
         }
         let (mean, std) = aggregate(&samples);

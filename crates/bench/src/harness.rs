@@ -68,8 +68,7 @@ pub struct NodeSample {
 
 /// A prepared testbed: warmed ring plus the designated measured node
 /// (the last to join, as in §4's "then the 21st virtual node starts").
-/// Generic over the harness so the same rig measures the sequential and
-/// the sharded engine.
+/// Generic over the harness so the same rig measures any shard count.
 pub struct Testbed<H: Population = SimHarness> {
     /// The simulation.
     pub sim: H,
@@ -79,7 +78,7 @@ pub struct Testbed<H: Population = SimHarness> {
     pub measured: Addr,
 }
 
-/// Build a warmed testbed on the sequential harness. `measured_config`
+/// Build a warmed testbed on one shard. `measured_config`
 /// configures only the measured node (e.g. tracing on) — the rest of the
 /// population runs the default, exactly like the paper's two-machine
 /// split.

@@ -1,22 +1,25 @@
-//! Population scaling: the parallel engine versus the sequential loop.
+//! Population scaling: the engine's window protocol versus the
+//! scan-everything reference loop.
 //!
-//! The paper's testbed stops at 21 processes; the sharded
-//! conservative-window engine (`ParallelHarness`, DESIGN.md §2.10) is
-//! what lets the reproduction push the same Chord + monitoring workload
-//! to 1,000+ virtual nodes. This experiment runs an identical Chord
-//! population — same seed, same protocol periods — on the sequential
-//! harness and on 1/2/4/8 shards, wall-clocks the measured window, and
-//! cross-checks that every engine sent **exactly** the same number of
-//! envelopes (the determinism contract, enforced, not assumed).
+//! The paper's testbed stops at 21 processes; the conservative-window
+//! engine (DESIGN.md §2.10) is what lets the reproduction push the same
+//! Chord + monitoring workload to 1,000+ virtual nodes. This experiment
+//! runs an identical Chord population — same seed, same protocol
+//! periods — on the sequential oracle (the "sequential" baseline row)
+//! and on the engine at 1/2/4/8 shards, wall-clocks the measured
+//! window, and cross-checks that every run sent **exactly** the same
+//! number of envelopes (the determinism contract, enforced, not
+//! assumed).
 //!
-//! The win is algorithmic, not just parallel: the sequential loop pays
+//! The win is algorithmic, not just parallel: the reference loop pays
 //! an O(population) next-event scan and pumps every live node at every
-//! event instant, while a shard only scans and pumps its own slice for
-//! the instants its slice owns. The speedup therefore survives even on
-//! a single-core host (CI), and compounds with real cores.
+//! event instant, while a shard reads cached timers and pumps only the
+//! nodes with work, for the instants its slice owns. The speedup
+//! therefore survives even on a single-core host (CI), and compounds
+//! with real cores.
 
 use p2_chord::build_ring;
-use p2_core::{NodeConfig, ParallelHarness, Population, SimHarness};
+use p2_core::{NodeConfig, ParallelHarness, Population, SequentialOracle};
 use p2_net::SimConfig;
 use p2_types::TimeDelta;
 use std::time::Instant;
@@ -28,13 +31,13 @@ pub struct ScaleRow {
     pub nodes: usize,
     /// `"sequential"` or `"sharded"`.
     pub engine: &'static str,
-    /// Shard count (1 for the sequential engine).
+    /// Shard count (1 for the sequential baseline).
     pub shards: usize,
     /// Wall-clock milliseconds to build + warm the ring.
     pub build_ms: f64,
     /// Wall-clock milliseconds for the measured window.
     pub run_ms: f64,
-    /// Speedup of the measured window vs the sequential engine at the
+    /// Speedup of the measured window vs the sequential baseline at the
     /// same population (1.0 for the baseline itself).
     pub speedup: f64,
     /// Envelopes sent population-wide over the whole run — must be
@@ -122,7 +125,8 @@ pub fn population_scale(params: &ScaleParams) -> Vec<ScaleRow> {
     let mut rows = Vec::new();
     for &n in &params.nodes {
         eprintln!("scale: {n} nodes, sequential baseline...");
-        let mut sim = SimHarness::new(SimConfig::default(), NodeConfig::default(), params.seed);
+        let mut sim =
+            SequentialOracle::new(SimConfig::default(), NodeConfig::default(), params.seed);
         let (build_ms, base_ms, base_sent) =
             chord_run(&mut sim, n, params.warm_secs, params.window_secs);
         rows.push(ScaleRow {
@@ -149,7 +153,7 @@ pub fn population_scale(params: &ScaleParams) -> Vec<ScaleRow> {
                 chord_run(&mut sim, n, params.warm_secs, params.window_secs);
             assert_eq!(
                 sent, base_sent,
-                "{n} nodes at {shards} shards diverged from the sequential engine"
+                "{n} nodes at {shards} shards diverged from the sequential oracle"
             );
             let stats = sim.shard_stats();
             rows.push(ScaleRow {

@@ -1,13 +1,13 @@
 //! The transport-agnostic node driver.
 //!
-//! Every deployment substrate — the discrete-event simulator, OS threads
-//! over in-process channels, UDP sockets — used to carry its own copy of
-//! the same service loop (drain the transport, pump the node, transmit
-//! the outputs, fire timers, sweep the tracer). [`Driver`] is that loop,
-//! written once against the tiny [`Transport`] pluggability seam;
-//! [`crate::sim::SimHarness`] drives one `Driver` per simulated node, and
-//! the realtime runtimes call [`Driver::run_realtime`] on a thread per
-//! node.
+//! The realtime substrates — OS threads over in-process channels, UDP
+//! sockets — share one service loop (drain the transport, pump the
+//! node, transmit the outputs, fire timers, sweep the tracer).
+//! [`Driver`] is that loop, written once against the tiny [`Transport`]
+//! pluggability seam; the runtimes call [`Driver::run_realtime`] on a
+//! thread per node. The simulator does not go through it: the
+//! population engine ([`crate::parallel`]) owns its nodes' inboxes and
+//! the virtual clock directly.
 
 use crate::node::Node;
 use p2_net::{Envelope, ThreadedHub, UdpRecv, UdpTransport};
@@ -73,8 +73,7 @@ impl<T: Transport> Driver<T> {
 
     /// One service round at time `now`: drain the transport into the
     /// node, pump to quiescence, transmit the outputs. Fires no timers —
-    /// the caller owns the clock (the simulator advances it virtually;
-    /// [`Driver::tick`] reads it from the wall).
+    /// the caller owns the clock ([`Driver::tick`] is handed it).
     pub fn service(&mut self, now: Time) {
         while let Some(env) = self.transport.try_recv() {
             self.node.deliver(env, now);
@@ -110,8 +109,8 @@ impl<T: Transport> Driver<T> {
     }
 }
 
-/// In-memory port for the discrete-event simulator: the harness fills
-/// `inbox` from the simulated network and forwards `outbox` into it.
+/// In-memory port for driving a [`Driver`] by hand (tests, the bench
+/// ledger's tick probe): the caller fills `inbox` and takes `outbox`.
 #[derive(Default)]
 pub struct SimPort {
     inbox: VecDeque<Envelope>,

@@ -1,15 +1,15 @@
-//! The harness abstraction: one population, sequential or sharded.
+//! The harness abstraction: one population at any shard count.
 //!
 //! Testbed builders (the Chord ring of `p2-chord`, the measurement rigs
 //! of `p2-bench`) and generic experiments drive a simulated population
-//! through this trait so they run unchanged on [`crate::SimHarness`]
-//! (the single-threaded event loop) and [`crate::ParallelHarness`] (the
-//! conservative-window sharded engine of DESIGN.md §2.10). The two are
-//! bit-identical for the same seed — the trait is how the equivalence
-//! suite states that.
+//! through this trait, so they run unchanged on [`crate::SimHarness`],
+//! on [`crate::ParallelHarness`] at any shard count, and on the
+//! [`crate::sim::SequentialOracle`] the equivalence suite compares them
+//! against. All three are the one [`Engine`] of DESIGN.md §2.10,
+//! bit-identical for the same seed.
 
 use crate::node::{InstallError, Node, NodeConfig, ProgramId};
-use crate::SimHarness;
+use crate::parallel::{Engine, Mode};
 use p2_net::NetStats;
 use p2_types::{Addr, Time, TimeDelta, Tuple};
 
@@ -59,13 +59,15 @@ pub trait Population {
     /// archived history is recovered from the node's durable store when
     /// durability is configured, harness-installed programs are
     /// reinstalled at the current virtual time, and the node becomes
-    /// reachable again. Bit-identical across harness implementations
-    /// for the same seed and fault schedule.
+    /// reachable again. Bit-identical across shard counts for the same
+    /// seed and fault schedule.
     fn restart(&mut self, addr: &Addr) -> Result<(), InstallError>;
 
-    /// Set the uniform packet-loss rate on the fabric (0.0 ..= 1.0),
-    /// applied to every shard fabric when the population is sharded.
+    /// Set the uniform packet-loss rate on the fabric (0.0 ..= 1.0).
     fn set_loss_rate(&mut self, rate: f64);
+
+    /// Sever (`cut`) or restore the directed link `src → dst`.
+    fn set_cut(&mut self, src: &Addr, dst: &Addr, cut: bool);
 
     /// Advance virtual time to `deadline`, firing timers and deliveries
     /// in order.
@@ -77,61 +79,63 @@ pub trait Population {
         self.run_until(deadline);
     }
 
-    /// Population-wide network counters (merged across shards when the
-    /// fabric is sharded).
+    /// Population-wide network counters (merged across shard fabrics).
     fn net_stats(&self) -> NetStats;
 }
 
-impl Population for crate::SimHarness {
+impl<M: Mode> Population for Engine<M> {
     fn now(&self) -> Time {
-        SimHarness::now(self)
+        Engine::now(self)
     }
     fn seed(&self) -> u64 {
-        SimHarness::seed(self)
+        Engine::seed(self)
     }
     fn add_node(&mut self, name: &str) -> Addr {
-        SimHarness::add_node(self, name)
+        Engine::add_node(self, name)
     }
     fn add_node_with(&mut self, name: &str, config: NodeConfig) -> Addr {
-        SimHarness::add_node_with(self, name, config)
+        Engine::add_node_with(self, name, config)
     }
     fn addrs(&self) -> &[Addr] {
-        SimHarness::addrs(self)
+        Engine::addrs(self)
     }
     fn node(&self, addr: &Addr) -> &Node {
-        SimHarness::node(self, addr)
+        Engine::node(self, addr)
     }
     fn node_mut(&mut self, addr: &Addr) -> &mut Node {
-        SimHarness::node_mut(self, addr)
+        Engine::node_mut(self, addr)
     }
     fn install(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
-        SimHarness::install(self, addr, source)
+        Engine::install(self, addr, source)
     }
     fn install_all(&mut self, source: &str) -> Result<Vec<ProgramId>, InstallError> {
-        SimHarness::install_all(self, source)
+        Engine::install_all(self, source)
     }
     fn inject(&mut self, addr: &Addr, tuple: Tuple) {
-        SimHarness::inject(self, addr, tuple)
+        Engine::inject(self, addr, tuple)
     }
     fn crash(&mut self, addr: &Addr) {
-        SimHarness::crash(self, addr)
+        Engine::crash(self, addr)
     }
     fn revive(&mut self, addr: &Addr) {
-        SimHarness::revive(self, addr)
+        Engine::revive(self, addr)
     }
     fn is_down(&self, addr: &Addr) -> bool {
-        SimHarness::is_down(self, addr)
+        Engine::is_down(self, addr)
     }
     fn restart(&mut self, addr: &Addr) -> Result<(), InstallError> {
-        SimHarness::restart(self, addr)
+        Engine::restart(self, addr)
     }
     fn set_loss_rate(&mut self, rate: f64) {
-        SimHarness::set_loss_rate(self, rate)
+        Engine::set_loss_rate(self, rate)
+    }
+    fn set_cut(&mut self, src: &Addr, dst: &Addr, cut: bool) {
+        Engine::set_cut(self, src, dst, cut)
     }
     fn run_until(&mut self, deadline: Time) {
-        SimHarness::run_until(self, deadline)
+        Engine::run_until(self, deadline)
     }
     fn net_stats(&self) -> NetStats {
-        self.net().stats().clone()
+        Engine::net_stats(self)
     }
 }

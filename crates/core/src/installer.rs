@@ -186,19 +186,6 @@ impl Node {
             self.strand_programs.push(pid);
         }
 
-        // Stratum-aware scheduling hook: order each relation's dispatch
-        // list by the planner's stratum annotation so lower strata fire
-        // first. The sort is stable — same-stratum strands keep install
-        // order — and with the flag off (the default) the lists stay
-        // exactly install-ordered, which golden traces pin.
-        if self.config.stratified_dispatch {
-            for map in [&mut self.event_dispatch, &mut self.table_dispatch] {
-                for v in map.values_mut() {
-                    v.sort_by_key(|&i| self.strands[i].plan().stratum);
-                }
-            }
-        }
-
         // Inject facts as ordinary dispatches (they may be remote).
         for fact in compiled.facts {
             self.route_tuple(fact, false, now);

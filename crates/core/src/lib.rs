@@ -12,11 +12,13 @@
 //! in a node's life — the paper's "deployed piecemeal" usage model — and
 //! can be removed again by handle.
 //!
-//! [`sim::SimHarness`] drives a population of nodes over the
+//! One population engine, [`parallel::Engine`], drives nodes over the
 //! deterministic simulated network with a virtual clock (the DESIGN.md
-//! §2.4 substitution for the paper's 21-process testbed), and doubles as
-//! the measurement rig: per-node busy time, live tuples, memory estimate,
-//! and messages sent — the exact series of Figures 4–7.
+//! §2.4 substitution for the paper's 21-process testbed) at any shard
+//! count — [`SimHarness`] is its one-shard case, [`ParallelHarness`]
+//! takes a count — and doubles as the measurement rig: per-node busy
+//! time, live tuples, memory estimate, and messages sent — the exact
+//! series of Figures 4–7.
 
 pub mod driver;
 pub mod harness;
@@ -40,4 +42,6 @@ pub use node::{
 };
 pub use parallel::ParallelHarness;
 pub use ship::{ShipConfig, ShipFailure, ShipStats};
+#[doc(hidden)]
+pub use sim::SequentialOracle;
 pub use sim::SimHarness;

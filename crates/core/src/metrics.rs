@@ -41,9 +41,9 @@ pub struct NodeMetrics {
 }
 
 /// Runtime counters for the population shard a node lives on, published
-/// into every member node by the parallel harness after each run so the
-/// `sysStat` introspection table covers the parallel engine (`shard.*`
-/// rows). Absent (and unreported) under the sequential harness.
+/// into every member node after each run so the `sysStat` introspection
+/// table covers the engine's barriers and mailbox (`shard.*` rows).
+/// Unreported when the population is a single shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Which shard the node is assigned to.

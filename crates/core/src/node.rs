@@ -177,11 +177,6 @@ pub struct NodeConfig {
     /// enrolled or a collector subscribes — the defaults change nothing
     /// on a node that never ships.
     pub ship: crate::ship::ShipConfig,
-    /// Order each relation's strand dispatch list by the planner's
-    /// stratum annotation (stable within a stratum, so same-stratum
-    /// strands keep install order). Off by default: the §2.1.2 schedule
-    /// — and with it every golden trace — is install-order dispatch.
-    pub stratified_dispatch: bool,
     /// Runtime lint oracle (DESIGN.md §2.13): tag every delta with its
     /// cascade root and depth, and publish per-root maxima as `lint.*`
     /// sysStat rows, so measured cascade depth and per-event output
@@ -211,7 +206,6 @@ impl Default for NodeConfig {
             plan: p2_planner::PlanOpts::default(),
             archive: None,
             ship: crate::ship::ShipConfig::default(),
-            stratified_dispatch: false,
             lint: false,
             durability: None,
         }
@@ -289,8 +283,8 @@ pub struct Node {
     pub(crate) outbox: Vec<Envelope>,
     pub(crate) watches: HashMap<String, Vec<(Time, Tuple)>>,
     pub(crate) metrics: NodeMetrics,
-    /// Shard counters published by the parallel harness (None under the
-    /// sequential harness — `sysStat` then carries no `shard.*` rows).
+    /// Shard counters published by the engine when it has more than
+    /// one shard (otherwise `sysStat` carries no `shard.*` rows).
     pub(crate) shard_stats: Option<crate::metrics::ShardStats>,
     pub(crate) next_program: u64,
     /// Plan-time warnings from installed programs (dead rules, ...),
@@ -421,14 +415,14 @@ impl Node {
         &self.addr
     }
 
-    /// The shard counters last published by the parallel harness, if the
+    /// The shard counters last published by a multi-shard engine, if the
     /// node runs under one.
     pub fn shard_stats(&self) -> Option<&crate::metrics::ShardStats> {
         self.shard_stats.as_ref()
     }
 
-    /// Publish shard counters (the parallel harness calls this after
-    /// every run so introspection reflects the parallel engine).
+    /// Publish shard counters (a multi-shard engine calls this after
+    /// every run so introspection reflects its barriers and mailbox).
     pub fn set_shard_stats(&mut self, stats: crate::metrics::ShardStats) {
         self.shard_stats = Some(stats);
     }

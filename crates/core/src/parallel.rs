@@ -1,59 +1,66 @@
-//! The parallel population harness: conservative-window sharded
-//! simulation with a deterministic cross-shard merge (DESIGN.md §2.10).
+//! The population engine: one deterministic discrete-event simulator
+//! for any number of shards (DESIGN.md §2.10).
 //!
-//! [`ParallelHarness`] splits the node population round-robin across
-//! shards, each owning its nodes and one shard-local [`SimNetwork`]
-//! fabric, and advances virtual time in **conservative windows** of the
-//! network's base latency: because every envelope takes at least
+//! An [`Engine`] splits the node population round-robin across shards,
+//! each owning its nodes and one shard-local [`SimNetwork`] fabric, and
+//! advances virtual time in **conservative windows** of the network's
+//! base latency: because every envelope takes at least
 //! `SimConfig.latency` to arrive, no envelope sent inside window *k* can
 //! be delivered inside window *k* — shards therefore execute a window
 //! with no communication at all, and exchange mailboxes at a barrier
 //! between windows. With more than one shard the windows run on OS
-//! worker threads (std `mpsc` only); with one shard they run inline.
+//! worker threads (std `mpsc` only); with one shard — what
+//! [`crate::SimHarness`] builds — they run inline and the mailbox stays
+//! empty.
+//!
+//! Within a window a shard visits each of its event instants in order:
+//! fire due timers, sweep the tracer on GC instants, then settle in
+//! waves (pump the nodes that have work, deliver everything due) with
+//! one stamp epoch per wave. Tracer GC is a population-global event, so
+//! GC instants run as dedicated single-instant windows in which every
+//! shard participates. Control operations (install, inject, restart)
+//! happen between runs on the calling thread and settle the same way,
+//! over every live node.
 //!
 //! **Determinism.** Every send is stamped `(sent_at, epoch, src_idx,
 //! seq)` — see [`p2_net::Stamp`] — and every fabric orders deliveries by
-//! `(deliver_at, stamp)`. Stamps are chronological within a run, and the
-//! sequential harness's tie-break (its global send counter) agrees with
-//! the stamp order, so **any shard count, including 1, produces
-//! bit-identical output to [`crate::SimHarness`]**: same tuple stores,
-//! same tracer tuple IDs, same counters, same golden traces. The one
-//! excluded surface is wall-clock measurements (`busyMicros`), which are
-//! non-deterministic under any harness. Programs that exhaust the
-//! per-pump dispatch budget (`NodeConfig::max_dispatch_per_pump`, a
-//! runaway-rule guard) are also outside the contract: the sequential
-//! loop re-pumps a budget-stalled node at other nodes' event instants,
-//! which a shard that skips those instants will not reproduce.
+//! `(deliver_at, stamp)`. None of the four depends on which shard the
+//! sender lives on, so every shard count produces bit-identical tuple
+//! stores, tracer tuple IDs, counters and golden traces. The one
+//! excluded surface is wall-clock measurements (`busyMicros`).
 //!
-//! Within a window a shard replays exactly what the sequential loop
-//! would do at each of its event instants: fire due timers, sweep the
-//! tracer on GC instants, then settle in waves (pump all live nodes,
-//! deliver everything due) with one stamp epoch per wave. Tracer GC is a
-//! population-global event, so GC instants run as dedicated
-//! single-instant windows in which every shard participates.
+//! **Dirty-node pumping.** A wave pumps only nodes whose timers fired
+//! this instant, nodes handed a delivery in the previous wave, and
+//! every node on a GC instant. A pump runs a node to quiescence, so a
+//! pump of any other node is a no-op and skipping it changes nothing
+//! observable. The one pump that does not reach quiescence is the one
+//! cut by `max_dispatch_per_pump`: a node it leaves with a backlog
+//! stays dirty and is pumped again in the next wave of the same
+//! instant, so it never waits on who else has events. [`crate::sim`]
+//! keeps the scan-everything stepper this is tested against.
 
-use crate::harness::Population;
 use crate::metrics::ShardStats;
 use crate::node::{InstallError, Node, NodeConfig, ProgramId};
 use p2_net::{NetStats, SimConfig, SimNetwork, StampedEnvelope};
 use p2_types::{Addr, Time, TimeDelta, Tuple};
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::mpsc;
 use std::time::Duration;
 
 /// One shard's slice of the population: its nodes (in global insertion
 /// order, restricted), their inboxes, and the shard-local fabric.
-struct ShardNode {
-    addr: Addr,
-    node: Node,
+pub(crate) struct ShardNode {
+    pub(crate) addr: Addr,
+    pub(crate) node: Node,
     inbox: VecDeque<p2_net::Envelope>,
 }
 
-struct Shard {
+pub(crate) struct Shard {
     id: usize,
-    nodes: Vec<ShardNode>,
+    pub(crate) nodes: Vec<ShardNode>,
     local_idx: HashMap<Addr, usize>,
-    net: SimNetwork,
+    pub(crate) net: SimNetwork,
     stats: ShardStats,
     /// Per-node "might have runnable work" flags, reused across instants
     /// (always all-false between instants).
@@ -117,19 +124,11 @@ impl Shard {
 
     /// Earliest pending local event: a live node's timer or a queued
     /// delivery (including deliveries addressed to down nodes, which
-    /// still consume an instant to be dropped — exactly like the
-    /// sequential loop).
+    /// still consume an instant to be dropped).
     fn next_event(&self) -> Option<Time> {
-        let mut next = self.net.next_delivery();
-        for (i, timer) in self.timers.iter().enumerate() {
-            if self.down[i] {
-                continue;
-            }
-            if let Some(t) = *timer {
-                next = Some(next.map_or(t, |x| x.min(t)));
-            }
-        }
-        next
+        let timers = self.timers.iter().zip(&self.down);
+        let live = timers.filter_map(|(t, down)| t.filter(|_| !down));
+        live.chain(self.net.next_delivery()).min()
     }
 
     /// Execute one conservative window `[start, end)`.
@@ -150,8 +149,7 @@ impl Shard {
                     break;
                 }
                 // A timer can predate the window when a node revived
-                // with a stale schedule; it fires "now", like the
-                // sequential loop's clamp to the clock.
+                // with a stale schedule; it fires "now".
                 let u = u_raw.max(cmd.start);
                 let base = if u == cmd.start { cmd.epoch_base } else { 0 };
                 let e = self.run_instant(u, base, false);
@@ -170,18 +168,9 @@ impl Shard {
         }
     }
 
-    /// Replay one event instant exactly as `SimHarness::run_until` does:
-    /// fire due timers, sweep the tracer on GC instants, then settle in
-    /// waves. Returns the next free stamp epoch at `u`.
-    ///
-    /// Unlike the sequential loop — which pumps *every* live node in
-    /// every wave — only nodes that could have runnable work are pumped:
-    /// nodes whose timers fired this instant, nodes handed a delivery in
-    /// the previous wave, and every node on a GC instant. For
-    /// work-conserving pumps (the bit-identical contract; see the module
-    /// docs) a pump of any other node is a no-op, so skipping it changes
-    /// nothing observable and removes the dominant O(shard size ×
-    /// waves) cost of dense populations.
+    /// Run one event instant: fire due timers, sweep the tracer on GC
+    /// instants, then settle in waves, pumping only dirty nodes (see
+    /// the module docs). Returns the next free stamp epoch at `u`.
     fn run_instant(&mut self, u: Time, base: u32, gc: bool) -> u32 {
         for i in 0..self.nodes.len() {
             if self.down[i] {
@@ -193,8 +182,8 @@ impl Shard {
             }
         }
         if gc {
-            // The sequential sweep does not skip down nodes; it can also
-            // free watched state, so every node gets pumped after it.
+            // The sweep does not skip down nodes; it can also free
+            // watched state, so every node gets pumped after it.
             for i in 0..self.nodes.len() {
                 self.nodes[i].node.trace_gc(u);
                 self.mark(i);
@@ -218,6 +207,10 @@ impl Shard {
                 }
                 for env in sn.node.pump(u) {
                     self.net.send(env, u);
+                    progress = true;
+                }
+                if sn.node.has_backlog() {
+                    self.mark(i);
                     progress = true;
                 }
             }
@@ -246,7 +239,7 @@ impl Shard {
 }
 
 /// Coordinator state threaded through the window loop (split out of the
-/// harness so the shards can be mutably lent to worker threads).
+/// engine so the shards can be mutably lent to worker threads).
 struct Coord<'a> {
     index: &'a HashMap<Addr, (usize, usize)>,
     clock: &'a mut Time,
@@ -257,53 +250,88 @@ struct Coord<'a> {
     lookahead: TimeDelta,
 }
 
-/// A sharded, conservatively windowed population — the parallel
-/// counterpart of [`crate::SimHarness`], bit-identical to it at every
-/// shard count.
-pub struct ParallelHarness {
-    shards: Vec<Shard>,
+/// How an [`Engine`] is built and stepped. The three implementors exist
+/// so that [`crate::SimHarness`] (one shard), [`ParallelHarness`] (any
+/// shard count) and the test oracle can each have their own constructor
+/// over the one struct.
+pub trait Mode {
+    /// Step with the scan-everything reference loop of [`crate::sim`]
+    /// instead of the window protocol.
+    #[doc(hidden)]
+    const NAIVE: bool = false;
+}
+
+/// Marker for [`ParallelHarness`].
+pub struct Sharded;
+impl Mode for Sharded {}
+
+/// A sharded, conservatively windowed population.
+pub type ParallelHarness = Engine<Sharded>;
+
+/// A population of simulated P2 nodes over a virtual clock: the shards,
+/// the window coordinator's state, and the control plane.
+pub struct Engine<M> {
+    pub(crate) shards: Vec<Shard>,
     index: HashMap<Addr, (usize, usize)>,
     order: Vec<Addr>,
-    clock: Time,
-    gc_period: TimeDelta,
-    next_gc: Time,
+    pub(crate) clock: Time,
+    /// Period of the tracer's reference-count GC sweep.
+    pub(crate) gc_period: TimeDelta,
+    pub(crate) next_gc: Time,
     lookahead: TimeDelta,
     base_node_config: NodeConfig,
     seed: u64,
-    /// Next free stamp epoch at `stamp_time` (mirrors what the
-    /// sequential harness's per-wave `begin_epoch` calls consume).
+    /// Next free stamp epoch at `stamp_time`.
     stamp_time: Time,
     stamp_epoch: u32,
-    /// Per-node config as registered, replayed on
-    /// [`ParallelHarness::restart`].
+    /// Per-node config as registered, replayed on [`Engine::restart`].
     configs: HashMap<Addr, NodeConfig>,
     /// Programs installed through the harness, replayed on restart.
     programs: HashMap<Addr, Vec<String>>,
+    mode: PhantomData<M>,
 }
 
 impl ParallelHarness {
     /// Create a harness with the given network config, node config
-    /// template, seed, and shard count.
+    /// template, seed (node RNGs derive from it), and shard count.
     ///
     /// # Panics
     ///
-    /// Panics when `shards == 0` or the network latency is zero — the
-    /// base latency is the conservative lookahead, so it must be
-    /// positive for windows to exist at all.
+    /// Panics when `shards == 0`, or when there are several shards and
+    /// the network latency is zero — the base latency is the
+    /// conservative lookahead, so it must be positive for windows
+    /// between shards to exist at all.
     pub fn new(
         net_config: SimConfig,
         node_config: NodeConfig,
         seed: u64,
         shards: usize,
     ) -> ParallelHarness {
+        Engine::build(net_config, node_config, seed, shards)
+    }
+
+    /// A harness with default network (10 ms links) and node settings.
+    pub fn with_seed(seed: u64, shards: usize) -> ParallelHarness {
+        ParallelHarness::new(SimConfig::default(), NodeConfig::default(), seed, shards)
+    }
+}
+
+impl<M: Mode> Engine<M> {
+    pub(crate) fn build(
+        net_config: SimConfig,
+        node_config: NodeConfig,
+        seed: u64,
+        shards: usize,
+    ) -> Engine<M> {
         assert!(shards >= 1, "need at least one shard");
         assert!(
-            net_config.latency > TimeDelta::ZERO,
-            "parallel harness needs a positive latency lookahead"
+            shards == 1 || net_config.latency > TimeDelta::ZERO,
+            "several shards need a positive latency lookahead"
         );
         let mut nc = node_config;
         nc.seed = seed;
-        let lookahead = net_config.latency;
+        // One shard has nobody to wait for: any positive window is sound.
+        let lookahead = net_config.latency.max(TimeDelta::from_micros(1));
         let shards = (0..shards)
             .map(|id| Shard {
                 id,
@@ -323,7 +351,7 @@ impl ParallelHarness {
                 down: Vec::new(),
             })
             .collect();
-        ParallelHarness {
+        Engine {
             shards,
             index: HashMap::new(),
             order: Vec::new(),
@@ -337,12 +365,8 @@ impl ParallelHarness {
             stamp_epoch: 0,
             configs: HashMap::new(),
             programs: HashMap::new(),
+            mode: PhantomData,
         }
-    }
-
-    /// A harness with default network (10 ms links) and node settings.
-    pub fn with_seed(seed: u64, shards: usize) -> ParallelHarness {
-        ParallelHarness::new(SimConfig::default(), NodeConfig::default(), seed, shards)
     }
 
     /// The current virtual time.
@@ -365,9 +389,11 @@ impl ParallelHarness {
         self.add_node_with(name, self.base_node_config.clone())
     }
 
-    /// Add a node with an explicit config. Nodes are assigned to shards
-    /// round-robin in insertion order; every shard fabric registers
-    /// every address (in the same order, so stamp indices agree).
+    /// Add a node with an explicit config (e.g. tracing enabled on the
+    /// measured node only, as in §4's setup). Nodes are assigned to
+    /// shards round-robin in insertion order; every shard fabric
+    /// registers every address (in the same order, so stamp indices
+    /// agree).
     pub fn add_node_with(&mut self, name: &str, mut config: NodeConfig) -> Addr {
         let addr = Addr::new(name);
         config.seed = self.seed;
@@ -417,32 +443,33 @@ impl ParallelHarness {
         &self.order
     }
 
-    /// Install a program on one node at the current time.
+    /// Install a program on one node at the current time and settle.
     pub fn install(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
-        let now = self.clock;
-        let pid = self.node_mut(addr).install(source, now)?;
-        self.programs
-            .entry(addr.clone())
-            .or_default()
-            .push(source.to_string());
+        let pid = self.install_recorded(addr, source)?;
         self.control_settle();
         Ok(pid)
     }
 
     /// Install the same program on every node, then settle once.
     pub fn install_all(&mut self, source: &str) -> Result<Vec<ProgramId>, InstallError> {
-        let now = self.clock;
         let mut out = Vec::new();
         for i in 0..self.order.len() {
             let addr = self.order[i].clone();
-            out.push(self.node_mut(&addr).install(source, now)?);
-            self.programs
-                .entry(addr.clone())
-                .or_default()
-                .push(source.to_string());
+            out.push(self.install_recorded(&addr, source)?);
         }
         self.control_settle();
         Ok(out)
+    }
+
+    /// Install at the current time and record the source for restart.
+    fn install_recorded(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
+        let now = self.clock;
+        let pid = self.node_mut(addr).install(source, now)?;
+        self.programs
+            .entry(addr.clone())
+            .or_default()
+            .push(source.to_string());
+        Ok(pid)
     }
 
     /// Inject a tuple at a node and settle.
@@ -471,13 +498,13 @@ impl ParallelHarness {
         self.shards[0].net.is_down(addr)
     }
 
-    /// Restart a node from scratch: all soft state and queued inbox
-    /// mail is lost, the sealed archive is recovered from the node's
-    /// durable store (when durability is configured), harness-installed
-    /// programs are reinstalled at the current virtual time, and every
-    /// shard fabric marks the node reachable again. Mirrors
-    /// [`crate::SimHarness::restart`] wave for wave, so recovered state
-    /// is bit-identical across shard counts.
+    /// Restart a node from scratch: every piece of soft state — tables,
+    /// dataflow, pending timers, queued inbox mail — is lost, exactly as
+    /// in a process crash. If the node's config enables durability, the
+    /// sealed archive is recovered from its durable store; otherwise
+    /// the node comes back empty. Programs installed *through the
+    /// harness* are reinstalled at the current virtual time, and every
+    /// shard fabric marks the node reachable again.
     ///
     /// # Panics
     ///
@@ -502,21 +529,16 @@ impl ParallelHarness {
         slot.inbox.clear();
         self.shards[si].timers[ni] = None;
         let now = self.clock;
-        let mut failed = None;
-        for source in self.programs.get(addr).cloned().unwrap_or_default() {
-            if let Err(e) = self.shards[si].nodes[ni].node.install(&source, now) {
-                failed = Some(e);
-                break;
-            }
-        }
-        for shard in &mut self.shards {
-            shard.net.set_down(addr, false);
-        }
+        let node = &mut self.shards[si].nodes[ni].node;
+        let reinstalled = self
+            .programs
+            .get(addr)
+            .into_iter()
+            .flatten()
+            .try_for_each(|source| node.install(source, now).map(drop));
+        self.revive(addr);
         self.control_settle();
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        reinstalled
     }
 
     /// Sever or restore a directed link on every shard fabric.
@@ -526,7 +548,8 @@ impl ParallelHarness {
         }
     }
 
-    /// Change the loss rate on the fly, on every shard fabric.
+    /// Set the uniform packet-loss rate (0.0 ..= 1.0) on every shard
+    /// fabric.
     pub fn set_loss_rate(&mut self, rate: f64) {
         for shard in &mut self.shards {
             shard.net.set_loss_rate(rate);
@@ -549,8 +572,7 @@ impl ParallelHarness {
     }
 
     /// Hand the current stamp epoch out and advance past it, resetting
-    /// at a fresh instant — the coordinator-side mirror of
-    /// `SimNetwork::begin_epoch`.
+    /// at a fresh instant.
     fn alloc_epoch(&mut self, t: Time) -> u32 {
         if self.stamp_time != t {
             self.stamp_time = t;
@@ -561,12 +583,14 @@ impl ParallelHarness {
         e
     }
 
-    /// Mirror of `SimHarness::settle` for control operations (install,
-    /// inject): pump every live node in insertion order, one stamp epoch
-    /// per wave, routing cross-shard mail directly, until quiescent.
-    /// Runs on the calling thread — control ops happen between runs,
-    /// when the coordinator owns all shards.
-    fn control_settle(&mut self) {
+    /// Pump all nodes and exchange due messages until nothing more can
+    /// happen at the current virtual time: every live node in insertion
+    /// order, one stamp epoch per wave, cross-shard mail routed
+    /// directly. Sends from later waves of the same instant carry
+    /// larger stamps, so delivery order reproduces causal order. Runs on
+    /// the calling thread — control ops happen between runs, when the
+    /// coordinator owns all shards.
+    pub(crate) fn control_settle(&mut self) {
         let t = self.clock;
         loop {
             let e = self.alloc_epoch(t);
@@ -575,13 +599,12 @@ impl ParallelHarness {
             }
             let mut progress = false;
             for i in 0..self.order.len() {
-                let addr = self.order[i].clone();
-                let (si, ni) = self.index[&addr];
+                let (si, ni) = self.index[&self.order[i]];
                 let shard = &mut self.shards[si];
-                if shard.net.is_down(&addr) {
+                let sn = &mut shard.nodes[ni];
+                if shard.net.is_down(&sn.addr) {
                     continue;
                 }
-                let sn = &mut shard.nodes[ni];
                 while let Some(env) = sn.inbox.pop_front() {
                     sn.node.deliver(env, t);
                 }
@@ -589,6 +612,7 @@ impl ParallelHarness {
                     shard.net.send(env, t);
                     progress = true;
                 }
+                progress |= sn.node.has_backlog();
             }
             self.route_outbound();
             for shard in &mut self.shards {
@@ -620,8 +644,12 @@ impl ParallelHarness {
     }
 
     /// Copy each shard's counters into its member nodes so `sysStat`
-    /// carries `shard.*` rows.
+    /// carries `shard.*` rows. A single shard has no barrier or mailbox
+    /// to report, and publishes nothing.
     fn publish_shard_stats(&mut self) {
+        if self.shards.len() == 1 {
+            return;
+        }
         for shard in &mut self.shards {
             let snap = shard.stats;
             for sn in &mut shard.nodes {
@@ -631,13 +659,14 @@ impl ParallelHarness {
     }
 
     /// Advance virtual time to `deadline`, firing timers and deliveries
-    /// in order — windowed, sharded, and bit-identical to
-    /// `SimHarness::run_until` at the same seed.
+    /// in order.
     pub fn run_until(&mut self, deadline: Time) {
-        // The sequential loop settles on entry (work left behind by
-        // control ops — e.g. a tuple injected into a then-down node that
-        // has since revived — dispatches *before* the first event) and
-        // again at the deadline. Mirror both.
+        if M::NAIVE {
+            return self.run_until_naive(deadline);
+        }
+        // Settle on entry (work left behind by control ops — e.g. a
+        // tuple injected into a then-down node that has since revived —
+        // dispatches *before* the first event) and again at the deadline.
         self.control_settle();
         if self.order.is_empty() {
             self.clock = deadline;
@@ -649,7 +678,7 @@ impl ParallelHarness {
         let initial: Vec<Option<Time>> = self.shards.iter().map(Shard::next_event).collect();
         let gc_period = self.gc_period;
         let lookahead = self.lookahead;
-        let ParallelHarness {
+        let Engine {
             shards,
             index,
             clock,
@@ -670,8 +699,11 @@ impl ParallelHarness {
         // With one shard — or one hardware thread, where workers can
         // only add channel round-trips — run windows inline. Reply
         // handling is order-insensitive, so both paths merge identically.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let leftover = if shards.len() == 1 || cores == 1 {
+        // (The core count is a handful of file reads on Linux; one shard
+        // never asks.)
+        let inline =
+            shards.len() == 1 || std::thread::available_parallelism().map_or(1, |p| p.get()) == 1;
+        let leftover = if inline {
             drive(coord, deadline, initial, |jobs| {
                 jobs.into_iter()
                     .map(|(si, cmd)| shards[si].run_window(cmd))
@@ -758,17 +790,8 @@ fn drive(
     loop {
         // Earliest event anywhere: shard-local timers/deliveries, plus
         // cross-shard envelopes still in the coordinator's hands.
-        let mut t_raw: Option<Time> = None;
-        for s in 0..n {
-            let mut m = next_event[s];
-            if let Some(p) = pending[s].iter().map(|se| se.deliver_at).min() {
-                m = Some(m.map_or(p, |x| x.min(p)));
-            }
-            if let Some(m) = m {
-                t_raw = Some(t_raw.map_or(m, |x| x.min(m)));
-            }
-        }
-        let t = match t_raw {
+        let in_hand = pending.iter().flatten().map(|se| se.deliver_at);
+        let t = match next_event.iter().flatten().copied().chain(in_hand).min() {
             Some(t) if t <= deadline => t.max(*coord.clock),
             _ => break,
         };
@@ -815,12 +838,7 @@ fn drive(
             for se in r.outbound {
                 pending[coord.index[&se.env.dst].0].push(se);
             }
-            if let Some((u, e)) = r.last {
-                last = Some(match last {
-                    Some((lu, le)) if lu > u || (lu == u && le >= e) => (lu, le),
-                    _ => (u, e),
-                });
-            }
+            last = last.max(r.last);
         }
         if let Some((u, e)) = last {
             *coord.stamp_time = u;
@@ -832,169 +850,4 @@ fn drive(
     }
     *coord.clock = deadline;
     pending
-}
-
-impl Population for ParallelHarness {
-    fn now(&self) -> Time {
-        ParallelHarness::now(self)
-    }
-    fn seed(&self) -> u64 {
-        ParallelHarness::seed(self)
-    }
-    fn add_node(&mut self, name: &str) -> Addr {
-        ParallelHarness::add_node(self, name)
-    }
-    fn add_node_with(&mut self, name: &str, config: NodeConfig) -> Addr {
-        ParallelHarness::add_node_with(self, name, config)
-    }
-    fn addrs(&self) -> &[Addr] {
-        ParallelHarness::addrs(self)
-    }
-    fn node(&self, addr: &Addr) -> &Node {
-        ParallelHarness::node(self, addr)
-    }
-    fn node_mut(&mut self, addr: &Addr) -> &mut Node {
-        ParallelHarness::node_mut(self, addr)
-    }
-    fn install(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
-        ParallelHarness::install(self, addr, source)
-    }
-    fn install_all(&mut self, source: &str) -> Result<Vec<ProgramId>, InstallError> {
-        ParallelHarness::install_all(self, source)
-    }
-    fn inject(&mut self, addr: &Addr, tuple: Tuple) {
-        ParallelHarness::inject(self, addr, tuple)
-    }
-    fn crash(&mut self, addr: &Addr) {
-        ParallelHarness::crash(self, addr)
-    }
-    fn revive(&mut self, addr: &Addr) {
-        ParallelHarness::revive(self, addr)
-    }
-    fn is_down(&self, addr: &Addr) -> bool {
-        ParallelHarness::is_down(self, addr)
-    }
-    fn restart(&mut self, addr: &Addr) -> Result<(), InstallError> {
-        ParallelHarness::restart(self, addr)
-    }
-    fn set_loss_rate(&mut self, rate: f64) {
-        ParallelHarness::set_loss_rate(self, rate)
-    }
-    fn run_until(&mut self, deadline: Time) {
-        ParallelHarness::run_until(self, deadline)
-    }
-    fn net_stats(&self) -> NetStats {
-        ParallelHarness::net_stats(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::SimHarness;
-    use p2_types::Value;
-
-    /// The sim.rs ping-pong, but with the two nodes on different shards.
-    #[test]
-    fn cross_shard_ping_pong() {
-        let mut sim = ParallelHarness::with_seed(1, 2);
-        let a = sim.add_node("a");
-        let b = sim.add_node("b");
-        sim.install(&a, r#"fwd pong@"b"(X) :- ping@N(X)."#).unwrap();
-        sim.install(&b, "done got@N(X) :- pong@N(X).").unwrap();
-        sim.node_mut(&b).watch("got");
-        sim.inject(&a, Tuple::new("ping", [Value::addr("a"), Value::Int(7)]));
-        sim.run_for(TimeDelta::from_millis(50));
-        let got = sim.node_mut(&b).take_watched("got");
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1.get(1), Some(&Value::Int(7)));
-        assert_eq!(got[0].0, Time::from_millis(10));
-    }
-
-    /// A gossip pair must end with the same table contents under the
-    /// sequential harness and under every shard count.
-    #[test]
-    fn matches_sequential_gossip() {
-        fn run<H: Population>(sim: &mut H) -> Vec<String> {
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            sim.install_all(
-                "materialize(seen, infinity, infinity, keys(1, 2)).
-                 g gossip@N(E) :- periodic@N(E, 3).
-                 s seen@N(E) :- gossip@N(E).",
-            )
-            .unwrap();
-            sim.run_for(TimeDelta::from_secs(30));
-            let now = sim.now();
-            let mut rows = sim.node_mut(&a).table_scan("seen", now);
-            rows.extend(sim.node_mut(&b).table_scan("seen", now));
-            rows.iter().map(|t| t.to_string()).collect()
-        }
-
-        let want = run(&mut SimHarness::with_seed(42));
-        for shards in [1, 2, 4] {
-            let got = run(&mut ParallelHarness::with_seed(42, shards));
-            assert_eq!(got, want, "diverged at {shards} shards");
-        }
-    }
-
-    /// Crash/revive across shards replays like the sequential harness.
-    #[test]
-    fn crash_and_revive_matches_sequential() {
-        fn run<H: Population>(sim: &mut H) -> Vec<String> {
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            sim.install(&a, r#"f out@"b"(X) :- go@N(X)."#).unwrap();
-            sim.install(&b, "c seen@N(X) :- out@N(X).").unwrap();
-            sim.node_mut(&b).watch("seen");
-            sim.crash(&b);
-            sim.inject(&a, Tuple::new("go", [Value::addr("a"), Value::Int(1)]));
-            sim.run_for(TimeDelta::from_millis(100));
-            sim.revive(&b);
-            sim.inject(&a, Tuple::new("go", [Value::addr("a"), Value::Int(2)]));
-            sim.run_for(TimeDelta::from_millis(100));
-            sim.node_mut(&b)
-                .take_watched("seen")
-                .iter()
-                .map(|(t, x)| format!("{t:?} {x}"))
-                .collect()
-        }
-        let want = run(&mut SimHarness::with_seed(9));
-        for shards in [1, 2, 3] {
-            let got = run(&mut ParallelHarness::with_seed(9, shards));
-            assert_eq!(got, want, "diverged at {shards} shards");
-        }
-    }
-
-    /// Shard counters surface through `sysStat` after a run.
-    #[test]
-    fn shard_stats_reach_introspection() {
-        let mut sim = ParallelHarness::with_seed(5, 2);
-        let a = sim.add_node("a");
-        let _b = sim.add_node("b");
-        sim.install(&a, r#"g probe@"b"(E) :- periodic@N(E, 2)."#)
-            .unwrap();
-        sim.run_for(TimeDelta::from_secs(10));
-        let now = sim.now();
-        let node = sim.node_mut(&a);
-        node.refresh_introspection(now);
-        let rows = node.table_scan(crate::introspect::SYS_STAT, now);
-        let keys: Vec<String> = rows
-            .iter()
-            .filter_map(|t| t.get(1).map(|v| format!("{v}")))
-            .collect();
-        for want in [
-            "shard.id",
-            "shard.events",
-            "shard.barrier_waits",
-            "shard.mailbox_envelopes",
-        ] {
-            assert!(
-                keys.iter().any(|k| k.contains(want)),
-                "sysStat missing {want}: {keys:?}"
-            );
-        }
-        // And the population-wide message counters survive the merge.
-        assert_eq!(sim.net_stats().sent_by(&a), 5);
-    }
 }

@@ -168,6 +168,14 @@ impl Node {
         self.flush_outbox()
     }
 
+    /// Whether the last pump left work behind. A pump that runs to
+    /// quiescence never does; one that exhausts its budget can break out
+    /// with tracer rows it never flushed or released triggers it never
+    /// fired (the queued deltas themselves are dropped).
+    pub(crate) fn has_backlog(&self) -> bool {
+        !self.ship.released.is_empty() || (self.config.tracing && self.tracer.pending_len() > 0)
+    }
+
     /// Consume work from the front delta batch. Subscribed relations go
     /// one tuple at a time (per-tuple interleave preserved); silent
     /// relations go wholesale through `insert_batch` — but only while no

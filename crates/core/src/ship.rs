@@ -305,7 +305,7 @@ impl ShipState {
     }
 
     /// Earliest fetch deadline, if any (folded into
-    /// [`Node::next_timer`] so both harnesses schedule a wakeup).
+    /// [`Node::next_timer`] so the engine schedules a wakeup).
     pub(crate) fn next_deadline(&self) -> Option<Time> {
         self.pending.values().map(|p| p.deadline).min()
     }

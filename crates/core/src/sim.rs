@@ -1,372 +1,187 @@
-//! The discrete-event simulation harness.
+//! [`SimHarness`] — the population engine at one shard — and the
+//! sequential oracle the engine is tested against.
 //!
-//! Drives a population of [`Node`]s over a [`SimNetwork`] with a virtual
-//! clock: the substitution for the paper's 21-process testbed (DESIGN.md
-//! §2.4). The loop is the classic discrete-event scheme —
+//! The substitution for the paper's 21-process testbed (DESIGN.md §2.4)
+//! is the windowed engine of [`crate::parallel`]; `SimHarness::new`
+//! builds it with a single shard, which runs on the calling thread.
 //!
-//! 1. pump every node to quiescence at the current virtual time, routing
-//!    produced envelopes into the network,
-//! 2. deliver every envelope due at the current time,
-//! 3. when nothing is runnable *now*, advance the clock to the earliest
-//!    pending event (timer or delivery) and fire it.
-//!
-//! Fully deterministic for a fixed seed: node iteration order is
-//! insertion order, the network is seeded, and all node RNGs derive from
-//! the harness seed.
+//! [`SequentialOracle`] is the same struct stepped by the classic
+//! discrete-event loop instead of windows: at every event instant of
+//! anyone, scan every node for the earliest event, fire every due
+//! timer, and pump *every* live node in every settle wave. It shares
+//! the engine's control plane but none of its window protocol,
+//! dirty-node tracking or timer caches, which is what makes it a useful
+//! reference: the equivalence suites run one scenario through both and
+//! demand identical bits. Nothing but tests and the scale bench's
+//! "sequential" baseline row should construct it.
 
-use crate::driver::{Driver, SimPort};
-use crate::node::{InstallError, Node, NodeConfig, ProgramId};
-use p2_net::{SimConfig, SimNetwork};
-use p2_types::{Addr, Time, TimeDelta, Tuple};
-use std::collections::HashMap;
+use crate::node::NodeConfig;
+use crate::parallel::{Engine, Mode};
+use p2_net::SimConfig;
+use p2_types::Time;
 
-/// A simulated population of P2 nodes, each behind a
-/// [`Driver`]`<`[`SimPort`]`>` — the same service loop the realtime
-/// runtimes use, fed from the virtual network instead of a socket.
-pub struct SimHarness {
-    nodes: HashMap<Addr, Driver<SimPort>>,
-    order: Vec<Addr>,
-    net: SimNetwork,
-    clock: Time,
-    /// Period of the tracer's reference-count GC sweep.
-    gc_period: TimeDelta,
-    next_gc: Time,
-    base_node_config: NodeConfig,
-    seed: u64,
-    /// Per-node config as registered, replayed on [`SimHarness::restart`].
-    configs: HashMap<Addr, NodeConfig>,
-    /// Programs installed through the harness, replayed on restart.
-    programs: HashMap<Addr, Vec<String>>,
-}
+/// Marker for [`SimHarness`].
+pub struct OneShard;
+impl Mode for OneShard {}
+
+/// A simulated population of P2 nodes on the calling thread: the
+/// engine with one shard.
+pub type SimHarness = Engine<OneShard>;
 
 impl SimHarness {
     /// Create a harness with the given network config, node config
     /// template, and seed (node RNGs derive from it).
     pub fn new(net_config: SimConfig, node_config: NodeConfig, seed: u64) -> SimHarness {
-        let mut nc = node_config;
-        nc.seed = seed;
-        SimHarness {
-            nodes: HashMap::new(),
-            order: Vec::new(),
-            net: SimNetwork::new(SimConfig { seed, ..net_config }),
-            clock: Time::ZERO,
-            gc_period: TimeDelta::from_secs(30),
-            next_gc: Time::from_secs(30),
-            base_node_config: nc,
-            seed,
-            configs: HashMap::new(),
-            programs: HashMap::new(),
-        }
+        Engine::build(net_config, node_config, seed, 1)
     }
 
     /// A harness with default network (10 ms links) and node settings.
     pub fn with_seed(seed: u64) -> SimHarness {
         SimHarness::new(SimConfig::default(), NodeConfig::default(), seed)
     }
+}
 
-    /// The current virtual time.
-    pub fn now(&self) -> Time {
-        self.clock
+/// Marker for [`SequentialOracle`].
+#[doc(hidden)]
+pub struct Naive;
+impl Mode for Naive {
+    const NAIVE: bool = true;
+}
+
+/// The one-shard engine stepped by `Engine::run_until_naive`.
+#[doc(hidden)]
+pub type SequentialOracle = Engine<Naive>;
+
+impl SequentialOracle {
+    /// Same arguments as [`SimHarness::new`].
+    pub fn new(net_config: SimConfig, node_config: NodeConfig, seed: u64) -> SequentialOracle {
+        Engine::build(net_config, node_config, seed, 1)
     }
+}
 
-    /// The harness seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Add a node (default config template). Returns its address.
-    pub fn add_node(&mut self, name: &str) -> Addr {
-        self.add_node_with(name, self.base_node_config.clone())
-    }
-
-    /// Add a node with an explicit config (e.g. tracing enabled on the
-    /// measured node only, as in §4's setup).
-    pub fn add_node_with(&mut self, name: &str, mut config: NodeConfig) -> Addr {
-        let addr = Addr::new(name);
-        config.seed = self.seed;
-        self.configs.insert(addr.clone(), config.clone());
-        self.net.register(addr.clone());
-        self.nodes.insert(
-            addr.clone(),
-            Driver::new(Node::new(addr.clone(), config), SimPort::default()),
-        );
-        self.order.push(addr.clone());
-        addr
-    }
-
-    /// Access a node.
-    pub fn node(&self, addr: &Addr) -> &Node {
-        self.nodes[addr].node()
-    }
-
-    /// Access a node mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` was never added to the harness.
-    #[expect(clippy::expect_used, reason = "documented panic on unknown address")]
-    pub fn node_mut(&mut self, addr: &Addr) -> &mut Node {
-        self.nodes.get_mut(addr).expect("unknown node").node_mut()
-    }
-
-    /// All node addresses in insertion order.
-    pub fn addrs(&self) -> &[Addr] {
-        &self.order
-    }
-
-    /// The network fabric (fault injection, stats).
-    pub fn net_mut(&mut self) -> &mut SimNetwork {
-        &mut self.net
-    }
-
-    /// The network fabric, read-only.
-    pub fn net(&self) -> &SimNetwork {
-        &self.net
-    }
-
-    /// Install a program on one node at the current time.
-    pub fn install(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
-        let now = self.clock;
-        let pid = self.node_mut(addr).install(source, now)?;
-        self.programs
-            .entry(addr.clone())
-            .or_default()
-            .push(source.to_string());
-        self.settle();
-        Ok(pid)
-    }
-
-    /// Install the same program on every node.
-    pub fn install_all(&mut self, source: &str) -> Result<Vec<ProgramId>, InstallError> {
-        let addrs = self.order.clone();
-        let mut out = Vec::new();
-        for a in addrs {
-            let now = self.clock;
-            out.push(self.node_mut(&a).install(source, now)?);
-            self.programs
-                .entry(a.clone())
-                .or_default()
-                .push(source.to_string());
-        }
-        self.settle();
-        Ok(out)
-    }
-
-    /// Inject a tuple at a node and settle.
-    pub fn inject(&mut self, addr: &Addr, tuple: Tuple) {
-        self.node_mut(addr).inject(tuple);
-        self.settle();
-    }
-
-    /// Crash a node: the network drops its traffic and the node stops
-    /// executing until revived.
-    pub fn crash(&mut self, addr: &Addr) {
-        self.net.set_down(addr, true);
-    }
-
-    /// Revive a crashed node.
-    pub fn revive(&mut self, addr: &Addr) {
-        self.net.set_down(addr, false);
-    }
-
-    /// Whether the node is crashed.
-    pub fn is_down(&self, addr: &Addr) -> bool {
-        self.net.is_down(addr)
-    }
-
-    /// Restart a node from scratch: every piece of soft state — tables,
-    /// dataflow, pending timers, queued messages — is lost, exactly as
-    /// in a process crash. If the node's config enables durability, the
-    /// sealed archive is recovered from its durable store; otherwise
-    /// the node comes back empty. Programs installed *through the
-    /// harness* are reinstalled at the current virtual time, and the
-    /// node is marked reachable again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` was never added to the harness.
-    #[expect(clippy::expect_used, reason = "documented panic on unknown address")]
-    pub fn restart(&mut self, addr: &Addr) -> Result<(), InstallError> {
-        let drv = self.nodes.remove(addr).expect("unknown node");
-        // Hand the durable store across the "crash": the store is the
-        // only thing that survives, everything else is rebuilt.
-        let store = drv.into_node().into_durable();
-        let config = self
-            .configs
-            .get(addr)
-            .cloned()
-            .unwrap_or_else(|| self.base_node_config.clone());
-        let mut node = Node::with_recovered(addr.clone(), config, store);
-        let now = self.clock;
-        let mut failed = None;
-        for source in self.programs.get(addr).cloned().unwrap_or_default() {
-            if let Err(e) = node.install(&source, now) {
-                failed = Some(e);
-                break;
-            }
-        }
-        self.nodes
-            .insert(addr.clone(), Driver::new(node, SimPort::default()));
-        self.net.set_down(addr, false);
-        self.settle();
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Set the uniform packet-loss rate on the fabric (0.0 ..= 1.0).
-    pub fn set_loss_rate(&mut self, rate: f64) {
-        self.net.set_loss_rate(rate);
-    }
-
-    /// Pump all nodes and exchange due messages until nothing more can
-    /// happen at the current virtual time.
-    fn settle(&mut self) {
+impl<M: Mode> Engine<M> {
+    /// The reference stepper: advance to `deadline` one global event
+    /// instant at a time, scanning and pumping the whole (single) shard.
+    pub(crate) fn run_until_naive(&mut self, deadline: Time) {
+        self.control_settle();
         loop {
-            // Each wave is one stamp epoch: sends from later waves of the
-            // same instant carry larger stamps, so the network's delivery
-            // order reproduces causal order (and thereby matches the
-            // sharded harness bit for bit).
-            self.net.begin_epoch(self.clock);
-            let mut progress = false;
-            for i in 0..self.order.len() {
-                let addr = self.order[i].clone();
-                if self.net.is_down(&addr) {
-                    continue;
-                }
-                let Some(drv) = self.nodes.get_mut(&addr) else {
-                    continue; // order and nodes are kept in sync
-                };
-                drv.service(self.clock);
-                for env in drv.transport_mut().drain_outbox() {
-                    self.net.send(env, self.clock);
-                    progress = true;
+            let shard = &mut self.shards[0];
+            let mut next = shard.net.next_delivery();
+            for sn in &shard.nodes {
+                if !shard.net.is_down(&sn.addr) {
+                    next = next.into_iter().chain(sn.node.next_timer()).min();
                 }
             }
-            for env in self.net.pop_due(self.clock) {
-                if let Some(drv) = self.nodes.get_mut(&env.dst) {
-                    drv.transport_mut().enqueue(env);
-                    progress = true;
-                }
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
-
-    /// Advance virtual time to `deadline`, firing timers and deliveries
-    /// in order.
-    pub fn run_until(&mut self, deadline: Time) {
-        self.settle();
-        loop {
-            // Earliest future event.
-            let mut next: Option<Time> = self.net.next_delivery();
-            for addr in &self.order {
-                if self.net.is_down(addr) {
-                    continue;
-                }
-                if let Some(t) = self.nodes[addr].node().next_timer() {
-                    next = Some(match next {
-                        Some(n) => n.min(t),
-                        None => t,
-                    });
-                }
-            }
-            let next = match next {
+            let now = match next {
                 Some(t) if t <= deadline => t.max(self.clock),
-                _ => {
-                    self.clock = deadline;
-                    self.settle();
-                    return;
-                }
+                _ => break,
             };
-            self.clock = next;
-            // Fire due timers. Iterate by index — cloning `order` here
-            // (and in the GC sweep below) was pure per-event overhead.
-            for i in 0..self.order.len() {
-                let addr = self.order[i].clone();
-                if self.net.is_down(&addr) {
-                    continue;
-                }
-                let Some(drv) = self.nodes.get_mut(&addr) else {
-                    continue;
-                };
-                let node = drv.node_mut();
-                if node.next_timer().is_some_and(|t| t <= next) {
-                    node.fire_timers(next);
+            self.clock = now;
+            for sn in &mut shard.nodes {
+                let due = sn.node.next_timer().is_some_and(|t| t <= now);
+                if due && !shard.net.is_down(&sn.addr) {
+                    sn.node.fire_timers(now);
                 }
             }
-            // Periodic tracer GC.
-            if self.clock >= self.next_gc {
-                for i in 0..self.order.len() {
-                    let addr = self.order[i].clone();
-                    let now = self.clock;
-                    if let Some(drv) = self.nodes.get_mut(&addr) {
-                        drv.node_mut().trace_gc(now);
-                    }
+            // Periodic tracer GC, down nodes included.
+            if now >= self.next_gc {
+                for sn in &mut shard.nodes {
+                    sn.node.trace_gc(now);
                 }
-                self.next_gc = self.clock + self.gc_period;
+                self.next_gc = now + self.gc_period;
             }
-            self.settle();
+            self.control_settle();
         }
-    }
-
-    /// Advance virtual time by `delta`.
-    pub fn run_for(&mut self, delta: TimeDelta) {
-        let deadline = self.clock + delta;
-        self.run_until(deadline);
+        self.clock = deadline;
+        self.control_settle();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use p2_types::Value;
+    //! One scenario set for every way of stepping a population: each
+    //! scenario returns a transcript, which must be the same on the
+    //! oracle and on the engine at 1, 2 and 4 shards.
 
+    use super::*;
+    use crate::{ParallelHarness, Population};
+    use p2_types::{Addr, TimeDelta, Tuple, Value};
+
+    type Scenario = fn(&mut dyn Population) -> Vec<String>;
+
+    /// Run `scenario` on the oracle and on the engine at 1/2/4 shards,
+    /// demand equal transcripts, and return the common one.
+    fn on_every_engine(
+        net: SimConfig,
+        node: NodeConfig,
+        seed: u64,
+        scenario: Scenario,
+    ) -> Vec<String> {
+        let want = scenario(&mut SequentialOracle::new(net.clone(), node.clone(), seed));
+        let one = scenario(&mut SimHarness::new(net.clone(), node.clone(), seed));
+        assert_eq!(one, want, "one shard diverged from the oracle");
+        for shards in [2, 4] {
+            let mut sim = ParallelHarness::new(net.clone(), node.clone(), seed, shards);
+            assert_eq!(scenario(&mut sim), want, "{shards} shards diverged");
+        }
+        want
+    }
+
+    fn defaults(seed: u64, scenario: Scenario) -> Vec<String> {
+        on_every_engine(SimConfig::default(), NodeConfig::default(), seed, scenario)
+    }
+
+    fn unstaggered() -> NodeConfig {
+        NodeConfig {
+            stagger_timers: false,
+            ..Default::default()
+        }
+    }
+
+    fn int_event(name: &str, at: &str, x: i64) -> Tuple {
+        Tuple::new(name, [Value::addr(at), Value::Int(x)])
+    }
+
+    fn watched(sim: &mut dyn Population, addr: &Addr, name: &str) -> Vec<String> {
+        let got = sim.node_mut(addr).take_watched(name);
+        got.iter().map(|(t, x)| format!("{t:?} {x}")).collect()
+    }
+
+    /// With two or more shards the two nodes sit on different ones.
     #[test]
     fn two_node_ping_pong() {
-        let mut sim = SimHarness::with_seed(1);
-        let a = sim.add_node("a");
-        let b = sim.add_node("b");
-        sim.install(&a, r#"fwd pong@"b"(X) :- ping@N(X)."#).unwrap();
-        sim.install(&b, "done got@N(X) :- pong@N(X).").unwrap();
-        sim.node_mut(&b).watch("got");
-        sim.inject(&a, Tuple::new("ping", [Value::addr("a"), Value::Int(7)]));
-        // Message needs one latency hop.
-        sim.run_for(TimeDelta::from_millis(50));
-        let got = sim.node_mut(&b).take_watched("got");
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1.get(1), Some(&Value::Int(7)));
-        // The delivery happened at +10ms of virtual time.
-        assert_eq!(got[0].0, Time::from_millis(10));
+        let got = defaults(1, |sim| {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&a, r#"fwd pong@"b"(X) :- ping@N(X)."#).unwrap();
+            sim.install(&b, "done got@N(X) :- pong@N(X).").unwrap();
+            sim.node_mut(&b).watch("got");
+            sim.inject(&a, int_event("ping", "a", 7));
+            sim.run_for(TimeDelta::from_millis(50));
+            watched(sim, &b, "got")
+        });
+        // One latency hop: the delivery happened at +10ms of virtual time.
+        let at = Time::from_millis(10);
+        assert_eq!(got, [format!("{at:?} got(b, 7)")]);
     }
 
     #[test]
     fn periodic_rules_fire_on_schedule() {
-        let mut sim = SimHarness::new(
-            SimConfig::default(),
-            NodeConfig {
-                stagger_timers: false,
-                ..Default::default()
-            },
-            3,
-        );
-        let a = sim.add_node("a");
-        sim.install(&a, "t tick@N(E) :- periodic@N(E, 5).").unwrap();
-        sim.node_mut(&a).watch("tick");
-        sim.run_for(TimeDelta::from_secs(21));
-        let ticks = sim.node_mut(&a).take_watched("tick");
-        assert_eq!(ticks.len(), 4, "t=5,10,15,20");
-        assert_eq!(ticks[0].0, Time::from_secs(5));
-        assert_eq!(ticks[3].0, Time::from_secs(20));
+        let ticks = on_every_engine(SimConfig::default(), unstaggered(), 3, |sim| {
+            let a = sim.add_node("a");
+            sim.install(&a, "t tick@N(E) :- periodic@N(E, 5).").unwrap();
+            sim.node_mut(&a).watch("tick");
+            sim.run_for(TimeDelta::from_secs(21));
+            let got = sim.node_mut(&a).take_watched("tick");
+            got.iter().map(|(t, _)| format!("{t:?}")).collect()
+        });
+        let want = [5, 10, 15, 20].map(|s| format!("{:?}", Time::from_secs(s)));
+        assert_eq!(ticks, want);
     }
 
     #[test]
-    fn determinism_across_identical_runs() {
-        let run = || {
-            let mut sim = SimHarness::with_seed(42);
+    fn gossip_pair_is_deterministic() {
+        let rows = defaults(42, |sim| {
             let a = sim.add_node("a");
             let b = sim.add_node("b");
             sim.install_all(
@@ -379,69 +194,126 @@ mod tests {
             let now = sim.now();
             let mut rows = sim.node_mut(&a).table_scan("seen", now);
             rows.extend(sim.node_mut(&b).table_scan("seen", now));
-            rows.iter().map(|t| t.to_string()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
+            rows.iter().map(|t| t.to_string()).collect()
+        });
+        assert_eq!(rows.len(), 20, "ten gossip events per node");
     }
 
     #[test]
     fn crash_and_revive() {
-        let mut sim = SimHarness::with_seed(9);
-        let a = sim.add_node("a");
-        let b = sim.add_node("b");
-        sim.install(&a, r#"f out@"b"(X) :- go@N(X)."#).unwrap();
-        sim.install(&b, "c seen@N(X) :- out@N(X).").unwrap();
-        sim.node_mut(&b).watch("seen");
-        sim.crash(&b);
-        sim.inject(&a, Tuple::new("go", [Value::addr("a"), Value::Int(1)]));
-        sim.run_for(TimeDelta::from_millis(100));
-        assert!(sim.node_mut(&b).take_watched("seen").is_empty());
-        sim.revive(&b);
-        sim.inject(&a, Tuple::new("go", [Value::addr("a"), Value::Int(2)]));
-        sim.run_for(TimeDelta::from_millis(100));
-        let seen = sim.node_mut(&b).take_watched("seen");
+        let seen = defaults(9, |sim| {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&a, r#"f out@"b"(X) :- go@N(X)."#).unwrap();
+            sim.install(&b, "c seen@N(X) :- out@N(X).").unwrap();
+            sim.node_mut(&b).watch("seen");
+            sim.crash(&b);
+            sim.inject(&a, int_event("go", "a", 1));
+            sim.run_for(TimeDelta::from_millis(100));
+            assert!(sim.node_mut(&b).take_watched("seen").is_empty());
+            sim.revive(&b);
+            sim.inject(&a, int_event("go", "a", 2));
+            sim.run_for(TimeDelta::from_millis(100));
+            watched(sim, &b, "seen")
+        });
         assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].1.get(1), Some(&Value::Int(2)));
+        assert!(seen[0].ends_with("seen(b, 2)"), "{seen:?}");
     }
 
     #[test]
     fn link_partition_is_directional_and_heals() {
-        let mut sim = SimHarness::with_seed(11);
-        let a = sim.add_node("a");
-        let b = sim.add_node("b");
-        sim.install(&a, r#"f out@"b"(X) :- go@N(X)."#).unwrap();
-        sim.install(&b, r#"g back@"a"(X) :- out@N(X)."#).unwrap();
-        sim.node_mut(&a).watch("back");
-        // Cut a -> b only: the forward leg drops, so nothing echoes.
-        sim.net_mut().set_cut(&a, &b, true);
-        sim.inject(&a, Tuple::new("go", [Value::addr("a"), Value::Int(1)]));
-        sim.run_for(TimeDelta::from_millis(100));
-        assert!(sim.node_mut(&a).watched("back").is_empty());
-        // Heal: round trips flow again.
-        let a2 = a.clone();
-        sim.net_mut().set_cut(&a2, &b, false);
-        sim.inject(&a, Tuple::new("go", [Value::addr("a"), Value::Int(2)]));
-        sim.run_for(TimeDelta::from_millis(100));
-        let got = sim.node_mut(&a).take_watched("back");
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1.get(1), Some(&Value::Int(2)));
+        let back = defaults(11, |sim| {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&a, r#"f out@"b"(X) :- go@N(X)."#).unwrap();
+            sim.install(&b, r#"g back@"a"(X) :- out@N(X)."#).unwrap();
+            sim.node_mut(&a).watch("back");
+            // Cut a -> b only: the forward leg drops, so nothing echoes.
+            sim.set_cut(&a, &b, true);
+            sim.inject(&a, int_event("go", "a", 1));
+            sim.run_for(TimeDelta::from_millis(100));
+            assert!(sim.node_mut(&a).watched("back").is_empty());
+            // The reverse direction was never cut.
+            sim.install(&b, r#"h back@"a"(X) :- poke@N(X)."#).unwrap();
+            sim.inject(&b, int_event("poke", "b", 3));
+            // Heal: round trips flow again.
+            sim.set_cut(&a, &b, false);
+            sim.inject(&a, int_event("go", "a", 2));
+            sim.run_for(TimeDelta::from_millis(100));
+            watched(sim, &a, "back")
+        });
+        assert_eq!(back.len(), 2, "{back:?}");
+        assert!(back[0].ends_with("back(a, 3)"), "{back:?}");
+        assert!(back[1].ends_with("back(a, 2)"), "{back:?}");
     }
 
     #[test]
     fn message_counters_track_sends() {
-        let mut sim = SimHarness::new(
-            SimConfig::default(),
-            NodeConfig {
-                stagger_timers: false,
-                ..Default::default()
-            },
-            5,
-        );
-        let a = sim.add_node("a");
-        let _b = sim.add_node("b");
-        sim.install(&a, r#"g probe@"b"(E) :- periodic@N(E, 2)."#)
-            .unwrap();
-        sim.run_for(TimeDelta::from_secs(10));
-        assert_eq!(sim.net().stats().sent_by(&a), 5);
+        let sent = on_every_engine(SimConfig::default(), unstaggered(), 5, |sim| {
+            let a = sim.add_node("a");
+            let _b = sim.add_node("b");
+            sim.install(&a, r#"g probe@"b"(E) :- periodic@N(E, 2)."#)
+                .unwrap();
+            sim.run_for(TimeDelta::from_secs(10));
+            vec![sim.net_stats().sent_by(&a).to_string()]
+        });
+        assert_eq!(sent, ["5"]);
+    }
+
+    /// `p2ql run --latency 0`: with one shard there is nobody to wait
+    /// for, so a zero-latency fabric still makes progress.
+    #[test]
+    fn zero_latency_runs_on_one_shard() {
+        let net = SimConfig {
+            latency: TimeDelta::ZERO,
+            ..Default::default()
+        };
+        let scenario: Scenario = |sim| {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&a, r#"f out@"b"(E) :- periodic@N(E, 1)."#)
+                .unwrap();
+            sim.install(&b, r#"g back@"a"(E) :- out@N(E)."#).unwrap();
+            sim.node_mut(&a).watch("back");
+            sim.run_for(TimeDelta::from_secs(3));
+            watched(sim, &a, "back")
+        };
+        let want = scenario(&mut SequentialOracle::new(net.clone(), unstaggered(), 6));
+        assert_eq!(want.len(), 3);
+        assert_eq!(scenario(&mut SimHarness::new(net, unstaggered(), 6)), want);
+    }
+
+    /// Shard counters surface through `sysStat` after a run — when there
+    /// is more than one shard to tell apart.
+    #[test]
+    fn shard_stats_reach_introspection() {
+        fn shard_rows(sim: &mut dyn Population) -> Vec<String> {
+            let a = sim.add_node("a");
+            let _b = sim.add_node("b");
+            sim.install(&a, r#"g probe@"b"(E) :- periodic@N(E, 2)."#)
+                .unwrap();
+            sim.run_for(TimeDelta::from_secs(10));
+            let now = sim.now();
+            let node = sim.node_mut(&a);
+            node.refresh_introspection(now);
+            let rows = node.table_scan(crate::introspect::SYS_STAT, now);
+            rows.iter()
+                .filter_map(|t| t.get(1).map(|v| format!("{v}")))
+                .filter(|k| k.contains("shard."))
+                .collect()
+        }
+        let keys = shard_rows(&mut ParallelHarness::with_seed(5, 2));
+        for want in [
+            "shard.id",
+            "shard.events",
+            "shard.barrier_waits",
+            "shard.mailbox_envelopes",
+        ] {
+            assert!(
+                keys.iter().any(|k| k.contains(want)),
+                "sysStat missing {want}: {keys:?}"
+            );
+        }
+        assert!(shard_rows(&mut SimHarness::with_seed(5)).is_empty());
     }
 }

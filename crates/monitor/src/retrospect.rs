@@ -10,17 +10,14 @@
 //! after the live soft state expired and nobody was watching.
 //!
 //! Reconstruction picks, per node, the row version whose validity
-//! interval `[inserted_at, dropped_at)` contains the probe instant
-//! ([`p2_store::ArchivedRow::valid_at`]); `bestSucc` is keyed by
-//! location with one live row, so at most one version is valid at a
-//! time.
+//! interval `[inserted_at, dropped_at)` contains the probe instant.
 //!
-//! Each detector comes in two forms sharing one judgment: the
-//! node-by-node form walks every member's own archive, and the
-//! `*_collected` form (DESIGN.md §2.12) reads a **single collector
-//! node's** deployment-wide history — every member's segments shipped
-//! there in pull or subscribe mode — so the whole investigation runs
-//! against one node even after the origins are gone.
+//! Every detector is one gatherer plus one judgment, and comes under
+//! two names: the plain form feeds the gatherer from every member's own
+//! archive, and the `*_collected` form (DESIGN.md §2.12) from a
+//! **single collector node's** deployment-wide history — every member's
+//! segments shipped there in pull or subscribe mode — so the whole
+//! investigation runs against one node even after the origins are gone.
 
 use p2_chord::ChordRing;
 use p2_core::Population;
@@ -39,71 +36,102 @@ pub struct OrderingViolation {
     pub expected: Addr,
 }
 
-/// A node's successor pointer as of instant `t`, reconstructed from its
-/// archived (and still-live) `bestSucc` history. `None` when no version
-/// was valid at `t` — the node had no successor yet, or its history was
-/// dropped by the retention budget.
-pub fn successor_at<H: Population>(sim: &mut H, addr: &Addr, t: Time) -> Option<Addr> {
-    let now = sim.now();
-    let rows = sim
-        .node_mut(addr)
-        .history_scan("bestSucc", t, t, now)
-        .ok()?;
-    rows.iter()
-        .filter(|r| r.valid_at(t))
-        .max_by_key(|r| r.inserted_at)
-        .and_then(|r| r.tuple.get(2).and_then(Value::to_addr))
+/// One version of a ring member's `bestSucc` row.
+struct SuccVersion {
+    inserted_at: Time,
+    /// Whether this was the valid version at the end of the scanned
+    /// window (`ArchivedRow::valid_at`).
+    valid_at_end: bool,
+    succ: Addr,
 }
 
-/// Reconstruct every ring member's successor pointer as of instant `t`.
-/// Nodes with no valid version at `t` are absent from the map.
-pub fn ring_at<H: Population>(sim: &mut H, ring: &ChordRing, t: Time) -> HashMap<Addr, Addr> {
-    let mut out = HashMap::new();
-    for addr in ring.addrs.clone() {
-        if let Some(s) = successor_at(sim, &addr, t) {
-            out.insert(addr, s);
+/// Every ring member's `bestSucc` versions whose validity intersects
+/// `[t0, t1]`, archived and still-live, oldest first. Without a
+/// collector each member's own archive is walked; with one, a single
+/// scan of the deployment-wide history shipped there is grouped back
+/// per origin. Members with no readable history are absent.
+fn succ_versions<H: Population>(
+    sim: &mut H,
+    collector: Option<&Addr>,
+    ring: &ChordRing,
+    t0: Time,
+    t1: Time,
+) -> HashMap<Addr, Vec<SuccVersion>> {
+    let now = sim.now();
+    // (origin every row belongs to, if the scan fixes it; the scan)
+    let scans = match collector {
+        Some(c) => {
+            let node = sim.node_mut(c);
+            vec![(None, node.deployment_history_scan("bestSucc", t0, t1, now))]
         }
+        None => ring
+            .addrs
+            .iter()
+            .map(|a| {
+                let scan = sim.node_mut(a).history_scan("bestSucc", t0, t1, now);
+                (Some(a.clone()), scan)
+            })
+            .collect(),
+    };
+    let mut out: HashMap<Addr, Vec<SuccVersion>> = HashMap::new();
+    for (walked, scan) in scans {
+        for r in scan.unwrap_or_default() {
+            let origin = walked
+                .clone()
+                .or_else(|| r.tuple.get(0).and_then(Value::to_addr))
+                .filter(|o| ring.addrs.contains(o));
+            let succ = r.tuple.get(2).and_then(Value::to_addr);
+            if let (Some(origin), Some(succ)) = (origin, succ) {
+                out.entry(origin).or_default().push(SuccVersion {
+                    inserted_at: r.inserted_at,
+                    valid_at_end: r.valid_at(t1),
+                    succ,
+                });
+            }
+        }
+    }
+    for versions in out.values_mut() {
+        versions.sort_by_key(|v| v.inserted_at);
     }
     out
 }
 
-/// Reconstruct every ring member's successor pointer as of instant
-/// `t` from a **collector's** deployment-wide history: one scan over
-/// the union of every shipped origin, instead of one archive walk per
-/// member. Members whose shipped history holds no valid version at
-/// `t` are absent from the map.
+/// Each member's successor pointer as of instant `t`: the newest
+/// version valid at `t`. `bestSucc` is keyed by location with one live
+/// row, so at most one version is valid at a time.
+fn pointers_at<H: Population>(
+    sim: &mut H,
+    collector: Option<&Addr>,
+    ring: &ChordRing,
+    t: Time,
+) -> HashMap<Addr, Addr> {
+    succ_versions(sim, collector, ring, t, t)
+        .into_iter()
+        .filter_map(|(node, versions)| {
+            let valid = versions.into_iter().rfind(|v| v.valid_at_end)?;
+            Some((node, valid.succ))
+        })
+        .collect()
+}
+
+/// Reconstruct every ring member's successor pointer as of instant `t`
+/// from its own archived (and still-live) `bestSucc` history. Nodes
+/// with no valid version at `t` — no successor yet, or history dropped
+/// by the retention budget — are absent from the map.
+pub fn ring_at<H: Population>(sim: &mut H, ring: &ChordRing, t: Time) -> HashMap<Addr, Addr> {
+    pointers_at(sim, None, ring, t)
+}
+
+/// [`ring_at`] from a **collector's** deployment-wide history: one scan
+/// over the union of every shipped origin, instead of one archive walk
+/// per member.
 pub fn ring_at_collected<H: Population>(
     sim: &mut H,
     collector: &Addr,
     ring: &ChordRing,
     t: Time,
 ) -> HashMap<Addr, Addr> {
-    let now = sim.now();
-    let Ok(rows) = sim
-        .node_mut(collector)
-        .deployment_history_scan("bestSucc", t, t, now)
-    else {
-        return HashMap::new();
-    };
-    let mut best: HashMap<Addr, (Time, Addr)> = HashMap::new();
-    for r in rows.iter().filter(|r| r.valid_at(t)) {
-        let Some(node) = r.tuple.get(0).and_then(Value::to_addr) else {
-            continue;
-        };
-        if !ring.addrs.contains(&node) {
-            continue;
-        }
-        let Some(succ) = r.tuple.get(2).and_then(Value::to_addr) else {
-            continue;
-        };
-        match best.get(&node) {
-            Some((at, _)) if *at >= r.inserted_at => {}
-            _ => {
-                best.insert(node, (r.inserted_at, succ));
-            }
-        }
-    }
-    best.into_iter().map(|(k, (_, v))| (k, v)).collect()
+    pointers_at(sim, Some(collector), ring, t)
 }
 
 /// The §3.1.1 judgment, over any reconstructed pointer map: following
@@ -198,11 +226,28 @@ fn judge_ordering(ring: &ChordRing, succ: &HashMap<Addr, Addr>) -> Vec<OrderingV
     out
 }
 
-/// §3.1.3 after the fact: nodes whose successor pointer *changed value*
-/// at least `threshold` times inside the window `[t0, t1]`, with the
-/// number of changes counted. Distinct archived versions are replayed
-/// in insertion order and only actual flips count, so periodic
-/// re-derivations of the same successor stay silent.
+/// The §3.1.3 judgment: members whose successor pointer *changed value*
+/// at least `threshold` times across their versions, with the number of
+/// changes. Versions are replayed in insertion order and only actual
+/// flips count, so periodic re-derivations of the same successor stay
+/// silent.
+fn count_flips(versions: HashMap<Addr, Vec<SuccVersion>>, threshold: usize) -> Vec<(Addr, usize)> {
+    let mut out: Vec<(Addr, usize)> = versions
+        .into_iter()
+        .map(|(addr, vs)| {
+            (
+                addr,
+                vs.windows(2).filter(|w| w[0].succ != w[1].succ).count(),
+            )
+        })
+        .filter(|(_, flips)| *flips >= threshold)
+        .collect();
+    out.sort();
+    out
+}
+
+/// §3.1.3 after the fact: nodes whose successor pointer flipped at
+/// least `threshold` times inside the window `[t0, t1]`.
 pub fn oscillators_in<H: Population>(
     sim: &mut H,
     ring: &ChordRing,
@@ -210,28 +255,11 @@ pub fn oscillators_in<H: Population>(
     t1: Time,
     threshold: usize,
 ) -> Vec<(Addr, usize)> {
-    let now = sim.now();
-    let mut out = Vec::new();
-    for addr in ring.addrs.clone() {
-        let Ok(mut rows) = sim.node_mut(&addr).history_scan("bestSucc", t0, t1, now) else {
-            continue;
-        };
-        rows.sort_by_key(|r| r.inserted_at);
-        let succs: Vec<Addr> = rows
-            .iter()
-            .filter_map(|r| r.tuple.get(2).and_then(Value::to_addr))
-            .collect();
-        let flips = succs.windows(2).filter(|w| w[0] != w[1]).count();
-        if flips >= threshold {
-            out.push((addr, flips));
-        }
-    }
-    out.sort();
-    out
+    count_flips(succ_versions(sim, None, ring, t0, t1), threshold)
 }
 
-/// §3.1.3 from a collector: oscillators found in one deployment-wide
-/// scan of shipped history, grouped back per origin node.
+/// §3.1.3 from a collector: the same judgment over one deployment-wide
+/// scan of shipped history.
 pub fn oscillators_in_collected<H: Population>(
     sim: &mut H,
     collector: &Addr,
@@ -240,38 +268,7 @@ pub fn oscillators_in_collected<H: Population>(
     t1: Time,
     threshold: usize,
 ) -> Vec<(Addr, usize)> {
-    let now = sim.now();
-    let Ok(rows) = sim
-        .node_mut(collector)
-        .deployment_history_scan("bestSucc", t0, t1, now)
-    else {
-        return Vec::new();
-    };
-    let mut per_node: HashMap<Addr, Vec<(Time, Addr)>> = HashMap::new();
-    for r in &rows {
-        let Some(node) = r.tuple.get(0).and_then(Value::to_addr) else {
-            continue;
-        };
-        if !ring.addrs.contains(&node) {
-            continue;
-        }
-        if let Some(succ) = r.tuple.get(2).and_then(Value::to_addr) {
-            per_node
-                .entry(node)
-                .or_default()
-                .push((r.inserted_at, succ));
-        }
-    }
-    let mut out = Vec::new();
-    for (addr, mut versions) in per_node {
-        versions.sort_by_key(|(at, _)| *at);
-        let flips = versions.windows(2).filter(|w| w[0].1 != w[1].1).count();
-        if flips >= threshold {
-            out.push((addr, flips));
-        }
-    }
-    out.sort();
-    out
+    count_flips(succ_versions(sim, Some(collector), ring, t0, t1), threshold)
 }
 
 #[cfg(test)]

@@ -89,21 +89,13 @@ mod tests {
         let mut sim = SimHarness::with_seed(81);
         let ring = build_ring(&mut sim, 6, &ChordConfig::default());
         sim.run_for(TimeDelta::from_secs(180));
-        let sent_before: u64 = ring
-            .addrs
-            .iter()
-            .map(|a| sim.net().stats().sent_by(a))
-            .sum();
+        let sent_before: u64 = sim.net_stats().total_sent();
 
         // Install the suite everywhere; run a comparison window.
         for a in ring.addrs.clone() {
             sim.install(&a, &suite_program(15)).unwrap();
         }
-        let t0: u64 = ring
-            .addrs
-            .iter()
-            .map(|a| sim.net().stats().sent_by(a))
-            .sum();
+        let t0: u64 = sim.net_stats().total_sent();
         assert_eq!(sent_before, t0);
         sim.run_for(TimeDelta::from_secs(120));
         for a in ring.addrs.clone() {
@@ -115,18 +107,10 @@ mod tests {
         // Free on the wire: the identical seed without the suite sends
         // exactly the same number of messages over the same window.
         let mut sim2 = SimHarness::with_seed(81);
-        let ring2 = build_ring(&mut sim2, 6, &ChordConfig::default());
+        build_ring(&mut sim2, 6, &ChordConfig::default());
         sim2.run_for(TimeDelta::from_secs(300));
-        let with: u64 = ring
-            .addrs
-            .iter()
-            .map(|a| sim.net().stats().sent_by(a))
-            .sum();
-        let without: u64 = ring2
-            .addrs
-            .iter()
-            .map(|a| sim2.net().stats().sent_by(a))
-            .sum();
+        let with: u64 = sim.net_stats().total_sent();
+        let without: u64 = sim2.net_stats().total_sent();
         assert_eq!(with, without, "passive suite must cost zero messages");
     }
 

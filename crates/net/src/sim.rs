@@ -102,13 +102,12 @@ impl NetStats {
 /// then the sender's registration index (= population insertion order),
 /// then the sender's own send counter. Within one run the stamp order of
 /// any two sends equals their causal order, so sorting equal-`deliver_at`
-/// envelopes by stamp reproduces the sequential harness's delivery order
-/// under any sharding.
+/// envelopes by stamp reproduces one delivery order under any sharding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Stamp {
     /// Virtual time of the send.
     pub sent_at: Time,
-    /// Settle-wave counter within `sent_at` (see [`SimNetwork::begin_epoch`]).
+    /// Settle-wave counter within `sent_at` (see [`SimNetwork::set_stamp`]).
     pub epoch: u32,
     /// The sender's registration index.
     pub src_idx: u32,
@@ -265,23 +264,11 @@ impl SimNetwork {
         self.queue.len() + self.outbound.len()
     }
 
-    /// Open the next settle-wave epoch at `now`: epoch 0 at a fresh
-    /// instant, otherwise the next wave of the current instant. The
-    /// sequential harness calls this once per settle wave; sends in later
-    /// waves of the same instant then carry larger stamps, preserving
-    /// causal order among same-instant sends.
-    pub fn begin_epoch(&mut self, now: Time) {
-        if self.stamp_time != now {
-            self.stamp_time = now;
-            self.stamp_epoch = 0;
-        } else {
-            self.stamp_epoch += 1;
-        }
-    }
-
-    /// Position the stamp clock explicitly (the parallel harness drives
-    /// epochs from its window coordinator so every shard fabric stamps
-    /// identically).
+    /// Position the stamp clock: the instant and its settle-wave epoch
+    /// (0 at a fresh instant, one more per wave). The population engine
+    /// drives epochs from its coordinator so every shard fabric stamps
+    /// identically; sends in later waves of the same instant carry
+    /// larger stamps, preserving causal order among same-instant sends.
     pub fn set_stamp(&mut self, now: Time, epoch: u32) {
         self.stamp_time = now;
         self.stamp_epoch = epoch;
@@ -550,7 +537,7 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let addrs: Vec<Addr> = ["a", "b", "c", "d"].iter().map(|s| Addr::new(s)).collect();
+        let addrs: Vec<Addr> = ["a", "b", "c", "d"].iter().map(Addr::new).collect();
         // One fabric owning everyone.
         let mut whole = SimNetwork::new(config.clone());
         for a in &addrs {

@@ -254,8 +254,8 @@ pub fn compile_program_with(
 /// the aggregation order. This mirrors, over plan-level data, what the
 /// analysis crate's deep passes compute over source — the planner
 /// cannot depend on `p2-analysis` (which dry-runs the planner), so the
-/// small computation is duplicated here. EXPLAIN renders both; the
-/// scheduler consults `stratum` only under stratified dispatch.
+/// small computation is duplicated here. EXPLAIN renders both;
+/// execution reads neither.
 fn annotate_flow(out: &mut CompiledProgram, known_tables: &HashSet<String>) {
     // Declared row bounds: Some(Some(n)) finite, Some(None) declared
     // infinity, absent = known-at-runtime table of unknown size.

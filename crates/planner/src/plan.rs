@@ -318,8 +318,7 @@ pub struct Strand {
     /// Stratum of the head relation in the aggregation order (DESIGN.md
     /// §2.13): every relation an aggregate ranges over sits in a
     /// strictly lower stratum. 0 for event heads and non-aggregating
-    /// programs. Annotation only — execution consults it solely when
-    /// `stratified_dispatch` ordering is requested.
+    /// programs. An EXPLAIN annotation: execution never reads it.
     pub stratum: usize,
     /// Worst-case tuples emitted per firing, as stable EXPLAIN text:
     /// `"1"`, `"≤64"`, `"≤1024 = finger≤64 · succ≤16"`, or a factor

@@ -1207,7 +1207,7 @@ mod tests {
 
             let mut now = Time::ZERO;
             for (sel, a, b, c, dt) in ops {
-                now = now + TimeDelta::from_secs(dt);
+                now += TimeDelta::from_secs(dt);
                 match sel {
                     0..=5 => {
                         t.insert(tup3(a, b, c), now);

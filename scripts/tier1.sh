@@ -41,76 +41,47 @@ fi
 # --json smoke: the machine-readable report must be well-formed JSON.
 cargo run --release --bin p2ql -- check --deep --json --chord \
     | python3 -m json.tool > /dev/null
-# Parallel-engine determinism gates. The golden Chord trace must be
+# Engine determinism gates. The golden Chord trace must be
 # byte-identical under sharding — NodeConfig defaults to archiving off,
 # so this also pins that the archive tier changes nothing when disabled
 # (already inside `cargo test`, but run by name so a divergence is
 # unmistakable in CI logs).
 cargo test -q --test parallel_equivalence golden_chord_trace_is_identical_when_sharded
-# Forensic-replay determinism gate (DESIGN.md §2.11): the full
+# Replay determinism gates: `p2ql replay` writes the full
 # incident-reconstruction report — archive scans, past() answers,
-# retrospective detectors — must be byte-identical at 1 and 4 shards.
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 1 \
-    > target/replay.1shard.txt
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 4 \
-    > target/replay.4shard.txt
-if ! cmp -s target/replay.1shard.txt target/replay.4shard.txt; then
-  echo "tier1: forensic replay diverged between 1 and 4 shards" >&2
-  diff target/replay.1shard.txt target/replay.4shard.txt >&2 || true
-  exit 1
-fi
-# Distributed-forensics gate (DESIGN.md §2.12): the same report must
-# come out byte-identical when every verdict is answered from a
-# collector node's shipped history (`--collect`, subscribe mode)
-# instead of walking each origin's own archive — at 1 and 4 shards.
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 1 --collect \
-    > target/replay.collect.1shard.txt
-if ! cmp -s target/replay.1shard.txt target/replay.collect.1shard.txt; then
-  echo "tier1: collector-node replay diverged from origin-node replay" >&2
-  diff target/replay.1shard.txt target/replay.collect.1shard.txt >&2 || true
-  exit 1
-fi
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 4 --collect \
-    > target/replay.collect.4shard.txt
-if ! cmp -s target/replay.4shard.txt target/replay.collect.4shard.txt; then
-  echo "tier1: sharded collector-node replay diverged" >&2
-  diff target/replay.4shard.txt target/replay.collect.4shard.txt >&2 || true
-  exit 1
-fi
-# Durability gates (DESIGN.md §2.14). Crash-restart recovery must be
-# deterministic: the replay report with a mid-run crash-restart of one
-# ring node (soft state lost, archive recovered from the durable log)
-# must be byte-identical at 1 and 4 shards.
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 1 --restart 2 \
-    > target/replay.restart.1shard.txt
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 4 --restart 2 \
-    > target/replay.restart.4shard.txt
-if ! cmp -s target/replay.restart.1shard.txt target/replay.restart.4shard.txt; then
-  echo "tier1: crash-restart replay diverged between 1 and 4 shards" >&2
-  diff target/replay.restart.1shard.txt target/replay.restart.4shard.txt >&2 || true
-  exit 1
-fi
-# A collector subscribed to the restarted deployment must reconstruct
-# the same report from shipped history (the reborn origin's generation
-# bump re-baselines it).
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 1 --restart 2 --collect \
-    > target/replay.restart.collect.txt
-if ! cmp -s target/replay.restart.1shard.txt target/replay.restart.collect.txt; then
-  echo "tier1: collector replay over a restarted deployment diverged" >&2
-  diff target/replay.restart.1shard.txt target/replay.restart.collect.txt >&2 || true
-  exit 1
-fi
-# The file backend must produce the very same report as the in-memory
-# one, and a corrupted data dir must recover (quarantine + truncate)
-# with a clean exit — recovery never panics.
+# retrospective detectors — and each variant below must reproduce its
+# reference report byte for byte.
+replay_gate() { # <name> <reference|-> <replay flags...>
+  local name=$1 ref=$2
+  shift 2
+  cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 "$@" \
+      > "target/replay.$name.txt"
+  if [ "$ref" != - ] && ! cmp -s "target/replay.$ref.txt" "target/replay.$name.txt"; then
+    echo "tier1: replay '$name' diverged from '$ref'" >&2
+    diff "target/replay.$ref.txt" "target/replay.$name.txt" >&2 || true
+    exit 1
+  fi
+}
 rm -rf target/tier1-durable
-cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 --shards 1 --restart 2 \
-    --data-dir target/tier1-durable > target/replay.restart.file.txt
-if ! cmp -s target/replay.restart.1shard.txt target/replay.restart.file.txt; then
-  echo "tier1: file-backed crash-restart replay diverged from in-memory" >&2
-  diff target/replay.restart.1shard.txt target/replay.restart.file.txt >&2 || true
-  exit 1
-fi
+# Forensic replay (DESIGN.md §2.11): identical at 1 and 4 shards.
+replay_gate 1shard           -               --shards 1
+replay_gate 4shard           1shard          --shards 4
+# Distributed forensics (§2.12): every verdict answered from a
+# collector node's shipped history (subscribe mode) instead of each
+# origin's own archive.
+replay_gate collect.1shard   1shard          --shards 1 --collect
+replay_gate collect.4shard   4shard          --shards 4 --collect
+# Durability (§2.14): a mid-run crash-restart of one ring node (soft
+# state lost, archive recovered from the durable log) is deterministic
+# across shard counts; a collector re-baselines on the reborn origin's
+# generation bump; the file backend reports what the in-memory one does.
+replay_gate restart.1shard   -               --shards 1 --restart 2
+replay_gate restart.4shard   restart.1shard  --shards 4 --restart 2
+replay_gate restart.collect  restart.1shard  --shards 1 --restart 2 --collect
+replay_gate restart.file     restart.1shard  --shards 1 --restart 2 \
+    --data-dir target/tier1-durable
+# A corrupted data dir must recover (quarantine + truncate) with a
+# clean exit — recovery never panics.
 printf 'torn tail and then some garbage' >> target/tier1-durable/n2/rel-0.seglog
 cargo run --release --bin p2ql -- recover --dir target/tier1-durable/n2 \
     > target/recover.audit.txt
@@ -133,7 +104,7 @@ cargo bench -p p2-bench --bench segment_ship -- --test
 cargo bench -p p2-bench --bench durable_recover -- --test
 # Population-scaling emission: the CI-sized sweep exercises the full
 # `figures scale --json` path (its internal assert re-checks that every
-# shard count sends exactly the sequential engine's envelope count).
+# shard count sends exactly the sequential oracle's envelope count).
 # It writes to target/ so it never clobbers the committed artifact;
 # regenerate that one with the full 21/256/1024-node sweep:
 #   cargo run --release -p p2-bench --bin figures -- scale --json BENCH_scale.json

@@ -58,8 +58,7 @@
 //! replay options:
 //!   --nodes N        ring size (default 5, minimum 3)
 //!   --seed S         simulation seed (default 1)
-//!   --shards K       run under the parallel harness with K shards
-//!                    (default 1 = the sequential simulator)
+//!   --shards K       split the population over K shards (default 1)
 //!   --warm SECS      stabilization warm-up (default 180)
 //!   --post SECS      run-on after the corruption (default 120; must
 //!                    exceed the routing-row lifetime so the probed
@@ -84,7 +83,7 @@
 //!                    `p2ql recover --dir PATH/<node>` audits what a
 //!                    reboot would recover from such a directory.
 
-use p2ql::core::{NodeConfig, SimHarness};
+use p2ql::core::{NodeConfig, ParallelHarness, SimHarness};
 use p2ql::net::SimConfig;
 use p2ql::types::{TimeDelta, Value};
 use std::process::ExitCode;
@@ -640,10 +639,10 @@ fn parse_replay_opts(args: &[String]) -> Result<ReplayOpts, String> {
     Ok(o)
 }
 
-/// The deterministic forensic scenario, generic over the engine so one
-/// code path serves both harnesses (their bit-equivalence is what makes
-/// the report shard-count-invariant).
-fn replay_scenario<H: p2ql::core::Population>(sim: &mut H, o: &ReplayOpts) -> String {
+/// The deterministic forensic scenario. The engine is bit-identical at
+/// every shard count, which is what makes the report
+/// shard-count-invariant.
+fn replay_scenario(sim: &mut ParallelHarness, o: &ReplayOpts) -> String {
     use p2ql::chord::{build_ring, ChordConfig};
     use p2ql::monitor::retrospect;
     use p2ql::types::{Time, Tuple};
@@ -719,7 +718,7 @@ fn replay_scenario<H: p2ql::core::Population>(sim: &mut H, o: &ReplayOpts) -> St
     }
     let t_end = sim.now();
 
-    let verdict = |sim: &mut H, t: Time, out: &mut String| {
+    let verdict = |sim: &mut ParallelHarness, t: Time, out: &mut String| {
         let (wf, viols) = match &collector {
             Some(c) => (
                 retrospect::ring_was_well_formed_at_collected(sim, c, &ring, t),
@@ -852,14 +851,7 @@ fn replay(args: &[String]) -> ExitCode {
             plan: None,
         });
     }
-    let report = if o.shards == 1 {
-        let mut sim = SimHarness::new(SimConfig::default(), node_config, o.seed);
-        replay_scenario(&mut sim, &o)
-    } else {
-        let mut sim =
-            p2ql::core::ParallelHarness::new(SimConfig::default(), node_config, o.seed, o.shards);
-        replay_scenario(&mut sim, &o)
-    };
-    print!("{report}");
+    let mut sim = ParallelHarness::new(SimConfig::default(), node_config, o.seed, o.shards);
+    print!("{}", replay_scenario(&mut sim, &o));
     ExitCode::SUCCESS
 }

@@ -1,10 +1,7 @@
-//! The shared [`Driver`] service loop over every transport substrate.
+//! The shared [`Driver`] service loop over both realtime substrates.
 //!
-//! The simulator exercises `Driver<SimPort>` internally (every
-//! `SimHarness` node runs behind one); these tests drive the same loop
-//! over the threaded hub and real UDP sockets via
-//! [`Driver::run_realtime`], replacing the hand-rolled per-substrate
-//! loops the runtimes used to carry.
+//! These tests drive the loop over the threaded hub and real UDP
+//! sockets via [`Driver::run_realtime`].
 
 use p2ql::core::{Driver, Node, NodeConfig, ThreadedPort, UdpPort};
 use p2ql::net::{ThreadedHub, UdpTransport};

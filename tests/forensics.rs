@@ -7,11 +7,11 @@
 //!   and fires, at a virtual time later than every live lifetime
 //!   involved (app rows at 5 s, `ruleExec` at 120 s), so the live
 //!   tables hold nothing from the window;
-//! * **identically under both engines**: the sequential `SimHarness`
-//!   and the sharded `ParallelHarness` must produce the same answers
-//!   for the same seed, at every shard count tried.
+//! * **identically however the population is stepped**: the sequential
+//!   oracle and the engine at every shard count tried must produce the
+//!   same answers for the same seed.
 
-use p2ql::core::{NodeConfig, ParallelHarness, Population, SimHarness};
+use p2ql::core::{NodeConfig, ParallelHarness, Population, SequentialOracle, SimHarness};
 use p2ql::net::SimConfig;
 use p2ql::types::{Time, Tuple, Value};
 
@@ -122,7 +122,7 @@ fn forensic_query_answers_after_every_lifetime_expired() {
 
 #[test]
 fn forensic_answers_are_engine_invariant() {
-    let want = scenario(&mut SimHarness::new(
+    let want = scenario(&mut SequentialOracle::new(
         SimConfig::default(),
         forensic_config(),
         7,

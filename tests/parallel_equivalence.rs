@@ -1,15 +1,16 @@
-//! Sharded == sequential: the parallel population engine must be
-//! bit-identical to the single-threaded harness at every shard count
+//! Windowed == sequential: the population engine must be bit-identical
+//! to the scan-everything sequential oracle at every shard count
 //! (DESIGN.md §2.10). These tests drive the same scenario through
-//! `SimHarness` and `ParallelHarness{1,2,4,8}` via the `Population`
-//! trait and compare everything deterministic: tuple stores, tracer
-//! records, per-node envelope counts, and the golden Chord trace.
+//! `SequentialOracle` and `ParallelHarness{1,2,4,8}` via the
+//! `Population` trait and compare everything deterministic: tuple
+//! stores, tracer records, per-node envelope counts, and the golden
+//! Chord trace.
 
 use p2ql::chord::testbed::collect_lookup_results;
 use p2ql::chord::{build_ring, issue_lookup, ring_is_ordered, ChordConfig};
-use p2ql::core::{NodeConfig, ParallelHarness, Population, SimHarness};
+use p2ql::core::{NodeConfig, ParallelHarness, Population, SequentialOracle};
 use p2ql::net::SimConfig;
-use p2ql::types::{Addr, RingId, TimeDelta, Tuple, Value};
+use p2ql::types::{Addr, RingId, Time, TimeDelta, Tuple, Value};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
@@ -111,7 +112,7 @@ fn traced_config() -> NodeConfig {
 
 fn check_equivalence(net: SimConfig, seed: u64, n: usize, ops: &[(u64, Op)]) {
     let want = run_token_ring(
-        &mut SimHarness::new(net.clone(), traced_config(), seed),
+        &mut SequentialOracle::new(net.clone(), traced_config(), seed),
         n,
         ops,
     );
@@ -138,33 +139,131 @@ fn sixty_four_nodes_match_at_every_shard_count() {
     check_equivalence(SimConfig::default(), 20_260_806, 64, &ops);
 }
 
-/// The golden Chord lookup trace (tests/golden/chord_lookup_trace.txt,
-/// produced by the sequential harness) must replay byte-for-byte on the
-/// sharded engine — same tracer tuple IDs, same counters, same rows.
+/// The golden Chord lookup trace (tests/golden/chord_lookup_trace.txt)
+/// must replay byte-for-byte on the oracle and at every shard count —
+/// same tracer tuple IDs, same counters, same rows.
 #[test]
 fn golden_chord_trace_is_identical_when_sharded() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/chord_lookup_trace.txt");
     let want = std::fs::read_to_string(&path)
         .expect("golden file missing: run the end_to_end golden test with GOLDEN_REGEN=1");
+    let mut oracle = SequentialOracle::new(SimConfig::default(), NodeConfig::default(), 4242);
+    let mut dumps = vec![("oracle".to_string(), golden_chord_dump(&mut oracle))];
     for shards in [1usize, 2, 4] {
         let mut sim = ParallelHarness::with_seed(4242, shards);
-        let dump = golden_chord_dump(&mut sim);
+        dumps.push((format!("shards={shards}"), golden_chord_dump(&mut sim)));
+    }
+    for (who, dump) in dumps {
         if dump != want {
             for (i, (got, exp)) in dump.lines().zip(want.lines()).enumerate() {
                 assert_eq!(
                     got,
                     exp,
-                    "sharded trace (shards={shards}) diverges from golden at line {}",
+                    "trace ({who}) diverges from golden at line {}",
                     i + 1
                 );
             }
             panic!(
-                "sharded trace (shards={shards}) length diverges: {} vs {} lines",
+                "trace ({who}) length diverges: {} vs {} lines",
                 dump.lines().count(),
                 want.lines().count()
             );
         }
+    }
+}
+
+/// Programs that exhaust `max_dispatch_per_pump` are inside the
+/// bit-identical contract: a node the cut pump leaves with a backlog is
+/// pumped again in the same instant, however the population is stepped.
+///
+/// * `tests/bad_programs`' ping-pong storm bounces one ping across the
+///   network forever while every node re-ignites a self-addressed copy,
+///   which spins inside one pump until the budget drops the queue.
+/// * A 40-way fan-out feeding itself is cut with strand pipelines in
+///   flight, which strands tracer rows the pump never flushed; the
+///   archive's `inserted_at` shows when they finally landed.
+#[test]
+fn budget_exhaustion_is_engine_invariant() {
+    fn overflowed<H: Population>(sim: &mut H, addrs: &[Addr]) -> bool {
+        addrs
+            .iter()
+            .any(|a| sim.node(a).metrics().overflow_drops > 0)
+    }
+    fn ping_pong<H: Population>(sim: &mut H) -> String {
+        let addrs: Vec<Addr> = (0..3).map(|i| sim.add_node(&format!("s{i}"))).collect();
+        sim.install_all(include_str!("bad_programs/storm_ping_pong.olg"))
+            .expect("storm installs");
+        sim.install_all("k ping@N(N) :- periodic@N(E, 3).")
+            .expect("igniter installs");
+        sim.inject(
+            &addrs[0],
+            Tuple::new(
+                "ping",
+                [Value::Addr(addrs[0].clone()), Value::Addr(addrs[1].clone())],
+            ),
+        );
+        sim.run_for(TimeDelta::from_secs(20));
+        assert!(overflowed(sim, &addrs), "the storm must exhaust the budget");
+        fingerprint(sim, &["ruleExec", "tupleTable"])
+    }
+    fn fan_out<H: Population>(sim: &mut H) -> String {
+        let addrs: Vec<Addr> = (0..3).map(|i| sim.add_node(&format!("s{i}"))).collect();
+        sim.install_all(
+            "materialize(peer, infinity, 64, keys(1, 2)).
+             materialize(nbr, infinity, 4, keys(1, 2)).
+             fan out@N(P, X) :- go@N(X), peer@N(P).
+             back go@N(X) :- out@N(P, X).
+             k go@N(E) :- periodic@N(E, 3).
+             b beat@M(E) :- periodic@N(E, 0.05), nbr@N(M).",
+        )
+        .expect("fan-out installs");
+        for (i, a) in addrs.iter().enumerate() {
+            let mut facts = format!("nbr@\"s{i}\"(\"s{}\").\n", (i + 1) % 3);
+            for p in 0..40 {
+                writeln!(facts, "peer@\"s{i}\"({p}).").unwrap();
+            }
+            sim.install(a, &facts).expect("facts install");
+        }
+        sim.run_for(TimeDelta::from_secs(20));
+        assert!(
+            overflowed(sim, &addrs),
+            "the fan-out must exhaust the budget"
+        );
+        let now = sim.now();
+        let mut out = fingerprint(sim, &[]);
+        for a in &addrs {
+            let history = sim
+                .node_mut(a)
+                .history_scan("ruleExec", Time::ZERO, now, now)
+                .expect("ruleExec is archived");
+            for r in history {
+                writeln!(out, "{a} {:?} {}", r.inserted_at, r.tuple).unwrap();
+            }
+        }
+        out
+    }
+    let traced = NodeConfig {
+        max_dispatch_per_pump: 300,
+        ..traced_config()
+    };
+    let forensic = NodeConfig {
+        max_dispatch_per_pump: 300,
+        ..NodeConfig::forensic()
+    };
+    let net = SimConfig::default;
+    let want_storm = ping_pong(&mut SequentialOracle::new(net(), traced.clone(), 31));
+    let want_fan = fan_out(&mut SequentialOracle::new(net(), forensic.clone(), 31));
+    for shards in [1usize, 2, 4] {
+        let got = ping_pong(&mut ParallelHarness::new(net(), traced.clone(), 31, shards));
+        assert!(got == want_storm, "storm diverged at {shards} shards");
+        let got = fan_out(&mut ParallelHarness::new(
+            net(),
+            forensic.clone(),
+            31,
+            shards,
+        ));
+        assert!(got == want_fan, "fan-out diverged at {shards} shards");
     }
 }
 
@@ -242,7 +341,7 @@ proptest! {
     /// For arbitrary seeds, population sizes in the ISSUE's 3–64 span,
     /// link jitter/loss, and random crash/revive/inject schedules, the
     /// sharded engine's tuple stores, tracer records, and per-node
-    /// envelope counts are identical to the sequential harness at every
+    /// envelope counts are identical to the sequential oracle at every
     /// shard count.
     #[test]
     fn sharded_population_matches_sequential(

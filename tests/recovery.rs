@@ -5,9 +5,9 @@
 //! archive epochs — never a torn frame, never a panic — and `past()`
 //! forensic queries over the recovered history byte-match the no-crash
 //! run restricted to those epochs. The invariant holds identically
-//! under the sequential engine and the sharded engine at every shard
-//! count, because the durable store is handed across the restart as a
-//! value and recovery replays the same append stream everywhere.
+//! on the sequential oracle and on the engine at every shard count,
+//! because the durable store is handed across the restart as a value
+//! and recovery replays the same append stream everywhere.
 //!
 //! Alongside: restart without durability loses everything (the
 //! control), silent corruption is quarantined and surfaced in
@@ -17,8 +17,8 @@
 //! survive a restart thanks to the boot-counter generation bump.
 
 use p2ql::core::{
-    DurabilityMode, DurableBackend, NodeConfig, ParallelHarness, Population, ShipFailure,
-    SimHarness,
+    DurabilityMode, DurableBackend, NodeConfig, ParallelHarness, Population, SequentialOracle,
+    ShipFailure, SimHarness,
 };
 use p2ql::net::SimConfig;
 use p2ql::planner::PlanOpts;
@@ -131,7 +131,7 @@ fn faulted_run<H: Population>(sim: &mut H, plan: Option<FaultPlan>) -> (Vec<Stri
 
 /// The no-crash reference: same incident, no restart.
 fn baseline(seed: u64) -> (Vec<String>, Vec<String>) {
-    let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), seed);
+    let mut sim = SequentialOracle::new(SimConfig::default(), forensic_config(), seed);
     let origin = sim.add_node_with("a", durable_config(None));
     sim.install(&origin, APP).expect("app installs");
     incident(&mut sim, &origin);
@@ -208,7 +208,7 @@ fn crash_at_any_fault_point_recovers_a_clean_prefix() {
                 | Fault::CrashAfterBarrier { .. }
         );
 
-        let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), seed);
+        let mut sim = SequentialOracle::new(SimConfig::default(), forensic_config(), seed);
         let (rows, ans) = faulted_run(&mut sim, Some(plan.clone()));
 
         if crashy {
@@ -239,7 +239,7 @@ fn crash_at_any_fault_point_recovers_a_clean_prefix() {
             "every recovered row answers (fault_seed={fault_seed})"
         );
 
-        // Bit-identity across engines and shard counts.
+        // Bit-identity with the oracle at every shard count.
         for shards in [1usize, 2, 4] {
             let mut par =
                 ParallelHarness::new(SimConfig::default(), forensic_config(), seed, shards);

@@ -10,13 +10,15 @@
 //! * **streamed** — subscribe mode: origins push segments at every GC
 //!   sweep before anyone asks,
 //!
-//! and identically under the sequential and sharded engines at every
+//! and identically on the sequential oracle and on the engine at every
 //! shard count tried. Alongside: export → wire → import bit-identity
 //! under proptest, hostile bytes (truncated / bit-flipped frames)
 //! decode to typed errors without panicking, and remote-fetch failures
 //! surface as typed, queryable diagnostics.
 
-use p2ql::core::{NodeConfig, ParallelHarness, Population, ShipFailure, SimHarness};
+use p2ql::core::{
+    NodeConfig, ParallelHarness, Population, SequentialOracle, ShipFailure, SimHarness,
+};
 use p2ql::net::ship::{chunk_payload, Reassembly};
 use p2ql::net::SimConfig;
 use p2ql::planner::PlanOpts;
@@ -163,16 +165,16 @@ fn scenario<H: Population>(sim: &mut H, flavor: Flavor) -> Vec<String> {
 fn fetched_and_streamed_match_local_at_every_shard_count() {
     let seed = 7;
     let want = scenario(
-        &mut SimHarness::new(SimConfig::default(), forensic_config(), seed),
+        &mut SequentialOracle::new(SimConfig::default(), forensic_config(), seed),
         Flavor::Local,
     );
     assert_eq!(want.len(), 3, "three pings reconstruct: {want:?}");
     for flavor in [Flavor::Local, Flavor::Fetched, Flavor::Streamed] {
         let got = scenario(
-            &mut SimHarness::new(SimConfig::default(), forensic_config(), seed),
+            &mut SequentialOracle::new(SimConfig::default(), forensic_config(), seed),
             flavor,
         );
-        assert_eq!(got, want, "sequential engine diverged");
+        assert_eq!(got, want, "sequential oracle diverged");
         for shards in [1usize, 2, 4] {
             let mut sim =
                 ParallelHarness::new(SimConfig::default(), forensic_config(), seed, shards);
