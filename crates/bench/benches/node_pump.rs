@@ -1,12 +1,9 @@
 //! Dispatch throughput through the batched pump.
 //!
-//! Three workloads, all runs of materialized tuples with **no
-//! subscribing strand** unless stated (trace rows, event-log appends,
-//! reflection refreshes all look like this). `max_delta_batch = 1`
-//! degenerates the engine to the per-tuple schedule — one store call,
-//! one budget charge, one queue pop per tuple — and is the before/after
-//! baseline recorded in EXPERIMENTS.md; 16 and 256 exercise the
-//! wholesale `insert_batch` path.
+//! Runs of materialized tuples with **no subscribing strand** unless
+//! stated (trace rows, event-log appends, reflection refreshes all look
+//! like this), which take the wholesale `insert_batch` path in runs of
+//! up to 64.
 //!
 //! * `refresh`: 4096 tuples cycling over 64 primary keys — soft-state
 //!   refresh, the dominant table traffic in the paper's programs
@@ -35,12 +32,11 @@ use p2_types::{Addr, Time, Tuple, Value};
 
 const RUN: usize = 4096;
 
-fn silent_node(max_delta_batch: usize) -> Node {
+fn silent_node() -> Node {
     let mut n = Node::new(
         Addr::new("n1"),
         NodeConfig {
             stagger_timers: false,
-            max_delta_batch,
             ..Default::default()
         },
     );
@@ -52,12 +48,11 @@ fn silent_node(max_delta_batch: usize) -> Node {
     n
 }
 
-fn subscribed_node(max_delta_batch: usize) -> Node {
+fn subscribed_node() -> Node {
     let mut n = Node::new(
         Addr::new("n1"),
         NodeConfig {
             stagger_timers: false,
-            max_delta_batch,
             ..Default::default()
         },
     );
@@ -75,7 +70,6 @@ fn archive_node(archived: bool) -> Node {
         Addr::new("n1"),
         NodeConfig {
             stagger_timers: false,
-            max_delta_batch: 256,
             archive: archived.then(|| ArchiveMode {
                 enroll: ArchiveEnroll::Named(vec!["sample".into()]),
                 ..ArchiveMode::default()
@@ -99,31 +93,12 @@ fn bench_node_pump(c: &mut Criterion) {
         .map(|i| Tuple::new("sample", [Value::addr("n1"), Value::Int(i % 64)]))
         .collect();
 
-    for batch in [1usize, 16, 256] {
-        c.bench_function(&format!("node_pump_refresh_batch_{batch}"), |b| {
+    for (name, run) in [("refresh", &refreshes), ("silent_insert", &tuples)] {
+        c.bench_function(&format!("node_pump_{name}"), |b| {
             b.iter_batched(
                 || {
-                    let mut node = silent_node(batch);
-                    for t in &refreshes {
-                        node.inject(t.clone());
-                    }
-                    node
-                },
-                |mut node| {
-                    node.pump(Time::ZERO);
-                    black_box(node.metrics().tuples_dispatched);
-                    node // dropped outside the timing window
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    for batch in [1usize, 16, 256] {
-        c.bench_function(&format!("node_pump_silent_insert_batch_{batch}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut node = silent_node(batch);
-                    for t in &tuples {
+                    let mut node = silent_node();
+                    for t in run {
                         node.inject(t.clone());
                     }
                     node
@@ -187,25 +162,23 @@ fn bench_node_pump(c: &mut Criterion) {
             });
         }
     }
-    for batch in [1usize, 256] {
-        c.bench_function(&format!("node_pump_subscribed_insert_batch_{batch}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut node = subscribed_node(batch);
-                    for t in &tuples {
-                        node.inject(t.clone());
-                    }
-                    node
-                },
-                |mut node| {
-                    node.pump(Time::ZERO);
-                    black_box(node.metrics().strand_firings);
-                    node
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    c.bench_function("node_pump_subscribed_insert", |b| {
+        b.iter_batched(
+            || {
+                let mut node = subscribed_node();
+                for t in &tuples {
+                    node.inject(t.clone());
+                }
+                node
+            },
+            |mut node| {
+                node.pump(Time::ZERO);
+                black_box(node.metrics().strand_firings);
+                node
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 criterion_group!(benches, bench_node_pump);

@@ -4,7 +4,7 @@
 //! matter are the per-hop stage costs and the end-to-end fetch:
 //!
 //! * `ship_export`: snapshotting one relation's history as encoded
-//!   frames — the pure read an origin pays per request or announce.
+//!   frames — the pure read an origin pays per shipment.
 //!   Sealed segments clone their already-encoded frames; the live tier
 //!   is frozen into one synthetic frame per call.
 //! * `ship_wire_roundtrip`: batch-encode, chunk, reassemble, decode,
@@ -14,8 +14,10 @@
 //!   and run the deployment-wide scan a `past()` strand performs —
 //!   the collector's read path.
 //! * `ship_fetch_e2e`: a full pull-mode round trip under the simulated
-//!   harness — trigger stages, request, reply chunks, import, release,
-//!   strand fires — the wall the first deployment-wide `past()` hits.
+//!   harness — trigger stages, request, solicited shipment, import,
+//!   release, strand fires — the wall every deployment-wide `past()`
+//!   hits on a collector its origins do not stream to (each staged
+//!   trigger fetches afresh).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use p2_core::{NodeConfig, SimHarness};
@@ -84,7 +86,7 @@ fn bench_segment_ship(c: &mut Criterion) {
         b.iter_batched(
             || (p2_store::ImportedHistory::default(), shipped.clone()),
             |(mut imported, segs)| {
-                imported.replace("n1", "bestSucc", segs, None);
+                imported.import("n1", "bestSucc", None, segs, None);
                 let rows = imported
                     .scan(
                         "n1",

@@ -203,8 +203,6 @@ pub fn refresh(node: &mut Node, now: Time) {
         for (k, v) in [
             ("archive.ship.requestsSent", s.requests_sent),
             ("archive.ship.requestsServed", s.requests_served),
-            ("archive.ship.replyChunksSent", s.reply_chunks_sent),
-            ("archive.ship.replyChunksReceived", s.reply_chunks_received),
             ("archive.ship.fetchesCompleted", s.fetches_completed),
             ("archive.ship.announceChunksSent", s.announce_chunks_sent),
             (

@@ -41,7 +41,7 @@ pub use node::{
     ProgramId,
 };
 pub use parallel::ParallelHarness;
-pub use ship::{ShipConfig, ShipFailure, ShipStats};
+pub use ship::{ShipFailure, ShipStats};
 #[doc(hidden)]
 pub use sim::SequentialOracle;
 pub use sim::SimHarness;

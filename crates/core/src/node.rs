@@ -155,13 +155,6 @@ pub struct NodeConfig {
     /// `NodeMetrics::overflow_drops` / `strand_overflow_drops` instead
     /// of hanging the process.
     pub max_dispatch_per_pump: u64,
-    /// Longest same-relation run one `DeltaBatch` may hold. Larger runs
-    /// amortize the store's expiry/compaction prologue better; 1
-    /// degenerates to the per-tuple engine (the `node_pump` bench knob).
-    pub max_delta_batch: usize,
-    /// Most payload tuples the router coalesces into one outgoing
-    /// envelope before starting a new frame.
-    pub envelope_flush_threshold: usize,
     /// Planner options for programs installed on this node. The default
     /// runs every optimizer pass; `PlanOpts::off()` compiles rule bodies
     /// in literal source order (the semantic oracle the optimized plans
@@ -173,10 +166,6 @@ pub struct NodeConfig {
     /// history, so `past()` scans and forensic replays can range over
     /// state that has already expired.
     pub archive: Option<ArchiveMode>,
-    /// Segment-shipping knobs (DESIGN.md §2.12). Inert until a peer is
-    /// enrolled or a collector subscribes — the defaults change nothing
-    /// on a node that never ships.
-    pub ship: crate::ship::ShipConfig,
     /// Runtime lint oracle (DESIGN.md §2.13): tag every delta with its
     /// cascade root and depth, and publish per-root maxima as `lint.*`
     /// sysStat rows, so measured cascade depth and per-event output
@@ -201,11 +190,8 @@ impl Default for NodeConfig {
             seed: 0,
             stagger_timers: true,
             max_dispatch_per_pump: 200_000,
-            max_delta_batch: 64,
-            envelope_flush_threshold: 64,
             plan: p2_planner::PlanOpts::default(),
             archive: None,
-            ship: crate::ship::ShipConfig::default(),
             lint: false,
             durability: None,
         }
@@ -245,6 +231,10 @@ impl EvalCtx for NodeCtx<'_> {
         self.addr.clone()
     }
 }
+
+/// Longest same-relation run one [`DeltaBatch`] may hold. Larger runs
+/// amortize the store's expiry/compaction prologue better.
+const MAX_DELTA_BATCH: usize = 64;
 
 /// A queued run of same-relation local dispatches. `traced` is false for
 /// tuples that originate from the tracer's own tables, so trace
@@ -395,11 +385,11 @@ impl Node {
             if let Some(mode) = node.config.durability.clone() {
                 let store = handover.unwrap_or_else(|| Node::build_durable(&node.addr, &mode));
                 node.catalog.recover_durability(store);
-                // Announce generations must outrun every pre-crash one,
-                // or collectors drop the restarted node's first announce
+                // Shipment generations must outrun every pre-crash one,
+                // or collectors drop the restarted node's first push
                 // as stale; the boot counter gives a monotone epoch.
                 if let Some(stats) = node.catalog.durable_stats() {
-                    node.ship.announce_gen = stats.boots.saturating_sub(1) << 32;
+                    node.ship.gen = stats.boots.saturating_sub(1) << 32;
                 }
             }
         }
@@ -643,7 +633,7 @@ impl Node {
     // ------------------------------------------------------------ internal
 
     /// Queue a local dispatch, coalescing it into the tail batch when it
-    /// extends a same-relation run (capped at `max_delta_batch`). Only
+    /// extends a same-relation run (capped at [`MAX_DELTA_BATCH`]). Only
     /// *consecutive* runs merge, so cross-relation dispatch order is
     /// exactly the per-tuple engine's.
     pub(crate) fn push_pending(&mut self, tuple: Tuple, traced: bool) {
@@ -658,7 +648,7 @@ impl Node {
         if let Some(last) = self.pending.back_mut() {
             if last.traced == traced
                 && last.relation == tuple.name()
-                && last.tuples.len() < self.config.max_delta_batch
+                && last.tuples.len() < MAX_DELTA_BATCH
             {
                 last.tuples.push_back(tuple);
                 if lint_on {

@@ -169,24 +169,17 @@ fn outbox_coalesces_consecutive_same_destination_outputs() {
 
 #[test]
 fn envelope_flush_threshold_cuts_runs() {
-    let mut n = Node::new(
-        Addr::new("n1"),
-        NodeConfig {
-            stagger_timers: false,
-            envelope_flush_threshold: 3,
-            ..Default::default()
-        },
-    );
+    let mut n = node("n1");
     n.install("r1 hop@\"n2\"(X) :- go@N(X).", Time::ZERO)
         .unwrap();
-    for i in 0..7 {
+    for i in 0..150 {
         n.inject(Tuple::new("go", [Value::addr("n1"), Value::Int(i)]));
     }
     let out = n.pump(Time::ZERO);
     let sizes: Vec<usize> = out.iter().map(Envelope::len).collect();
-    assert_eq!(sizes, vec![3, 3, 1]);
+    assert_eq!(sizes, vec![64, 64, 22]);
     assert_eq!(n.metrics().msgs_sent, 3);
-    assert_eq!(n.metrics().tuples_sent, 7);
+    assert_eq!(n.metrics().tuples_sent, 150);
 }
 
 #[test]
@@ -640,4 +633,74 @@ fn archive_enrollment_follows_the_policy() {
         .history_scan(p2_trace::RULE_EXEC, Time::ZERO, later, later)
         .unwrap();
     let _ = traced; // may be empty (no rules fired), but must not error
+}
+
+/// Hand-delivered ship frames against the receiver's ordering rules
+/// (DESIGN.md §2.12): what is a stray, what is stale, and that the
+/// answer to an open fetch is taken whatever generation it carries.
+#[test]
+fn ship_receiver_orders_by_generation_except_for_the_answer_it_asked_for() {
+    use p2_net::ship::{encode_batch, Shipment};
+    use p2_net::ShipMsg;
+    let (origin, me) = (Addr::new("a"), Addr::new("coll"));
+    let mut n = Node::new(
+        me.clone(),
+        NodeConfig {
+            stagger_timers: false,
+            plan: p2_planner::PlanOpts::deployment(),
+            ..Default::default()
+        },
+    );
+    n.install(
+        "materialize(seen, 5, 32, keys(1, 2)).
+         f1 hist@N(O, S) :- probe@N(T0, T1), past@N(\"seen\", T0, T1, O, S).",
+        Time::ZERO,
+    )
+    .unwrap();
+    n.ship_add_peer(origin.clone());
+    let deliver = |n: &mut Node, gen: u64, chunks: u32, solicited: bool| {
+        let frame = Shipment {
+            gen,
+            relation: "seen".into(),
+            chunk: 0,
+            chunks,
+            solicited,
+            base: None,
+            watermark: u64::MAX,
+            oldest_lo: u64::MAX,
+            bytes: encode_batch(&[]),
+        };
+        let tuple = ShipMsg::Shipment(frame).to_tuple(&me);
+        n.deliver(Envelope::new(tuple, origin.clone(), me.clone()), Time::ZERO);
+        n.pump(Time::ZERO)
+    };
+
+    // Half of a pushed generation from the origin's previous life, and
+    // a solicited shipment nobody asked for.
+    deliver(&mut n, 100, 2, false);
+    deliver(&mut n, 101, 1, true);
+    assert_eq!(n.ship_stats().strays, 1);
+    assert!(!n.ship_covered(&origin, "seen"));
+
+    // A trigger stages behind one request.
+    n.inject(Tuple::new(
+        "probe",
+        [Value::Addr(me.clone()), Value::Int(0), Value::Int(40)],
+    ));
+    assert_eq!(n.pump(Time::ZERO).len(), 1, "the request");
+    assert_eq!(n.ship_stats().triggers_staged, 1);
+
+    // The origin lost its log and counts from zero: the answer's
+    // generation is below the half-arrived one, and still resolves.
+    deliver(&mut n, 1, 1, true);
+    let stats = n.ship_stats();
+    assert_eq!((stats.fetches_completed, stats.triggers_released), (1, 1));
+    assert!(n.ship_covered(&origin, "seen"));
+    assert_eq!(n.next_timer(), None, "no fetch deadline left behind");
+
+    // Pushed shipments are ordered against what is now held.
+    deliver(&mut n, 1, 1, false);
+    assert_eq!(n.ship_stats().announces_applied, 1, "generation 1 is stale");
+    deliver(&mut n, 2, 1, false);
+    assert_eq!(n.ship_stats().announces_applied, 2);
 }

@@ -5,13 +5,17 @@
 //! envelopes — but only **consecutive** outputs coalesce (the router
 //! only ever appends to the most recent envelope), so the receiver
 //! dispatches tuples in exactly the order a one-envelope-per-tuple
-//! sender would have produced. A run is cut at
-//! `NodeConfig::envelope_flush_threshold` tuples.
+//! sender would have produced. A run is cut at [`ENVELOPE_FLUSH`]
+//! tuples.
 
 use crate::node::Node;
 use p2_dataflow::Action;
 use p2_net::Envelope;
 use p2_types::{Time, Tuple};
+
+/// Most payload tuples the router coalesces into one outgoing envelope
+/// before starting a new frame.
+const ENVELOPE_FLUSH: usize = 64;
 
 impl Node {
     pub(crate) fn route_action(&mut self, action: Action, now: Time) {
@@ -49,7 +53,7 @@ impl Node {
             if last.dst == dst
                 && last.delete == delete
                 && last.relation() == Some(tuple.name())
-                && last.len() < self.config.envelope_flush_threshold
+                && last.len() < ENVELOPE_FLUSH
             {
                 last.push(tuple, src_tuple_id);
                 return;

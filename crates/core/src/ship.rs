@@ -6,25 +6,30 @@
 //! ranges over the whole deployment's history. The store side already
 //! speaks that language — [`p2_store::HistorySource`] resolves a
 //! deployment scan against the imported-segment index — and this module
-//! is the transport that fills the index, in two modes:
+//! is the transport that fills the index. There is one protocol: an
+//! origin sends a **shipment** (a generation-numbered, chunked snapshot
+//! of one relation's history, see [`Shipment`]), the receiver imports it
+//! once every chunk has arrived. Who starts it is the only difference
+//! between the two modes a user sees:
 //!
-//! * **Pull (fetch-on-demand).** A collector enrolls peers with
+//! * **Subscribe (the origin starts).** An origin enrolls a collector
+//!   with [`Node::ship_subscribe`]. At every GC sweep it re-exports any
+//!   enrolled relation whose store version moved and pushes the
+//!   shipment to its collectors — a delta when only new sealed segments
+//!   were added, the full history otherwise. A subscribed collector's
+//!   coverage is warm before any query arrives.
+//! * **Pull (the collector starts).** A collector enrolls peers with
 //!   [`Node::ship_add_peer`]. When an event trigger is about to fire a
 //!   strand whose plan contains a deployment-provider archive scan, the
-//!   dispatcher first checks coverage: any `(peer, relation)` pair not
-//!   yet imported is requested over the wire and the trigger is
-//!   **staged** — parked until every outstanding request resolves
-//!   (reply, nack, or timeout), then released and fired exactly as if
-//!   it had just arrived. The strand itself therefore never observes a
-//!   half-fetched deployment: by the time it runs, the remote history
-//!   is local, and execution stays synchronous and deterministic.
-//! * **Subscribe (streaming).** An origin enrolls a collector with
-//!   [`Node::ship_subscribe`]. At every GC sweep the origin re-exports
-//!   any enrolled relation whose store version moved and streams the
-//!   snapshot to its collectors as generation-numbered
-//!   [`ShipMsg::Announce`] chunks; collectors apply a generation only
-//!   when complete and newer than what they hold. A subscribed
-//!   collector's coverage is warm before any query arrives.
+//!   dispatcher sends every enrolled peer that does not stream to this
+//!   node a [`ShipMsg::Request`] — which solicits one full shipment,
+//!   addressed to the requester alone — and the trigger is **staged**:
+//!   parked until every outstanding fetch resolves (a complete
+//!   shipment, a nack, or a timeout), then released and fired exactly
+//!   as if it had just arrived. The strand never observes a
+//!   half-fetched deployment, and execution stays synchronous and
+//!   deterministic. A delta whose baseline the receiver does not hold
+//!   is repaired the same way, with nothing staged on it.
 //!
 //! Ship messages ride ordinary envelopes as `sysShip(dst, payload)`
 //! tuples and are intercepted in [`Node::deliver`] *before* the tracing
@@ -36,7 +41,7 @@
 //! distinguishable answers rather than indistinguishable empty results.
 
 use crate::node::Node;
-use p2_net::ship::{chunk_payload, decode_batch, encode_batch, Reassembly};
+use p2_net::ship::{chunk_payload, decode_batch, encode_batch, Reassembly, Shipment};
 use p2_net::{Envelope, ShipMsg};
 use p2_store::Segment;
 use p2_types::{Addr, Time, TimeDelta, Tuple};
@@ -44,32 +49,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Most ship failures retained for `sysDiag` (oldest evicted first).
 const MAX_FAILURES: usize = 64;
-
-/// Shipping knobs. The defaults are inert: with no peers enrolled and
-/// no collectors subscribed, a node never sends or stages anything and
-/// its behavior is byte-identical to the pre-shipping runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShipConfig {
-    /// Largest reply/announce chunk, bytes (the paper's runtime ships
-    /// one marshaled tuple per datagram; chunking keeps a shipped
-    /// archive within that discipline instead of one giant frame).
-    pub chunk_bytes: usize,
-    /// How long a fetch waits for its reply before retrying.
-    pub fetch_timeout: TimeDelta,
-    /// Resends after the first attempt before the peer is declared
-    /// unreachable and the staged trigger released without coverage.
-    pub max_retries: u32,
-}
-
-impl Default for ShipConfig {
-    fn default() -> Self {
-        ShipConfig {
-            chunk_bytes: 48 * 1024,
-            fetch_timeout: TimeDelta::from_secs(2),
-            max_retries: 2,
-        }
-    }
-}
+/// Largest shipment chunk, bytes (the paper's runtime ships one
+/// marshaled tuple per datagram; chunking keeps a shipped archive
+/// within that discipline instead of one giant frame).
+const CHUNK_BYTES: usize = 48 * 1024;
+/// How long a fetch waits for its shipment before asking again.
+const FETCH_TIMEOUT: TimeDelta = TimeDelta::from_secs(2);
+/// Resends after the first attempt before the peer is declared
+/// unreachable and the staged trigger released without coverage.
+const MAX_RETRIES: u32 = 2;
 
 /// Shipping counters, surfaced as `archive.ship.*` rows in `sysStat`
 /// (only on nodes where shipping is active — see
@@ -78,19 +66,15 @@ impl Default for ShipConfig {
 pub struct ShipStats {
     /// Fetch requests sent (including retries).
     pub requests_sent: u64,
-    /// Fetch requests served with a reply.
+    /// Fetch requests served with a solicited shipment.
     pub requests_served: u64,
-    /// Reply chunks sent.
-    pub reply_chunks_sent: u64,
-    /// Reply chunks received.
-    pub reply_chunks_received: u64,
-    /// Fetches that completed with imported history.
+    /// Fetches resolved by an applied shipment.
     pub fetches_completed: u64,
-    /// Announce chunks sent (subscribe mode).
+    /// Shipment chunks sent, pushed or solicited.
     pub announce_chunks_sent: u64,
-    /// Announce chunks received.
+    /// Shipment chunks received.
     pub announce_chunks_received: u64,
-    /// Complete announce generations applied.
+    /// Complete shipments imported.
     pub announces_applied: u64,
     /// Nacks sent (request refused: archiving disabled here).
     pub nacks_sent: u64,
@@ -104,14 +88,14 @@ pub struct ShipStats {
     pub triggers_staged: u64,
     /// Staged triggers released (fetches resolved, strand fired).
     pub triggers_released: u64,
-    /// Payload bytes sent (reply + announce chunks).
+    /// Payload bytes sent in shipment chunks.
     pub bytes_sent: u64,
     /// Payload bytes received.
     pub bytes_received: u64,
-    /// Messages dropped as unparseable or uncorrelated.
+    /// Messages dropped as unparseable or answering no open fetch.
     pub strays: u64,
-    /// Sealed segments shipped in delta announces instead of being
-    /// re-shipped with the full history (subscribe-mode savings).
+    /// Sealed segments shipped in deltas instead of being re-shipped
+    /// with the full history.
     pub delta_segments: u64,
 }
 
@@ -186,37 +170,34 @@ impl ShipFailure {
     }
 }
 
-/// An in-flight fetch of one `(peer, relation)` pair.
+/// `(origin, relation)`: what a shipment, a fetch and coverage are
+/// keyed by.
+type Pair = (Addr, String);
+
+/// An in-flight fetch of one pair.
 #[derive(Debug)]
-struct PendingFetch {
-    peer: Addr,
-    relation: String,
+struct Fetch {
     deadline: Time,
     retries: u32,
-    reassembly: Reassembly,
 }
 
-/// One reply chunk's fields, bundled off [`ShipMsg::Reply`].
-#[derive(Debug)]
-struct ReplyFrame {
-    req_id: u64,
-    chunk: u32,
-    chunks: u32,
-    watermark: u64,
-    bytes: Vec<u8>,
-}
-
-/// One announce chunk's fields, bundled off [`ShipMsg::Announce`].
-#[derive(Debug)]
-struct AnnounceFrame {
-    gen: u64,
-    chunk: u32,
-    chunks: u32,
-    delta: bool,
-    prev_hi: u64,
-    watermark: u64,
-    oldest_lo: u64,
-    bytes: Vec<u8>,
+/// Receiver-side state of one pair.
+#[derive(Debug, Default)]
+struct Inbound {
+    /// Newest generation applied.
+    gen: Option<u64>,
+    /// Epoch-hi of the newest sealed segment held — the baseline a
+    /// delta may extend. A delta whose base exceeds it is a gap (missed
+    /// shipment, or we restarted).
+    watermark: Option<u64>,
+    /// An answer is held: imported history, or an authoritative "no
+    /// history".
+    covered: bool,
+    /// The origin pushes to us (a pushed shipment has applied), so what
+    /// is held follows the origin without asking.
+    streamed: bool,
+    /// The generation being reassembled.
+    rx: Option<(u64, Reassembly)>,
 }
 
 /// An event trigger parked until its fetches resolve.
@@ -224,7 +205,7 @@ struct AnnounceFrame {
 struct StagedTrigger {
     tuple: Tuple,
     traced: bool,
-    outstanding: BTreeSet<u64>,
+    outstanding: BTreeSet<Pair>,
 }
 
 /// Per-node shipping state. Inert (and cost-free on every hot path)
@@ -234,40 +215,28 @@ struct StagedTrigger {
 pub(crate) struct ShipState {
     /// Peers whose history this node fetches on demand (pull mode).
     peers: Vec<Addr>,
-    /// Collectors this node streams snapshots to (subscribe mode).
+    /// Collectors this node pushes shipments to (subscribe mode).
     collectors: Vec<Addr>,
-    /// `(origin, relation)` pairs with resolved coverage: imported
-    /// history, or an authoritative "no history" answer.
-    covered: BTreeSet<(String, String)>,
-    pending: BTreeMap<u64, PendingFetch>,
+    inbound: BTreeMap<Pair, Inbound>,
+    pending: BTreeMap<Pair, Fetch>,
     staged: Vec<StagedTrigger>,
     /// Triggers whose fetches all resolved, awaiting re-dispatch (in
     /// staging order).
     pub(crate) released: VecDeque<(Tuple, bool)>,
-    next_req: u64,
-    /// Subscribe mode: next announce generation. On a durable restart
-    /// the boot counter is folded into the high bits (see
-    /// `Node::boot`), so post-restart generations outrun every
-    /// pre-crash one and collectors never mistake them for stale.
-    pub(crate) announce_gen: u64,
-    /// Store version last announced per relation (skip no-op streams).
+    /// Generation of the last shipment sent. On a durable restart the
+    /// boot counter is folded into the high bits (see `Node::boot`), so
+    /// post-restart generations outrun every pre-crash one and
+    /// collectors never mistake them for stale.
+    pub(crate) gen: u64,
+    /// Store version last pushed per relation (skip no-op sweeps).
     announced_version: BTreeMap<String, u64>,
-    /// Origin side: baseline of the last announce per relation —
-    /// `(epoch_hi of the newest sealed segment, fingerprint of the
-    /// whole sealed tier)`. The next announce ships a delta only when
-    /// this fingerprint still matches a prefix of the current sealed
-    /// tier (no compaction, pruning, or age-drop rewrote the
-    /// baseline); anything else falls back to a full snapshot.
+    /// Baseline of the last push per relation — `(epoch_hi of the
+    /// newest sealed segment, fingerprint of the whole sealed tier)`.
+    /// The next push is a delta only when this fingerprint still
+    /// matches a prefix of the current sealed tier (no compaction,
+    /// pruning, or age-drop rewrote the baseline); anything else falls
+    /// back to the full history.
     announced_baseline: BTreeMap<String, (u64, u64)>,
-    /// Newest generation applied per `(origin, relation)`.
-    announce_last: BTreeMap<(String, String), u64>,
-    /// Collector side: the baseline epoch-hi currently held per
-    /// `(origin, relation)` — set by full announces and pull fetches,
-    /// advanced by deltas. A delta whose `prev_hi` exceeds this is a
-    /// gap (missed announce, or we restarted): fall back to a pull.
-    announce_watermark: BTreeMap<(String, String), u64>,
-    /// In-progress announce reassembly per `(origin, relation)`.
-    announce_rx: BTreeMap<(String, String), (u64, Reassembly)>,
     failures: VecDeque<ShipFailure>,
     pub(crate) stats: ShipStats,
     /// Whether any shipping surface was ever touched (gates the
@@ -287,13 +256,15 @@ impl ShipState {
         self.failures.push_back(f);
     }
 
-    /// Resolve request `req`: drop the pending entry and unblock every
-    /// staged trigger that was waiting on it.
-    fn resolve(&mut self, req: u64) {
-        self.pending.remove(&req);
+    /// Resolve the fetch of `key`, if one is open: drop the pending
+    /// entry and unblock every staged trigger that was waiting on it.
+    fn resolve(&mut self, key: &Pair) {
+        if self.pending.remove(key).is_none() {
+            return;
+        }
         let mut i = 0;
         while i < self.staged.len() {
-            self.staged[i].outstanding.remove(&req);
+            self.staged[i].outstanding.remove(key);
             if self.staged[i].outstanding.is_empty() {
                 let st = self.staged.remove(i);
                 self.released.push_back((st.tuple, st.traced));
@@ -314,8 +285,8 @@ impl ShipState {
 impl Node {
     /// Enroll a peer whose history this node will fetch on demand
     /// (pull mode). A deployment-provider `past()` installed here will
-    /// stage its triggers until every enrolled peer's history of the
-    /// scanned relations is covered.
+    /// stage its triggers behind a fresh fetch of the scanned relations
+    /// from every enrolled peer that does not stream them here.
     pub fn ship_add_peer(&mut self, peer: Addr) {
         self.ship.active = true;
         if peer != self.addr && !self.ship.peers.contains(&peer) {
@@ -323,9 +294,9 @@ impl Node {
         }
     }
 
-    /// Subscribe a collector: from now on, every GC sweep streams any
-    /// enrolled relation whose history moved to `collector` as
-    /// generation-numbered announce chunks.
+    /// Subscribe a collector: from now on, every GC sweep pushes any
+    /// enrolled relation whose history moved to `collector` as a
+    /// generation-numbered shipment.
     pub fn ship_subscribe(&mut self, collector: Addr) {
         self.ship.active = true;
         if collector != self.addr && !self.ship.collectors.contains(&collector) {
@@ -344,12 +315,11 @@ impl Node {
         self.ship.failures.iter()
     }
 
-    /// Whether `(origin, relation)` coverage is resolved here — either
-    /// imported history or an authoritative "no history" answer.
+    /// Whether an answer about `(origin, relation)` is held here —
+    /// imported history, or an authoritative "no history".
     pub fn ship_covered(&self, origin: &Addr, relation: &str) -> bool {
-        self.ship
-            .covered
-            .contains(&(origin.as_str().to_string(), relation.to_string()))
+        let key = (origin.clone(), relation.to_string());
+        self.ship.inbound.get(&key).is_some_and(|h| h.covered)
     }
 
     /// Whether any shipping surface was ever touched on this node.
@@ -364,8 +334,9 @@ impl Node {
     /// tracer — shipping moves infrastructure bytes, not tuples the
     /// monitored system produced.
     fn ship_send(&mut self, dst: &Addr, msg: &ShipMsg) {
-        if let ShipMsg::Reply { bytes, .. } | ShipMsg::Announce { bytes, .. } = msg {
-            self.ship.stats.bytes_sent += bytes.len() as u64;
+        if let ShipMsg::Shipment(s) = msg {
+            self.ship.stats.announce_chunks_sent += 1;
+            self.ship.stats.bytes_sent += s.bytes.len() as u64;
         }
         let mut env = Envelope {
             tuples: Vec::new(),
@@ -388,10 +359,21 @@ impl Node {
             return false;
         }
         self.ship.active = true;
-        let src = env.src.clone();
         for tuple in &env.tuples {
             match ShipMsg::from_tuple(tuple) {
-                Ok(msg) => self.ship_handle(&src, msg, now),
+                Ok(ShipMsg::Request { relation }) => {
+                    if self.ship_out(&relation, std::slice::from_ref(&env.src), true, now) {
+                        self.ship.stats.requests_served += 1;
+                    } else {
+                        self.ship.stats.nacks_sent += 1;
+                        let reason = "archiving disabled at origin".to_string();
+                        self.ship_send(&env.src, &ShipMsg::Nack { relation, reason });
+                    }
+                }
+                Ok(ShipMsg::Shipment(s)) => self.ship_accept(&env.src, s, now),
+                Ok(ShipMsg::Nack { relation, reason }) => {
+                    self.ship_accept_nack(&env.src, relation, reason)
+                }
                 Err(_) => {
                     self.ship.stats.strays += 1;
                     self.metrics.malformed_drops += 1;
@@ -401,317 +383,207 @@ impl Node {
         true
     }
 
-    fn ship_handle(&mut self, src: &Addr, msg: ShipMsg, now: Time) {
-        match msg {
-            ShipMsg::Request {
-                req_id, relation, ..
-            } => self.ship_serve_request(src, req_id, &relation, now),
-            ShipMsg::Reply {
-                req_id,
-                relation,
-                chunk,
-                chunks,
-                watermark,
-                oldest_lo: _,
-                bytes,
-            } => self.ship_accept_reply(
-                src,
-                &relation,
-                ReplyFrame {
-                    req_id,
-                    chunk,
-                    chunks,
-                    watermark,
-                    bytes,
-                },
-            ),
-            ShipMsg::Announce {
-                gen,
-                relation,
-                chunk,
-                chunks,
-                delta,
-                prev_hi,
-                watermark,
-                oldest_lo,
-                bytes,
-            } => self.ship_accept_announce(
-                src,
-                &relation,
-                AnnounceFrame {
-                    gen,
-                    chunk,
-                    chunks,
-                    delta,
-                    prev_hi,
-                    watermark,
-                    oldest_lo,
-                    bytes,
-                },
-                now,
-            ),
-            ShipMsg::Nack {
-                req_id,
-                relation,
-                reason,
-            } => self.ship_accept_nack(src, req_id, &relation, reason),
+    // ------------------------------------------------------- origin side
+
+    /// Push changed histories to subscribed collectors. Runs from
+    /// [`Node::trace_gc`] — the same population-global instant at any
+    /// shard count, which is what keeps shipment timing (and therefore
+    /// collector state) bit-identical.
+    pub(crate) fn ship_announce_pump(&mut self, now: Time) {
+        if self.ship.collectors.is_empty() {
+            return;
+        }
+        let collectors = self.ship.collectors.clone();
+        for rel in self.catalog.enrolled_relations().to_vec() {
+            let version = self.catalog.version_of(&rel);
+            if self.ship.announced_version.get(&rel) == Some(&version) {
+                continue; // nothing moved since the last push
+            }
+            if !self.ship_out(&rel, &collectors, false, now) {
+                return; // archiving off: nothing to push at all
+            }
+            self.ship.announced_version.insert(rel, version);
         }
     }
 
-    /// Origin side: serve a fetch. The request window is advisory —
-    /// the full visible history ships, so the importer can answer any
-    /// later window from the same snapshot.
-    fn ship_serve_request(&mut self, src: &Addr, req_id: u64, relation: &str, now: Time) {
-        match self.catalog.export_history_meta(relation, now) {
-            Some(export) => {
-                self.ship.stats.requests_served += 1;
-                let watermark = export.watermark.unwrap_or(u64::MAX);
-                let oldest_lo = export.oldest.unwrap_or(u64::MAX);
-                let encoded: Vec<Vec<u8>> = export
-                    .frames
-                    .iter()
-                    .map(|s| s.as_bytes().to_vec())
-                    .collect();
-                let batch = encode_batch(&encoded);
-                let parts = chunk_payload(&batch, self.config.ship.chunk_bytes.max(1));
-                let chunks = parts.len() as u32;
-                for (i, bytes) in parts.into_iter().enumerate() {
-                    self.ship.stats.reply_chunks_sent += 1;
-                    self.ship_send(
-                        src,
-                        &ShipMsg::Reply {
-                            req_id,
-                            relation: relation.to_string(),
-                            chunk: i as u32,
-                            chunks,
-                            watermark,
-                            oldest_lo,
-                            bytes,
-                        },
-                    );
+    /// Ship `relation`'s history to every node in `to` under one fresh
+    /// generation: export, batch, chunk, send. `false` (nothing sent)
+    /// when this node does not archive.
+    ///
+    /// A **pushed** shipment is a delta when the sealed tier has only
+    /// *grown* since the last push (same baseline segments, new ones
+    /// appended — the steady state): only segments sealed past the last
+    /// pushed watermark plus the open tail ship, and the collector
+    /// splices them onto the baseline it already holds. Any rewrite of
+    /// the baseline — compaction, retention pruning, age drops, or a
+    /// relation with nothing sealed yet — ships the full history, which
+    /// is what keeps a collector's imported history byte-identical to
+    /// the origin's export at all times. A **solicited** shipment is
+    /// always full and leaves the push baseline alone: the other
+    /// subscribers did not receive it.
+    fn ship_out(&mut self, relation: &str, to: &[Addr], solicited: bool, now: Time) -> bool {
+        let Some(export) = self.catalog.export_history(relation, now) else {
+            return false;
+        };
+        self.ship.gen += 1;
+        let (sealed, tail) = export.frames.split_at(export.sealed);
+        let mut base = None;
+        if !solicited {
+            // Delta iff the previously pushed baseline is still a
+            // literal prefix of the sealed tier.
+            if let Some(&(prev_hi, fp)) = self.ship.announced_baseline.get(relation) {
+                let baseline = sealed.iter().filter(|s| s.epoch_hi() <= prev_hi);
+                base = (baseline_fingerprint(baseline) == fp).then_some(prev_hi);
+            }
+            match export.watermark {
+                Some(hi) => {
+                    let now_held = (hi, baseline_fingerprint(sealed.iter()));
+                    self.ship
+                        .announced_baseline
+                        .insert(relation.to_string(), now_held);
+                }
+                None => {
+                    self.ship.announced_baseline.remove(relation);
                 }
             }
-            None => {
-                self.ship.stats.nacks_sent += 1;
-                self.ship_send(
-                    src,
-                    &ShipMsg::Nack {
-                        req_id,
-                        relation: relation.to_string(),
-                        reason: "archiving disabled at origin".to_string(),
-                    },
-                );
+        }
+        let fresh: Vec<&Segment> = sealed
+            .iter()
+            .filter(|s| base.is_none_or(|hi| s.epoch_hi() > hi))
+            .collect();
+        if base.is_some() {
+            self.ship.stats.delta_segments += fresh.len() as u64;
+        }
+        let encoded: Vec<Vec<u8>> = fresh
+            .into_iter()
+            .chain(tail)
+            .map(|s| s.as_bytes().to_vec())
+            .collect();
+        let parts = chunk_payload(&encode_batch(&encoded), CHUNK_BYTES);
+        for dst in to {
+            for (i, bytes) in parts.iter().enumerate() {
+                let frame = Shipment {
+                    gen: self.ship.gen,
+                    relation: relation.to_string(),
+                    chunk: i as u32,
+                    chunks: parts.len() as u32,
+                    solicited,
+                    base,
+                    watermark: export.watermark.unwrap_or(u64::MAX),
+                    oldest_lo: export.oldest.unwrap_or(u64::MAX),
+                    bytes: bytes.clone(),
+                };
+                self.ship_send(dst, &ShipMsg::Shipment(frame));
             }
         }
+        true
     }
 
-    /// Collector side: accept one reply chunk; on completion validate
-    /// and import the snapshot and release whatever was staged on it.
-    fn ship_accept_reply(&mut self, src: &Addr, relation: &str, frame: ReplyFrame) {
-        self.ship.stats.reply_chunks_received += 1;
-        self.ship.stats.bytes_received += frame.bytes.len() as u64;
-        let Some(p) = self.ship.pending.get_mut(&frame.req_id) else {
-            self.ship.stats.strays += 1; // late reply to a retired request
-            return;
-        };
-        if p.relation != relation || &p.peer != src {
+    // ----------------------------------------------------- receiver side
+
+    /// Accept one shipment chunk; once the generation is complete,
+    /// validate it, import it, record coverage and watermark, and
+    /// resolve the fetch of this pair if one is open.
+    ///
+    /// Generations order shipments: a pushed one must be newer than
+    /// what is held. A solicited one answers a fetch we have open and is
+    /// taken whatever its generation (an origin that restarted without
+    /// its durable log counts from zero again); one that finds no open
+    /// fetch is late and a stray. A full shipment replaces whatever is
+    /// held; a delta extends the held baseline — but only when this
+    /// node actually holds the baseline the origin extended. If not (a
+    /// missed generation, or we restarted), what is held stays and a
+    /// full shipment is solicited.
+    fn ship_accept(&mut self, src: &Addr, s: Shipment, now: Time) {
+        self.ship.stats.announce_chunks_received += 1;
+        self.ship.stats.bytes_received += s.bytes.len() as u64;
+        let key = (src.clone(), s.relation);
+        let relation = key.1.as_str();
+        let fetching = self.ship.pending.contains_key(&key);
+        if s.solicited && !fetching {
             self.ship.stats.strays += 1;
             return;
         }
-        let payload = match p.reassembly.offer(frame.chunk, frame.chunks, frame.bytes) {
-            Ok(Some(payload)) => payload,
+        let held = self.ship.inbound.entry(key.clone()).or_default();
+        if !s.solicited && held.gen.is_some_and(|g| s.gen <= g) {
+            return; // stale generation
+        }
+        let rx = held.rx.get_or_insert_with(|| (s.gen, Reassembly::new()));
+        if rx.0 < s.gen {
+            *rx = (s.gen, Reassembly::new()); // newer shipment supersedes
+        } else if rx.0 > s.gen {
+            return;
+        }
+        let segments = match rx.1.offer(s.chunk, s.chunks, s.bytes) {
             Ok(None) => return, // more chunks coming
-            Err(e) => {
-                self.ship.record_failure(ShipFailure::BadSegment {
-                    origin: src.as_str().to_string(),
-                    relation: relation.to_string(),
-                    detail: e.to_string(),
-                });
-                self.ship.resolve(frame.req_id);
+            Ok(Some(_))
+                if s.base
+                    .is_some_and(|hi| held.watermark.is_none_or(|w| w < hi)) =>
+            {
+                held.rx = None;
+                self.ship_fetch(&key, now);
                 return;
             }
+            Ok(Some(payload)) => ship_decode_segments(&payload, relation),
+            Err(e) => Err(e.to_string()),
         };
-        match ship_decode_segments(&payload, relation) {
+        held.rx = None;
+        match segments {
             Ok(segments) => {
-                let key = (src.as_str().to_string(), relation.to_string());
+                held.gen = Some(s.gen);
+                held.watermark = (s.watermark != u64::MAX).then_some(s.watermark);
+                held.covered = true;
+                held.streamed |= !s.solicited;
+                let keep = s.base.map(|prev_hi| s.oldest_lo..=prev_hi);
                 self.catalog
-                    .import_history(src.as_str(), relation, segments);
-                // The snapshot establishes a fresh baseline for future
-                // delta announces (or clears it when nothing is sealed).
-                if frame.watermark == u64::MAX {
-                    self.ship.announce_watermark.remove(&key);
-                } else {
-                    self.ship
-                        .announce_watermark
-                        .insert(key.clone(), frame.watermark);
-                }
-                self.ship.covered.insert(key);
-                self.ship.stats.fetches_completed += 1;
-                // A completed fetch supersedes any earlier "peer
-                // unreachable" verdict — the peer came back (restart
-                // recovery), so the stale failure must not linger.
-                self.ship_clear_unreachable(src, relation);
-            }
-            Err(detail) => {
-                self.ship.record_failure(ShipFailure::BadSegment {
-                    origin: src.as_str().to_string(),
-                    relation: relation.to_string(),
-                    detail,
+                    .import_history(src.as_str(), relation, keep, segments);
+                self.ship.stats.announces_applied += 1;
+                self.ship.stats.fetches_completed += u64::from(fetching);
+                // History flows from this peer again (it restarted,
+                // say), so a "peer unreachable" verdict must not linger.
+                self.ship.failures.retain(|f| {
+                    !matches!(f, ShipFailure::PeerUnreachable { origin: o, relation: r }
+                        if o == src.as_str() && r == relation)
                 });
             }
+            Err(detail) => self.ship.record_failure(ShipFailure::BadSegment {
+                origin: src.as_str().to_string(),
+                relation: relation.to_string(),
+                detail,
+            }),
         }
-        self.ship.resolve(frame.req_id);
+        self.ship.resolve(&key);
     }
 
-    /// Drop a lingering `P2S902` (peer unreachable) diagnostic for
-    /// `origin/relation` once history flows from that peer again.
-    fn ship_clear_unreachable(&mut self, origin: &Addr, relation: &str) {
-        self.ship.failures.retain(|f| {
-            !matches!(f, ShipFailure::PeerUnreachable { origin: o, relation: r }
-                if o == origin.as_str() && r == relation)
-        });
-    }
-
-    /// Collector side: a peer refused. That is an *answer* — coverage
-    /// resolves (so queries stop waiting on this pair) and the refusal
-    /// stays queryable as a typed failure.
-    fn ship_accept_nack(&mut self, src: &Addr, req_id: u64, relation: &str, reason: String) {
+    /// A peer refused. That is an *answer* — the fetch resolves (so
+    /// queries stop waiting on this pair) and the refusal stays
+    /// queryable as a typed failure.
+    fn ship_accept_nack(&mut self, src: &Addr, relation: String, reason: String) {
         self.ship.stats.nacks_received += 1;
-        let Some(p) = self.ship.pending.get(&req_id) else {
-            self.ship.stats.strays += 1;
-            return;
-        };
-        if p.relation != relation || &p.peer != src {
+        let key = (src.clone(), relation);
+        if !self.ship.pending.contains_key(&key) {
             self.ship.stats.strays += 1;
             return;
         }
         self.ship.record_failure(ShipFailure::NoHistory {
             origin: src.as_str().to_string(),
-            relation: relation.to_string(),
+            relation: key.1.clone(),
             reason,
         });
-        self.ship
-            .covered
-            .insert((src.as_str().to_string(), relation.to_string()));
-        self.ship.resolve(req_id);
+        self.ship.inbound.entry(key.clone()).or_default().covered = true;
+        self.ship.resolve(&key);
     }
-
-    /// Collector side: accept one announce chunk (subscribe mode). A
-    /// complete *full* snapshot replaces whatever is held; a complete
-    /// *delta* extends the held baseline — but only when this
-    /// collector actually holds the baseline the origin extended
-    /// (`prev_hi`). A mismatch means a missed generation (loss window,
-    /// collector restart): the delta is discarded and coverage is
-    /// repaired with an ordinary pull fetch, whose reply carries the
-    /// origin's full history and a fresh baseline watermark.
-    fn ship_accept_announce(
-        &mut self,
-        src: &Addr,
-        relation: &str,
-        frame: AnnounceFrame,
-        now: Time,
-    ) {
-        self.ship.stats.announce_chunks_received += 1;
-        self.ship.stats.bytes_received += frame.bytes.len() as u64;
-        let key = (src.as_str().to_string(), relation.to_string());
-        let gen = frame.gen;
-        if self.ship.announce_last.get(&key).is_some_and(|&g| gen <= g) {
-            return; // stale generation
-        }
-        let rx = self
-            .ship
-            .announce_rx
-            .entry(key.clone())
-            .or_insert_with(|| (gen, Reassembly::new()));
-        if rx.0 < gen {
-            *rx = (gen, Reassembly::new()); // newer snapshot supersedes
-        } else if rx.0 > gen {
-            return;
-        }
-        let payload = match rx.1.offer(frame.chunk, frame.chunks, frame.bytes) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return,
-            Err(e) => {
-                self.ship.announce_rx.remove(&key);
-                self.ship.record_failure(ShipFailure::BadSegment {
-                    origin: key.0,
-                    relation: relation.to_string(),
-                    detail: e.to_string(),
-                });
-                return;
-            }
-        };
-        self.ship.announce_rx.remove(&key);
-        if frame.delta {
-            let held = self.ship.announce_watermark.get(&key).copied();
-            if held.is_none_or(|w| w < frame.prev_hi) {
-                // Gap: we never saw the baseline this delta extends.
-                // Keep what we hold and re-fetch the full history.
-                self.ship_refetch(src, relation, now);
-                return;
-            }
-        }
-        match ship_decode_segments(&payload, relation) {
-            Ok(segments) => {
-                if frame.delta {
-                    self.catalog.import_history_delta(
-                        src.as_str(),
-                        relation,
-                        frame.prev_hi,
-                        frame.oldest_lo,
-                        segments,
-                    );
-                } else {
-                    self.catalog
-                        .import_history(src.as_str(), relation, segments);
-                }
-                if frame.watermark == u64::MAX {
-                    self.ship.announce_watermark.remove(&key);
-                } else {
-                    self.ship
-                        .announce_watermark
-                        .insert(key.clone(), frame.watermark);
-                }
-                self.ship.announce_last.insert(key.clone(), gen);
-                self.ship.covered.insert(key);
-                self.ship.stats.announces_applied += 1;
-                self.ship_clear_unreachable(src, relation);
-            }
-            Err(detail) => {
-                self.ship.record_failure(ShipFailure::BadSegment {
-                    origin: key.0,
-                    relation: relation.to_string(),
-                    detail,
-                });
-            }
-        }
-    }
-
-    /// Issue a standalone full fetch of `(peer, relation)` — the
-    /// delta-gap repair path — joining any in-flight fetch of the same
-    /// pair instead of duplicating it. Nothing stages on it; the
-    /// timeout machinery retries and resolves it like any other fetch.
-    fn ship_refetch(&mut self, peer: &Addr, relation: &str, now: Time) {
-        let dup = self
-            .ship
-            .pending
-            .values()
-            .any(|p| &p.peer == peer && p.relation == relation);
-        if !dup {
-            self.ship_send_request(peer, relation, now);
-        }
-    }
-
-    // ------------------------------------------------------- pull staging
 
     /// Decide whether an event trigger must be staged behind fetches.
     /// Called by the dispatcher just before firing event strands: when
     /// any watching strand scans history through the deployment
-    /// provider and some enrolled `(peer, relation)` pair is not yet
-    /// covered, requests go out, the trigger parks, and the caller
-    /// must *not* fire the strands now. Periodic- and table-triggered
-    /// deployment scans are not staged — they see whatever coverage
-    /// subscribe mode (or earlier fetches) already established.
+    /// provider, every enrolled peer that does not stream the scanned
+    /// relations here is asked for them, the trigger parks, and the
+    /// caller must *not* fire the strands now. What an earlier fetch
+    /// brought is as old as that fetch, so each staged trigger asks
+    /// again; only a pair whose origin pushes to us stays warm.
+    /// Periodic- and table-triggered deployment scans are not staged —
+    /// they see whatever has been imported so far.
     pub(crate) fn ship_stage_event(
         &mut self,
         strand_idxs: &[usize],
@@ -722,40 +594,24 @@ impl Node {
         if self.ship.peers.is_empty() {
             return false;
         }
-        let mut rels: BTreeSet<String> = BTreeSet::new();
+        let mut rels: BTreeSet<&str> = BTreeSet::new();
         for &idx in strand_idxs {
-            for rel in self.strands[idx].remote_history_relations() {
-                rels.insert(rel.to_string());
-            }
-        }
-        if rels.is_empty() {
-            return false;
+            rels.extend(self.strands[idx].remote_history_relations());
         }
         let mut outstanding = BTreeSet::new();
-        let peers = self.ship.peers.clone();
-        for peer in &peers {
+        for peer in &self.ship.peers {
             for rel in &rels {
-                let key = (peer.as_str().to_string(), rel.clone());
-                if self.ship.covered.contains(&key) {
-                    continue;
+                let key = (peer.clone(), rel.to_string());
+                if !self.ship.inbound.get(&key).is_some_and(|h| h.streamed) {
+                    outstanding.insert(key);
                 }
-                // Join an in-flight fetch of the same pair rather than
-                // issuing a duplicate.
-                if let Some((&req, _)) = self
-                    .ship
-                    .pending
-                    .iter()
-                    .find(|(_, p)| &p.peer == peer && &p.relation == rel)
-                {
-                    outstanding.insert(req);
-                    continue;
-                }
-                let req = self.ship_send_request(peer, rel, now);
-                outstanding.insert(req);
             }
         }
         if outstanding.is_empty() {
-            return false; // full coverage: fire immediately
+            return false; // nothing to ask for: fire immediately
+        }
+        for key in &outstanding {
+            self.ship_fetch(key, now);
         }
         self.ship.stats.triggers_staged += 1;
         self.ship.staged.push(StagedTrigger {
@@ -766,183 +622,62 @@ impl Node {
         true
     }
 
-    /// Issue one fetch request and register its pending entry.
-    fn ship_send_request(&mut self, peer: &Addr, relation: &str, now: Time) -> u64 {
-        self.ship.next_req += 1;
-        let req = self.ship.next_req;
-        self.ship.pending.insert(
-            req,
-            PendingFetch {
-                peer: peer.clone(),
-                relation: relation.to_string(),
-                deadline: now + self.config.ship.fetch_timeout,
-                retries: 0,
-                reassembly: Reassembly::new(),
-            },
-        );
-        self.ship.stats.requests_sent += 1;
-        self.ship_send(
-            peer,
-            &ShipMsg::Request {
-                req_id: req,
-                relation: relation.to_string(),
-                t0: Time::ZERO,
-                t1: Time(u64::MAX),
-            },
-        );
-        req
+    /// Open a fetch of `key` — unless one is already in flight, which
+    /// the caller joins instead of duplicating.
+    fn ship_fetch(&mut self, key: &Pair, now: Time) {
+        if self.ship.pending.contains_key(key) {
+            return;
+        }
+        let fetch = Fetch {
+            deadline: now + FETCH_TIMEOUT,
+            retries: 0,
+        };
+        self.ship.pending.insert(key.clone(), fetch);
+        self.ship_send_request(key);
     }
 
-    /// Expire overdue fetches: resend within the retry budget (under a
-    /// fresh request id, so a straggling original reply is ignored as
-    /// a stray rather than corrupting reassembly), otherwise declare
-    /// the peer unreachable and release the staged triggers without
-    /// that coverage. Runs at the head of [`Node::fire_timers`] — the
-    /// harnesses schedule the wakeup through [`Node::next_timer`].
+    fn ship_send_request(&mut self, key: &Pair) {
+        // Whatever is half-reassembled predates this request; the
+        // answer supersedes it even if its generation is lower.
+        if let Some(held) = self.ship.inbound.get_mut(key) {
+            held.rx = None;
+        }
+        self.ship.stats.requests_sent += 1;
+        let relation = key.1.clone();
+        self.ship_send(&key.0, &ShipMsg::Request { relation });
+    }
+
+    /// Expire overdue fetches: ask again within the retry budget (a
+    /// straggling answer to the earlier attempt carries an older
+    /// generation, so it cannot corrupt the newer one's reassembly),
+    /// otherwise declare the peer unreachable and release the staged
+    /// triggers without that coverage. Runs at the head of
+    /// [`Node::fire_timers`] — the engine schedules the wakeup through
+    /// [`Node::next_timer`].
     pub(crate) fn ship_check_timeouts(&mut self, now: Time) {
-        let due: Vec<u64> = self
+        let due: Vec<Pair> = self
             .ship
             .pending
             .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&r, _)| r)
+            .filter(|(_, f)| f.deadline <= now)
+            .map(|(key, _)| key.clone())
             .collect();
-        for req in due {
-            let Some(p) = self.ship.pending.remove(&req) else {
+        for key in due {
+            let Some(f) = self.ship.pending.get_mut(&key) else {
                 continue;
             };
-            if p.retries < self.config.ship.max_retries {
+            if f.retries < MAX_RETRIES {
+                f.retries += 1;
+                f.deadline = now + FETCH_TIMEOUT;
                 self.ship.stats.retries += 1;
-                self.ship.next_req += 1;
-                let fresh = self.ship.next_req;
-                self.ship.pending.insert(
-                    fresh,
-                    PendingFetch {
-                        peer: p.peer.clone(),
-                        relation: p.relation.clone(),
-                        deadline: now + self.config.ship.fetch_timeout,
-                        retries: p.retries + 1,
-                        reassembly: Reassembly::new(),
-                    },
-                );
-                for st in &mut self.ship.staged {
-                    if st.outstanding.remove(&req) {
-                        st.outstanding.insert(fresh);
-                    }
-                }
-                self.ship.stats.requests_sent += 1;
-                self.ship_send(
-                    &p.peer.clone(),
-                    &ShipMsg::Request {
-                        req_id: fresh,
-                        relation: p.relation,
-                        t0: Time::ZERO,
-                        t1: Time(u64::MAX),
-                    },
-                );
+                self.ship_send_request(&key);
             } else {
                 self.ship.stats.timeouts += 1;
                 self.ship.record_failure(ShipFailure::PeerUnreachable {
-                    origin: p.peer.as_str().to_string(),
-                    relation: p.relation,
+                    origin: key.0.as_str().to_string(),
+                    relation: key.1.clone(),
                 });
-                self.ship.resolve(req);
-            }
-        }
-    }
-
-    // --------------------------------------------------- subscribe stream
-
-    /// Stream changed histories to subscribed collectors. Runs from
-    /// [`Node::trace_gc`] — the same population-global instant in both
-    /// harnesses, which is what keeps announce timing (and therefore
-    /// collector state) bit-identical at any shard count.
-    ///
-    /// When the sealed tier has only *grown* since the last announce
-    /// (same baseline segments, new ones appended — the steady state),
-    /// the stream is a **delta**: only segments sealed past the last
-    /// announced watermark plus the open tail ship, and the collector
-    /// splices them onto the baseline it already holds. Any rewrite of
-    /// the baseline — compaction, retention pruning, age drops, or a
-    /// relation with nothing sealed yet — falls back to the full
-    /// snapshot, which is what keeps a collector's imported history
-    /// byte-identical to the origin's export at all times.
-    pub(crate) fn ship_announce_pump(&mut self, now: Time) {
-        if self.ship.collectors.is_empty() {
-            return;
-        }
-        let relations: Vec<String> = self.catalog.enrolled_relations().to_vec();
-        for rel in relations {
-            let version = self.catalog.version_of(&rel);
-            if self.ship.announced_version.get(&rel) == Some(&version) {
-                continue; // nothing moved since the last stream
-            }
-            let Some(export) = self.catalog.export_history_meta(&rel, now) else {
-                return; // archiving off: nothing to stream at all
-            };
-            self.ship.announced_version.insert(rel.clone(), version);
-            self.ship.announce_gen += 1;
-            let gen = self.ship.announce_gen;
-            let sealed = &export.frames[..export.sealed];
-            let watermark = export.watermark.unwrap_or(u64::MAX);
-            let oldest_lo = export.oldest.unwrap_or(u64::MAX);
-            // Delta iff the previously announced baseline is still a
-            // literal prefix of the sealed tier.
-            let prev = self.ship.announced_baseline.get(&rel).copied();
-            let delta_from = prev.and_then(|(prev_hi, fp)| {
-                let baseline: Vec<&Segment> =
-                    sealed.iter().filter(|s| s.epoch_hi() <= prev_hi).collect();
-                (baseline_fingerprint(baseline.iter().copied()) == fp).then_some(prev_hi)
-            });
-            if export.sealed > 0 {
-                self.ship.announced_baseline.insert(
-                    rel.clone(),
-                    (
-                        export.watermark.unwrap_or(0),
-                        baseline_fingerprint(sealed.iter()),
-                    ),
-                );
-            } else {
-                self.ship.announced_baseline.remove(&rel);
-            }
-            let ship_frames: Vec<&Segment> = match delta_from {
-                Some(prev_hi) => {
-                    let fresh: Vec<&Segment> = export.frames[..export.sealed]
-                        .iter()
-                        .filter(|s| s.epoch_hi() > prev_hi)
-                        .chain(export.frames[export.sealed..].iter())
-                        .collect();
-                    self.ship.stats.delta_segments += fresh
-                        .len()
-                        .saturating_sub(export.frames.len() - export.sealed)
-                        as u64;
-                    fresh
-                }
-                None => export.frames.iter().collect(),
-            };
-            let encoded: Vec<Vec<u8>> = ship_frames.iter().map(|s| s.as_bytes().to_vec()).collect();
-            let batch = encode_batch(&encoded);
-            let parts = chunk_payload(&batch, self.config.ship.chunk_bytes.max(1));
-            let chunks = parts.len() as u32;
-            let collectors = self.ship.collectors.clone();
-            for dst in &collectors {
-                for (i, bytes) in parts.iter().enumerate() {
-                    self.ship.stats.announce_chunks_sent += 1;
-                    self.ship_send(
-                        dst,
-                        &ShipMsg::Announce {
-                            gen,
-                            relation: rel.clone(),
-                            chunk: i as u32,
-                            chunks,
-                            delta: delta_from.is_some(),
-                            prev_hi: delta_from.unwrap_or(0),
-                            watermark,
-                            oldest_lo,
-                            bytes: bytes.clone(),
-                        },
-                    );
-                }
+                self.ship.resolve(&key);
             }
         }
     }

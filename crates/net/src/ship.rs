@@ -2,14 +2,15 @@
 //!
 //! Distributed forensics moves **sealed segment frames** — the
 //! immutable `P2AR` byte frames of `p2-store`'s archive tier — between
-//! nodes: a coordinator *pulls* a peer's history for one relation
-//! (`SegmentRequest` → chunked `SegmentReply`), and origins *push*
-//! sealed history to enrolled collectors (`SegmentAnnounce`). This
-//! module defines only the message codec and the chunking/reassembly
-//! machinery; the store stays ignorant of transport and the net layer
-//! stays ignorant of segment contents (frames ride through here as
-//! opaque bytes — `p2-core` validates them against the segment codec
-//! on arrival).
+//! nodes, and it does so with one message: the chunked [`Shipment`].
+//! An origin *pushes* shipments to the collectors subscribed to it; a
+//! collector that cannot wait for the next push sends a
+//! [`ShipMsg::Request`], which solicits one more shipment addressed to
+//! the requester alone. This module defines only the message codec and
+//! the chunking/reassembly machinery; the store stays ignorant of
+//! transport and the net layer stays ignorant of segment contents
+//! (frames ride through here as opaque bytes — `p2-core` validates them
+//! against the segment codec on arrival).
 //!
 //! Ship messages travel **inside ordinary envelopes** as tuples of the
 //! reserved relation [`SHIP_RELATION`], so they share the simulated
@@ -21,7 +22,7 @@
 //! [`ShipError`].
 
 use crate::wire::{decode_value_from, encode_value_into, WireError};
-use p2_types::{Addr, Time, Tuple, Value};
+use p2_types::{Addr, Tuple, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -30,84 +31,58 @@ use std::fmt;
 /// never appear in traces or tables.
 pub const SHIP_RELATION: &str = "sysShip";
 
+/// One chunk of a history shipment for `relation`: `chunk` of `chunks`
+/// slices of an encoded segment-frame batch (see [`encode_batch`]).
+/// `gen` is the origin's monotonically increasing shipment generation;
+/// a receiver applies a shipment only when every chunk of the
+/// generation has arrived, and a newer generation supersedes a partial
+/// older one. An empty single-chunk shipment means "I archive, but hold
+/// no history of that relation" — an answer, distinct from silence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Shipment {
+    /// Origin's shipment generation (monotone per relation).
+    pub gen: u64,
+    /// The relation shipped.
+    pub relation: String,
+    /// Zero-based chunk index.
+    pub chunk: u32,
+    /// Total chunks in this shipment.
+    pub chunks: u32,
+    /// Whether a [`ShipMsg::Request`] asked for this shipment (it went
+    /// to the requester alone) rather than the origin pushing it to
+    /// every subscriber.
+    pub solicited: bool,
+    /// `None`: the payload is the origin's full history. `Some(hi)`: a
+    /// delta carrying only segments sealed *after* epoch `hi` (plus the
+    /// open tail); it applies only on a receiver whose held baseline
+    /// already covers `hi`, which must otherwise request a full one.
+    pub base: Option<u64>,
+    /// Epoch-hi of the origin's newest sealed segment once this
+    /// shipment applies (`u64::MAX` when none are sealed) — the
+    /// baseline a later delta may extend.
+    pub watermark: u64,
+    /// Epoch-lo of the origin's oldest sealed segment (`u64::MAX` when
+    /// none).
+    pub oldest_lo: u64,
+    /// This chunk's slice of the encoded batch.
+    pub bytes: Vec<u8>,
+}
+
 /// One archive-shipping protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShipMsg {
-    /// "Send me your complete history of `relation`." The window is
-    /// advisory (the origin ships its full visible history so the
-    /// importer can serve later windows too); `req_id` correlates the
-    /// chunked reply and is unique per requesting node.
+    /// "Send me — and only me — your complete history of `relation`."
+    /// Answered with a solicited full [`Shipment`] or a [`ShipMsg::Nack`].
     Request {
-        /// Correlation id, unique per requester.
-        req_id: u64,
         /// The relation asked about.
         relation: String,
-        /// Window lower bound the requester cares about.
-        t0: Time,
-        /// Window upper bound.
-        t1: Time,
     },
-    /// One chunk of the requested history: `chunk` of `chunks` slices
-    /// of an encoded segment-frame batch (see [`encode_batch`]). An
-    /// empty single-chunk reply means "I archive, but hold no history
-    /// of that relation" — a *covered* answer, distinct from silence.
-    Reply {
-        /// Correlation id echoed from the request.
-        req_id: u64,
-        /// The relation shipped.
-        relation: String,
-        /// Zero-based chunk index.
-        chunk: u32,
-        /// Total chunks in this reply.
-        chunks: u32,
-        /// Epoch-hi of the origin's newest sealed segment in this
-        /// snapshot (`u64::MAX` when none are sealed) — the baseline a
-        /// later delta announce may extend.
-        watermark: u64,
-        /// Epoch-lo of the origin's oldest sealed segment (`u64::MAX`
-        /// when none).
-        oldest_lo: u64,
-        /// This chunk's slice of the encoded batch.
-        bytes: Vec<u8>,
-    },
-    /// Subscribe-mode push: one chunk of a history snapshot for
-    /// `relation`, streamed to an enrolled collector. `gen` is the
-    /// origin's monotonically increasing snapshot generation for the
-    /// relation; a collector applies a snapshot only when every chunk
-    /// of the generation has arrived and the generation is newer than
-    /// what it holds. With `delta` set the payload carries only
-    /// segments sealed *after* `prev_hi` (plus the open tail); it
-    /// applies only on a collector whose baseline already covers
-    /// `prev_hi`, which must otherwise fall back to a pull fetch.
-    Announce {
-        /// Origin's snapshot generation (monotone per relation).
-        gen: u64,
-        /// The relation shipped.
-        relation: String,
-        /// Zero-based chunk index.
-        chunk: u32,
-        /// Total chunks in this snapshot.
-        chunks: u32,
-        /// Whether the payload extends a previously-announced baseline
-        /// instead of replacing the full history.
-        delta: bool,
-        /// Baseline epoch-hi this delta extends (0 on full snapshots).
-        prev_hi: u64,
-        /// Epoch-hi of the newest sealed segment after this snapshot
-        /// applies (`u64::MAX` when none are sealed).
-        watermark: u64,
-        /// Epoch-lo of the oldest sealed segment after this snapshot
-        /// applies (`u64::MAX` when none).
-        oldest_lo: u64,
-        /// This chunk's slice of the encoded batch.
-        bytes: Vec<u8>,
-    },
+    /// One chunk of history, pushed or solicited.
+    Shipment(Shipment),
     /// "I cannot serve that request" — archiving disabled at the
     /// origin, typically. Lets the requester distinguish a peer that
     /// answered "no history available" from one that never answered.
     Nack {
-        /// Correlation id echoed from the request.
-        req_id: u64,
         /// The relation asked about.
         relation: String,
         /// Human-readable refusal reason (also lands in `sysDiag`).
@@ -163,9 +138,8 @@ impl fmt::Display for ShipError {
 impl std::error::Error for ShipError {}
 
 const TAG_REQUEST: u8 = 1;
-const TAG_REPLY: u8 = 2;
-const TAG_ANNOUNCE: u8 = 3;
-const TAG_NACK: u8 = 4;
+const TAG_SHIPMENT: u8 = 2;
+const TAG_NACK: u8 = 3;
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
@@ -190,8 +164,12 @@ fn take_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, ShipError> {
     Ok(out)
 }
 
-// Correlation ids and generations are full u64s; they ride the Int
-// value as a lossless two's-complement cast, so any Int is acceptable.
+// Generations and epochs are full u64s; they ride the Int value as a
+// lossless two's-complement cast, so any Int is acceptable.
+fn put_u64(out: &mut Vec<u8>, n: u64) {
+    encode_value_into(out, &Value::Int(n as i64));
+}
+
 fn get_u64(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, ShipError> {
     match decode_value_from(buf, pos)? {
         Value::Int(n) => Ok(n as u64),
@@ -221,77 +199,30 @@ fn get_str(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<String, Sh
     }
 }
 
-fn get_time(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<Time, ShipError> {
-    match decode_value_from(buf, pos)? {
-        Value::Time(t) => Ok(t),
-        _ => Err(ShipError::BadField(what)),
-    }
-}
-
 impl ShipMsg {
     /// Encode to the tag-byte + wire-value frame format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
-            ShipMsg::Request {
-                req_id,
-                relation,
-                t0,
-                t1,
-            } => {
+            ShipMsg::Request { relation } => {
                 out.push(TAG_REQUEST);
-                encode_value_into(&mut out, &Value::Int(*req_id as i64));
                 encode_value_into(&mut out, &Value::str(relation));
-                encode_value_into(&mut out, &Value::Time(*t0));
-                encode_value_into(&mut out, &Value::Time(*t1));
             }
-            ShipMsg::Reply {
-                req_id,
-                relation,
-                chunk,
-                chunks,
-                watermark,
-                oldest_lo,
-                bytes,
-            } => {
-                out.push(TAG_REPLY);
-                encode_value_into(&mut out, &Value::Int(*req_id as i64));
-                encode_value_into(&mut out, &Value::str(relation));
-                encode_value_into(&mut out, &Value::Int(*chunk as i64));
-                encode_value_into(&mut out, &Value::Int(*chunks as i64));
-                encode_value_into(&mut out, &Value::Int(*watermark as i64));
-                encode_value_into(&mut out, &Value::Int(*oldest_lo as i64));
-                put_bytes(&mut out, bytes);
+            ShipMsg::Shipment(s) => {
+                out.push(TAG_SHIPMENT);
+                put_u64(&mut out, s.gen);
+                encode_value_into(&mut out, &Value::str(&s.relation));
+                put_u64(&mut out, u64::from(s.chunk));
+                put_u64(&mut out, u64::from(s.chunks));
+                put_u64(&mut out, u64::from(s.solicited));
+                put_u64(&mut out, u64::from(s.base.is_some()));
+                put_u64(&mut out, s.base.unwrap_or(0));
+                put_u64(&mut out, s.watermark);
+                put_u64(&mut out, s.oldest_lo);
+                put_bytes(&mut out, &s.bytes);
             }
-            ShipMsg::Announce {
-                gen,
-                relation,
-                chunk,
-                chunks,
-                delta,
-                prev_hi,
-                watermark,
-                oldest_lo,
-                bytes,
-            } => {
-                out.push(TAG_ANNOUNCE);
-                encode_value_into(&mut out, &Value::Int(*gen as i64));
-                encode_value_into(&mut out, &Value::str(relation));
-                encode_value_into(&mut out, &Value::Int(*chunk as i64));
-                encode_value_into(&mut out, &Value::Int(*chunks as i64));
-                encode_value_into(&mut out, &Value::Int(i64::from(*delta)));
-                encode_value_into(&mut out, &Value::Int(*prev_hi as i64));
-                encode_value_into(&mut out, &Value::Int(*watermark as i64));
-                encode_value_into(&mut out, &Value::Int(*oldest_lo as i64));
-                put_bytes(&mut out, bytes);
-            }
-            ShipMsg::Nack {
-                req_id,
-                relation,
-                reason,
-            } => {
+            ShipMsg::Nack { relation, reason } => {
                 out.push(TAG_NACK);
-                encode_value_into(&mut out, &Value::Int(*req_id as i64));
                 encode_value_into(&mut out, &Value::str(relation));
                 encode_value_into(&mut out, &Value::str(reason));
             }
@@ -307,30 +238,9 @@ impl ShipMsg {
         let mut pos = 1;
         let msg = match tag {
             TAG_REQUEST => ShipMsg::Request {
-                req_id: get_u64(buf, &mut pos, "req_id")?,
                 relation: get_str(buf, &mut pos, "relation")?,
-                t0: get_time(buf, &mut pos, "t0")?,
-                t1: get_time(buf, &mut pos, "t1")?,
             },
-            TAG_REPLY => {
-                let req_id = get_u64(buf, &mut pos, "req_id")?;
-                let relation = get_str(buf, &mut pos, "relation")?;
-                let chunk = get_u32(buf, &mut pos, "chunk")?;
-                let chunks = get_u32(buf, &mut pos, "chunks")?;
-                if chunks == 0 || chunk >= chunks {
-                    return Err(ShipError::BadChunk { chunk, chunks });
-                }
-                ShipMsg::Reply {
-                    req_id,
-                    relation,
-                    chunk,
-                    chunks,
-                    watermark: get_u64(buf, &mut pos, "watermark")?,
-                    oldest_lo: get_u64(buf, &mut pos, "oldest_lo")?,
-                    bytes: take_bytes(buf, &mut pos)?,
-                }
-            }
-            TAG_ANNOUNCE => {
+            TAG_SHIPMENT => {
                 let gen = get_u64(buf, &mut pos, "gen")?;
                 let relation = get_str(buf, &mut pos, "relation")?;
                 let chunk = get_u32(buf, &mut pos, "chunk")?;
@@ -338,20 +248,22 @@ impl ShipMsg {
                 if chunks == 0 || chunk >= chunks {
                     return Err(ShipError::BadChunk { chunk, chunks });
                 }
-                ShipMsg::Announce {
+                let solicited = get_bool(buf, &mut pos, "solicited")?;
+                let delta = get_bool(buf, &mut pos, "delta")?;
+                let prev_hi = get_u64(buf, &mut pos, "prev_hi")?;
+                ShipMsg::Shipment(Shipment {
                     gen,
                     relation,
                     chunk,
                     chunks,
-                    delta: get_bool(buf, &mut pos, "delta")?,
-                    prev_hi: get_u64(buf, &mut pos, "prev_hi")?,
+                    solicited,
+                    base: delta.then_some(prev_hi),
                     watermark: get_u64(buf, &mut pos, "watermark")?,
                     oldest_lo: get_u64(buf, &mut pos, "oldest_lo")?,
                     bytes: take_bytes(buf, &mut pos)?,
-                }
+                })
             }
             TAG_NACK => ShipMsg::Nack {
-                req_id: get_u64(buf, &mut pos, "req_id")?,
                 relation: get_str(buf, &mut pos, "relation")?,
                 reason: get_str(buf, &mut pos, "reason")?,
             },
@@ -517,36 +429,37 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn shipment(gen: u64, chunk: u32, chunks: u32, bytes: Vec<u8>) -> Shipment {
+        Shipment {
+            gen,
+            relation: "bestSucc".into(),
+            chunk,
+            chunks,
+            solicited: false,
+            base: None,
+            watermark: 11,
+            oldest_lo: 2,
+            bytes,
+        }
+    }
+
     fn sample_msgs() -> Vec<ShipMsg> {
         vec![
             ShipMsg::Request {
-                req_id: 7,
                 relation: "bestSucc".into(),
-                t0: Time::from_secs(10),
-                t1: Time::from_secs(99),
             },
-            ShipMsg::Reply {
-                req_id: 7,
-                relation: "bestSucc".into(),
-                chunk: 1,
-                chunks: 3,
-                watermark: 11,
-                oldest_lo: 2,
-                bytes: vec![0xDE, 0xAD, 0xBE, 0xEF],
-            },
-            ShipMsg::Announce {
-                gen: 42,
+            ShipMsg::Shipment(Shipment {
+                solicited: true,
+                ..shipment(7, 1, 3, vec![0xDE, 0xAD, 0xBE, 0xEF])
+            }),
+            ShipMsg::Shipment(Shipment {
                 relation: "ruleExec".into(),
-                chunk: 0,
-                chunks: 1,
-                delta: true,
-                prev_hi: 9,
+                base: Some(9),
                 watermark: 12,
                 oldest_lo: u64::MAX,
-                bytes: Vec::new(),
-            },
+                ..shipment(42, 0, 1, Vec::new())
+            }),
             ShipMsg::Nack {
-                req_id: 9,
                 relation: "seen".into(),
                 reason: "archiving disabled".into(),
             },
@@ -597,31 +510,15 @@ mod tests {
 
     #[test]
     fn zero_or_out_of_range_chunks_rejected() {
-        let msg = ShipMsg::Reply {
-            req_id: 1,
-            relation: "r".into(),
-            chunk: 0,
-            chunks: 1,
-            watermark: 0,
-            oldest_lo: 0,
-            bytes: vec![1],
-        };
-        let ok = msg.encode();
+        let ok = ShipMsg::Shipment(shipment(1, 0, 1, vec![1])).encode();
         assert!(ShipMsg::decode(&ok).is_ok());
-        let bad = ShipMsg::Reply {
-            req_id: 1,
-            relation: "r".into(),
-            chunk: 5,
-            chunks: 2,
-            watermark: 0,
-            oldest_lo: 0,
-            bytes: vec![1],
+        for (chunk, chunks) in [(5, 2), (2, 2), (0, 0)] {
+            let bad = ShipMsg::Shipment(shipment(1, chunk, chunks, vec![1])).encode();
+            assert_eq!(
+                ShipMsg::decode(&bad),
+                Err(ShipError::BadChunk { chunk, chunks })
+            );
         }
-        .encode();
-        assert!(matches!(
-            ShipMsg::decode(&bad),
-            Err(ShipError::BadChunk { .. })
-        ));
     }
 
     #[test]
@@ -672,28 +569,26 @@ mod tests {
         /// Arbitrary well-formed messages round-trip exactly.
         #[test]
         fn prop_ship_round_trip(
-            req_id in any::<u64>(),
+            gen in any::<u64>(),
             relation in "[a-zA-Z][a-zA-Z0-9]{0,16}",
-            t0 in any::<u64>(),
-            t1 in any::<u64>(),
+            watermark in any::<u64>(),
+            oldest_lo in any::<u64>(),
             chunk in 0u32..8,
             extra in 0u32..8,
+            solicited in any::<bool>(),
+            delta in any::<bool>(),
+            prev_hi in any::<u64>(),
             bytes in proptest::collection::vec(any::<u8>(), 0..512),
             reason in "[ -~]{0,40}",
-            which in 0usize..4,
+            which in 0usize..3,
         ) {
             let msg = match which {
-                0 => ShipMsg::Request { req_id, relation, t0: Time(t0), t1: Time(t1) },
-                1 => ShipMsg::Reply {
-                    req_id, relation, chunk, chunks: chunk + extra + 1,
-                    watermark: t0, oldest_lo: t1, bytes,
-                },
-                2 => ShipMsg::Announce {
-                    gen: req_id, relation, chunk, chunks: chunk + extra + 1,
-                    delta: t0.is_multiple_of(2), prev_hi: t1,
-                    watermark: t0, oldest_lo: t1, bytes,
-                },
-                _ => ShipMsg::Nack { req_id, relation, reason },
+                0 => ShipMsg::Request { relation },
+                1 => ShipMsg::Shipment(Shipment {
+                    gen, relation, chunk, chunks: chunk + extra + 1,
+                    solicited, base: delta.then_some(prev_hi), watermark, oldest_lo, bytes,
+                }),
+                _ => ShipMsg::Nack { relation, reason },
             };
             prop_assert_eq!(ShipMsg::decode(&msg.encode()).unwrap(), msg.clone());
             let dst = Addr::new("n1");
@@ -716,15 +611,10 @@ mod tests {
             pos in any::<u64>(),
             flip in 1u8..255,
         ) {
-            let msg = ShipMsg::Reply {
-                req_id: seed,
-                relation: "bestSucc".into(),
-                chunk: 0,
-                chunks: 1,
-                watermark: seed,
-                oldest_lo: seed,
-                bytes: seed.to_le_bytes().to_vec(),
-            };
+            let msg = ShipMsg::Shipment(Shipment {
+                base: seed.is_multiple_of(2).then_some(seed),
+                ..shipment(seed, 0, 1, seed.to_le_bytes().to_vec())
+            });
             let mut bytes = msg.encode();
             let idx = (pos % bytes.len() as u64) as usize;
             bytes[idx] ^= flip;

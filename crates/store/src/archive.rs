@@ -30,6 +30,7 @@ use p2_net::wire::{decode_value_from, encode_value_into, WireError};
 use p2_types::{Time, TimeDelta, Tuple, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Leading bytes of every encoded segment.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"P2AR";
@@ -786,11 +787,10 @@ impl Archive {
 }
 
 /// Shipped history, indexed by origin node: per `(origin, relation)`
-/// the validated segment frames most recently received from that node,
-/// replaced wholesale on every import (each shipment is a complete
-/// snapshot of the origin's history for the relation, so merging would
-/// only duplicate rows). `BTreeMap` keys give scans a deterministic
-/// origin order independent of arrival order.
+/// the validated segment frames received from that node, byte-identical
+/// to the origin's own export as of its latest shipment. `BTreeMap`
+/// keys give scans a deterministic origin order independent of arrival
+/// order.
 #[derive(Debug, Default)]
 pub struct ImportedHistory {
     by_origin: BTreeMap<String, BTreeMap<String, Vec<Segment>>>,
@@ -800,45 +800,31 @@ pub struct ImportedHistory {
 }
 
 impl ImportedHistory {
-    /// Replace the history held for `(origin, relation)`, applying the
-    /// holder's age policy on the way in: with `max_age_epochs` set,
-    /// sealed segments whose newest epoch trails the shipment's newest
-    /// sealed epoch by more than that many epochs are dropped — the
-    /// same predicate the origin's own frozen tier uses (`seal_open`),
-    /// so a collector with the policy holds no more history than the
-    /// origin itself would. The newest sealed segment always stays, and
-    /// the live-row frame (epoch `u64::MAX`, not a seal) neither drops
-    /// nor ages anything out.
-    pub fn replace(
+    /// Install a shipment for `(origin, relation)`. A full snapshot
+    /// (`keep` `None`) replaces whatever was held. A **delta** names the
+    /// epoch range `oldest..=prev_hi` of sealed frames the origin
+    /// promises are unchanged since its last shipment (no compaction
+    /// crossed `prev_hi` — it ships a full snapshot otherwise): the
+    /// holder keeps its frames inside that range, drops everything
+    /// newer (the previous shipment's open-buffer and live-row tail,
+    /// now re-frozen into the incoming sealed segments) and everything
+    /// older (mirroring the origin's front retention), and appends the
+    /// incoming frames — byte-identical to the full export the origin
+    /// would have shipped.
+    ///
+    /// Then the holder's age policy: with `max_age_epochs` set, sealed
+    /// segments whose newest epoch trails the newest sealed epoch held
+    /// by more than that many epochs are dropped — the same predicate
+    /// the origin's own frozen tier uses (`seal_open`), so a collector
+    /// with the policy holds no more history than the origin itself
+    /// would. The newest sealed segment always stays, and the live-row
+    /// frame (epoch `u64::MAX`, not a seal) neither drops nor ages
+    /// anything out.
+    pub fn import(
         &mut self,
         origin: &str,
         relation: &str,
-        mut segments: Vec<Segment>,
-        max_age_epochs: Option<u64>,
-    ) {
-        self.apply_age(origin, relation, &mut segments, max_age_epochs);
-        self.by_origin
-            .entry(origin.to_string())
-            .or_default()
-            .insert(relation.to_string(), segments);
-    }
-
-    /// Apply a **delta** shipment for `(origin, relation)`: the origin
-    /// promises that its sealed baseline up to epoch `prev_hi` is
-    /// unchanged (no compaction crossed it — it falls back to a full
-    /// shipment otherwise), so the holder keeps its sealed frames at or
-    /// below that watermark, drops everything newer (the previous
-    /// shipment's open-buffer and live-row tail frames, now re-frozen
-    /// into the incoming sealed segments), mirrors the origin's front
-    /// retention by dropping sealed frames older than `oldest`, and
-    /// appends the incoming frames. The result is byte-identical to the
-    /// full export the origin would have shipped.
-    pub fn apply_delta(
-        &mut self,
-        origin: &str,
-        relation: &str,
-        prev_hi: u64,
-        oldest: u64,
+        keep: Option<RangeInclusive<u64>>,
         segments: Vec<Segment>,
         max_age_epochs: Option<u64>,
     ) {
@@ -848,41 +834,25 @@ impl ImportedHistory {
             .or_default()
             .entry(relation.to_string())
             .or_default();
-        held.retain(|s| s.epoch_hi() <= prev_hi && s.epoch_lo() >= oldest);
+        match keep {
+            Some(keep) => {
+                held.retain(|s| keep.contains(&s.epoch_lo()) && keep.contains(&s.epoch_hi()))
+            }
+            None => held.clear(),
+        }
         held.extend(segments);
-        let mut merged = std::mem::take(held);
-        self.apply_age(origin, relation, &mut merged, max_age_epochs);
-        self.by_origin
-            .entry(origin.to_string())
-            .or_default()
-            .insert(relation.to_string(), merged);
-    }
-
-    /// The holder's age policy, shared by wholesale and delta imports:
-    /// with `max_age_epochs` set, sealed segments whose newest epoch
-    /// trails the shipment's newest sealed epoch by more than that many
-    /// epochs are dropped — the same predicate the origin's own frozen
-    /// tier uses — and the live-row frame (epoch `u64::MAX`, not a
-    /// seal) neither drops nor ages anything out.
-    fn apply_age(
-        &mut self,
-        origin: &str,
-        relation: &str,
-        segments: &mut Vec<Segment>,
-        max_age_epochs: Option<u64>,
-    ) {
         let Some(max_age) = max_age_epochs else {
             return;
         };
-        let newest = segments
+        let newest = held
             .iter()
             .map(Segment::epoch_hi)
             .filter(|&e| e != u64::MAX)
             .max();
         if let Some(newest) = newest {
-            let before = segments.len() as u64;
-            segments.retain(|s| s.epoch_hi().saturating_add(max_age) >= newest);
-            let dropped = before - segments.len() as u64;
+            let before = held.len() as u64;
+            held.retain(|s| s.epoch_hi().saturating_add(max_age) >= newest);
+            let dropped = before - held.len() as u64;
             if dropped > 0 {
                 *self
                     .age_dropped
@@ -892,14 +862,11 @@ impl ImportedHistory {
         }
     }
 
-    /// Whether any import (possibly empty) has been recorded for
-    /// `(origin, relation)` — "we asked and the origin answered", as
-    /// distinct from "never heard from them".
-    pub fn covers(&self, origin: &str, relation: &str) -> bool {
-        self.by_origin
-            .get(origin)
-            .map(|rels| rels.contains_key(relation))
-            .unwrap_or(false)
+    /// The frames held for `(origin, relation)`; `None` when no import
+    /// (possibly empty) was ever recorded — "we asked and the origin
+    /// answered", as distinct from "never heard from them".
+    pub fn frames(&self, origin: &str, relation: &str) -> Option<&[Segment]> {
+        Some(self.by_origin.get(origin)?.get(relation)?.as_slice())
     }
 
     /// Origins holding history for `relation`, sorted.

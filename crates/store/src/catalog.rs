@@ -15,6 +15,7 @@ use crate::table::{BatchOutcome, InsertOutcome, ProbeStats, Table, TableSpec};
 use p2_types::{Time, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Catalog errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +51,7 @@ impl fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// A history export plus the sealed-tier metadata delta shipping needs.
-/// See [`Catalog::export_history_meta`].
+/// See [`Catalog::export_history`].
 #[derive(Debug)]
 pub struct HistoryExport {
     /// Sealed segment frames (oldest first), then the synthetic
@@ -382,18 +383,11 @@ impl Catalog {
     /// import). The frame sequence replays on the importer in exactly
     /// the order [`Catalog::archive_scan`] walks the local tiers, which
     /// is what makes a shipped answer byte-identical to a local one.
-    /// `None` when archiving is disabled here — the peer must be told
-    /// "no history" rather than silently handed an empty snapshot.
-    pub fn export_history(&mut self, name: &str, now: Time) -> Option<Vec<Segment>> {
-        self.export_history_meta(name, now).map(|e| e.frames)
-    }
-
-    /// [`export_history`](Catalog::export_history), plus the sealed-tier
-    /// metadata the ship layer's delta-announce protocol keys on: how
-    /// many leading frames are sealed segments (the rest are the
-    /// synthetic open-buffer and live-row frames), the newest sealed
-    /// epoch (the shipment's watermark) and the oldest retained one.
-    pub fn export_history_meta(&mut self, name: &str, now: Time) -> Option<HistoryExport> {
+    /// Alongside ride the sealed-tier facts the ship layer's delta
+    /// protocol keys on (see [`HistoryExport`]). `None` when archiving
+    /// is disabled here — the peer must be told "no history" rather
+    /// than silently handed an empty snapshot.
+    pub fn export_history(&mut self, name: &str, now: Time) -> Option<HistoryExport> {
         self.archive.as_ref()?;
         let live: Vec<(Tuple, Time)> = self
             .tables
@@ -438,32 +432,21 @@ impl Catalog {
     }
 
     /// Install segment frames shipped from `origin` as that node's
-    /// history of `relation`, replacing whatever was held before. The
-    /// caller has already validated the frames ([`Segment::from_bytes`]
-    /// rejects hostile bytes with typed errors). Imports obey the same
+    /// history of `relation` (see [`ImportedHistory::import`]): with
+    /// `keep` `None` they replace whatever was held; with a range they
+    /// extend the held sealed frames inside it. The caller has already
+    /// validated the frames ([`Segment::from_bytes`] rejects hostile
+    /// bytes with typed errors) and, for a delta, that what is held
+    /// reaches the end of `keep`. Imports obey the same
     /// `max_age_epochs` policy as this node's own frozen tier — a
     /// collector ages shipped history out exactly like local history.
     /// With archiving disabled there is no policy; shipments are held
     /// whole.
-    pub fn import_history(&mut self, origin: &str, relation: &str, segments: Vec<Segment>) {
-        let max_age = self
-            .archive
-            .as_ref()
-            .and_then(|a| a.config().max_age_epochs);
-        self.imported.replace(origin, relation, segments, max_age);
-    }
-
-    /// Apply a delta shipment from `origin` on top of the history held
-    /// for it (see [`ImportedHistory::apply_delta`]). The caller — the
-    /// ship layer — has already verified its held watermark matches the
-    /// delta's `prev_hi`; a mismatch means a missed announce and must
-    /// re-fetch the full history instead.
-    pub fn import_history_delta(
+    pub fn import_history(
         &mut self,
         origin: &str,
         relation: &str,
-        prev_hi: u64,
-        oldest: u64,
+        keep: Option<RangeInclusive<u64>>,
         segments: Vec<Segment>,
     ) {
         let max_age = self
@@ -471,7 +454,7 @@ impl Catalog {
             .as_ref()
             .and_then(|a| a.config().max_age_epochs);
         self.imported
-            .apply_delta(origin, relation, prev_hi, oldest, segments, max_age);
+            .import(origin, relation, keep, segments, max_age);
     }
 
     /// The shipped-history index (coverage checks, introspection).
@@ -681,7 +664,7 @@ mod tests {
         // never drops.
         let mut frames: Vec<Segment> = (0..10).map(seg).collect();
         frames.push(seg(u64::MAX));
-        c.import_history("a", "seen", frames);
+        c.import_history("a", "seen", None, frames);
         let stats = c.imported_stats();
         assert_eq!(stats.len(), 1);
         let (origin, relation, segs, _bytes, age_dropped) = &stats[0];
@@ -691,12 +674,12 @@ mod tests {
 
         // Re-import accumulates the counter (wholesale replacement).
         let frames: Vec<Segment> = (0..5).map(seg).collect();
-        c.import_history("a", "seen", frames);
+        c.import_history("a", "seen", None, frames);
         assert_eq!(c.imported_stats()[0].4, 9);
 
         // No archive tier → no policy → shipments held whole.
         let mut plain = Catalog::new();
-        plain.import_history("a", "seen", (0..10).map(seg).collect());
+        plain.import_history("a", "seen", None, (0..10).map(seg).collect());
         assert_eq!(plain.imported_stats()[0].2, 10);
         assert_eq!(plain.imported_stats()[0].4, 0);
     }

@@ -55,7 +55,7 @@ impl TimeDelta {
     pub const ZERO: TimeDelta = TimeDelta(0);
 
     /// Build a span from whole seconds.
-    pub fn from_secs(s: u64) -> TimeDelta {
+    pub const fn from_secs(s: u64) -> TimeDelta {
         TimeDelta(s * 1_000_000)
     }
 

@@ -110,4 +110,6 @@ cargo bench -p p2-bench --bench durable_recover -- --test
 #   cargo run --release -p p2-bench --bin figures -- scale --json BENCH_scale.json
 cargo run --release -p p2-bench --bin figures -- scale --quick --json target/BENCH_scale.quick.json
 
+# The size of what the gates above protect (non-test Rust, per crate).
+scripts/loc.sh
 echo "tier1: OK"

@@ -311,6 +311,70 @@ fn collector_refetches_after_origin_restart_and_clears_p2s902() {
     );
 }
 
+/// An origin without a durable log restarts with its shipment
+/// generation counter back at zero. The collector holds a higher
+/// generation from before; the shipment it solicits afterwards must
+/// still resolve the fetch that asked for it — not be dropped as stale
+/// and time out into a false P2S902.
+fn solicited_shipment_survives_generation_regression<H: Population>(sim: &mut H) {
+    let origin = sim.add_node_with("a", forensic_config());
+    let coll = sim.add_node_with("coll", collector_config());
+    sim.install(&origin, APP).expect("app installs");
+    incident(sim, &origin);
+    sim.install(&coll, DEPLOY_FORENSICS)
+        .expect("query installs");
+    sim.node_mut(&coll).ship_add_peer(origin.clone());
+    for _ in 0..3 {
+        assert_eq!(ask(sim, &coll).len(), 3, "one generation per ask");
+    }
+
+    // No durability: history and the generation counter are both gone.
+    sim.restart(&origin).expect("restart reinstalls");
+    sim.inject(
+        &origin,
+        Tuple::new("ping", [Value::Addr(origin.clone()), Value::Int(99)]),
+    );
+    sim.run_for(TimeDelta::from_secs(10));
+    sim.node_mut(&coll).watch("hist");
+    sim.inject(
+        &coll,
+        Tuple::new(
+            "probe",
+            [Value::Addr(coll.clone()), Value::Int(0), Value::Int(400)],
+        ),
+    );
+    sim.run_for(TimeDelta::from_secs(30));
+    let got = sim.node_mut(&coll).take_watched("hist");
+    assert_eq!(got.len(), 1, "only the post-restart ping is left: {got:?}");
+    let stats = sim.node(&coll).ship_stats();
+    assert_eq!(stats.requests_sent, 4, "no resend was needed: {stats:?}");
+    assert_eq!((stats.retries, stats.timeouts, stats.strays), (0, 0, 0));
+    assert_eq!(stats.fetches_completed, 4);
+    assert_eq!(
+        sim.node(&coll).ship_failures().count(),
+        0,
+        "no false P2S902"
+    );
+}
+
+#[test]
+fn generation_regression_does_not_strand_a_fetch_on_any_engine() {
+    let seed = 14;
+    solicited_shipment_survives_generation_regression(&mut SequentialOracle::new(
+        SimConfig::default(),
+        forensic_config(),
+        seed,
+    ));
+    for shards in [1usize, 2, 4] {
+        solicited_shipment_survives_generation_regression(&mut ParallelHarness::new(
+            SimConfig::default(),
+            forensic_config(),
+            seed,
+            shards,
+        ));
+    }
+}
+
 #[test]
 fn subscribe_mode_survives_restart_via_generation_bump() {
     let seed = 5;

@@ -19,7 +19,7 @@
 use p2ql::core::{
     NodeConfig, ParallelHarness, Population, SequentialOracle, ShipFailure, SimHarness,
 };
-use p2ql::net::ship::{chunk_payload, Reassembly};
+use p2ql::net::ship::{chunk_payload, Reassembly, Shipment};
 use p2ql::net::SimConfig;
 use p2ql::planner::PlanOpts;
 use p2ql::store::Segment;
@@ -86,12 +86,17 @@ fn incident<H: Population>(sim: &mut H, origin: &p2ql::types::Addr) {
 /// the head's location stripped (the flavors answer from different
 /// nodes; the *content* must agree).
 fn ask<H: Population>(sim: &mut H, asker: &p2ql::types::Addr) -> Vec<String> {
+    ask_until(sim, asker, 40)
+}
+
+/// [`ask`] over the window `[0, t1]` seconds.
+fn ask_until<H: Population>(sim: &mut H, asker: &p2ql::types::Addr, t1: i64) -> Vec<String> {
     sim.node_mut(asker).watch("hist");
     sim.inject(
         asker,
         Tuple::new(
             "probe",
-            [Value::Addr(asker.clone()), Value::Int(0), Value::Int(40)],
+            [Value::Addr(asker.clone()), Value::Int(0), Value::Int(t1)],
         ),
     );
     // Pull mode stages the trigger behind a fetch round-trip; give the
@@ -181,6 +186,153 @@ fn fetched_and_streamed_match_local_at_every_shard_count() {
             let got = scenario(&mut sim, flavor);
             assert_eq!(got, want, "diverged at {shards} shards");
         }
+    }
+}
+
+/// One more archived ping on `origin`: inject at `at` s, sweep at
+/// `sweep` s (the 5 s row lifetime is long over by then).
+fn late_ping<H: Population>(sim: &mut H, origin: &p2ql::types::Addr, at: u64, sweep: u64, x: i64) {
+    sim.run_until(Time::from_secs(at));
+    sim.inject(
+        origin,
+        Tuple::new("ping", [Value::Addr(origin.clone()), Value::Int(x)]),
+    );
+    sim.run_until(Time::from_secs(sweep));
+    sim.node_mut(origin).trace_gc(Time::from_secs(sweep));
+    sim.run_for(p2ql::types::TimeDelta::from_secs(1));
+}
+
+#[test]
+fn pull_coverage_is_refetched_by_the_next_staged_trigger() {
+    // What a fetch brought is as old as that fetch. A pull-mode
+    // collector that answered once must not answer every later question
+    // from that first snapshot: the next staged trigger asks again.
+    let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), 21);
+    let origin = sim.add_node_with("a", forensic_config());
+    let coll = sim.add_node_with("coll", collector_config());
+    sim.install(&origin, APP).expect("app installs");
+    incident(&mut sim, &origin);
+    sim.install(&coll, DEPLOY_FORENSICS)
+        .expect("query installs");
+    sim.node_mut(&coll).ship_add_peer(origin.clone());
+    assert_eq!(ask_until(&mut sim, &coll, 330).len(), 3);
+    assert_eq!(sim.node(&coll).ship_stats().requests_sent, 1);
+
+    late_ping(&mut sim, &origin, 320, 330, 77);
+    let now = sim.now();
+    let at_origin = sim
+        .node_mut(&origin)
+        .history_scan("seen", Time::ZERO, Time::from_secs(330), now)
+        .expect("origin scan");
+    assert_eq!(at_origin.len(), 4, "the origin archived a fourth ping");
+    let got = ask_until(&mut sim, &coll, 330);
+    assert_eq!(got.len(), 4, "the second ask sees the fourth ping: {got:?}");
+    let stats = sim.node(&coll).ship_stats();
+    assert_eq!(stats.requests_sent, 2, "one fetch per staged trigger");
+    assert_eq!(stats.fetches_completed, 2);
+    assert_eq!(stats.triggers_released, 2);
+
+    // Once the origin streams to the collector the pair is warm: the
+    // push keeps it current and no trigger waits on a fetch again.
+    sim.node_mut(&origin).ship_subscribe(coll.clone());
+    late_ping(&mut sim, &origin, 340, 350, 78);
+    let got = ask_until(&mut sim, &coll, 350);
+    assert_eq!(got.len(), 5, "answered from the pushed shipment: {got:?}");
+    let stats = sim.node(&coll).ship_stats();
+    assert_eq!(stats.requests_sent, 2, "a streamed pair is not fetched");
+    assert_eq!(stats.triggers_staged, 2);
+}
+
+/// The delta-gap repair: collector `c1` misses one pushed generation
+/// (its link is cut during a sweep), collector `c2` subscribes after
+/// the first full shipment and so never held a baseline. The next delta
+/// finds neither holding the baseline it extends; each must re-baseline
+/// with exactly one solicited shipment and end holding frames
+/// byte-identical to the origin's own export.
+fn gap_repair<H: Population>(sim: &mut H) {
+    // Compaction off keeps the sealed tier append-only, so every push
+    // after the first is a delta; tracing off leaves `seen` the one
+    // relation shipped, so the counters below count one pair.
+    let mut archive = p2ql::core::ArchiveMode::default();
+    archive.config.compact_min_bytes = 0;
+    let origin = sim.add_node_with(
+        "a",
+        NodeConfig {
+            tracing: false,
+            archive: Some(archive),
+            ..forensic_config()
+        },
+    );
+    let c1 = sim.add_node_with("c1", collector_config());
+    let c2 = sim.add_node_with("c2", collector_config());
+    sim.install(&origin, APP).expect("app installs");
+    sim.node_mut(&origin).ship_subscribe(c1.clone());
+    incident(sim, &origin);
+    assert!(sim.node(&c1).ship_stats().announces_applied >= 1);
+
+    sim.node_mut(&origin).ship_subscribe(c2.clone());
+    sim.set_cut(&origin, &c1, true);
+    late_ping(sim, &origin, 320, 400, 77); // c1 misses it; c2 has no base
+    sim.set_cut(&origin, &c1, false);
+    assert_eq!(sim.node(&c1).ship_stats().requests_sent, 0);
+    assert_eq!(sim.node(&c2).ship_stats().requests_sent, 1);
+    late_ping(sim, &origin, 420, 500, 78); // extends what c1 never saw
+    assert!(sim.node(&origin).ship_stats().delta_segments >= 2);
+    assert_eq!(sim.node(&origin).ship_stats().requests_served, 2);
+
+    let now = sim.now();
+    let export: Vec<Vec<u8>> = sim
+        .node_mut(&origin)
+        .catalog_mut()
+        .export_history("seen", now)
+        .expect("archiving is on")
+        .frames
+        .iter()
+        .map(|f| f.as_bytes().to_vec())
+        .collect();
+    let want = sim
+        .node_mut(&origin)
+        .history_scan("seen", Time::ZERO, now, now)
+        .expect("origin scan");
+    assert_eq!(want.len(), 5);
+    for coll in [&c1, &c2] {
+        let stats = sim.node(coll).ship_stats();
+        assert_eq!(stats.requests_sent, 1, "{coll}: one repair: {stats:?}");
+        assert_eq!(stats.fetches_completed, 1, "{coll}: {stats:?}");
+        assert_eq!((stats.retries, stats.timeouts, stats.strays), (0, 0, 0));
+        let held: Vec<Vec<u8>> = sim
+            .node_mut(coll)
+            .catalog_mut()
+            .imported()
+            .frames("a", "seen")
+            .expect("history imported")
+            .iter()
+            .map(|f| f.as_bytes().to_vec())
+            .collect();
+        assert_eq!(held, export, "{coll} holds the origin's export");
+        let got = sim
+            .node_mut(coll)
+            .deployment_history_scan("seen", Time::ZERO, now, now)
+            .expect("collector scan");
+        assert_eq!(got, want, "{coll} scans what the origin scans");
+    }
+}
+
+#[test]
+fn delta_gap_is_repaired_by_one_solicited_shipment_on_every_engine() {
+    let seed = 23;
+    gap_repair(&mut SequentialOracle::new(
+        SimConfig::default(),
+        forensic_config(),
+        seed,
+    ));
+    for shards in [1usize, 2, 4] {
+        gap_repair(&mut ParallelHarness::new(
+            SimConfig::default(),
+            forensic_config(),
+            seed,
+            shards,
+        ));
     }
 }
 
@@ -277,7 +429,8 @@ fn hostile_segment_bytes_never_panic() {
         .node_mut(&origin)
         .catalog_mut()
         .export_history("seen", now)
-        .expect("archiving is on");
+        .expect("archiving is on")
+        .frames;
     assert!(!frames.is_empty());
     let bytes = frames[0].as_bytes().to_vec();
     let good = Segment::from_bytes(&bytes).expect("untouched frame round-trips");
@@ -321,7 +474,8 @@ fn export_wire_import_is_bit_identical() {
         .node_mut(&origin)
         .catalog_mut()
         .export_history("seen", now)
-        .expect("archiving is on");
+        .expect("archiving is on")
+        .frames;
 
     for chunk_bytes in [1usize, 7, 64, 1 << 20] {
         let encoded: Vec<Vec<u8>> = frames.iter().map(|s| s.as_bytes().to_vec()).collect();
@@ -331,16 +485,19 @@ fn export_wire_import_is_bit_identical() {
         let chunks = parts.len() as u32;
         let mut payload = None;
         for (i, part) in parts.iter().enumerate() {
-            let shipped = p2ql::net::ShipMsg::Reply {
-                req_id: 1,
+            let shipped = p2ql::net::ShipMsg::Shipment(Shipment {
+                gen: 1,
                 relation: "seen".into(),
                 chunk: i as u32,
                 chunks,
+                solicited: true,
+                base: None,
                 watermark: 0,
                 oldest_lo: 0,
                 bytes: part.clone(),
-            };
-            let p2ql::net::ShipMsg::Reply { bytes, .. } = &shipped else {
+            });
+            let wire = p2ql::net::ShipMsg::decode(&shipped.encode()).expect("frame decodes");
+            let p2ql::net::ShipMsg::Shipment(Shipment { bytes, .. }) = &wire else {
                 unreachable!()
             };
             if let Some(done) = rx.offer(i as u32, chunks, bytes.clone()).expect("in-order") {
@@ -356,7 +513,7 @@ fn export_wire_import_is_bit_identical() {
             .collect();
         sim.node_mut(&coll)
             .catalog_mut()
-            .import_history("a", "seen", segs);
+            .import_history("a", "seen", None, segs);
         let got = sim
             .node_mut(&coll)
             .deployment_history_scan("seen", Time::ZERO, now, now)
@@ -402,7 +559,8 @@ proptest! {
             .node_mut(&origin)
             .catalog_mut()
             .export_history("seen", now)
-            .expect("archiving is on");
+            .expect("archiving is on")
+            .frames;
 
         let encoded: Vec<Vec<u8>> = frames.iter().map(|f| f.as_bytes().to_vec()).collect();
         let batch = p2ql::net::ship::encode_batch(&encoded);
@@ -425,7 +583,7 @@ proptest! {
         let coll = sim.add_node_with("coll", forensic_config());
         sim.node_mut(&coll)
             .catalog_mut()
-            .import_history("a", "seen", segs);
+            .import_history("a", "seen", None, segs);
         let got = sim
             .node_mut(&coll)
             .deployment_history_scan("seen", Time::ZERO, now, now)
