@@ -46,8 +46,8 @@ mod stratify;
 mod types;
 
 use p2_overlog::{
-    parse_program, validate_statements, Diagnostic, Diagnostics, Predicate, Program, Severity,
-    SourceUnit, Span, Statement,
+    parse_program, validate_arities, validate_statements, Diagnostic, Diagnostics, Program,
+    Severity, SourceUnit, Span, Statement,
 };
 use p2_planner::{compile_program_with, PlanError, PlanOpts};
 use std::collections::{BTreeMap, HashSet};
@@ -209,7 +209,7 @@ pub fn check_sources_with(
 
     let refs: Vec<&Program> = programs.iter().collect();
     let unit_names: Vec<&str> = units.iter().map(|u| u.name).collect();
-    stack_arities(&refs, &unit_names, &mut diags);
+    validate_arities(&refs, &unit_names, &mut diags);
 
     let mut analysis = analyze(&refs, ctx);
     diags.items.append(&mut analysis.items);
@@ -256,152 +256,6 @@ pub fn flow_report(programs: &[&Program], ctx: &AnalysisCtx) -> FlowReport {
         depth: cost.depth,
         amplification: cost.amplification,
         roots: cost.roots,
-    }
-}
-
-/// Arity consistency across the whole unit stack (the multi-unit
-/// version of `p2_overlog::validate_arities`, which sees one program at
-/// a time): every occurrence of a relation must use one field count,
-/// `periodic` is always `(location, nonce, period)`, `keys(...)` must
-/// fit the used arity, and no two units may declare the same table.
-fn stack_arities(programs: &[&Program], unit_names: &[&str], diags: &mut Diagnostics) {
-    // relation -> (arity, rule label first seen in, unit)
-    let mut firsts: BTreeMap<String, (usize, String, usize)> = BTreeMap::new();
-    let mut record = |p: &Predicate, rule: &str, unit: usize, diags: &mut Diagnostics| {
-        let arity = p.args.len();
-        if p.name == "periodic" {
-            if arity != 3 {
-                push_at(
-                    diags,
-                    unit,
-                    Diagnostic::new(
-                        "P2E109",
-                        Severity::Error,
-                        format!("periodic takes (location, nonce, period); found {arity} fields"),
-                    )
-                    .with_span(p.span)
-                    .with_context(rule),
-                );
-            }
-            return;
-        }
-        if p.name == "past" {
-            // Archive scan: arity tracks the named relation; only the
-            // fixed (location, relation, t0, t1, ...) prefix is checked.
-            if arity < 4 {
-                push_at(
-                    diags,
-                    unit,
-                    Diagnostic::new(
-                        "P2E109",
-                        Severity::Error,
-                        format!(
-                            "past takes (location, relation, t0, t1, fields...); \
-                             found {arity} fields"
-                        ),
-                    )
-                    .with_span(p.span)
-                    .with_context(rule),
-                );
-            }
-            return;
-        }
-        match firsts.get(&p.name) {
-            Some((a, first, first_unit)) if *a != arity => {
-                let wher = if *first_unit == unit {
-                    first.clone()
-                } else {
-                    format!("{first} ({})", unit_names[*first_unit])
-                };
-                push_at(
-                        diags,
-                        unit,
-                        Diagnostic::new(
-                            "P2E108",
-                            Severity::Error,
-                            format!(
-                                "relation '{}' used with {arity} fields here but {a} fields in {wher}; \
-                                 strict-arity matching means these can never match each other",
-                                p.name
-                            ),
-                        )
-                        .with_span(p.span)
-                        .with_context(rule),
-                    );
-            }
-            Some(_) => {}
-            None => {
-                firsts.insert(p.name.clone(), (arity, rule.to_string(), unit));
-            }
-        }
-    };
-
-    let mut declared: BTreeMap<String, usize> = BTreeMap::new();
-    for (unit, program) in programs.iter().enumerate() {
-        let mut idx = 0usize;
-        for s in &program.statements {
-            match s {
-                Statement::Rule(r) => {
-                    idx += 1;
-                    let rname = r.label.clone().unwrap_or_else(|| format!("rule #{idx}"));
-                    record(&r.head, &rname, unit, diags);
-                    for p in r.body_predicates() {
-                        record(p, &rname, unit, diags);
-                    }
-                }
-                Statement::Materialize(m) => {
-                    // Same-unit duplicates are validate_statements'
-                    // P2E106; here only cross-unit collisions.
-                    if let Some(&first_unit) = declared.get(&m.table) {
-                        if first_unit != unit {
-                            push_at(
-                                diags,
-                                unit,
-                                Diagnostic::new(
-                                    "P2E106",
-                                    Severity::Error,
-                                    format!(
-                                        "table '{}' is already declared by {}",
-                                        m.table, unit_names[first_unit]
-                                    ),
-                                )
-                                .with_span(m.span)
-                                .with_context(format!("materialize({})", m.table)),
-                            );
-                        }
-                    } else {
-                        declared.insert(m.table.clone(), unit);
-                    }
-                }
-            }
-        }
-    }
-
-    for (unit, program) in programs.iter().enumerate() {
-        for m in program.materializations() {
-            let Some(key_max) = m.keys.iter().max() else {
-                continue; // empty keys already reported (P2E106)
-            };
-            if let Some((arity, first, _)) = firsts.get(&m.table) {
-                if key_max > arity {
-                    push_at(
-                        diags,
-                        unit,
-                        Diagnostic::new(
-                            "P2E110",
-                            Severity::Error,
-                            format!(
-                                "keys(...) names field {key_max} but '{}' is used with \
-                                 {arity} fields (in {first})",
-                                m.table
-                            ),
-                        )
-                        .with_span(m.span)
-                        .with_context(format!("materialize({})", m.table)),
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -505,11 +359,6 @@ fn push_plan_error(
         d.unit = *unit;
         d = d.with_span(*span);
     }
-    diags.push(d);
-}
-
-fn push_at(diags: &mut Diagnostics, unit: usize, mut d: Diagnostic) {
-    d.unit = unit;
     diags.push(d);
 }
 

@@ -23,7 +23,6 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use p2_core::{NodeConfig, SimHarness};
 use p2_net::ship::{chunk_payload, decode_batch, encode_batch, Reassembly};
 use p2_net::SimConfig;
-use p2_planner::{HistoryProvider, PlanOpts};
 use p2_store::{Archive, ArchiveConfig, Segment, SpilledRow};
 use p2_types::{Time, TimeDelta, Tuple, Value};
 
@@ -124,13 +123,13 @@ fn bench_segment_ship(c: &mut Criterion) {
 }
 
 /// A two-node population with archived history on the origin and a
-/// deployment-provider query staged on the collector, ready to probe.
+/// `past()` query staged on the collector, ready to probe.
 fn staged_fetch_population() -> (SimHarness, p2_types::Addr) {
     let forensic = NodeConfig {
         stagger_timers: false,
         ..NodeConfig::forensic()
     };
-    let mut sim = SimHarness::new(SimConfig::default(), forensic.clone(), 42);
+    let mut sim = SimHarness::new(SimConfig::default(), forensic, 42);
     let origin = sim.add_node("a");
     sim.install(
         &origin,
@@ -146,16 +145,7 @@ fn staged_fetch_population() -> (SimHarness, p2_types::Addr) {
     }
     sim.run_until(Time::from_secs(60));
     sim.node_mut(&origin).trace_gc(Time::from_secs(60));
-    let coll = sim.add_node_with(
-        "coll",
-        NodeConfig {
-            plan: PlanOpts {
-                history: HistoryProvider::Deployment,
-                ..PlanOpts::default()
-            },
-            ..forensic
-        },
-    );
+    let coll = sim.add_node("coll");
     sim.install(
         &coll,
         "materialize(seen, 5, 512, keys(1, 2)).\nf1 hist@N(O, S) :- probe@N(T0, T1), past@N(\"seen\", T0, T1, O, S).",

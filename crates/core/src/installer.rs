@@ -50,7 +50,6 @@ impl Node {
         };
         let wanted = trace_table
             || match &mode.enroll {
-                ArchiveEnroll::TraceOnly => false,
                 ArchiveEnroll::All => true,
                 ArchiveEnroll::Named(names) => names.iter().any(|n| n == name),
             };

@@ -69,10 +69,6 @@ impl std::error::Error for InstallError {}
 /// the §3 provenance and have the shortest lifetimes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArchiveEnroll {
-    /// Only the tracer's tables spill (`ruleExec`/`tupleTable`/the
-    /// event log). The cheapest mode that keeps forensic walks
-    /// answerable after trace lifetimes expire.
-    TraceOnly,
     /// Every registered table spills, except the `sys*` reflection
     /// tables (they are re-materialized snapshots of live state;
     /// archiving their churn would record the act of looking).
@@ -564,10 +560,11 @@ impl Node {
         self.ship_announce_pump(now);
     }
 
-    /// History scan (time travel): every row of `name` whose validity
-    /// interval intersects `[t0, t1]` — archived rows first, then
-    /// still-live ones. Empty when archiving is disabled or the table
-    /// was never enrolled.
+    /// This node's *own* history of `name` (time travel): every row
+    /// whose validity interval intersects `[t0, t1]` — archived rows
+    /// first, then still-live ones; what `past@N("name", T0, T1, N, …)`
+    /// answers. Empty when archiving is disabled or the table was never
+    /// enrolled.
     pub fn history_scan(
         &mut self,
         name: &str,
@@ -578,9 +575,10 @@ impl Node {
         self.catalog.archive_scan(name, t0, t1, now, &[])
     }
 
-    /// Deployment-wide history scan: this node's own history of `name`
-    /// plus every imported origin's, merged in sorted origin order (see
-    /// [`p2_store::Catalog::deployment_scan`]).
+    /// Every history of `name` this node holds — its own plus every
+    /// imported origin's, in sorted origin order (see
+    /// [`p2_store::Catalog::deployment_scan`]); what `past()` with the
+    /// location field left free answers.
     pub fn deployment_history_scan(
         &mut self,
         name: &str,

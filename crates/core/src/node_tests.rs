@@ -647,7 +647,6 @@ fn ship_receiver_orders_by_generation_except_for_the_answer_it_asked_for() {
         me.clone(),
         NodeConfig {
             stagger_timers: false,
-            plan: p2_planner::PlanOpts::deployment(),
             ..Default::default()
         },
     );

@@ -289,9 +289,9 @@ impl Node {
                 }
             }
         } else if let Some(idxs) = self.event_dispatch.get(&name).cloned() {
-            // Deployment-provider scans fetch before they fire: if any
-            // watching strand needs uncovered peer history, the trigger
-            // parks behind the requests and fires on release instead.
+            // `past()` scans fetch before they fire: if any watching
+            // strand needs uncovered peer history, the trigger parks
+            // behind the requests and fires on release instead.
             if self.ship_stage_event(&idxs, &tuple, traced, now) {
                 return;
             }

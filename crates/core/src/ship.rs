@@ -1,12 +1,13 @@
 //! Segment shipping: the distributed-history coordinator (DESIGN.md
 //! §2.12).
 //!
-//! A node-local archive answers `past()` about *this* node. Distributed
-//! forensics needs the union: one `past@N("rel", T0, T1, ...)` that
-//! ranges over the whole deployment's history. The store side already
-//! speaks that language — [`p2_store::HistorySource`] resolves a
-//! deployment scan against the imported-segment index — and this module
-//! is the transport that fills the index. There is one protocol: an
+//! A node that holds only its own archive answers `past()` about
+//! *itself*. Distributed forensics needs the union: one
+//! `past@N("rel", T0, T1, ...)` that ranges over the whole deployment's
+//! history. The store side already speaks that language —
+//! [`p2_store::Catalog::deployment_scan`] walks this node's tiers plus
+//! the imported-segment index — and this module is the transport that
+//! fills the index. There is one protocol: an
 //! origin sends a **shipment** (a generation-numbered, chunked snapshot
 //! of one relation's history, see [`Shipment`]), the receiver imports it
 //! once every chunk has arrived. Who starts it is the only difference
@@ -20,10 +21,10 @@
 //!   coverage is warm before any query arrives.
 //! * **Pull (the collector starts).** A collector enrolls peers with
 //!   [`Node::ship_add_peer`]. When an event trigger is about to fire a
-//!   strand whose plan contains a deployment-provider archive scan, the
-//!   dispatcher sends every enrolled peer that does not stream to this
-//!   node a [`ShipMsg::Request`] — which solicits one full shipment,
-//!   addressed to the requester alone — and the trigger is **staged**:
+//!   strand whose plan contains a `past()` scan, the dispatcher sends
+//!   every enrolled peer that does not stream to this node a
+//!   [`ShipMsg::Request`] — which solicits one full shipment, addressed
+//!   to the requester alone — and the trigger is **staged**:
 //!   parked until every outstanding fetch resolves (a complete
 //!   shipment, a nack, or a timeout), then released and fired exactly
 //!   as if it had just arrived. The strand never observes a
@@ -284,9 +285,9 @@ impl ShipState {
 
 impl Node {
     /// Enroll a peer whose history this node will fetch on demand
-    /// (pull mode). A deployment-provider `past()` installed here will
-    /// stage its triggers behind a fresh fetch of the scanned relations
-    /// from every enrolled peer that does not stream them here.
+    /// (pull mode). A `past()` installed here will stage its triggers
+    /// behind a fresh fetch of the scanned relations from every
+    /// enrolled peer that does not stream them here.
     pub fn ship_add_peer(&mut self, peer: Addr) {
         self.ship.active = true;
         if peer != self.addr && !self.ship.peers.contains(&peer) {
@@ -576,14 +577,14 @@ impl Node {
 
     /// Decide whether an event trigger must be staged behind fetches.
     /// Called by the dispatcher just before firing event strands: when
-    /// any watching strand scans history through the deployment
-    /// provider, every enrolled peer that does not stream the scanned
+    /// any watching strand scans history (`past()`) and this node has
+    /// enrolled peers, every peer that does not stream the scanned
     /// relations here is asked for them, the trigger parks, and the
     /// caller must *not* fire the strands now. What an earlier fetch
     /// brought is as old as that fetch, so each staged trigger asks
     /// again; only a pair whose origin pushes to us stays warm.
-    /// Periodic- and table-triggered deployment scans are not staged —
-    /// they see whatever has been imported so far.
+    /// Periodic- and table-triggered scans are not staged — they see
+    /// whatever has been imported so far.
     pub(crate) fn ship_stage_event(
         &mut self,
         strand_idxs: &[usize],
@@ -596,7 +597,7 @@ impl Node {
         }
         let mut rels: BTreeSet<&str> = BTreeSet::new();
         for &idx in strand_idxs {
-            rels.extend(self.strands[idx].remote_history_relations());
+            rels.extend(self.strands[idx].history_relations());
         }
         let mut outstanding = BTreeSet::new();
         for peer in &self.ship.peers {

@@ -3,8 +3,8 @@
 use crate::tap::{TapEvent, TapKind, TapSink};
 use p2_overlog::AggFunc;
 use p2_planner::expr::{eval, truthy, EvalCtx, PExpr};
-use p2_planner::plan::{AggPlan, FieldMatch, FieldOut, HistoryProvider, MatchSpec, Op, Strand};
-use p2_store::{Catalog, HistorySource};
+use p2_planner::plan::{AggPlan, FieldMatch, FieldOut, MatchSpec, Op, Strand};
+use p2_store::Catalog;
 use p2_types::{Addr, Time, Tuple, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ pub struct StrandStats {
 /// The last equality-probe result, memoized per strand.
 ///
 /// Batched delta dispatch tends to feed a strand runs of triggers probing
-/// the same key (`step_batch` over a same-relation run). The cache is
+/// the same key (a same-relation run). The cache is
 /// keyed on `(stage, field, value, table-version, now)`: the store bumps
 /// a table's version on *every* observable mutation (including refreshes,
 /// which reorder scans) and expiry is a pure function of `now`, so a key
@@ -62,27 +62,16 @@ struct ProbeCache {
 struct StageDef {
     table: String,
     match_spec: MatchSpec,
-    /// `Some(..)` makes this an **archive-scan** stage: instead of
-    /// probing the live table, it ranges over the epoch-segmented
-    /// archive of `table` for rows whose validity interval overlaps the
-    /// evaluated `[t0, t1]`, through the planned [`HistoryProvider`]
-    /// (node-local archive, or deployment-wide imported history).
+    /// `Some((t0, t1))` makes this an **archive-scan** stage: instead
+    /// of probing the live table, it ranges over the history of `table`
+    /// this node holds — its own tiers plus every imported origin's
+    /// (DESIGN.md §2.12) — for rows whose validity interval overlaps
+    /// the evaluated `[t0, t1]`. Any fetching from peers happens
+    /// *before* the strand fires, so the scan itself stays synchronous.
     /// Archive stages never use the probe cache or the secondary
     /// indexes.
-    archive: Option<ArchiveStage>,
+    archive: Option<(PExpr, PExpr)>,
     post: Vec<Op>,
-}
-
-/// The archive half of a [`StageDef`]: evaluated interval bounds plus
-/// the provider that resolves them. Remote fetching (when `provider`
-/// is [`HistoryProvider::Deployment`]) happens *before* the strand
-/// fires — by the time this stage runs, every reachable peer's history
-/// is already imported, so the scan itself stays synchronous.
-#[derive(Debug, Clone)]
-struct ArchiveStage {
-    t0: PExpr,
-    t1: PExpr,
-    provider: HistoryProvider,
 }
 
 #[derive(Debug, Default)]
@@ -195,16 +184,11 @@ impl StrandRuntime {
                     t0,
                     t1,
                     match_spec,
-                    provider,
                 } => {
                     stage_defs.push(StageDef {
                         table: table.clone(),
                         match_spec: match_spec.clone(),
-                        archive: Some(ArchiveStage {
-                            t0: t0.clone(),
-                            t1: t1.clone(),
-                            provider: *provider,
-                        }),
+                        archive: Some((t0.clone(), t1.clone())),
                         post: Vec::new(),
                     });
                 }
@@ -277,21 +261,15 @@ impl StrandRuntime {
             .any(|s| !s.input.is_empty() || s.active.is_some())
     }
 
-    /// Relations this strand scans through the **deployment-wide**
-    /// history provider. The node runtime consults this before firing
-    /// the strand: any peer history these relations need must be
-    /// fetched and imported first, so the scan itself never blocks.
-    pub fn remote_history_relations(&self) -> Vec<&str> {
+    /// Relations this strand's `past()` stages scan. The node runtime
+    /// consults this before firing the strand: any peer history these
+    /// relations need must be fetched and imported first, so the scan
+    /// itself never blocks.
+    pub fn history_relations(&self) -> impl Iterator<Item = &str> {
         self.stage_defs
             .iter()
-            .filter(|d| {
-                matches!(
-                    &d.archive,
-                    Some(a) if a.provider == HistoryProvider::Deployment
-                )
-            })
+            .filter(|d| d.archive.is_some())
             .map(|d| d.table.as_str())
-            .collect()
     }
 
     /// Emit a tap once per member branch (under each member's identity).
@@ -457,29 +435,6 @@ impl StrandRuntime {
             }
         }
         false
-    }
-
-    /// Advance the strand by up to `max_steps` scheduler steps — the
-    /// batched form of [`StrandRuntime::step`]. Each unit of work is the
-    /// same one `step` would do (taps included), so the emitted tap
-    /// stream is identical; only the per-call overhead is amortized.
-    /// Returns the number of steps actually taken (less than `max_steps`
-    /// iff the strand drained).
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_batch(
-        &mut self,
-        max_steps: u64,
-        store: &mut Catalog,
-        ctx: &mut dyn EvalCtx,
-        sink: &mut dyn TapSink,
-        now: Time,
-        actions: &mut Vec<Action>,
-    ) -> u64 {
-        let mut done = 0;
-        while done < max_steps && self.step(store, ctx, sink, now, actions) {
-            done += 1;
-        }
-        done
     }
 
     /// Discard all queued and in-progress pipeline work (the scheduler's
@@ -806,8 +761,8 @@ fn probe_stage(
     stats: &mut StrandStats,
     cache: &mut Option<ProbeCache>,
 ) -> Vec<(Env, Tuple)> {
-    if let Some(arch) = &def.archive {
-        return archive_stage(def, arch, env, store, ctx, now, stats);
+    if let Some(window) = &def.archive {
+        return archive_stage(def, window, env, store, ctx, now, stats);
     }
     let candidates = match def.match_spec.probe_field() {
         Some(field) => {
@@ -863,9 +818,9 @@ fn probe_stage(
 }
 
 /// Compute the results of an archive-scan stage: evaluate the interval
-/// bounds over the current binding, range over the relation's archived
-/// (and still-live) history through the stage's [`HistoryProvider`],
-/// and apply the field match to each row.
+/// bounds over the current binding, range over every origin's archived
+/// (and still-live) history of the relation held here, and apply the
+/// field match to each row.
 ///
 /// Equality fields whose value is already known — a constant, or a
 /// variable bound by an earlier stage — are handed to the store as
@@ -881,7 +836,7 @@ fn probe_stage(
 /// treats a binding whose expressions misbehave.
 fn archive_stage(
     def: &StageDef,
-    arch: &ArchiveStage,
+    (t0, t1): &(PExpr, PExpr),
     env: &Env,
     store: &mut Catalog,
     ctx: &mut dyn EvalCtx,
@@ -897,26 +852,17 @@ fn archive_stage(
             }
         }
     };
-    let Some(t0) = bound(&arch.t0, stats) else {
+    let Some(t0) = bound(t0, stats) else {
         return Vec::new();
     };
-    let Some(t1) = bound(&arch.t1, stats) else {
+    let Some(t1) = bound(t1, stats) else {
         return Vec::new();
     };
     let eqs = eq_hints(&def.match_spec, env);
-    let scanned = match arch.provider {
-        HistoryProvider::Local => store.local_history(&def.table, t0, t1, now, &eqs),
-        HistoryProvider::Deployment => {
-            let local = ctx.local_addr();
-            store.deployment_history(local.as_str(), &def.table, t0, t1, now, &eqs)
-        }
-    };
-    let rows = match scanned {
-        Ok(rows) => rows,
-        Err(_) => {
-            stats.eval_errors += 1;
-            return Vec::new();
-        }
+    let local = ctx.local_addr();
+    let Ok(rows) = store.deployment_scan(local.as_str(), &def.table, t0, t1, now, &eqs) else {
+        stats.eval_errors += 1;
+        return Vec::new();
     };
     let mut results = Vec::new();
     for r in rows {
@@ -1516,41 +1462,6 @@ mod tests {
         );
         assert_eq!(a3.len(), 1);
         assert_eq!(a3[0].tuple.get(1), Some(&Value::Int(20)));
-    }
-
-    #[test]
-    fn step_batch_emits_the_same_taps_as_single_steps() {
-        // keys are 1-based including the location field: (2, 3) = (X, Y).
-        let src = "materialize(p1, 100, 10, keys(2, 3)).
-             r head@N(Y) :- ev@N(X), p1@N(X, Y).";
-        let run = |batched: bool| {
-            let (mut strands, mut cat) = setup(src);
-            let n = Value::addr("n");
-            for y in 0..5 {
-                cat.insert(
-                    Tuple::new("p1", [n.clone(), Value::Int(1), Value::Int(y)]),
-                    Time::ZERO,
-                )
-                .unwrap();
-            }
-            let mut ctx = FixedCtx::default();
-            let mut sink = VecSink::default();
-            let mut actions = Vec::new();
-            let s = &mut strands[0];
-            for _ in 0..3 {
-                let e = Tuple::new("ev", [n.clone(), Value::Int(1)]);
-                s.fire(&e, &mut cat, &mut ctx, &mut sink, Time::ZERO, &mut actions);
-            }
-            if batched {
-                while s.step_batch(4, &mut cat, &mut ctx, &mut sink, Time::ZERO, &mut actions) > 0 {
-                }
-            } else {
-                s.run_to_quiescence(&mut cat, &mut ctx, &mut sink, Time::ZERO, &mut actions);
-            }
-            let taps: Vec<String> = sink.0.iter().map(|e| format!("{:?}", e.kind)).collect();
-            (actions, taps)
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

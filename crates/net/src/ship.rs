@@ -21,7 +21,7 @@
 //! Hostile input never panics: every decode path returns a typed
 //! [`ShipError`].
 
-use crate::wire::{decode_value_from, encode_value_into, WireError};
+use crate::wire::{encode_value_into, Reader, WireError};
 use p2_types::{Addr, Tuple, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -94,14 +94,13 @@ pub enum ShipMsg {
 /// malformed frame maps onto one of these, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShipError {
-    /// A value failed to decode.
+    /// The frame ended early, or a value or typed field in it failed
+    /// to decode.
     Wire(WireError),
     /// Unknown message tag byte.
     BadTag(u8),
-    /// A field held a value of the wrong type.
+    /// The carrier tuple is not shaped `sysShip(dst, hex-frame)`.
     BadField(&'static str),
-    /// Input ended mid-frame.
-    Truncated,
     /// Bytes remained after the message was decoded.
     TrailingBytes(usize),
     /// A chunk index was out of range, or chunk counts disagreed
@@ -126,7 +125,6 @@ impl fmt::Display for ShipError {
             ShipError::Wire(e) => write!(f, "ship value: {e}"),
             ShipError::BadTag(t) => write!(f, "unknown ship message tag {t:#x}"),
             ShipError::BadField(what) => write!(f, "ship field '{what}' has wrong type"),
-            ShipError::Truncated => write!(f, "ship message truncated"),
             ShipError::TrailingBytes(n) => write!(f, "{n} trailing bytes after ship message"),
             ShipError::BadChunk { chunk, chunks } => {
                 write!(f, "bad chunk {chunk} of {chunks}")
@@ -146,57 +144,10 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn take_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, ShipError> {
-    if *pos + 4 > buf.len() {
-        return Err(ShipError::Truncated);
-    }
-    let n = u32::from_le_bytes(
-        buf[*pos..*pos + 4]
-            .try_into()
-            .map_err(|_| ShipError::Truncated)?,
-    ) as usize;
-    *pos += 4;
-    if *pos + n > buf.len() {
-        return Err(ShipError::Truncated);
-    }
-    let out = buf[*pos..*pos + n].to_vec();
-    *pos += n;
-    Ok(out)
-}
-
 // Generations and epochs are full u64s; they ride the Int value as a
-// lossless two's-complement cast, so any Int is acceptable.
+// lossless two's-complement cast ([`Reader::u64_field`] reads it back).
 fn put_u64(out: &mut Vec<u8>, n: u64) {
     encode_value_into(out, &Value::Int(n as i64));
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, ShipError> {
-    match decode_value_from(buf, pos)? {
-        Value::Int(n) => Ok(n as u64),
-        _ => Err(ShipError::BadField(what)),
-    }
-}
-
-fn get_u32(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, ShipError> {
-    match decode_value_from(buf, pos)? {
-        Value::Int(n) if n >= 0 => u32::try_from(n as u64).map_err(|_| ShipError::BadField(what)),
-        _ => Err(ShipError::BadField(what)),
-    }
-}
-
-fn get_bool(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<bool, ShipError> {
-    match decode_value_from(buf, pos)? {
-        Value::Int(0) => Ok(false),
-        Value::Int(1) => Ok(true),
-        _ => Err(ShipError::BadField(what)),
-    }
-}
-
-fn get_str(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<String, ShipError> {
-    match decode_value_from(buf, pos)? {
-        Value::Str(s) => Ok(s.to_string()),
-        _ => Err(ShipError::BadField(what)),
-    }
 }
 
 impl ShipMsg {
@@ -232,25 +183,22 @@ impl ShipMsg {
 
     /// Decode a frame, validating every byte (chunk bounds included).
     pub fn decode(buf: &[u8]) -> Result<ShipMsg, ShipError> {
-        let Some(&tag) = buf.first() else {
-            return Err(ShipError::Truncated);
-        };
-        let mut pos = 1;
-        let msg = match tag {
+        let mut r = Reader::new(buf);
+        let msg = match r.u8()? {
             TAG_REQUEST => ShipMsg::Request {
-                relation: get_str(buf, &mut pos, "relation")?,
+                relation: r.str_field("relation")?,
             },
             TAG_SHIPMENT => {
-                let gen = get_u64(buf, &mut pos, "gen")?;
-                let relation = get_str(buf, &mut pos, "relation")?;
-                let chunk = get_u32(buf, &mut pos, "chunk")?;
-                let chunks = get_u32(buf, &mut pos, "chunks")?;
+                let gen = r.u64_field("gen")?;
+                let relation = r.str_field("relation")?;
+                let chunk = r.u32_field("chunk")?;
+                let chunks = r.u32_field("chunks")?;
                 if chunks == 0 || chunk >= chunks {
                     return Err(ShipError::BadChunk { chunk, chunks });
                 }
-                let solicited = get_bool(buf, &mut pos, "solicited")?;
-                let delta = get_bool(buf, &mut pos, "delta")?;
-                let prev_hi = get_u64(buf, &mut pos, "prev_hi")?;
+                let solicited = r.bool_field("solicited")?;
+                let delta = r.bool_field("delta")?;
+                let prev_hi = r.u64_field("prev_hi")?;
                 ShipMsg::Shipment(Shipment {
                     gen,
                     relation,
@@ -258,21 +206,21 @@ impl ShipMsg {
                     chunks,
                     solicited,
                     base: delta.then_some(prev_hi),
-                    watermark: get_u64(buf, &mut pos, "watermark")?,
-                    oldest_lo: get_u64(buf, &mut pos, "oldest_lo")?,
-                    bytes: take_bytes(buf, &mut pos)?,
+                    watermark: r.u64_field("watermark")?,
+                    oldest_lo: r.u64_field("oldest_lo")?,
+                    bytes: r.bytes()?.to_vec(),
                 })
             }
             TAG_NACK => ShipMsg::Nack {
-                relation: get_str(buf, &mut pos, "relation")?,
-                reason: get_str(buf, &mut pos, "reason")?,
+                relation: r.str_field("relation")?,
+                reason: r.str_field("reason")?,
             },
             t => return Err(ShipError::BadTag(t)),
         };
-        if pos != buf.len() {
-            return Err(ShipError::TrailingBytes(buf.len() - pos));
+        match r.remaining() {
+            0 => Ok(msg),
+            n => Err(ShipError::TrailingBytes(n)),
         }
-        Ok(msg)
     }
 
     /// Wrap for transport: one tuple of the reserved [`SHIP_RELATION`],
@@ -315,25 +263,17 @@ pub fn encode_batch(frames: &[Vec<u8>]) -> Vec<u8> {
 
 /// Decode a batch payload back into its frames.
 pub fn decode_batch(buf: &[u8]) -> Result<Vec<Vec<u8>>, ShipError> {
-    let mut pos = 0;
-    if buf.len() < 4 {
-        return Err(ShipError::Truncated);
-    }
-    let count =
-        u32::from_le_bytes(buf[0..4].try_into().map_err(|_| ShipError::Truncated)?) as usize;
-    pos += 4;
+    let mut r = Reader::new(buf);
     // Every frame costs at least its 4-byte length prefix.
-    if count > buf.len() {
-        return Err(ShipError::Truncated);
-    }
+    let count = r.count()?;
     let mut frames = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        frames.push(take_bytes(buf, &mut pos)?);
+        frames.push(r.bytes()?.to_vec());
     }
-    if pos != buf.len() {
-        return Err(ShipError::TrailingBytes(buf.len() - pos));
+    match r.remaining() {
+        0 => Ok(frames),
+        n => Err(ShipError::TrailingBytes(n)),
     }
-    Ok(frames)
 }
 
 /// Slice a payload into `ceil(len / chunk_bytes)` chunks (at least

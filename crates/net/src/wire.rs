@@ -29,6 +29,8 @@ pub enum WireError {
     /// An envelope batch mixed tuples of different relations; batches
     /// are dispatched as one same-relation run, so this frame is invalid.
     MixedBatch,
+    /// A frame field decoded to a value of the wrong type or range.
+    BadField(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -41,6 +43,7 @@ impl fmt::Display for WireError {
             WireError::MixedBatch => {
                 write!(f, "envelope batch mixes tuples of different relations")
             }
+            WireError::BadField(what) => write!(f, "field '{what}' has wrong type"),
         }
     }
 }
@@ -62,22 +65,37 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-struct Reader<'a> {
+/// The one bounds-checked cursor over bytes from outside (datagrams,
+/// ship frames, segment frames): every read is checked against the
+/// buffer, every offset sum is a `checked_add`, and every failure is a
+/// typed [`WireError`] — never a panic, never a wrap.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0 }
+    }
+
+    /// Bytes not yet consumed; a decoder that must account for every
+    /// byte checks this is zero when it is done.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
+        self.pos = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    /// One raw byte.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
@@ -91,10 +109,70 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
+    /// A `u32` item count. Every counted item costs at least one byte,
+    /// so a count beyond the buffer's length is an absurd prefix on
+    /// hostile input and is rejected before anything allocates for it.
+    pub fn count(&mut self) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        if n > self.buf.len() {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// A `u32` length prefix, then that many raw bytes.
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
+
+    fn str(&mut self) -> Result<String, WireError> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// One tagged value (the tag-per-value format of this module).
+    pub fn value(&mut self) -> Result<Value, WireError> {
+        decode_value(self, 0)
+    }
+
+    /// A value that must be a string; `what` names the field in the
+    /// error.
+    pub fn str_field(&mut self, what: &'static str) -> Result<String, WireError> {
+        match self.value()? {
+            Value::Str(s) => Ok(s.to_string()),
+            _ => Err(WireError::BadField(what)),
+        }
+    }
+
+    /// A value that must be a time.
+    pub fn time_field(&mut self, what: &'static str) -> Result<Time, WireError> {
+        match self.value()? {
+            Value::Time(t) => Ok(t),
+            _ => Err(WireError::BadField(what)),
+        }
+    }
+
+    /// A full `u64` riding an `Int` as a lossless two's-complement cast
+    /// (encoders write `u64 as i64`), so any `Int` is acceptable.
+    pub fn u64_field(&mut self, what: &'static str) -> Result<u64, WireError> {
+        match self.value()? {
+            Value::Int(n) => Ok(n as u64),
+            _ => Err(WireError::BadField(what)),
+        }
+    }
+
+    /// An `Int` that must fit a `u32`.
+    pub fn u32_field(&mut self, what: &'static str) -> Result<u32, WireError> {
+        u32::try_from(self.u64_field(what)?).map_err(|_| WireError::BadField(what))
+    }
+
+    /// An `Int` that must be 0 or 1.
+    pub fn bool_field(&mut self, what: &'static str) -> Result<bool, WireError> {
+        match self.u64_field(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::BadField(what)),
+        }
     }
 }
 
@@ -151,11 +229,7 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError> {
         5 => Value::Str(r.str()?.into()),
         6 => Value::Addr(Addr::new(r.str()?)),
         7 => {
-            let n = r.u32()? as usize;
-            // Guard against absurd length prefixes on hostile input.
-            if n > r.buf.len() {
-                return Err(WireError::Truncated);
-            }
+            let n = r.count()?;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 items.push(decode_value(r, depth + 1)?);
@@ -175,17 +249,6 @@ pub fn encode_value_into(out: &mut Vec<u8>, v: &Value) {
     encode_value(out, v);
 }
 
-/// Decode one value from `buf` starting at `*pos`, advancing `*pos`
-/// past it. Returns the same typed [`WireError`]s as the envelope
-/// decoder: truncation, bad tags, bad UTF-8, and over-deep nesting are
-/// errors, never panics.
-pub fn decode_value_from(buf: &[u8], pos: &mut usize) -> Result<Value, WireError> {
-    let mut r = Reader { buf, pos: *pos };
-    let v = decode_value(&mut r, 0)?;
-    *pos = r.pos;
-    Ok(v)
-}
-
 /// Encode a tuple.
 pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
@@ -199,17 +262,12 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
 
 /// Decode a tuple.
 pub fn decode_tuple(buf: &[u8]) -> Result<Tuple, WireError> {
-    let mut r = Reader { buf, pos: 0 };
-    let t = decode_tuple_inner(&mut r)?;
-    Ok(t)
+    decode_tuple_inner(&mut Reader::new(buf))
 }
 
 fn decode_tuple_inner(r: &mut Reader<'_>) -> Result<Tuple, WireError> {
     let name = r.str()?;
-    let n = r.u32()? as usize;
-    if n > r.buf.len() {
-        return Err(WireError::Truncated);
-    }
+    let n = r.count()?;
     let mut vals = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         vals.push(decode_value(r, 0)?);
@@ -248,16 +306,11 @@ pub fn encode_envelope(e: &Envelope) -> Vec<u8> {
 /// ([`WireError::MixedBatch`]); an untraced batch (no IDs at all) decodes
 /// to the canonical empty `src_tuple_ids`.
 pub fn decode_envelope(buf: &[u8]) -> Result<Envelope, WireError> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new(buf);
     let src = Addr::new(r.str()?);
     let dst = Addr::new(r.str()?);
     let delete = r.u8()? != 0;
-    let count = r.u32()? as usize;
-    // Guard against absurd count prefixes on hostile input: every tuple
-    // costs at least one ID-flag byte.
-    if count > buf.len() {
-        return Err(WireError::Truncated);
-    }
+    let count = r.count()?;
     let mut tuples = Vec::with_capacity(count.min(1024));
     let mut ids = Vec::with_capacity(count.min(1024));
     let mut any_id = false;

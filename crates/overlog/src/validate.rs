@@ -55,7 +55,7 @@ impl std::error::Error for ValidateError {}
 pub fn validate(program: &Program) -> Diagnostics {
     let mut diags = Diagnostics::new();
     validate_statements(program, &mut diags);
-    validate_arities(program, &mut diags);
+    validate_arities(&[program], &["program"], &mut diags);
     diags
 }
 
@@ -72,9 +72,9 @@ pub fn validate_strict(program: &Program) -> Result<(), ValidateError> {
 }
 
 /// Checks 1–6: per-statement validation (everything except the
-/// cross-statement arity pass). Exposed separately so the `analysis`
-/// crate can run it per source unit and do arity checking across a
-/// whole unit *stack* instead.
+/// cross-statement arity pass, [`validate_arities`]). Exposed separately
+/// so the `analysis` crate can run it per source unit and the arity
+/// pass once across the whole unit *stack*.
 pub fn validate_statements(program: &Program, diags: &mut Diagnostics) {
     let mut seen_tables = HashSet::new();
     let mut rule_idx = 0usize;
@@ -117,97 +117,112 @@ pub fn validate_statements(program: &Program, diags: &mut Diagnostics) {
     }
 }
 
-/// Check 7: arity consistency across the program, `periodic`'s fixed
-/// shape, and `keys(...)` bounds.
-pub fn validate_arities(program: &Program, diags: &mut Diagnostics) {
+/// Check 7, over a **stack** of source units (a single program is a
+/// stack of one): every occurrence of a relation must use one field
+/// count, `periodic` is always `(location, nonce, period)`, `past` has
+/// its fixed prefix, `keys(...)` must fit the used arity, and no two
+/// units may declare the same table. Each finding is stamped with the
+/// index of the unit it is in; `unit_names` says "where" when a
+/// finding points at another unit.
+pub fn validate_arities(programs: &[&Program], unit_names: &[&str], diags: &mut Diagnostics) {
     use std::collections::HashMap;
-    // relation -> (arity, rule where first seen)
-    let mut firsts: HashMap<String, (usize, String)> = HashMap::new();
-    let mut record = |p: &Predicate, rule: &str, diags: &mut Diagnostics| {
-        let arity = p.args.len();
-        if p.name == "periodic" {
-            if arity != 3 {
-                diags.push(
-                    Diagnostic::new(
-                        "P2E109",
-                        Severity::Error,
-                        format!("periodic takes (location, nonce, period); found {arity} fields"),
-                    )
-                    .with_span(p.span)
-                    .with_context(rule),
-                );
-            }
-            return;
-        }
-        if p.name == "past" {
-            // The archive-scan predicate: its arity tracks the archived
-            // relation it names, so cross-occurrence consistency does
-            // not apply — only the fixed prefix shape is checked.
-            if arity < 4 {
-                diags.push(
-                    Diagnostic::new(
-                        "P2E109",
-                        Severity::Error,
-                        format!(
-                            "past takes (location, relation, t0, t1, fields...); \
-                             found {arity} fields"
-                        ),
-                    )
-                    .with_span(p.span)
-                    .with_context(rule),
-                );
-            }
-            return;
-        }
-        match firsts.get(&p.name) {
-            Some((a, first)) if *a != arity => {
-                diags.push(
-                    Diagnostic::new(
+    let mut err = |unit: usize, code, span, context: &str, message: String| {
+        let mut d = Diagnostic::new(code, Severity::Error, message)
+            .with_span(span)
+            .with_context(context);
+        d.unit = unit;
+        diags.push(d);
+    };
+    // relation -> (arity, rule first seen in, unit)
+    let mut firsts: HashMap<&str, (usize, String, usize)> = HashMap::new();
+    let mut declared: HashMap<&str, usize> = HashMap::new();
+    for (unit, program) in programs.iter().enumerate() {
+        let mut idx = 0usize;
+        for s in &program.statements {
+            let r = match s {
+                Statement::Rule(r) => r,
+                Statement::Materialize(m) => {
+                    // Same-unit duplicates are validate_statements'
+                    // P2E106; here only cross-unit collisions.
+                    let first_unit = *declared.entry(&m.table).or_insert(unit);
+                    if first_unit != unit {
+                        err(
+                            unit,
+                            "P2E106",
+                            m.span,
+                            &format!("materialize({})", m.table),
+                            format!(
+                                "table '{}' is already declared by {}",
+                                m.table, unit_names[first_unit]
+                            ),
+                        );
+                    }
+                    continue;
+                }
+            };
+            idx += 1;
+            let rule = r.label.clone().unwrap_or_else(|| format!("rule #{idx}"));
+            for p in std::iter::once(&r.head).chain(r.body_predicates()) {
+                let arity = p.args.len();
+                // `periodic` has one shape; `past`'s arity tracks the
+                // archived relation it names, so only its fixed prefix
+                // is checked. Neither takes part in cross-occurrence
+                // consistency.
+                let fixed = match p.name.as_str() {
+                    "periodic" => Some((arity == 3, "(location, nonce, period)")),
+                    "past" => Some((arity >= 4, "(location, relation, t0, t1, fields...)")),
+                    _ => None,
+                };
+                if let Some((ok, shape)) = fixed {
+                    if !ok {
+                        let message = format!("{} takes {shape}; found {arity} fields", p.name);
+                        err(unit, "P2E109", p.span, &rule, message);
+                    }
+                    continue;
+                }
+                let (a, first, first_unit) = firsts
+                    .entry(&p.name)
+                    .or_insert_with(|| (arity, rule.clone(), unit));
+                if *a != arity {
+                    let wher = if *first_unit == unit {
+                        first.clone()
+                    } else {
+                        format!("{first} ({})", unit_names[*first_unit])
+                    };
+                    err(
+                        unit,
                         "P2E108",
-                        Severity::Error,
+                        p.span,
+                        &rule,
                         format!(
-                            "relation '{}' used with {arity} fields here but {a} fields in {first};                      strict-arity matching means these can never match each other",
+                            "relation '{}' used with {arity} fields here but {a} fields in {wher}; \
+                             strict-arity matching means these can never match each other",
                             p.name
                         ),
-                    )
-                    .with_span(p.span)
-                    .with_context(rule),
-                );
+                    );
+                }
             }
-            Some(_) => {}
-            None => {
-                firsts.insert(p.name.clone(), (arity, rule.to_string()));
-            }
-        }
-    };
-    let mut idx = 0usize;
-    for s in &program.statements {
-        let Statement::Rule(r) = s else { continue };
-        idx += 1;
-        let rname = r.label.clone().unwrap_or_else(|| format!("rule #{idx}"));
-        record(&r.head, &rname, diags);
-        for p in r.body_predicates() {
-            record(p, &rname, diags);
         }
     }
-    for m in program.materializations() {
-        let Some(key_max) = m.keys.iter().max() else {
-            continue; // empty keys already reported (P2E106)
-        };
-        if let Some((arity, first)) = firsts.get(&m.table) {
-            if key_max > arity {
-                diags.push(
-                    Diagnostic::new(
+    for (unit, program) in programs.iter().enumerate() {
+        for m in program.materializations() {
+            let Some(key_max) = m.keys.iter().max() else {
+                continue; // empty keys already reported (P2E106)
+            };
+            if let Some((arity, first, _)) = firsts.get(m.table.as_str()) {
+                if key_max > arity {
+                    err(
+                        unit,
                         "P2E110",
-                        Severity::Error,
+                        m.span,
+                        &format!("materialize({})", m.table),
                         format!(
-                            "keys(...) names field {key_max} but '{}' is used with                          {arity} fields (in {first})",
+                            "keys(...) names field {key_max} but '{}' is used with \
+                             {arity} fields (in {first})",
                             m.table
                         ),
-                    )
-                    .with_span(m.span)
-                    .with_context(format!("materialize({})", m.table)),
-                );
+                    );
+                }
             }
         }
     }

@@ -220,7 +220,7 @@ pub fn compile_program_with(
             if optimize {
                 schedule_ops(&mut ir);
             }
-            let mut strand = lower_strand(&ir, rule, opts)?;
+            let mut strand = lower_strand(&ir, rule)?;
             if optimize {
                 fold_strand(&mut strand, &mut out.diagnostics);
             }
@@ -468,7 +468,7 @@ impl Slots {
 ///
 /// Slot allocation is deterministic in the op order, which is what lets
 /// shared-prefix members agree on the prefix's slot numbering.
-fn lower_strand(ir: &StrandIr, rule: &Rule, opts: &PlanOpts) -> Result<Strand, PlanError> {
+fn lower_strand(ir: &StrandIr, rule: &Rule) -> Result<Strand, PlanError> {
     let label = &ir.rule_label;
     let mut slots = Slots::new();
 
@@ -518,7 +518,7 @@ fn lower_strand(ir: &StrandIr, rule: &Rule, opts: &PlanOpts) -> Result<Strand, P
                 });
             }
             IrOp::Past(p) => {
-                ops.push(lower_past(p, &mut slots, label, opts.history)?);
+                ops.push(lower_past(p, &mut slots, label)?);
             }
             IrOp::Select(e) => {
                 ops.push(Op::Select(slots.compile(label, e)?));
@@ -590,12 +590,7 @@ fn lower_strand(ir: &StrandIr, rule: &Rule, opts: &PlanOpts) -> Result<Strand, P
 /// bound variables, or expressions over bound variables), and args 4..
 /// match against the archived tuple's own fields — location first,
 /// exactly as the relation's live rows are shaped.
-fn lower_past(
-    p: &Predicate,
-    slots: &mut Slots,
-    rule: &str,
-    provider: HistoryProvider,
-) -> Result<Op, PlanError> {
+fn lower_past(p: &Predicate, slots: &mut Slots, rule: &str) -> Result<Op, PlanError> {
     let bad = |message: String| PlanError::BadPast {
         rule: rule.to_string(),
         message,
@@ -653,7 +648,6 @@ fn lower_past(
         t0,
         t1,
         match_spec: MatchSpec { fields },
-        provider,
     })
 }
 
@@ -1075,9 +1069,7 @@ mod tests {
                 t0,
                 t1,
                 match_spec,
-                provider,
             } => {
-                assert_eq!(*provider, HistoryProvider::Local);
                 assert_eq!(table, "succ");
                 assert!(matches!(t0, PExpr::Slot(_)));
                 assert!(matches!(t1, PExpr::Slot(_)));

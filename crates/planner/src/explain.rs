@@ -10,8 +10,7 @@
 
 use crate::expr::PExpr;
 use crate::plan::{
-    CompiledProgram, FieldMatch, FieldOut, HeadSpec, HistoryProvider, MatchSpec, Op, Strand,
-    Trigger,
+    CompiledProgram, FieldMatch, FieldOut, HeadSpec, MatchSpec, Op, Strand, Trigger,
 };
 use p2_overlog::UnOp;
 use std::fmt::Write as _;
@@ -120,18 +119,10 @@ fn explain_strand(s: &Strand, out: &mut String) {
                 t0,
                 t1,
                 match_spec,
-                provider,
             } => {
-                // The default (local) provider renders exactly as before so
-                // pinned EXPLAIN snapshots stay byte-identical; only a
-                // deployment-wide scan carries a marker.
-                let marker = match provider {
-                    HistoryProvider::Local => "",
-                    HistoryProvider::Deployment => "  [deployment]",
-                };
                 let _ = writeln!(
                     out,
-                    "  op: past {table}[{} .. {}]({}){marker}",
+                    "  op: past {table}[{} .. {}]({})",
                     pexpr(t0, s),
                     pexpr(t1, s),
                     match_fields(match_spec, s)

@@ -46,6 +46,6 @@ pub use explain::explain;
 pub use expr::{eval, Builtin, EvalCtx, EvalError, ExprError, PExpr};
 pub use passes::{OptLevel, PlanOpts};
 pub use plan::{
-    AggPlan, CompiledProgram, Diagnostic, FieldMatch, FieldOut, HeadSpec, HistoryProvider,
-    MatchSpec, Op, PrefixGroup, Strand, TableDecl, Trigger,
+    AggPlan, CompiledProgram, Diagnostic, FieldMatch, FieldOut, HeadSpec, MatchSpec, Op,
+    PrefixGroup, Strand, TableDecl, Trigger,
 };

@@ -67,11 +67,6 @@ pub enum OptLevel {
 pub struct PlanOpts {
     /// Optimization level.
     pub level: OptLevel,
-    /// Which history `past()` predicates range over. `Local` (the
-    /// default) compiles the pre-shipping behavior bit-for-bit;
-    /// `Deployment` lowers every archive scan against the collected
-    /// histories of all known nodes (DESIGN.md §2.12).
-    pub history: crate::plan::HistoryProvider,
 }
 
 impl PlanOpts {
@@ -79,15 +74,6 @@ impl PlanOpts {
     pub fn off() -> PlanOpts {
         PlanOpts {
             level: OptLevel::Off,
-            ..PlanOpts::default()
-        }
-    }
-
-    /// Options lowering `past()` against deployment-wide history.
-    pub fn deployment() -> PlanOpts {
-        PlanOpts {
-            history: crate::plan::HistoryProvider::Deployment,
-            ..PlanOpts::default()
         }
     }
 }

@@ -190,21 +190,6 @@ impl MatchSpec {
     }
 }
 
-/// Which history a `past()` scan ranges over — the transport-agnostic
-/// provider the dataflow engine resolves an [`Op::ArchiveScan`]
-/// against. The plan records the *intent*; the runtime supplies the
-/// matching `HistorySource` implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HistoryProvider {
-    /// This node's own epoch-segmented archive (plus its live rows).
-    #[default]
-    Local,
-    /// The union of every known node's history: local tiers plus
-    /// segments shipped from other nodes (fetched on demand or
-    /// streamed to this node as a collector).
-    Deployment,
-}
-
 /// A strand operator (one per body term, in execution order).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
@@ -232,12 +217,6 @@ pub enum Op {
         t1: PExpr,
         /// Field matches applied to each archived tuple.
         match_spec: MatchSpec,
-        /// Which history the scan ranges over (DESIGN.md §2.12): the
-        /// node's own frozen tier, or the whole deployment's collected
-        /// history. Decided at plan time so strand execution stays
-        /// synchronous — any remote fetching happens *before* the
-        /// strand fires, never inside it.
-        provider: HistoryProvider,
     },
     /// Filter: keep the binding iff the expression is true.
     Select(PExpr),

@@ -26,7 +26,7 @@
 //!   length prefixes all surface as typed [`SegmentError`]s.
 
 use crate::durable::{DurableStats, DurableStore};
-use p2_net::wire::{decode_value_from, encode_value_into, WireError};
+use p2_net::wire::{encode_value_into, Reader, WireError};
 use p2_types::{Time, TimeDelta, Tuple, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -112,14 +112,13 @@ impl ArchivedRow {
 /// panic a node: every malformed frame maps onto one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentError {
-    /// A value failed to decode (truncation, bad tag, bad UTF-8, …).
+    /// A value failed to decode (truncation, bad tag, bad UTF-8, a
+    /// header or row field of the wrong type, …).
     Wire(WireError),
     /// The frame does not start with [`SEGMENT_MAGIC`].
     BadMagic([u8; 4]),
     /// Unknown format version byte.
     BadVersion(u8),
-    /// A header or row field held a value of the wrong type.
-    BadField(&'static str),
     /// Bytes remained after the declared rows were decoded.
     TrailingBytes(usize),
 }
@@ -136,40 +135,12 @@ impl fmt::Display for SegmentError {
             SegmentError::Wire(e) => write!(f, "segment value: {e}"),
             SegmentError::BadMagic(m) => write!(f, "bad segment magic {m:02x?}"),
             SegmentError::BadVersion(v) => write!(f, "unknown segment version {v}"),
-            SegmentError::BadField(what) => write!(f, "segment field '{what}' has wrong type"),
             SegmentError::TrailingBytes(n) => write!(f, "{n} trailing bytes after segment rows"),
         }
     }
 }
 
 impl std::error::Error for SegmentError {}
-
-fn get_val(buf: &[u8], pos: &mut usize) -> Result<Value, SegmentError> {
-    Ok(decode_value_from(buf, pos)?)
-}
-
-fn expect_str(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<String, SegmentError> {
-    match get_val(buf, pos)? {
-        Value::Str(s) => Ok(s.to_string()),
-        _ => Err(SegmentError::BadField(what)),
-    }
-}
-
-fn expect_u64(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, SegmentError> {
-    // Two's-complement cast: the encoder writes `u64 as i64`, so this
-    // round-trips the whole range (the live frame's epoch is u64::MAX).
-    match get_val(buf, pos)? {
-        Value::Int(n) => Ok(n as u64),
-        _ => Err(SegmentError::BadField(what)),
-    }
-}
-
-fn expect_time(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<Time, SegmentError> {
-    match get_val(buf, pos)? {
-        Value::Time(t) => Ok(t),
-        _ => Err(SegmentError::BadField(what)),
-    }
-}
 
 /// An immutable frozen run of spilled rows of one relation.
 ///
@@ -275,79 +246,71 @@ impl Segment {
     /// Decode and fully validate an encoded segment frame. Every byte
     /// is checked: header, each row, and that nothing trails.
     pub fn from_bytes(buf: &[u8]) -> Result<Segment, SegmentError> {
-        let (mut seg, _rows) = Segment::parse(buf, true)?;
+        let (mut seg, _rows) = Segment::parse(buf)?;
         seg.bytes = buf.to_vec();
         Ok(seg)
     }
 
     /// Decode the segment's rows.
     pub fn rows(&self) -> Result<Vec<SpilledRow>, SegmentError> {
-        let (_seg, rows) = Segment::parse(&self.bytes, true)?;
+        let (_seg, rows) = Segment::parse(&self.bytes)?;
         Ok(rows)
     }
 
-    fn parse(buf: &[u8], want_rows: bool) -> Result<(Segment, Vec<SpilledRow>), SegmentError> {
-        if buf.len() < 5 {
-            return Err(SegmentError::Wire(WireError::Truncated));
-        }
-        let magic: [u8; 4] = buf[0..4].try_into().map_err(|_| WireError::Truncated)?;
+    fn parse(buf: &[u8]) -> Result<(Segment, Vec<SpilledRow>), SegmentError> {
+        let mut r = Reader::new(buf);
+        let magic: [u8; 4] = r.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
         if magic != SEGMENT_MAGIC {
             return Err(SegmentError::BadMagic(magic));
         }
-        if buf[4] != SEGMENT_VERSION {
-            return Err(SegmentError::BadVersion(buf[4]));
+        let version = r.u8()?;
+        if version != SEGMENT_VERSION {
+            return Err(SegmentError::BadVersion(version));
         }
-        let mut pos = 5;
-        let relation = expect_str(buf, &mut pos, "relation")?;
-        let epoch_lo = expect_u64(buf, &mut pos, "epoch_lo")?;
-        let epoch_hi = expect_u64(buf, &mut pos, "epoch_hi")?;
-        let row_count = expect_u64(buf, &mut pos, "row_count")?;
-        // Guard against absurd counts on hostile input (each row costs
-        // at least one byte), exactly as the envelope decoder does.
-        if row_count > buf.len() as u64 {
-            return Err(SegmentError::Wire(WireError::Truncated));
-        }
-        let min_inserted = expect_time(buf, &mut pos, "min_inserted")?;
-        let max_dropped = expect_time(buf, &mut pos, "max_dropped")?;
-        let ncols = expect_u64(buf, &mut pos, "col_count")?;
-        if ncols > buf.len() as u64 {
-            return Err(SegmentError::Wire(WireError::Truncated));
-        }
-        let mut col_min = Vec::with_capacity(ncols as usize);
-        let mut col_max = Vec::with_capacity(ncols as usize);
+        // Guard against absurd counts on hostile input (each counted
+        // item costs at least one byte), exactly as the envelope
+        // decoder does.
+        let count = |r: &mut Reader<'_>, what| match r.u64_field(what)? {
+            n if n > buf.len() as u64 => Err(WireError::Truncated),
+            n => Ok(n as usize),
+        };
+        let relation = r.str_field("relation")?;
+        let epoch_lo = r.u64_field("epoch_lo")?;
+        let epoch_hi = r.u64_field("epoch_hi")?;
+        let row_count = count(&mut r, "row_count")?;
+        let min_inserted = r.time_field("min_inserted")?;
+        let max_dropped = r.time_field("max_dropped")?;
+        let ncols = count(&mut r, "col_count")?;
+        let mut col_min = Vec::with_capacity(ncols);
+        let mut col_max = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            col_min.push(get_val(buf, &mut pos)?);
-            col_max.push(get_val(buf, &mut pos)?);
+            col_min.push(r.value()?);
+            col_max.push(r.value()?);
         }
-        let mut rows = Vec::with_capacity(if want_rows { row_count as usize } else { 0 });
+        let mut rows = Vec::with_capacity(row_count);
         for _ in 0..row_count {
-            let inserted_at = expect_time(buf, &mut pos, "inserted_at")?;
-            let dropped_at = expect_time(buf, &mut pos, "dropped_at")?;
-            let arity = expect_u64(buf, &mut pos, "arity")?;
-            if arity > buf.len() as u64 {
-                return Err(SegmentError::Wire(WireError::Truncated));
-            }
-            let mut vals = Vec::with_capacity((arity as usize).min(1024));
+            let inserted_at = r.time_field("inserted_at")?;
+            let dropped_at = r.time_field("dropped_at")?;
+            let arity = count(&mut r, "arity")?;
+            let mut vals = Vec::with_capacity(arity.min(1024));
             for _ in 0..arity {
-                vals.push(get_val(buf, &mut pos)?);
+                vals.push(r.value()?);
             }
-            if want_rows {
-                rows.push(SpilledRow {
-                    tuple: Tuple::new(&relation, vals),
-                    inserted_at,
-                    dropped_at,
-                });
-            }
+            rows.push(SpilledRow {
+                tuple: Tuple::new(&relation, vals),
+                inserted_at,
+                dropped_at,
+            });
         }
-        if pos != buf.len() {
-            return Err(SegmentError::TrailingBytes(buf.len() - pos));
+        if r.remaining() != 0 {
+            return Err(SegmentError::TrailingBytes(r.remaining()));
         }
         Ok((
             Segment {
                 relation,
                 epoch_lo,
                 epoch_hi,
-                row_count,
+                row_count: row_count as u64,
                 min_inserted,
                 max_dropped,
                 col_min,
@@ -540,9 +503,47 @@ fn enforce(relation: &str, ra: &mut RelationArchive, config: &ArchiveConfig) {
     }
 }
 
-/// Whether `tuple` satisfies every `(field, value)` equality predicate.
-fn eqs_match(tuple: &Tuple, eqs: &[(usize, Value)]) -> bool {
-    eqs.iter().all(|(i, v)| tuple.get(*i) == Some(v))
+/// Whether `row`'s validity interval intersects `[t0, t1]` and it
+/// satisfies every `(field, value)` equality predicate.
+fn scan_hit(row: &SpilledRow, t0: Time, t1: Time, eqs: &[(usize, Value)]) -> bool {
+    row.inserted_at <= t1
+        && row.dropped_at >= t0
+        && eqs.iter().all(|(i, v)| row.tuple.get(*i) == Some(v))
+}
+
+/// A scan result. A row frozen while still live at its origin (drop
+/// time [`LIVE_SENTINEL`]) comes back with an open interval, exactly as
+/// the origin's own live rows would.
+fn archived(row: SpilledRow) -> ArchivedRow {
+    ArchivedRow {
+        tuple: row.tuple,
+        inserted_at: row.inserted_at,
+        dropped_at: (row.dropped_at != LIVE_SENTINEL).then_some(row.dropped_at),
+    }
+}
+
+/// The one segment walk behind every history scan, own tier or
+/// imported: segments whose header bounds miss `[t0, t1]` — or whose
+/// per-column summary proves no row can satisfy `eqs` — are pruned
+/// without decoding; the rest are decoded and their [`scan_hit`]s
+/// appended to `out` in frame order. Returns the number pruned.
+fn scan_segments<'a>(
+    segments: impl IntoIterator<Item = &'a Segment>,
+    t0: Time,
+    t1: Time,
+    eqs: &[(usize, Value)],
+    out: &mut Vec<ArchivedRow>,
+) -> Result<u64, SegmentError> {
+    let mut pruned = 0;
+    for seg in segments {
+        if seg.min_inserted() > t1 || seg.max_dropped() < t0 || !seg.may_match_eqs(eqs) {
+            pruned += 1;
+            continue;
+        }
+        let rows = seg.rows()?.into_iter();
+        out.extend(rows.filter(|r| scan_hit(r, t0, t1, eqs)).map(archived));
+    }
+    Ok(pruned)
 }
 
 /// The per-node frozen tier: one epoch-segmented history per enrolled
@@ -696,37 +697,23 @@ impl Archive {
 
     /// All archived rows of `relation` whose validity interval
     /// intersects `[t0, t1]` and that satisfy every `(field, value)`
-    /// equality predicate in `eqs`, in spill order. Segments whose
-    /// header bounds miss the time range — or whose per-column summary
-    /// proves no row can satisfy `eqs` — are pruned without decoding.
+    /// equality predicate in `eqs`, in spill order: the sealed segments
+    /// (see [`scan_segments`] for what is pruned), then the open buffer.
     pub fn scan_range(
         &mut self,
         relation: &str,
         t0: Time,
         t1: Time,
         eqs: &[(usize, Value)],
-    ) -> Result<Vec<SpilledRow>, SegmentError> {
+    ) -> Result<Vec<ArchivedRow>, SegmentError> {
         let Some(ra) = self.relations.get_mut(relation) else {
             return Ok(Vec::new());
         };
         ra.scans += 1;
         let mut out = Vec::new();
-        for seg in &ra.sealed {
-            if seg.min_inserted() > t1 || seg.max_dropped() < t0 || !seg.may_match_eqs(eqs) {
-                ra.pruned_segments += 1;
-                continue;
-            }
-            for row in seg.rows()? {
-                if row.inserted_at <= t1 && row.dropped_at >= t0 && eqs_match(&row.tuple, eqs) {
-                    out.push(row);
-                }
-            }
-        }
-        for row in &ra.open {
-            if row.inserted_at <= t1 && row.dropped_at >= t0 && eqs_match(&row.tuple, eqs) {
-                out.push(row.clone());
-            }
-        }
+        ra.pruned_segments += scan_segments(&ra.sealed, t0, t1, eqs, &mut out)?;
+        let open = ra.open.iter().filter(|r| scan_hit(r, t0, t1, eqs));
+        out.extend(open.cloned().map(archived));
         ra.scan_hits += out.len() as u64;
         Ok(out)
     }
@@ -903,9 +890,6 @@ impl ImportedHistory {
 
     /// Scan one origin's shipped history of `relation` for rows whose
     /// validity interval intersects `[t0, t1]` and that satisfy `eqs`.
-    /// Rows frozen while still live at the origin (drop time
-    /// [`LIVE_SENTINEL`]) come back with an open interval, exactly as
-    /// the origin's own live rows would.
     pub fn scan(
         &self,
         origin: &str,
@@ -914,35 +898,14 @@ impl ImportedHistory {
         t1: Time,
         eqs: &[(usize, Value)],
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        let Some(segments) = self.by_origin.get(origin).and_then(|r| r.get(relation)) else {
-            return Ok(Vec::new());
-        };
         let mut out = Vec::new();
-        for seg in segments {
-            if seg.min_inserted() > t1 || seg.max_dropped() < t0 || !seg.may_match_eqs(eqs) {
-                continue;
-            }
-            for row in seg.rows()? {
-                if !eqs_match(&row.tuple, eqs) {
-                    continue;
-                }
-                if row.dropped_at == LIVE_SENTINEL {
-                    if row.inserted_at <= t1 {
-                        out.push(ArchivedRow {
-                            tuple: row.tuple,
-                            inserted_at: row.inserted_at,
-                            dropped_at: None,
-                        });
-                    }
-                } else if row.inserted_at <= t1 && row.dropped_at >= t0 {
-                    out.push(ArchivedRow {
-                        tuple: row.tuple,
-                        inserted_at: row.inserted_at,
-                        dropped_at: Some(row.dropped_at),
-                    });
-                }
-            }
-        }
+        scan_segments(
+            self.frames(origin, relation).unwrap_or_default(),
+            t0,
+            t1,
+            eqs,
+            &mut out,
+        )?;
         Ok(out)
     }
 }
@@ -1078,8 +1041,10 @@ mod tests {
         let hits = a
             .scan_range("t", Time::ZERO, Time::from_secs(100), &[])
             .unwrap();
-        assert!(hits.iter().any(|r| r.dropped_at == Time::from_secs(49)));
-        assert!(!hits.iter().any(|r| r.dropped_at == Time::ZERO));
+        assert!(hits
+            .iter()
+            .any(|r| r.dropped_at == Some(Time::from_secs(49))));
+        assert!(!hits.iter().any(|r| r.dropped_at == Some(Time::ZERO)));
     }
 
     #[test]
@@ -1160,8 +1125,10 @@ mod tests {
         let hits = a
             .scan_range("t", Time::ZERO, Time::from_secs(100), &[])
             .unwrap();
-        assert!(hits.iter().any(|r| r.dropped_at == Time::from_secs(29)));
-        assert!(!hits.iter().any(|r| r.dropped_at == Time::ZERO));
+        assert!(hits
+            .iter()
+            .any(|r| r.dropped_at == Some(Time::from_secs(29))));
+        assert!(!hits.iter().any(|r| r.dropped_at == Some(Time::ZERO)));
     }
 
     #[test]

@@ -340,13 +340,11 @@ impl Catalog {
         now: Time,
         eqs: &[(usize, Value)],
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        if self.archive.is_none() {
-            return Ok(Vec::new());
-        }
         // Touch the live table FIRST: its expiry prologue spills rows
         // past due at `now`, and those must land in the archive before
         // the segment walk below — otherwise a row expiring at scan
-        // time would be neither live nor archived.
+        // time would be neither live nor archived. (Nothing is enrolled
+        // while archiving is disabled, so that case touches nothing.)
         let live: Vec<(Tuple, Time)> = self
             .tables
             .get_mut(name)
@@ -354,16 +352,10 @@ impl Catalog {
             .map(|t| t.scan_with_birth(now))
             .unwrap_or_default();
         self.archive_maintain();
-        let mut out = Vec::new();
-        if let Some(archive) = self.archive.as_mut() {
-            for row in archive.scan_range(name, t0, t1, eqs)? {
-                out.push(ArchivedRow {
-                    tuple: row.tuple,
-                    inserted_at: row.inserted_at,
-                    dropped_at: Some(row.dropped_at),
-                });
-            }
-        }
+        let Some(archive) = self.archive.as_mut() else {
+            return Ok(Vec::new());
+        };
+        let mut out = archive.scan_range(name, t0, t1, eqs)?;
         for (tuple, inserted_at) in live {
             if inserted_at <= t1 && eqs.iter().all(|(i, v)| tuple.get(*i) == Some(v)) {
                 out.push(ArchivedRow {
@@ -532,65 +524,6 @@ impl Catalog {
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-}
-
-/// Transport-agnostic provider of history rows for `past()` stages.
-///
-/// The dataflow engine's archive-scan stage reads history *only*
-/// through this trait (DESIGN.md §2.12): `Local` scans resolve against
-/// the node's own frozen tier, `Deployment` scans against the union of
-/// every known origin's history. What filled the deployment view —
-/// rows born local, segments fetched on demand, or segments streamed
-/// to a collector — is invisible to the query, which is exactly the
-/// determinism contract distributed forensics needs.
-pub trait HistorySource {
-    /// This node's own history of `name` over `[t0, t1]`, filtered by
-    /// the `(field, value)` equality predicates in `eqs`.
-    fn local_history(
-        &mut self,
-        name: &str,
-        t0: Time,
-        t1: Time,
-        now: Time,
-        eqs: &[(usize, Value)],
-    ) -> Result<Vec<ArchivedRow>, SegmentError>;
-
-    /// The whole deployment's history of `name` visible from this node
-    /// (`local` is its address), origins in sorted address order.
-    fn deployment_history(
-        &mut self,
-        local: &str,
-        name: &str,
-        t0: Time,
-        t1: Time,
-        now: Time,
-        eqs: &[(usize, Value)],
-    ) -> Result<Vec<ArchivedRow>, SegmentError>;
-}
-
-impl HistorySource for Catalog {
-    fn local_history(
-        &mut self,
-        name: &str,
-        t0: Time,
-        t1: Time,
-        now: Time,
-        eqs: &[(usize, Value)],
-    ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        self.archive_scan(name, t0, t1, now, eqs)
-    }
-
-    fn deployment_history(
-        &mut self,
-        local: &str,
-        name: &str,
-        t0: Time,
-        t1: Time,
-        now: Time,
-        eqs: &[(usize, Value)],
-    ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        self.deployment_scan(local, name, t0, t1, now, eqs)
     }
 }
 

@@ -31,7 +31,7 @@ pub use archive::{
     Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, Segment, SegmentError,
     SpilledRow, LIVE_SENTINEL,
 };
-pub use catalog::{Catalog, CatalogError, HistorySource};
+pub use catalog::{Catalog, CatalogError};
 pub use durable::{
     recover_log, recovery_report, DurableStats, DurableStore, Fault, FaultPlan, FaultingStore,
     FileDurable, MemDurable, Recovery,

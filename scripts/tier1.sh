@@ -93,6 +93,11 @@ fi
 cargo run --release --bin p2ql -- recover --dir target/tier1-durable/n2 \
     > target/recover.audit2.txt
 grep -q "truncated 0 tail bytes, quarantined 0 frames" target/recover.audit2.txt
+# The frozen benchmark (BENCHMARK.json) is its own package and may not
+# be edited, so whatever it calls must keep compiling and running: build
+# it against this tree and run its tests (a toy-size run of every
+# workload, ~10 s).
+cargo test --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 cargo bench --no-run
 cargo bench -p p2-bench --bench engine -- --test
 cargo bench -p p2-bench --bench store_probe -- --test

@@ -530,6 +530,14 @@ fn run(src: &str, args: &[String], tracing: bool) -> ExitCode {
         }
     }
     let now = sim.now();
+    for d in &opts.dumps {
+        // A typo would otherwise dump nothing and exit 0. On stderr, so
+        // stdout stays byte-comparable.
+        let mut nodes = addrs.iter();
+        if !nodes.any(|a| sim.node_mut(a).catalog_mut().is_materialized(d)) {
+            eprintln!("warning: --dump {d}: no such table on any node");
+        }
+    }
     for a in &addrs {
         for d in &opts.dumps {
             for row in sim.node_mut(a).table_scan(d, now) {

@@ -21,7 +21,6 @@ use p2ql::core::{
     ShipFailure, SimHarness,
 };
 use p2ql::net::SimConfig;
-use p2ql::planner::PlanOpts;
 use p2ql::store::{Fault, FaultPlan};
 use p2ql::types::{Addr, Time, TimeDelta, Tuple, Value};
 
@@ -50,16 +49,6 @@ fn durable_config(plan: Option<FaultPlan>) -> NodeConfig {
             fsync: false,
             plan,
         }),
-        ..forensic_config()
-    }
-}
-
-fn collector_config() -> NodeConfig {
-    NodeConfig {
-        plan: PlanOpts {
-            history: p2ql::planner::HistoryProvider::Deployment,
-            ..PlanOpts::default()
-        },
         ..forensic_config()
     }
 }
@@ -278,7 +267,7 @@ fn collector_refetches_after_origin_restart_and_clears_p2s902() {
 
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), seed);
     let origin = sim.add_node_with("a", durable_config(None));
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     incident(&mut sim, &origin);
     sim.install(&coll, DEPLOY_FORENSICS)
@@ -318,7 +307,7 @@ fn collector_refetches_after_origin_restart_and_clears_p2s902() {
 /// and time out into a false P2S902.
 fn solicited_shipment_survives_generation_regression<H: Population>(sim: &mut H) {
     let origin = sim.add_node_with("a", forensic_config());
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     incident(sim, &origin);
     sim.install(&coll, DEPLOY_FORENSICS)
@@ -380,7 +369,7 @@ fn subscribe_mode_survives_restart_via_generation_bump() {
     let seed = 5;
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), seed);
     let origin = sim.add_node_with("a", durable_config(None));
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     sim.node_mut(&origin).ship_subscribe(coll.clone());
     incident(&mut sim, &origin);
@@ -422,7 +411,7 @@ fn delta_announces_ship_only_fresh_segments() {
     };
     let mut sim = SimHarness::new(SimConfig::default(), cfg.clone(), 9);
     let origin = sim.add_node_with("a", cfg);
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     sim.node_mut(&origin).ship_subscribe(coll.clone());
 

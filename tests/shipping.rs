@@ -1,7 +1,7 @@
 //! Segment shipping, end to end (ISSUE 8 acceptance criteria).
 //!
-//! The tentpole claim of DESIGN.md §2.12: a deployment-provider
-//! `past()` on a collector node answers **byte-identically** whether
+//! The tentpole claim of DESIGN.md §2.12: a `past()` on a collector
+//! node answers **byte-identically** whether
 //! the history it ranges over was
 //!
 //! * **born local** — the origin answers for itself,
@@ -21,7 +21,6 @@ use p2ql::core::{
 };
 use p2ql::net::ship::{chunk_payload, Reassembly, Shipment};
 use p2ql::net::SimConfig;
-use p2ql::planner::PlanOpts;
 use p2ql::store::Segment;
 use p2ql::types::{Time, Tuple, Value};
 use proptest::prelude::*;
@@ -42,17 +41,6 @@ fn forensic_config() -> NodeConfig {
     NodeConfig {
         stagger_timers: false,
         ..NodeConfig::forensic()
-    }
-}
-
-/// Same node template, but `past()` lowers to the deployment provider.
-fn collector_config() -> NodeConfig {
-    NodeConfig {
-        plan: PlanOpts {
-            history: p2ql::planner::HistoryProvider::Deployment,
-            ..PlanOpts::default()
-        },
-        ..forensic_config()
     }
 }
 
@@ -108,13 +96,16 @@ fn ask_until<H: Population>(sim: &mut H, asker: &p2ql::types::Addr, t1: i64) -> 
         .node_mut(asker)
         .take_watched("hist")
         .into_iter()
-        .map(|(_, t)| {
-            let args: Vec<String> = t.values().iter().skip(1).map(|v| v.to_string()).collect();
-            args.join(", ")
-        })
+        .map(|(_, t)| sans_location(&t))
         .collect();
     out.sort();
     out
+}
+
+/// A watched head tuple with its location stripped.
+fn sans_location(t: &Tuple) -> String {
+    let args: Vec<String> = t.values().iter().skip(1).map(|v| v.to_string()).collect();
+    args.join(", ")
 }
 
 #[derive(Clone, Copy)]
@@ -137,7 +128,7 @@ fn scenario<H: Population>(sim: &mut H, flavor: Flavor) -> Vec<String> {
             ask(sim, &origin)
         }
         Flavor::Fetched => {
-            let coll = sim.add_node_with("coll", collector_config());
+            let coll = sim.add_node_with("coll", forensic_config());
             incident(sim, &origin);
             sim.install(&coll, DEPLOY_FORENSICS)
                 .expect("query installs");
@@ -151,7 +142,7 @@ fn scenario<H: Population>(sim: &mut H, flavor: Flavor) -> Vec<String> {
             got
         }
         Flavor::Streamed => {
-            let coll = sim.add_node_with("coll", collector_config());
+            let coll = sim.add_node_with("coll", forensic_config());
             sim.node_mut(&origin).ship_subscribe(coll.clone());
             incident(sim, &origin);
             sim.install(&coll, DEPLOY_FORENSICS)
@@ -189,6 +180,84 @@ fn fetched_and_streamed_match_local_at_every_shard_count() {
     }
 }
 
+/// The scope rule: the location field of `past()` *is* the scope. `O`
+/// free ranges over every history the node holds; `N` (the rule's own
+/// location) pins it to the rows born here.
+const SCOPE_FORENSICS: &str = r#"
+materialize(seen, 5, 32, keys(1, 2)).
+f1 hist@N(O, S) :- probe@N(T0, T1), past@N("seen", T0, T1, O, S).
+f2 own@N(S) :- probe@N(T0, T1), past@N("seen", T0, T1, N, S).
+"#;
+
+/// A collector that archives its own `seen` rows *and* holds a
+/// subscribed origin's. Returns what `hist` and `own` answered, in
+/// emission order with the head's location stripped.
+fn scope_scenario<H: Population>(sim: &mut H) -> (Vec<String>, Vec<String>) {
+    let origin = sim.add_node_with("a", forensic_config());
+    let coll = sim.add_node_with("coll", forensic_config());
+    sim.install(&origin, APP).expect("app installs");
+    sim.install(&coll, APP).expect("app installs");
+    sim.node_mut(&origin).ship_subscribe(coll.clone());
+    for (t, x) in [(5u64, 5i64), (15, 9)] {
+        sim.run_until(Time::from_secs(t));
+        sim.inject(
+            &coll,
+            Tuple::new("ping", [Value::Addr(coll.clone()), Value::Int(x)]),
+        );
+    }
+    incident(sim, &origin);
+    sim.install(&coll, SCOPE_FORENSICS).expect("query installs");
+    sim.node_mut(&coll).watch("hist");
+    sim.node_mut(&coll).watch("own");
+    sim.inject(
+        &coll,
+        Tuple::new(
+            "probe",
+            [Value::Addr(coll.clone()), Value::Int(0), Value::Int(40)],
+        ),
+    );
+    sim.run_for(p2ql::types::TimeDelta::from_secs(1));
+    let [hist, own] = ["hist", "own"].map(|name| {
+        sim.node_mut(&coll)
+            .take_watched(name)
+            .into_iter()
+            .map(|(_, t)| sans_location(&t))
+            .collect::<Vec<String>>()
+    });
+    let now = sim.now();
+    let scanned: Vec<String> = sim
+        .node_mut(&coll)
+        .history_scan("seen", Time::ZERO, Time::from_secs(40), now)
+        .expect("collector's own scan")
+        .iter()
+        .map(|r| r.tuple.values()[1].to_string())
+        .collect();
+    assert_eq!(own, scanned, "past(.., N, ..) is history_scan");
+    (hist, own)
+}
+
+#[test]
+fn location_field_scopes_past_on_every_engine() {
+    let seed = 29;
+    let (hist, own) = scope_scenario(&mut SequentialOracle::new(
+        SimConfig::default(),
+        forensic_config(),
+        seed,
+    ));
+    // The union, origins in sorted address order ("a" < "coll"), each
+    // origin's rows in its own spill order.
+    assert_eq!(hist, ["a, 7", "a, 11", "a, 42", "coll, 5", "coll, 9"]);
+    assert_eq!(own, ["5", "9"], "only the rows born on the collector");
+    for shards in [1usize, 2, 4] {
+        let mut sim = ParallelHarness::new(SimConfig::default(), forensic_config(), seed, shards);
+        assert_eq!(
+            scope_scenario(&mut sim),
+            (hist.clone(), own.clone()),
+            "diverged at {shards} shards"
+        );
+    }
+}
+
 /// One more archived ping on `origin`: inject at `at` s, sweep at
 /// `sweep` s (the 5 s row lifetime is long over by then).
 fn late_ping<H: Population>(sim: &mut H, origin: &p2ql::types::Addr, at: u64, sweep: u64, x: i64) {
@@ -209,7 +278,7 @@ fn pull_coverage_is_refetched_by_the_next_staged_trigger() {
     // from that first snapshot: the next staged trigger asks again.
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), 21);
     let origin = sim.add_node_with("a", forensic_config());
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     incident(&mut sim, &origin);
     sim.install(&coll, DEPLOY_FORENSICS)
@@ -263,8 +332,8 @@ fn gap_repair<H: Population>(sim: &mut H) {
             ..forensic_config()
         },
     );
-    let c1 = sim.add_node_with("c1", collector_config());
-    let c2 = sim.add_node_with("c2", collector_config());
+    let c1 = sim.add_node_with("c1", forensic_config());
+    let c2 = sim.add_node_with("c2", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     sim.node_mut(&origin).ship_subscribe(c1.clone());
     incident(sim, &origin);
@@ -344,7 +413,7 @@ fn nack_is_a_typed_queryable_no_history_answer() {
     // query answers from whatever else is covered, here nothing).
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), 11);
     let bare = sim.add_node_with("bare", NodeConfig::default());
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.run_until(Time::from_secs(1));
     sim.install(&coll, DEPLOY_FORENSICS)
         .expect("query installs");
@@ -378,7 +447,7 @@ fn nack_is_a_typed_queryable_no_history_answer() {
 fn unreachable_peer_times_out_into_a_typed_failure() {
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), 12);
     let origin = sim.add_node_with("a", forensic_config());
-    let coll = sim.add_node_with("coll", collector_config());
+    let coll = sim.add_node_with("coll", forensic_config());
     sim.install(&origin, APP).expect("app installs");
     sim.run_until(Time::from_secs(1));
     sim.install(&coll, DEPLOY_FORENSICS)
