@@ -2,7 +2,8 @@
 //!
 //! The realtime substrates — OS threads over in-process channels, UDP
 //! sockets — share one service loop (drain the transport, pump the
-//! node, transmit the outputs, fire timers, sweep the tracer).
+//! node, transmit the outputs, fire timers, sweep the tracer, then
+//! block on the transport until the next envelope or deadline).
 //! [`Driver`] is that loop, written once against the tiny [`Transport`]
 //! pluggability seam; the runtimes call [`Driver::run_realtime`] on a
 //! thread per node. The simulator does not go through it: the
@@ -17,17 +18,32 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// A node's view of its network substrate: somewhere to push outgoing
-/// envelopes and somewhere to poll incoming ones.
+/// envelopes, somewhere to poll incoming ones, and a way to sleep until
+/// there is something to poll.
 ///
-/// Implementations must be non-blocking: `try_recv` returns `None` when
-/// nothing is pending (including transient/undecodable input — a hostile
-/// datagram must surface as "nothing", never wedge the loop).
+/// `send` and `try_recv` never block. `wait` is the one call that may,
+/// and only for as long as it is told. Transient and undecodable input
+/// — a hostile datagram — surfaces as "nothing" from either receive
+/// call: it is counted and dropped, it never panics and never leaves
+/// the port unable to receive.
 pub trait Transport {
     /// Transmit one envelope. Best-effort: delivery failure is the
     /// remote's problem (soft state regenerates, §1).
     fn send(&mut self, env: &Envelope);
-    /// Poll one incoming envelope, if any.
+    /// Poll one incoming envelope, if any: first the one a `wait`
+    /// stashed, then the substrate.
     fn try_recv(&mut self) -> Option<Envelope>;
+    /// Block in the OS until an envelope is pending or `timeout` has
+    /// passed, whichever is first; [`Driver::run_realtime`] parks here
+    /// between ticks. An envelope `wait` has to take off the substrate
+    /// to learn that it arrived is the port's to keep (its stash) until
+    /// the next `try_recv` hands it out, so none is lost or reordered.
+    /// `wait` may return early (a frame it had to discard, a stash
+    /// already full); it must not block when `timeout` is zero or an
+    /// envelope is already pending, must not busy-wait, and must not
+    /// outstay `timeout` by more than the OS timer's slack — the caller
+    /// re-checks its stop flag and timers only when it returns.
+    fn wait(&mut self, timeout: Duration);
 }
 
 /// One node bound to one transport, plus the periodic bookkeeping every
@@ -94,15 +110,32 @@ impl<T: Transport> Driver<T> {
         }
     }
 
-    /// Drive against the wall clock until `stop` is raised, polling every
-    /// `poll` interval, then drain what is already in flight. Node time
-    /// is micros since entry.
+    /// Drive against the wall clock until `stop` is raised, then drain
+    /// what is already in flight. Node time is micros since entry.
+    ///
+    /// Event-driven: after each tick the thread blocks in
+    /// [`Transport::wait`] until an envelope arrives or the earliest of
+    /// the node's next timer (ship deadlines included), the next tracer
+    /// GC, and `poll` from now — so a message is served when it lands
+    /// and a periodic rule fires at its deadline. `poll` is only the
+    /// longest the loop goes without looking at `stop`: an idle node
+    /// with no timers wakes once per `poll`, and nothing spins.
     pub fn run_realtime(&mut self, stop: &AtomicBool, poll: Duration) {
         let epoch = Instant::now();
         let now = |epoch: Instant| Time(epoch.elapsed().as_micros() as u64);
+        let poll = TimeDelta::from_micros(poll.as_micros().try_into().unwrap_or(u64::MAX));
         while !stop.load(Ordering::Relaxed) {
-            self.tick(now(epoch));
-            std::thread::sleep(poll);
+            let t = now(epoch);
+            self.tick(t);
+            let wake = self
+                .node
+                .next_timer()
+                .map_or(self.next_gc, |timer| timer.min(self.next_gc))
+                .min(t + poll);
+            // Measured after the tick, which may have been long; a
+            // deadline already behind us waits zero, i.e. not at all.
+            let left = wake.since(now(epoch));
+            self.transport.wait(Duration::from_micros(left.micros()));
         }
         // Final drain: frames already queued when the flag flipped.
         self.service(now(epoch));
@@ -136,6 +169,13 @@ impl Transport for SimPort {
     fn try_recv(&mut self) -> Option<Envelope> {
         self.inbox.pop_front()
     }
+    fn wait(&mut self, timeout: Duration) {
+        // Only the thread that owns the port can fill the inbox, so an
+        // empty one stays empty for the whole timeout.
+        if self.inbox.is_empty() {
+            std::thread::sleep(timeout);
+        }
+    }
 }
 
 /// Port over the in-process threaded hub (`p2-net`'s marshaling channel
@@ -143,6 +183,10 @@ impl Transport for SimPort {
 pub struct ThreadedPort {
     hub: ThreadedHub,
     mailbox: p2_net::threaded::Mailbox,
+    /// The envelope the last `wait` woke on, for the next `try_recv`.
+    stash: Option<Envelope>,
+    /// Undecodable frames seen (a corrupt peer): dropped, keep serving.
+    pub malformed: u64,
 }
 
 impl ThreadedPort {
@@ -151,6 +195,8 @@ impl ThreadedPort {
         ThreadedPort {
             hub: hub.clone(),
             mailbox: hub.register(addr),
+            stash: None,
+            malformed: 0,
         }
     }
 }
@@ -160,14 +206,32 @@ impl Transport for ThreadedPort {
         self.hub.send(env);
     }
     fn try_recv(&mut self) -> Option<Envelope> {
-        // A decode error is a corrupt peer frame: drop it, keep serving.
-        self.mailbox.try_recv().ok().flatten()
+        if let Some(env) = self.stash.take() {
+            return Some(env);
+        }
+        loop {
+            match self.mailbox.try_recv() {
+                Ok(env) => return env,
+                Err(_) => self.malformed += 1,
+            }
+        }
+    }
+    fn wait(&mut self, timeout: Duration) {
+        if self.stash.is_some() {
+            return;
+        }
+        match self.mailbox.recv_timeout(timeout) {
+            Ok(env) => self.stash = env,
+            Err(_) => self.malformed += 1,
+        }
     }
 }
 
 /// Port over a bound UDP socket (the paper's deployment substrate).
 pub struct UdpPort {
     transport: UdpTransport,
+    /// The envelope the last `wait` woke on, for the next `try_recv`.
+    stash: Option<Envelope>,
     /// Undecodable datagrams seen (hostile or corrupt peers).
     pub malformed: u64,
 }
@@ -177,6 +241,7 @@ impl UdpPort {
     pub fn new(transport: UdpTransport) -> UdpPort {
         UdpPort {
             transport,
+            stash: None,
             malformed: 0,
         }
     }
@@ -187,12 +252,28 @@ impl Transport for UdpPort {
         let _ = self.transport.send(env);
     }
     fn try_recv(&mut self) -> Option<Envelope> {
+        if let Some(env) = self.stash.take() {
+            return Some(env);
+        }
         loop {
             match self.transport.try_recv() {
                 Ok(UdpRecv::Envelope(env)) => return Some(env),
                 Ok(UdpRecv::Malformed { .. }) => self.malformed += 1,
                 Ok(UdpRecv::Empty) | Err(_) => return None,
             }
+        }
+    }
+    fn wait(&mut self, timeout: Duration) {
+        if self.stash.is_some() {
+            return;
+        }
+        match self.transport.recv_timeout(timeout) {
+            Ok(UdpRecv::Envelope(env)) => self.stash = Some(env),
+            Ok(UdpRecv::Malformed { .. }) => self.malformed += 1,
+            Ok(UdpRecv::Empty) => {}
+            // A socket that fails at once would otherwise turn the
+            // caller's loop into a spin.
+            Err(_) => std::thread::sleep(timeout),
         }
     }
 }

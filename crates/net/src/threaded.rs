@@ -8,7 +8,7 @@
 
 use crate::envelope::Envelope;
 use crate::wire::{decode_envelope, encode_envelope, WireError};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use p2_types::Addr;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -37,14 +37,23 @@ impl Mailbox {
         }
     }
 
-    /// Blocking receive with a timeout. `Ok(None)` on timeout/disconnect.
+    /// Blocking receive with a timeout: `Ok(None)` once `timeout` has
+    /// passed with nothing received (a zero timeout is a `try_recv`),
+    /// errors only on a malformed frame. A mailbox the hub no longer
+    /// routes to (deregistered, or its address re-registered) can never
+    /// receive again; it still takes the whole timeout, so a caller
+    /// looping on this does not spin.
     pub fn recv_timeout(
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<Envelope>, WireError> {
         match self.rx.recv_timeout(timeout) {
             Ok(bytes) => decode_envelope(&bytes).map(Some),
-            Err(_) => Ok(None),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::thread::sleep(timeout);
+                Ok(None)
+            }
         }
     }
 }
@@ -71,10 +80,16 @@ impl ThreadedHub {
     /// Send an envelope; returns `false` if the destination is unknown or
     /// has shut down (messages to dead nodes drop, as on a real network).
     pub fn send(&self, env: &Envelope) -> bool {
-        let bytes = encode_envelope(env);
+        self.send_frame(&env.dst, encode_envelope(env))
+    }
+
+    /// Put one already-marshaled frame in `dst`'s mailbox, undecoded: what
+    /// [`ThreadedHub::send`] does after encoding, and how a test plays the
+    /// corrupt or hostile peer. Returns as `send` does.
+    pub fn send_frame(&self, dst: &Addr, frame: Vec<u8>) -> bool {
         let guard = self.inner.lock();
-        match guard.get(&env.dst) {
-            Some(tx) => tx.send(bytes).is_ok(),
+        match guard.get(dst) {
+            Some(tx) => tx.send(frame).is_ok(),
             None => false,
         }
     }
@@ -127,6 +142,33 @@ mod tests {
         hub.deregister(&Addr::new("b"));
         assert!(!hub.send(&env("a", "b", 1)));
         assert!(hub.is_empty());
+    }
+
+    #[test]
+    fn raw_frame_surfaces_as_decode_error_and_the_next_frame_decodes() {
+        let hub = ThreadedHub::new();
+        let b = Addr::new("b");
+        let mb = hub.register(b.clone());
+        assert!(hub.send_frame(&b, vec![0xBA, 0xD0, 0xCA, 0xFE]));
+        assert!(hub.send(&env("a", "b", 3)));
+        assert!(mb.recv_timeout(Duration::from_secs(2)).is_err());
+        let got = mb.recv_timeout(Duration::ZERO).unwrap().unwrap();
+        assert_eq!(got.tuples[0].get(1), Some(&Value::Int(3)));
+        assert!(!hub.send_frame(&Addr::new("ghost"), vec![1]));
+    }
+
+    #[test]
+    fn unrouted_mailbox_still_takes_its_timeout() {
+        let hub = ThreadedHub::new();
+        let mb = hub.register(Addr::new("b"));
+        hub.deregister(&Addr::new("b"));
+        let t = std::time::Instant::now();
+        assert!(mb
+            .recv_timeout(Duration::from_millis(50))
+            .unwrap()
+            .is_none());
+        assert!(t.elapsed() >= Duration::from_millis(50));
+        assert!(mb.recv_timeout(Duration::ZERO).unwrap().is_none());
     }
 
     #[test]

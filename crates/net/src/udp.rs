@@ -11,6 +11,7 @@
 use crate::envelope::Envelope;
 use crate::wire::{decode_envelope, encode_envelope};
 use p2_types::Addr;
+use std::cell::{Cell, RefCell};
 use std::io;
 use std::net::UdpSocket;
 use std::time::Duration;
@@ -27,6 +28,12 @@ const MAX_DATAGRAM: usize = 64 * 1024;
 pub struct UdpTransport {
     socket: UdpSocket,
     local: Addr,
+    /// Receive buffer, reused by every receive call (the receive methods
+    /// take `&self`; the transport is `Send`, not `Sync`).
+    buf: RefCell<Box<[u8]>>,
+    /// The read timeout the socket currently carries, to skip the system
+    /// call that sets it when a caller asks for the same one again.
+    read_timeout: Cell<Option<Duration>>,
 }
 
 /// Receive outcome: decoded envelope, nothing pending, or a frame that
@@ -53,6 +60,8 @@ impl UdpTransport {
         Ok(UdpTransport {
             socket,
             local: local.clone(),
+            buf: RefCell::new(vec![0u8; MAX_DATAGRAM].into_boxed_slice()),
+            read_timeout: Cell::new(None),
         })
     }
 
@@ -75,7 +84,38 @@ impl UdpTransport {
 
     /// Non-blocking receive of one datagram.
     pub fn try_recv(&self) -> io::Result<UdpRecv> {
-        let mut buf = vec![0u8; MAX_DATAGRAM];
+        self.recv_one()
+    }
+
+    /// Blocking receive with a timeout. `Ok(UdpRecv::Empty)` on timeout;
+    /// a zero timeout is [`UdpTransport::try_recv`]. The socket is put
+    /// back in non-blocking mode on every return path.
+    pub fn recv_timeout(&self, timeout: Duration) -> io::Result<UdpRecv> {
+        // std rejects a zero read timeout; zero means "don't block".
+        if timeout.is_zero() {
+            return self.recv_one();
+        }
+        // Timeout first: it is inert while the socket is non-blocking,
+        // so a failure here leaves nothing to undo.
+        if self.read_timeout.get() != Some(timeout) {
+            self.socket.set_read_timeout(Some(timeout))?;
+            self.read_timeout.set(Some(timeout));
+        }
+        self.socket.set_nonblocking(false)?;
+        let r = self.recv_one();
+        // A datagram already received is the caller's even if the switch
+        // back fails; the socket then still carries its read timeout, so
+        // a later `try_recv` is late at worst, never stuck.
+        let restored = self.socket.set_nonblocking(true);
+        match r {
+            Ok(UdpRecv::Empty) => restored.map(|()| UdpRecv::Empty),
+            r => r,
+        }
+    }
+
+    /// One `recv_from` in whatever mode the socket is in, decoded.
+    fn recv_one(&self) -> io::Result<UdpRecv> {
+        let mut buf = self.buf.borrow_mut();
         match self.socket.recv_from(&mut buf) {
             Ok((n, _peer)) => match decode_envelope(&buf[..n]) {
                 Ok(env) => Ok(UdpRecv::Envelope(env)),
@@ -83,26 +123,8 @@ impl UdpTransport {
                     error: e.to_string(),
                 }),
             },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(UdpRecv::Empty),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Blocking receive with a timeout. `Ok(UdpRecv::Empty)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> io::Result<UdpRecv> {
-        self.socket.set_nonblocking(false)?;
-        self.socket.set_read_timeout(Some(timeout))?;
-        let mut buf = vec![0u8; MAX_DATAGRAM];
-        let r = self.socket.recv_from(&mut buf);
-        // Restore non-blocking mode for try_recv callers.
-        self.socket.set_nonblocking(true)?;
-        match r {
-            Ok((n, _peer)) => match decode_envelope(&buf[..n]) {
-                Ok(env) => Ok(UdpRecv::Envelope(env)),
-                Err(e) => Ok(UdpRecv::Malformed {
-                    error: e.to_string(),
-                }),
-            },
+            // An expired read timeout is WouldBlock on Unix, TimedOut on
+            // Windows.
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -149,6 +171,61 @@ mod tests {
     fn empty_when_nothing_pending() {
         let a = bind_ephemeral();
         assert!(matches!(a.try_recv().unwrap(), UdpRecv::Empty));
+    }
+
+    #[test]
+    fn zero_timeout_does_not_block_or_wedge_the_socket() {
+        let a = bind_ephemeral();
+        let b = bind_ephemeral();
+        let b_addr = b.local_addr().unwrap();
+        assert!(matches!(
+            b.recv_timeout(Duration::ZERO).unwrap(),
+            UdpRecv::Empty
+        ));
+        // Still non-blocking: an empty poll returns at once.
+        let t = std::time::Instant::now();
+        assert!(matches!(b.try_recv().unwrap(), UdpRecv::Empty));
+        assert!(t.elapsed() < Duration::from_millis(500));
+        // A timed-out blocking receive leaves it non-blocking too.
+        assert!(matches!(
+            b.recv_timeout(Duration::from_millis(5)).unwrap(),
+            UdpRecv::Empty
+        ));
+        assert!(matches!(b.try_recv().unwrap(), UdpRecv::Empty));
+        // And a queued datagram is handed out by a zero-timeout receive.
+        a.send(&env_to(&b_addr, 9)).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        loop {
+            match b.recv_timeout(Duration::ZERO).unwrap() {
+                UdpRecv::Envelope(e) => {
+                    assert_eq!(e.tuples[0].get(1), Some(&Value::Int(9)));
+                    break;
+                }
+                UdpRecv::Empty => assert!(std::time::Instant::now() < deadline, "lost"),
+                UdpRecv::Malformed { error } => panic!("{error}"),
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_and_changed_timeouts_are_both_honoured() {
+        let a = bind_ephemeral();
+        let timed = |timeout| {
+            let t = std::time::Instant::now();
+            assert!(matches!(a.recv_timeout(timeout).unwrap(), UdpRecv::Empty));
+            t.elapsed()
+        };
+        // The kernel counts a read timeout in clock ticks: leave a margin.
+        let (long, nearly) = (Duration::from_millis(150), Duration::from_millis(100));
+        assert!(timed(long) >= nearly);
+        assert!(
+            timed(long) >= nearly,
+            "the remembered timeout still applies"
+        );
+        assert!(
+            timed(Duration::from_millis(5)) < nearly,
+            "a new one replaces it"
+        );
     }
 
     #[test]

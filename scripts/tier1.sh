@@ -98,6 +98,11 @@ grep -q "truncated 0 tail bytes, quarantined 0 frames" target/recover.audit2.txt
 # it against this tree and run its tests (a toy-size run of every
 # workload, ~10 s).
 cargo test --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
+# The parent-vs-change pair runner a performance claim is shown with,
+# as a smoke: this tree on both sides, one 1-second pair on the realtime
+# workload. Exit status only — a failed operation fails it, a timing
+# never does.
+scripts/bench_pairs.sh realtime_echo . . 1 --seconds 1
 cargo bench --no-run
 cargo bench -p p2-bench --bench engine -- --test
 cargo bench -p p2-bench --bench store_probe -- --test

@@ -1,14 +1,428 @@
 //! The shared [`Driver`] service loop over both realtime substrates.
 //!
 //! These tests drive the loop over the threaded hub and real UDP
-//! sockets via [`Driver::run_realtime`].
+//! sockets via [`Driver::run_realtime`]. The loop is event-driven: it
+//! blocks in [`Transport::wait`] until an envelope or a deadline, and
+//! `poll` only bounds how long it goes without looking at `stop` — so
+//! the tests below run with a `poll` far longer than what they time.
 
-use p2ql::core::{Driver, Node, NodeConfig, ThreadedPort, UdpPort};
-use p2ql::net::{ThreadedHub, UdpTransport};
-use p2ql::types::{Addr, Time, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
+use p2ql::core::{Driver, Node, NodeConfig, ThreadedPort, Transport, UdpPort};
+use p2ql::net::{Envelope, ThreadedHub, UdpTransport};
+use p2ql::types::{Addr, DetRng, Time, Tuple, Value};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// A port that counts how often the driver parks on it.
+struct Counting<T> {
+    inner: T,
+    waits: Arc<AtomicU64>,
+}
+
+impl<T: Transport> Transport for Counting<T> {
+    fn send(&mut self, env: &Envelope) {
+        self.inner.send(env)
+    }
+    fn try_recv(&mut self) -> Option<Envelope> {
+        self.inner.try_recv()
+    }
+    fn wait(&mut self, timeout: Duration) {
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        self.inner.wait(timeout)
+    }
+}
+
+/// A driver running on its own thread until stopped.
+struct Running<T: Transport> {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<Driver<T>>,
+}
+
+impl<T: Transport + Send + 'static> Running<T> {
+    fn start(node: Node, port: T, poll: Duration) -> Running<T> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = stop.clone();
+        let thread = std::thread::spawn(move || {
+            let mut driver = Driver::new(node, port);
+            driver.run_realtime(&flag, poll);
+            driver
+        });
+        Running { stop, thread }
+    }
+
+    fn stop(self) -> Driver<T> {
+        self.stop.store(true, Ordering::SeqCst);
+        self.thread.join().expect("the driver thread panicked")
+    }
+}
+
+fn node_with(addr: &Addr, program: &str) -> Node {
+    let mut node = Node::new(
+        addr.clone(),
+        NodeConfig {
+            stagger_timers: false,
+            ..Default::default()
+        },
+    );
+    node.install(program, Time::ZERO).unwrap();
+    node
+}
+
+/// Answers `ping@N(Src, Seq)` with `pong@Src(N, Seq)`.
+fn echo_node(addr: &Addr) -> Node {
+    node_with(addr, "e1 pong@Src(N, Seq) :- ping@N(Src, Seq).")
+}
+
+fn ping(server: &Addr, client: &Addr, seq: i64) -> Envelope {
+    Envelope::new(
+        Tuple::new(
+            "ping",
+            [
+                Value::Addr(server.clone()),
+                Value::Addr(client.clone()),
+                Value::Int(seq),
+            ],
+        ),
+        client.clone(),
+        server.clone(),
+    )
+}
+
+/// Block on the client's own port until the pong for `seq` arrives.
+fn await_pong<T: Transport>(client: &mut T, seq: i64, within: Duration) -> bool {
+    let deadline = Instant::now() + within;
+    loop {
+        while let Some(env) = client.try_recv() {
+            if env
+                .tuples
+                .iter()
+                .any(|t| t.get(2) == Some(&Value::Int(seq)))
+            {
+                return true;
+            }
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
+        }
+        client.wait(left);
+    }
+}
+
+fn bind_udp() -> (UdpTransport, Addr) {
+    let t = UdpTransport::bind(&Addr::new("127.0.0.1:0")).unwrap();
+    let addr = t.local_addr().unwrap();
+    (t, addr)
+}
+
+/// A threaded server port and a client port on one hub.
+fn threaded_pair() -> ((ThreadedPort, Addr), (ThreadedPort, Addr), ThreadedHub) {
+    let hub = ThreadedHub::new();
+    let (server, client) = (Addr::new("server"), Addr::new("client"));
+    (
+        (ThreadedPort::register(&hub, server.clone()), server),
+        (ThreadedPort::register(&hub, client.clone()), client),
+        hub,
+    )
+}
+
+/// A UDP server port and a client port on loopback.
+fn udp_pair() -> ((UdpPort, Addr), (UdpPort, Addr)) {
+    let (server_t, server) = bind_udp();
+    let (client_t, client) = bind_udp();
+    (
+        (UdpPort::new(server_t), server),
+        (UdpPort::new(client_t), client),
+    )
+}
+
+/// Twenty echoes, each sent only after the previous pong: a loop that
+/// sleeps `poll` between looks at the transport needs ≥ 20 × `poll`.
+fn sequential_echoes<T: Transport + Send + 'static>(
+    (port, server): (T, Addr),
+    (mut client_port, client): (T, Addr),
+) {
+    let running = Running::start(echo_node(&server), port, Duration::from_millis(500));
+    let started = Instant::now();
+    for seq in 0..20 {
+        client_port.send(&ping(&server, &client, seq));
+        assert!(
+            await_pong(&mut client_port, seq, Duration::from_secs(5)),
+            "pong {seq} never came"
+        );
+    }
+    let took = started.elapsed();
+    running.stop();
+    assert!(
+        took < Duration::from_secs(2),
+        "20 sequential echoes took {took:?} with a 500-ms poll: every message waited for the poll"
+    );
+}
+
+#[test]
+fn threaded_echoes_are_served_on_arrival_not_on_the_poll() {
+    let (server, client, _hub) = threaded_pair();
+    sequential_echoes(server, client);
+}
+
+#[test]
+fn udp_echoes_are_served_on_arrival_not_on_the_poll() {
+    let (server, client) = udp_pair();
+    sequential_echoes(server, client);
+}
+
+/// A 100-ms periodic rule under a 500-ms poll fires at its deadline —
+/// about 20 times in 2 s, not once per poll — and the loop iterates
+/// about once per firing or poll, not more.
+fn periodic_fires_at_its_deadline<T: Transport + Send + 'static>(port: T, addr: Addr) {
+    let mut node = node_with(&addr, "f1 fired@N(E) :- periodic@N(E, 0.1).");
+    node.watch("fired");
+    let waits = Arc::new(AtomicU64::new(0));
+    let port = Counting {
+        inner: port,
+        waits: waits.clone(),
+    };
+    let running = Running::start(node, port, Duration::from_millis(500));
+    std::thread::sleep(Duration::from_secs(2));
+    let driver = running.stop();
+    let fired = driver.node().watched("fired").len();
+    assert!(fired >= 15, "fired {fired} times in 2 s, wanted ≈ 20");
+    let waits = waits.load(Ordering::Relaxed);
+    assert!(
+        waits <= 2 * fired as u64 + 10,
+        "{waits} loop iterations for {fired} firings: the loop spins"
+    );
+}
+
+#[test]
+fn threaded_periodic_rule_fires_at_its_deadline() {
+    let ((port, addr), _, _hub) = threaded_pair();
+    periodic_fires_at_its_deadline(port, addr);
+}
+
+#[test]
+fn udp_periodic_rule_fires_at_its_deadline() {
+    let ((port, addr), _) = udp_pair();
+    periodic_fires_at_its_deadline(port, addr);
+}
+
+/// An idle node with no timers parks for `poll` at a time: about
+/// `1 s ÷ poll` loop iterations in a second, counted on the test's port.
+fn idle_node_wakes_once_per_poll<T: Transport + Send + 'static>(port: T, addr: Addr) {
+    let waits = Arc::new(AtomicU64::new(0));
+    let port = Counting {
+        inner: port,
+        waits: waits.clone(),
+    };
+    let running = Running::start(echo_node(&addr), port, Duration::from_millis(50));
+    std::thread::sleep(Duration::from_secs(1));
+    running.stop();
+    let waits = waits.load(Ordering::Relaxed);
+    assert!(
+        (5..=40).contains(&waits),
+        "{waits} loop iterations in an idle second at a 50-ms poll, wanted ≈ 20"
+    );
+}
+
+#[test]
+fn threaded_idle_node_does_not_spin() {
+    let ((port, addr), _, _hub) = threaded_pair();
+    idle_node_wakes_once_per_poll(port, addr);
+}
+
+#[test]
+fn udp_idle_node_does_not_spin() {
+    let ((port, addr), _) = udp_pair();
+    idle_node_wakes_once_per_poll(port, addr);
+}
+
+/// Raising `stop` on a parked node ends the run within about one
+/// `poll`, and a frame queued just before is still delivered (by a tick
+/// or by the final drain).
+fn stop_returns_within_a_poll_and_drains<T: Transport + Send + 'static>(
+    (port, server): (T, Addr),
+    (mut client_port, client): (T, Addr),
+) {
+    let poll = Duration::from_millis(200);
+    let mut node = node_with(&server, "r1 got@N(Seq) :- ping@N(Src, Seq).");
+    node.watch("got");
+    let running = Running::start(node, port, poll);
+    std::thread::sleep(Duration::from_millis(50));
+    client_port.send(&ping(&server, &client, 7));
+    let raised = Instant::now();
+    let driver = running.stop();
+    let took = raised.elapsed();
+    assert!(
+        took < poll + Duration::from_secs(1),
+        "stop took {took:?} at a {poll:?} poll"
+    );
+    assert_eq!(driver.node().watched("got").len(), 1, "queued frame lost");
+}
+
+#[test]
+fn threaded_stop_returns_within_a_poll_and_drains() {
+    let (server, client, _hub) = threaded_pair();
+    stop_returns_within_a_poll_and_drains(server, client);
+}
+
+#[test]
+fn udp_stop_returns_within_a_poll_and_drains() {
+    let (server, client) = udp_pair();
+    stop_returns_within_a_poll_and_drains(server, client);
+}
+
+#[test]
+fn final_drain_hands_out_what_the_last_wait_stashed() {
+    /// A port whose first `wait` receives a frame and sees `stop` raised
+    /// meanwhile: the loop exits with the frame still in the stash.
+    struct StopsWhileParked {
+        stop: Arc<AtomicBool>,
+        arriving: Option<Envelope>,
+        stash: Option<Envelope>,
+    }
+    impl Transport for StopsWhileParked {
+        fn send(&mut self, _: &Envelope) {}
+        fn try_recv(&mut self) -> Option<Envelope> {
+            self.stash.take()
+        }
+        fn wait(&mut self, _: Duration) {
+            self.stash = self.arriving.take();
+            self.stop.store(true, Ordering::SeqCst);
+        }
+    }
+    let (server, client) = (Addr::new("server"), Addr::new("client"));
+    let mut node = node_with(&server, "r1 got@N(Seq) :- ping@N(Src, Seq).");
+    node.watch("got");
+    let stop = Arc::new(AtomicBool::new(false));
+    let port = StopsWhileParked {
+        stop: stop.clone(),
+        arriving: Some(ping(&server, &client, 1)),
+        stash: None,
+    };
+    let mut driver = Driver::new(node, port);
+    driver.run_realtime(&stop, Duration::from_secs(60));
+    assert_eq!(driver.node().watched("got").len(), 1);
+}
+
+#[test]
+fn udp_driver_counts_hostile_datagrams_that_arrive_while_it_is_parked() {
+    let ((port, server), (mut client_port, client)) = udp_pair();
+    // Parked for 2 s at a time: only an arrival can wake it within 1 s.
+    let running = Running::start(echo_node(&server), port, Duration::from_secs(2));
+    std::thread::sleep(Duration::from_millis(100));
+    let raw = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    for _ in 0..5 {
+        raw.send_to(&[0xBA, 0xD0, 0xCA, 0xFE], server.as_str())
+            .unwrap();
+    }
+    client_port.send(&ping(&server, &client, 1));
+    assert!(
+        await_pong(&mut client_port, 1, Duration::from_secs(1)),
+        "the valid frame behind the garbage was not served"
+    );
+    let mut driver = running.stop();
+    assert_eq!(driver.transport_mut().malformed, 5);
+}
+
+#[test]
+fn threaded_port_counts_undecodable_frames_on_both_receive_paths() {
+    let ((port, server), (mut client_port, client), hub) = threaded_pair();
+    let garbage = || vec![0xBA, 0xD0, 0xCA, 0xFE];
+    let mut node = echo_node(&server);
+    node.watch("ping");
+
+    // The polling path: garbage ahead of a valid frame, one direct tick.
+    let mut driver = Driver::new(node, port);
+    assert!(hub.send_frame(&server, garbage()));
+    client_port.send(&ping(&server, &client, 1));
+    driver.tick(Time::ZERO);
+    assert_eq!(driver.node().watched("ping").len(), 1, "good frame served");
+    assert_eq!(driver.transport_mut().malformed, 1);
+
+    // The blocking path: the same pair arriving while the loop is parked
+    // (2 s at a time: only an arrival can wake it within 1 s).
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = stop.clone();
+    let thread = std::thread::spawn(move || {
+        driver.run_realtime(&flag, Duration::from_secs(2));
+        driver
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(hub.send_frame(&server, garbage()));
+    client_port.send(&ping(&server, &client, 2));
+    assert!(
+        await_pong(&mut client_port, 2, Duration::from_secs(1)),
+        "the valid frame behind the garbage was not served"
+    );
+    stop.store(true, Ordering::SeqCst);
+    let mut driver = thread.join().unwrap();
+    assert_eq!(driver.node().watched("ping").len(), 2);
+    assert_eq!(driver.transport_mut().malformed, 2);
+}
+
+#[test]
+fn duplicated_and_reordered_frames_converge_to_the_same_rows() {
+    // ROADMAP 4(d): what UDP may do to a stream — deliver a frame twice,
+    // deliver frames out of order — played through the threaded port. A
+    // keyed table absorbs both: node `b` sees every frame twice in a
+    // seeded shuffle and ends with the rows node `a` got once, in order.
+    let hub = ThreadedHub::new();
+    let program = "materialize(kv, infinity, infinity, keys(1, 2)).
+                   k1 kv@N(K, V) :- put@N(K, V).";
+    let put = |dst: &Addr, k: i64| {
+        Envelope::new(
+            Tuple::new(
+                "put",
+                [Value::Addr(dst.clone()), Value::Int(k), Value::Int(k * k)],
+            ),
+            Addr::new("writer"),
+            dst.clone(),
+        )
+    };
+    let (a, b) = (Addr::new("a"), Addr::new("b"));
+    let run = |addr: &Addr| {
+        Running::start(
+            node_with(addr, program),
+            ThreadedPort::register(&hub, addr.clone()),
+            Duration::from_millis(20),
+        )
+    };
+    let (run_a, run_b) = (run(&a), run(&b));
+
+    let keys: Vec<i64> = (0..200).collect();
+    for &k in &keys {
+        assert!(hub.send(&put(&a, k)));
+    }
+    let mut twice: Vec<i64> = keys.iter().chain(&keys).copied().collect();
+    let mut rng = DetRng::new(4);
+    for i in (1..twice.len()).rev() {
+        twice.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    assert_ne!(&twice[..keys.len()], &keys[..], "the shuffle reorders");
+    for &k in &twice {
+        assert!(hub.send(&put(&b, k)));
+    }
+
+    // Everything is queued before `stop` is raised, so the final drain
+    // (at the latest) delivers it.
+    let rows = |running: Running<ThreadedPort>| {
+        let mut node = running.stop().into_node();
+        let mut rows: Vec<(Value, Value)> = node
+            .table_scan("kv", Time(u64::MAX / 2))
+            .iter()
+            .map(|t| (t.get(1).unwrap().clone(), t.get(2).unwrap().clone()))
+            .collect();
+        rows.sort_by(|x, y| x.partial_cmp(y).expect("ints compare"));
+        (rows, node.metrics().msgs_received)
+    };
+    let (rows_a, received_a) = rows(run_a);
+    let (rows_b, received_b) = rows(run_b);
+    assert_eq!(received_a, 200);
+    assert_eq!(received_b, 400, "b really saw every frame twice");
+    assert_eq!(rows_a.len(), 200);
+    assert_eq!(rows_a, rows_b);
+}
 
 #[test]
 fn threaded_nodes_relay_through_shared_driver() {
