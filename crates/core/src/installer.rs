@@ -23,10 +23,8 @@ impl Node {
         if self.config.trace.log_events {
             let _ = self.catalog.register(TableSpec::new(
                 p2_trace::EVENT_LOG,
-                Some(TimeDelta::from_secs_f64(
-                    self.config.trace.event_log_lifetime_secs,
-                )),
-                Some(self.config.trace.event_log_max_rows),
+                Some(p2_trace::EVENT_LOG_LIFETIME),
+                Some(p2_trace::EVENT_LOG_MAX_ROWS),
                 vec![0, 1, 2, 3],
             ));
             self.maybe_enroll_archive(p2_trace::EVENT_LOG, true);

@@ -379,11 +379,6 @@ impl<M: Mode> Engine<M> {
         self.seed
     }
 
-    /// The shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Add a node (default config template). Returns its address.
     pub fn add_node(&mut self, name: &str) -> Addr {
         self.add_node_with(name, self.base_node_config.clone())

@@ -15,7 +15,7 @@
 //! * `wp*` — every alarm is logged into a bounded `alarmLog` table and
 //!   counted per kind into `alarmCount` every `rollup_secs`.
 
-use p2_types::{Time, Tuple, Value};
+use p2_types::Value;
 
 /// The per-kind roll-up relation: `alarmCount(N, Kind, Count)`.
 pub const ALARM_COUNT: &str = "alarmCount";
@@ -66,14 +66,6 @@ pub fn counts<H: p2_core::Population>(sim: &mut H, node: &p2_types::Addr) -> Vec
             (Some(k), Some(Value::Int(c))) => Some((k.to_string(), *c)),
             _ => None,
         })
-        .collect()
-}
-
-/// Alarm-log entries as (kind, detail) pairs.
-pub fn log_entries(watched: &[(Time, Tuple)]) -> Vec<(String, String)> {
-    watched
-        .iter()
-        .filter_map(|(_, t)| Some((t.get(1)?.to_string(), t.get(2)?.to_string())))
         .collect()
 }
 

@@ -14,7 +14,7 @@
 //! messages* series of Figures 6–7).
 //!
 //! Two real-time substrates demonstrate that the runtime is not
-//! simulator-only: [`threaded::ThreadedHub`] over crossbeam channels,
+//! simulator-only: [`threaded::ThreadedHub`] over `std::sync::mpsc` channels,
 //! and [`udp::UdpTransport`] over actual sockets — the paper's own wire
 //! protocol (one marshaled tuple per datagram, unreliable and
 //! unordered). Both pass every message through the [`wire`] codec;

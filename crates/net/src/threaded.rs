@@ -1,4 +1,4 @@
-//! Real-time transport over crossbeam channels.
+//! Real-time transport over `std::sync::mpsc` channels.
 //!
 //! The production-shaped substrate: one OS thread per node, messages
 //! marshaled through the [`crate::wire`] codec on every hop (so the
@@ -8,11 +8,10 @@
 
 use crate::envelope::Envelope;
 use crate::wire::{decode_envelope, encode_envelope, WireError};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use p2_types::Addr;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A shared in-process message hub.
 ///
@@ -64,17 +63,23 @@ impl ThreadedHub {
         ThreadedHub::default()
     }
 
+    /// The registry, whether or not a thread panicked holding it: every
+    /// update is one `HashMap` call, so the map is valid at every step.
+    fn registry(&self) -> MutexGuard<'_, HashMap<Addr, Sender<Vec<u8>>>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Register a node and get its mailbox. Re-registering replaces the
     /// previous endpoint (a "restarted" node).
     pub fn register(&self, addr: Addr) -> Mailbox {
-        let (tx, rx) = unbounded();
-        self.inner.lock().insert(addr, tx);
+        let (tx, rx) = channel();
+        self.registry().insert(addr, tx);
         Mailbox { rx }
     }
 
     /// Remove a node (its future messages drop).
     pub fn deregister(&self, addr: &Addr) {
-        self.inner.lock().remove(addr);
+        self.registry().remove(addr);
     }
 
     /// Send an envelope; returns `false` if the destination is unknown or
@@ -87,7 +92,7 @@ impl ThreadedHub {
     /// [`ThreadedHub::send`] does after encoding, and how a test plays the
     /// corrupt or hostile peer. Returns as `send` does.
     pub fn send_frame(&self, dst: &Addr, frame: Vec<u8>) -> bool {
-        let guard = self.inner.lock();
+        let guard = self.registry();
         match guard.get(dst) {
             Some(tx) => tx.send(frame).is_ok(),
             None => false,
@@ -96,12 +101,12 @@ impl ThreadedHub {
 
     /// Registered node count.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.registry().len()
     }
 
     /// Whether no nodes are registered.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.registry().is_empty()
     }
 }
 

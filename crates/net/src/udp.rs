@@ -27,7 +27,6 @@ const MAX_DATAGRAM: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct UdpTransport {
     socket: UdpSocket,
-    local: Addr,
     /// Receive buffer, reused by every receive call (the receive methods
     /// take `&self`; the transport is `Send`, not `Sync`).
     buf: RefCell<Box<[u8]>>,
@@ -59,7 +58,6 @@ impl UdpTransport {
         socket.set_nonblocking(true)?;
         Ok(UdpTransport {
             socket,
-            local: local.clone(),
             buf: RefCell::new(vec![0u8; MAX_DATAGRAM].into_boxed_slice()),
             read_timeout: Cell::new(None),
         })
@@ -68,11 +66,6 @@ impl UdpTransport {
     /// The bound address (useful with port 0: the OS assigns one).
     pub fn local_addr(&self) -> io::Result<Addr> {
         Ok(Addr::new(self.socket.local_addr()?.to_string()))
-    }
-
-    /// The node address this transport was created for.
-    pub fn node_addr(&self) -> &Addr {
-        &self.local
     }
 
     /// Send one envelope as one datagram to `env.dst` (an `ip:port`

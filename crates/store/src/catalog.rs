@@ -501,13 +501,6 @@ impl Catalog {
             .unwrap_or_default()
     }
 
-    /// Direct access to the archive tier (forensic readers seal and
-    /// walk segments through this).
-    pub fn archive_mut(&mut self) -> Option<&mut Archive> {
-        self.archive_maintain();
-        self.archive.as_mut()
-    }
-
     /// `(origin, relation, segments, bytes, age-dropped)` rows for
     /// shipped history held here, sorted — the `archive.ship.*` sysStat
     /// feed.

@@ -685,8 +685,15 @@ impl DurableStore for FaultingStore {
 /// A human-readable recovery report for one store directory — what
 /// `p2ql recover --dir` prints. Runs a full recovery pass (boot counter
 /// bumps, dirty logs are rewritten clean) and summarizes per relation.
-pub fn recovery_report(dir: &Path, out: &mut String) {
+/// `None`, with nothing touched, when `dir` holds no manifest: recovery
+/// creates a store where there is none (what a node's first boot needs),
+/// and an audit of a mistyped path must not.
+pub fn recovery_report(dir: &Path) -> Option<String> {
     use fmt::Write as _;
+    if !dir.join(MANIFEST).is_file() {
+        return None;
+    }
+    let mut out = String::new();
     let mut store = FileDurable::new(dir, false);
     let rec = store.recover();
     let stats = store.stats();
@@ -706,11 +713,7 @@ pub fn recovery_report(dir: &Path, out: &mut String) {
         "  recovered {} segments, truncated {} tail bytes, quarantined {} frames",
         stats.recovered_segments, rec.truncated_tail_bytes, rec.quarantined
     );
-}
-
-/// Quick validity check used by tests: `true` iff the frame decodes.
-pub fn frame_is_valid(frame: &[u8]) -> bool {
-    Segment::from_bytes(frame).is_ok()
+    Some(out)
 }
 
 /// Re-exported for callers that match on recovery errors.
@@ -926,8 +929,7 @@ mod tests {
         d.append("t", seg("t", 0, 2).as_bytes());
         d.barrier();
         drop(d);
-        let mut out = String::new();
-        recovery_report(&dir, &mut out);
+        let out = recovery_report(&dir).unwrap();
         assert!(out.contains("t: 1 segments"));
         assert!(out.contains("quarantined 0 frames"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -733,8 +733,8 @@ impl Table {
     }
 
     /// The pre-index linear probe, kept as the oracle for the
-    /// equivalence proptests and the baseline for the `store_probe`
-    /// benches: filter every live row, sort by insertion sequence.
+    /// equivalence proptests: filter every live row, sort by insertion
+    /// sequence.
     /// Bypasses indexes, probe counters, and the auto-index fallback.
     pub fn scan_eq_linear(&mut self, field: usize, value: &Value, now: Time) -> Vec<Tuple> {
         self.expire(now);

@@ -28,7 +28,7 @@ pub mod record;
 pub mod tracer;
 
 pub use record::{Record, RecordSet};
-pub use tracer::{TraceConfig, Tracer};
+pub use tracer::{TraceConfig, Tracer, EVENT_LOG_LIFETIME, EVENT_LOG_MAX_ROWS};
 
 /// Table name for rule-execution rows.
 pub const RULE_EXEC: &str = "ruleExec";

@@ -4,50 +4,45 @@ use crate::record::RecordSet;
 use crate::{RULE_EXEC, TUPLE_TABLE};
 use p2_dataflow::{TapEvent, TapKind, TapSink};
 use p2_store::Catalog;
-use p2_types::{Addr, RingId, Time, Tuple, TupleId, Value};
+use p2_types::{Addr, RingId, Time, TimeDelta, Tuple, TupleId, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Tracer configuration (the §3.4 resource-bounding knobs).
+/// Lifetime of `ruleExec` rows.
+pub const RULE_EXEC_LIFETIME: TimeDelta = TimeDelta::from_secs(120);
+/// Row bound of the `ruleExec` table.
+pub const RULE_EXEC_MAX_ROWS: usize = 10_000;
+/// Row bound of the `tupleTable`.
+pub const TUPLE_TABLE_MAX_ROWS: usize = 20_000;
+/// Lifetime of `eventLog` rows.
+pub const EVENT_LOG_LIFETIME: TimeDelta = TimeDelta::from_secs(120);
+/// Row bound of the `eventLog` table.
+pub const EVENT_LOG_MAX_ROWS: usize = 10_000;
+/// How long an *unreferenced* memoized tuple survives GC. §2.1.3
+/// flushes a tuple record when the last referring `ruleExec` row times
+/// out; a tuple with no referring row yet must live at least as long as
+/// one could still appear, so this is the `ruleExec` lifetime.
+pub const UNREFERENCED_GRACE: TimeDelta = RULE_EXEC_LIFETIME;
+
+/// Tracer configuration. The table bounds above are fixed (DESIGN.md
+/// §2.3); these two are what callers vary.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Concurrent execution records kept per rule strand ("fixed number
     /// of execution records", §3.4).
     pub records_per_strand: usize,
-    /// Lifetime of `ruleExec` rows, seconds.
-    pub rule_exec_lifetime_secs: f64,
-    /// Row bound of the `ruleExec` table.
-    pub rule_exec_max_rows: usize,
-    /// Row bound of the `tupleTable`.
-    pub tuple_table_max_rows: usize,
     /// Also log tuple arrivals and deletions into the `eventLog` table
     /// (§2.1: *"the logging of system events such as arrival of a tuple
     /// or removal of a tuple from a table"*). Off by default: the §4
     /// logging-cost experiment measures execution tracing alone.
     pub log_events: bool,
-    /// Row bound of the `eventLog` table.
-    pub event_log_max_rows: usize,
-    /// Lifetime of `eventLog` rows, seconds.
-    pub event_log_lifetime_secs: f64,
-    /// How long an *unreferenced* memoized tuple survives GC, seconds.
-    /// §2.1.3 flushes a tuple record when the last referring `ruleExec`
-    /// row times out; a tuple with no referring row yet must live at
-    /// least as long as one could still appear, so this defaults to the
-    /// `ruleExec` lifetime.
-    pub unreferenced_grace_secs: f64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             records_per_strand: 4,
-            rule_exec_lifetime_secs: 120.0,
-            rule_exec_max_rows: 10_000,
-            tuple_table_max_rows: 20_000,
             log_events: false,
-            event_log_max_rows: 10_000,
-            event_log_lifetime_secs: 120.0,
-            unreferenced_grace_secs: 120.0,
         }
     }
 }
@@ -95,24 +90,16 @@ impl Tracer {
     /// The table declarations the tracer needs in the catalog. The node
     /// runtime registers these when tracing is enabled.
     pub fn table_specs(&self) -> Vec<p2_store::TableSpec> {
-        use p2_types::TimeDelta;
         vec![
             // ruleExec(loc, rule, cause, effect, tIn, tOut, isEvent)
             p2_store::TableSpec::new(
                 RULE_EXEC,
-                Some(TimeDelta::from_secs_f64(
-                    self.config.rule_exec_lifetime_secs,
-                )),
-                Some(self.config.rule_exec_max_rows),
+                Some(RULE_EXEC_LIFETIME),
+                Some(RULE_EXEC_MAX_ROWS),
                 vec![0, 1, 2, 3, 6],
             ),
             // tupleTable(loc, id, srcAddr, srcId, dstAddr)
-            p2_store::TableSpec::new(
-                TUPLE_TABLE,
-                None,
-                Some(self.config.tuple_table_max_rows),
-                vec![0, 1],
-            ),
+            p2_store::TableSpec::new(TUPLE_TABLE, None, Some(TUPLE_TABLE_MAX_ROWS), vec![0, 1]),
         ]
     }
 
@@ -227,14 +214,13 @@ impl Tracer {
                 }
             }
         }
-        let grace_rows = p2_types::TimeDelta::from_secs_f64(self.config.unreferenced_grace_secs);
         if let Some(table) = catalog.table_mut(TUPLE_TABLE) {
             let birth = &self.birth;
             table.delete_where(now, |row| match row.get(1) {
                 Some(Value::Id(rid)) => {
                     let young = birth
                         .get(&TupleId(rid.0))
-                        .is_some_and(|b| *b + grace_rows > now);
+                        .is_some_and(|b| *b + UNREFERENCED_GRACE > now);
                     !referenced.contains(&rid.0) && !young
                 }
                 _ => true,
@@ -243,10 +229,10 @@ impl Tracer {
         // Prune the memoization maps in step with the table, but keep
         // young unreferenced entries: a referring ruleExec row (or a
         // forensic walk) may still arrive for them.
-        let grace = p2_types::TimeDelta::from_secs_f64(self.config.unreferenced_grace_secs);
         let birth = &self.birth;
         let keep = |id: &TupleId| {
-            referenced.contains(&id.0) || birth.get(id).is_some_and(|b| *b + grace > now)
+            referenced.contains(&id.0)
+                || birth.get(id).is_some_and(|b| *b + UNREFERENCED_GRACE > now)
         };
         self.content.retain(|id, _| keep(id));
         self.memo.retain(|_, id| keep(id));

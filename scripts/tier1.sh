@@ -4,9 +4,10 @@
 #   scripts/tier1.sh
 #
 # Checks formatting and lints, builds the workspace in release mode,
-# runs the full test suite (unit + integration + proptests), then
-# smoke-runs the Criterion micro-benches (compile + one iteration each,
-# no timing windows).
+# runs the full test suite (unit + integration + proptests), the CLI
+# and replay determinism gates, the frozen benchmark's own tests, and
+# the exact-count gate: every count the ledger marks exact, on all six
+# workloads, must equal tests/golden/ledger_counts.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,15 +104,18 @@ cargo test --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo
 # workload. Exit status only — a failed operation fails it, a timing
 # never does.
 scripts/bench_pairs.sh realtime_echo . . 1 --seconds 1
-cargo bench --no-run
-cargo bench -p p2-bench --bench engine -- --test
-cargo bench -p p2-bench --bench store_probe -- --test
-cargo bench -p p2-bench --bench node_pump -- --test
-cargo bench -p p2-bench --bench strand_eval -- --test
-cargo bench -p p2-bench --bench population_scale -- --test
-cargo bench -p p2-bench --bench archive_scan -- --test
-cargo bench -p p2-bench --bench segment_ship -- --test
-cargo bench -p p2-bench --bench durable_recover -- --test
+# The exact-count gate: a 1-second traced run of every workload against
+# the committed one. With every run traced `compare` has no untraced
+# pair to bound, so it checks only the ~100 counts marked exact
+# (dispatches, total_sent, barrier_waits, past_query_hits, segments, …)
+# and no timing. A change that moves one on purpose re-records the file
+# with the first command, `--out tests/golden/ledger_counts.json`.
+ledger() {
+  cargo run --release --offline --quiet \
+      --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- "$@"
+}
+ledger all --seconds 1 --trace 1 --out target/ledger_counts.json > target/ledger_counts.log
+ledger compare tests/golden/ledger_counts.json target/ledger_counts.json
 # Population-scaling emission: the CI-sized sweep exercises the full
 # `figures scale --json` path (its internal assert re-checks that every
 # shard count sends exactly the sequential oracle's envelope count).

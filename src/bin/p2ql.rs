@@ -812,8 +812,9 @@ fn replay_scenario(sim: &mut ParallelHarness, o: &ReplayOpts) -> String {
 /// file-backed durable log directory (DESIGN.md §2.14). Runs the same
 /// recovery pass a booting node would (torn tails truncated, corrupt
 /// frames quarantined, dirty logs rewritten clean) and prints the
-/// per-relation summary. Always exits 0 on a readable directory, no
-/// matter how damaged the logs are — recovery never panics.
+/// per-relation summary. Exits 0 on any directory that holds a store,
+/// no matter how damaged the logs are — recovery never panics — and
+/// non-zero, creating nothing, on a path that holds none.
 fn recover(args: &[String]) -> ExitCode {
     let mut dir: Option<String> = None;
     let mut it = args.iter();
@@ -830,10 +831,16 @@ fn recover(args: &[String]) -> ExitCode {
         eprintln!("usage: p2ql recover --dir PATH");
         return ExitCode::from(2);
     };
-    let mut out = String::new();
-    p2ql::store::recovery_report(std::path::Path::new(&dir), &mut out);
-    print!("{out}");
-    ExitCode::SUCCESS
+    match p2ql::store::recovery_report(std::path::Path::new(&dir)) {
+        Some(report) => {
+            print!("{report}");
+            ExitCode::SUCCESS
+        }
+        None => {
+            eprintln!("error: no durable store at {dir}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn replay(args: &[String]) -> ExitCode {

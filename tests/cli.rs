@@ -41,3 +41,41 @@ fn dump_of_an_unknown_table_warns_on_stderr_and_leaves_stdout_alone() {
         "warning: --dump bestPathCots: no such table on any node\n"
     );
 }
+
+#[test]
+fn recover_audits_a_store_and_refuses_a_path_that_holds_none() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover");
+    let _ = std::fs::remove_dir_all(&root);
+    let data = root.join("data");
+    let filled = p2ql(&[
+        "replay",
+        "--nodes",
+        "5",
+        "--seed",
+        "1",
+        "--restart",
+        "2",
+        "--data-dir",
+        data.to_str().unwrap(),
+    ]);
+    assert!(filled.status.success());
+
+    // A populated node directory: the per-relation summary, exit 0.
+    let audit = p2ql(&["recover", "--dir", data.join("n2").to_str().unwrap()]);
+    assert!(audit.status.success());
+    let report = String::from_utf8_lossy(&audit.stdout);
+    assert!(report.contains("ruleExec: "), "{report}");
+    assert!(report.contains("quarantined 0 frames"), "{report}");
+
+    // A typo: named on stderr, non-zero, and the audit creates nothing.
+    let missing = data.join("n22");
+    let typo = p2ql(&["recover", "--dir", missing.to_str().unwrap()]);
+    assert!(!typo.status.success());
+    assert!(typo.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&typo.stderr),
+        format!("error: no durable store at {}\n", missing.display())
+    );
+    assert!(!missing.exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
