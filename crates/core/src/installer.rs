@@ -214,6 +214,13 @@ impl Node {
         }
         self.strands = new_strands;
         self.strand_programs = new_programs;
+        // The tracer keys execution records by strand id: a re-install
+        // of the same rules must start from fresh records, not resume
+        // the half-filled ones this incarnation leaves.
+        let installed: HashSet<&str> = (self.strands.iter())
+            .flat_map(|s| s.branches().map(|(plan, _)| plan.strand_id.as_str()))
+            .collect();
+        self.tracer.retain_strands(|id| installed.contains(id));
         for map in [&mut self.event_dispatch, &mut self.table_dispatch] {
             for v in map.values_mut() {
                 *v = v.iter().filter_map(|&i| remap[i]).collect();

@@ -28,6 +28,7 @@ use p2_types::{Addr, DetRng, Time, Tuple, Value};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to an installed program, for later removal ("piecemeal"
 /// deployment and un-deployment of monitoring queries, §1.3).
@@ -237,7 +238,8 @@ const MAX_DELTA_BATCH: usize = 64;
 /// processing is never itself traced (regress protection; see `p2-trace`
 /// docs).
 pub(crate) struct DeltaBatch {
-    pub(crate) relation: String,
+    /// The run's relation: its tuples' own interned name, never a copy.
+    pub(crate) relation: Arc<str>,
     pub(crate) traced: bool,
     pub(crate) tuples: VecDeque<Tuple>,
     /// Lint-oracle cascade tags, parallel to `tuples` when
@@ -645,7 +647,7 @@ impl Node {
         };
         if let Some(last) = self.pending.back_mut() {
             if last.traced == traced
-                && last.relation == tuple.name()
+                && *last.relation == *tuple.name()
                 && last.tuples.len() < MAX_DELTA_BATCH
             {
                 last.tuples.push_back(tuple);
@@ -656,7 +658,7 @@ impl Node {
             }
         }
         self.pending.push_back(DeltaBatch {
-            relation: tuple.name().to_string(),
+            relation: tuple.name_arc(),
             traced,
             tuples: VecDeque::from([tuple]),
             tags: if lint_on {

@@ -266,6 +266,81 @@ fn uninstall_removes_strands_and_timers() {
 }
 
 #[test]
+fn uninstall_forgets_the_strands_execution_records() {
+    let traced = |budget| {
+        let mut n = Node::new(
+            Addr::new("n1"),
+            NodeConfig {
+                tracing: true,
+                max_dispatch_per_pump: budget,
+                stagger_timers: false,
+                ..Default::default()
+            },
+        );
+        n.install(
+            "materialize(p, infinity, infinity, keys(2)).
+             materialize(q, infinity, infinity, keys(2)).
+             p@\"n1\"(1). p@\"n1\"(2). q@\"n1\"(3).",
+            Time::ZERO,
+        )
+        .unwrap();
+        n.pump(Time::ZERO);
+        n
+    };
+    let ev = |x| Tuple::new("ev", [Value::addr("n1"), Value::Int(x)]);
+
+    // Churn: every round installs a monitor under a fresh rule label,
+    // runs it, and uninstalls it. The tracer keeps records only for
+    // what is installed.
+    let mut n = traced(200_000);
+    for round in 0..8 {
+        let pid = n
+            .install(
+                &format!("m{round} out@N(X, Y) :- ev@N(X), p@N(Y)."),
+                Time::ZERO,
+            )
+            .unwrap();
+        n.inject(ev(round));
+        n.pump(Time::ZERO);
+        assert_eq!(n.tracer.tracked_strands(), 1);
+        n.uninstall(pid);
+        assert_eq!(n.tracer.tracked_strands(), 0);
+    }
+
+    // Re-install: whatever half-filled record the first incarnation left
+    // (its pump cut off by the budget at any point of the pipeline), the
+    // second incarnation's ruleExec rows name only causes it observed
+    // itself.
+    let rule = "r1 out@N(X, Y, Z) :- ev@N(X), p@N(Y), q@N(Z).";
+    let reinstalled_at = Time::from_secs(10);
+    for budget in 1..40 {
+        let mut n = traced(200_000);
+        let pid = n.install(rule, Time::ZERO).unwrap();
+        n.config.max_dispatch_per_pump = budget;
+        n.inject(ev(1));
+        n.pump(Time::ZERO);
+        n.uninstall(pid);
+        n.config.max_dispatch_per_pump = 200_000;
+        n.install(rule, reinstalled_at).unwrap();
+        n.inject(ev(2));
+        n.pump(reinstalled_at);
+        let fresh: Vec<Tuple> = n
+            .table_scan("ruleExec", reinstalled_at)
+            .into_iter()
+            .filter(|row| row.get(5) == Some(&Value::Time(reinstalled_at)))
+            .collect();
+        assert!(!fresh.is_empty(), "budget {budget}");
+        for row in fresh {
+            assert_eq!(
+                row.get(4),
+                Some(&Value::Time(reinstalled_at)),
+                "budget {budget}: cause observed before the re-install in {row}"
+            );
+        }
+    }
+}
+
+#[test]
 fn runaway_rules_hit_dispatch_budget() {
     let mut n = Node::new(
         Addr::new("n1"),

@@ -190,8 +190,8 @@ impl Node {
         let Some(front) = self.pending.front() else {
             return; // caller checks non-empty; an empty queue is done
         };
-        let subscribed = self.event_dispatch.contains_key(&front.relation)
-            || self.table_dispatch.contains_key(&front.relation);
+        let subscribed = self.event_dispatch.contains_key(&*front.relation)
+            || self.table_dispatch.contains_key(&*front.relation);
         if subscribed || !self.active_strands.is_empty() || front.tuples.len() == 1 {
             // A run of length one gains nothing from the wholesale
             // branch; sending it through `dispatch` keeps exactly one
@@ -221,7 +221,7 @@ impl Node {
             return;
         };
         let traced = front.traced;
-        let relation = std::mem::take(&mut front.relation);
+        let relation = front.relation.clone();
         let take = (*budget).min(front.tuples.len() as u64) as usize;
         let run: VecDeque<Tuple> = if take == front.tuples.len() {
             front.tags.clear(); // unsubscribed: no strand, no cascade
@@ -233,14 +233,13 @@ impl Node {
         if !front.tuples.is_empty() {
             // Budget clamp mid-run: the rest waits (and is dropped by
             // the overflow path on the next iteration).
-            front.relation = relation.clone();
             self.pending.push_front(front);
         }
         *budget -= take as u64;
         self.metrics.tuples_dispatched += take as u64;
         // Per-run hoists: the run is same-relation by construction, so
         // the watch log and the event-log decision resolve once.
-        if let Some(log) = self.watches.get_mut(&relation) {
+        if let Some(log) = self.watches.get_mut(&*relation) {
             log.reserve(run.len());
             for t in &run {
                 log.push((now, t.clone()));
@@ -273,8 +272,8 @@ impl Node {
         if traced {
             self.log_event(tuple.name(), "arrive", now);
         }
-        let name = tuple.name().to_string();
-        if self.catalog.is_materialized(&name) {
+        let name = tuple.name();
+        if self.catalog.is_materialized(name) {
             match self.catalog.insert(tuple.clone(), now) {
                 Ok(p2_store::InsertOutcome::Refreshed) => return, // no delta
                 Ok(_) => {}
@@ -283,12 +282,12 @@ impl Node {
                     return;
                 }
             }
-            if let Some(idxs) = self.table_dispatch.get(&name).cloned() {
+            if let Some(idxs) = self.table_dispatch.get(name).cloned() {
                 for idx in idxs {
                     self.fire_strand(idx, &tuple, traced, now, tag);
                 }
             }
-        } else if let Some(idxs) = self.event_dispatch.get(&name).cloned() {
+        } else if let Some(idxs) = self.event_dispatch.get(name).cloned() {
             // `past()` scans fetch before they fire: if any watching
             // strand needs uncovered peer history, the trigger parks
             // behind the requests and fires on release instead.

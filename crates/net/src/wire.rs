@@ -126,13 +126,22 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| WireError::BadUtf8)
+    fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
     }
 
     /// One tagged value (the tag-per-value format of this module).
     pub fn value(&mut self) -> Result<Value, WireError> {
-        decode_value(self, 0)
+        decode_value(self, 0, None)
+    }
+
+    /// [`Reader::value`], sharing `prev`'s allocation when the value
+    /// decodes to the same string or address. A segment's columns repeat
+    /// row after row (`ruleExec`'s location is constant, its rule nearly
+    /// so): handed the previous row's value, a decoded history holds one
+    /// copy of each run instead of one per row.
+    pub fn value_sharing(&mut self, prev: Option<&Value>) -> Result<Value, WireError> {
+        decode_value(self, 0, prev)
     }
 
     /// A value that must be a string; `what` names the field in the
@@ -216,7 +225,11 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError> {
+fn decode_value(
+    r: &mut Reader<'_>,
+    depth: usize,
+    prev: Option<&Value>,
+) -> Result<Value, WireError> {
     if depth > MAX_DEPTH {
         return Err(WireError::TooDeep);
     }
@@ -226,13 +239,19 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError> {
         2 => Value::Float(f64::from_bits(r.u64()?)),
         3 => Value::Id(RingId(r.u64()?)),
         4 => Value::Time(Time(r.u64()?)),
-        5 => Value::Str(r.str()?.into()),
-        6 => Value::Addr(Addr::new(r.str()?)),
+        5 => match (r.str()?, prev) {
+            (s, Some(Value::Str(p))) if **p == *s => Value::Str(p.clone()),
+            (s, _) => Value::str(s),
+        },
+        6 => match (r.str()?, prev) {
+            (s, Some(Value::Addr(p))) if p.as_str() == s => Value::Addr(p.clone()),
+            (s, _) => Value::addr(s),
+        },
         7 => {
             let n = r.count()?;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                items.push(decode_value(r, depth + 1)?);
+                items.push(decode_value(r, depth + 1, None)?);
             }
             Value::list(items)
         }
@@ -270,7 +289,7 @@ fn decode_tuple_inner(r: &mut Reader<'_>) -> Result<Tuple, WireError> {
     let n = r.count()?;
     let mut vals = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        vals.push(decode_value(r, 0)?);
+        vals.push(decode_value(r, 0, None)?);
     }
     Ok(Tuple::new(name, vals))
 }

@@ -31,6 +31,7 @@ use p2_types::{Time, TimeDelta, Tuple, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// Leading bytes of every encoded segment.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"P2AR";
@@ -287,17 +288,21 @@ impl Segment {
             col_min.push(r.value()?);
             col_max.push(r.value()?);
         }
-        let mut rows = Vec::with_capacity(row_count);
+        // One relation-name allocation per segment, and one per run of
+        // equal strings down a column (see `Reader::value_sharing`).
+        let name: Arc<str> = Arc::from(relation.as_str());
+        let mut rows: Vec<SpilledRow> = Vec::with_capacity(row_count);
         for _ in 0..row_count {
             let inserted_at = r.time_field("inserted_at")?;
             let dropped_at = r.time_field("dropped_at")?;
             let arity = count(&mut r, "arity")?;
             let mut vals = Vec::with_capacity(arity.min(1024));
-            for _ in 0..arity {
-                vals.push(r.value()?);
+            for col in 0..arity {
+                let above = rows.last().and_then(|prev| prev.tuple.get(col));
+                vals.push(r.value_sharing(above)?);
             }
             rows.push(SpilledRow {
-                tuple: Tuple::new(&relation, vals),
+                tuple: Tuple::with_name(name.clone(), vals),
                 inserted_at,
                 dropped_at,
             });
@@ -933,6 +938,56 @@ mod tests {
         assert_eq!(back.row_count(), 10);
         assert_eq!(back.min_inserted(), Time::ZERO);
         assert_eq!(back.max_dropped(), Time::from_secs(109));
+    }
+
+    #[test]
+    fn repeated_column_strings_decode_equal_and_shared() {
+        // ruleExec-shaped rows: the location never changes, the rule
+        // label runs; a string also turns up where the row above held
+        // the same text as an address, and the other way round.
+        let rule = ["r1", "r1", "r2", "r2", "r1"];
+        let rows: Vec<SpilledRow> = (0..5)
+            .map(|i| SpilledRow {
+                tuple: Tuple::new(
+                    "ruleExec",
+                    [
+                        Value::addr("n1"),
+                        Value::str(rule[i]),
+                        if i % 2 == 0 {
+                            Value::str("n1")
+                        } else {
+                            Value::addr("n1")
+                        },
+                        Value::Int(i as i64),
+                    ],
+                ),
+                inserted_at: Time::from_secs(i as u64),
+                dropped_at: Time::from_secs(120 + i as u64),
+            })
+            .collect();
+        let back = Segment::build("ruleExec", 4, 4, &rows).rows().unwrap();
+        assert_eq!(back, rows);
+        let shares =
+            |a: usize, b: usize, col: usize| match (back[a].tuple.get(col), back[b].tuple.get(col))
+            {
+                (Some(Value::Str(x)), Some(Value::Str(y))) => Arc::ptr_eq(x, y),
+                (Some(Value::Addr(x)), Some(Value::Addr(y))) => {
+                    std::ptr::eq(x.as_str(), y.as_str())
+                }
+                _ => false,
+            };
+        assert!((1..5).all(|i| shares(0, i, 0)), "constant column: one copy");
+        assert!(shares(0, 1, 1) && shares(2, 3, 1), "a run shares");
+        assert!(!shares(1, 2, 1) && !shares(0, 4, 1), "a new run does not");
+        for i in 0..5 {
+            // Same text, other variant: decoded as written, never shared.
+            let written = matches!(rows[i].tuple.get(2), Some(Value::Str(_)));
+            assert_eq!(matches!(back[i].tuple.get(2), Some(Value::Str(_))), written);
+            assert!(Arc::ptr_eq(
+                &back[0].tuple.name_arc(),
+                &back[i].tuple.name_arc()
+            ));
+        }
     }
 
     #[test]

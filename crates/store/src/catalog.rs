@@ -120,10 +120,11 @@ impl Catalog {
 
     /// Insert a tuple into its table (by relation name).
     pub fn insert(&mut self, tuple: Tuple, now: Time) -> Result<InsertOutcome, CatalogError> {
-        let name = tuple.name().to_string();
-        match self.tables.get_mut(&name) {
+        match self.tables.get_mut(tuple.name()) {
             Some(t) => Ok(t.insert(tuple, now)),
-            None => Err(CatalogError::NoSuchTable { name }),
+            None => Err(CatalogError::NoSuchTable {
+                name: tuple.name().to_string(),
+            }),
         }
     }
 

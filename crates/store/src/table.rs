@@ -682,6 +682,17 @@ impl Table {
             .collect()
     }
 
+    /// Visit every live row by reference, in no particular order: for
+    /// callers that fold over a table (the tracer's §2.1.3 sweep reads
+    /// two ids per `ruleExec` row) and need neither [`Table::scan`]'s
+    /// snapshot nor its insertion order.
+    pub fn for_each_live(&mut self, now: Time, mut visit: impl FnMut(&Tuple)) {
+        self.expire(now);
+        for row in self.rows.values() {
+            visit(&row.tuple);
+        }
+    }
+
     /// Snapshot rows where field `field` equals `value` — the probe side
     /// of a join. Deterministic order as in [`Table::scan`].
     ///

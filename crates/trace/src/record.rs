@@ -150,13 +150,12 @@ impl RecordSet {
             return;
         }
         // Extend the record with the latest window to contain stage i.
-        if let Some(r) = self
+        if let Some((r, (f, l))) = self
             .records
             .iter_mut()
-            .filter(|r| r.window.is_some())
-            .max_by_key(|r| (r.window.map(|(_, l)| l), r.age))
+            .filter_map(|r| r.window.map(|w| (r, w)))
+            .max_by_key(|(r, (_, l))| (*l, r.age))
         {
-            let (f, l) = r.window.expect("filtered");
             r.window = Some((f.min(i), l.max(i)));
             r.preconditions[i] = Some((id, at));
             for later in r.preconditions[i + 1..].iter_mut() {
@@ -169,13 +168,15 @@ impl RecordSet {
 
     /// Observe a stage-completion signal for stage `i`.
     pub fn observe_stage_complete(&mut self, i: usize) {
-        if let Some(r) = self
+        if let Some((r, l)) = self
             .records
             .iter_mut()
-            .filter(|r| matches!(r.window, Some((f, _)) if f == i))
-            .min_by_key(|r| r.age)
+            .filter_map(|r| match r.window {
+                Some((f, l)) if f == i => Some((r, l)),
+                _ => None,
+            })
+            .min_by_key(|(r, _)| r.age)
         {
-            let (_, l) = r.window.expect("filtered");
             let nf = i + 1;
             if nf >= self.stage_count {
                 // Advanced past the final stage: retire.
@@ -187,13 +188,12 @@ impl RecordSet {
         }
         // Extend the latest record to contain stage i (usually a no-op —
         // a later batch of an execution already covering i completing).
-        if let Some(r) = self
+        if let Some((r, (f, l))) = self
             .records
             .iter_mut()
-            .filter(|r| r.window.is_some())
-            .max_by_key(|r| (r.window.map(|(_, l)| l), r.age))
+            .filter_map(|r| r.window.map(|w| (r, w)))
+            .max_by_key(|(r, (_, l))| (*l, r.age))
         {
-            let (f, l) = r.window.expect("filtered");
             r.window = Some((f, l.max(i)));
         }
     }

@@ -3,9 +3,9 @@
 use crate::record::RecordSet;
 use crate::{RULE_EXEC, TUPLE_TABLE};
 use p2_dataflow::{TapEvent, TapKind, TapSink};
+use p2_store::hash::{FxHashMap, FxHashSet};
 use p2_store::Catalog;
 use p2_types::{Addr, RingId, Time, TimeDelta, Tuple, TupleId, Value};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Lifetime of `ruleExec` rows.
@@ -56,19 +56,21 @@ impl Default for TraceConfig {
 pub struct Tracer {
     local: Addr,
     config: TraceConfig,
-    records: HashMap<Arc<str>, RecordSet>,
+    records: FxHashMap<Arc<str>, RecordSet>,
     /// Content → node-unique ID memoization (§2.1.3: "This ID is used to
-    /// memoize the tuple").
-    memo: HashMap<Tuple, TupleId>,
-    /// Reverse map, serving content lookups during forensic traversals.
-    content: HashMap<TupleId, Tuple>,
-    /// When each ID was first memoized (drives the unreferenced-grace GC).
-    birth: HashMap<TupleId, Time>,
+    /// memoize the tuple"), and whether a `tupleTable` row describes the
+    /// ID yet: one probe answers both.
+    memo: FxHashMap<Tuple, (TupleId, bool)>,
+    /// Reverse map, serving content lookups during forensic traversals,
+    /// with the time each ID was first memoized (drives the
+    /// unreferenced-grace GC).
+    content: FxHashMap<TupleId, (Tuple, Time)>,
     next_id: u64,
     /// Rows awaiting insertion into the catalog.
     pending: Vec<Tuple>,
-    /// Tuple IDs already described by a `tupleTable` row.
-    described: HashSet<TupleId>,
+    /// The two relation names, interned once: every row shares them.
+    rule_exec: Arc<str>,
+    tuple_table: Arc<str>,
 }
 
 impl Tracer {
@@ -77,13 +79,13 @@ impl Tracer {
         Tracer {
             local,
             config,
-            records: HashMap::new(),
-            memo: HashMap::new(),
-            content: HashMap::new(),
-            birth: HashMap::new(),
+            records: FxHashMap::default(),
+            memo: FxHashMap::default(),
+            content: FxHashMap::default(),
             next_id: 1,
             pending: Vec::new(),
-            described: HashSet::new(),
+            rule_exec: Arc::from(RULE_EXEC),
+            tuple_table: Arc::from(TUPLE_TABLE),
         }
     }
 
@@ -103,29 +105,53 @@ impl Tracer {
         ]
     }
 
+    /// The one memo probe: `t`'s ID (assigned on first sight, at `now`)
+    /// and the described flag to read or set.
+    fn intern(&mut self, t: Tuple, now: Time) -> &mut (TupleId, bool) {
+        self.memo.entry(t).or_insert_with_key(|t| {
+            let id = TupleId(self.next_id);
+            self.next_id += 1;
+            self.content.insert(id, (t.clone(), now));
+            (id, false)
+        })
+    }
+
+    /// `t`'s ID, marked as described by a `tupleTable` row, and whether
+    /// it already was.
+    fn describe(&mut self, t: Tuple, now: Time) -> (TupleId, bool) {
+        let entry = self.intern(t, now);
+        (entry.0, std::mem::replace(&mut entry.1, true))
+    }
+
     /// The node-local ID of a tuple, assigning one on first sight at
     /// time `now`.
     pub fn id_of(&mut self, t: &Tuple, now: Time) -> TupleId {
-        if let Some(id) = self.memo.get(t) {
-            return *id;
-        }
-        let id = TupleId(self.next_id);
-        self.next_id += 1;
-        self.memo.insert(t.clone(), id);
-        self.content.insert(id, t.clone());
-        self.birth.insert(id, now);
-        id
+        self.intern(t.clone(), now).0
     }
 
     /// The content of a memoized tuple (forensic traversals resolve
     /// `ruleExec` IDs back to tuples through this).
     pub fn content_of(&self, id: TupleId) -> Option<&Tuple> {
-        self.content.get(&id)
+        self.content.get(&id).map(|(t, _)| t)
     }
 
     /// The ID of an already-memoized tuple, without assigning one.
     pub fn lookup_id(&self, t: &Tuple) -> Option<TupleId> {
-        self.memo.get(t).copied()
+        self.memo.get(t).map(|(id, _)| *id)
+    }
+
+    /// Queue the `tupleTable` row `(id, src, src_id, dst)`.
+    fn push_tuple_row(&mut self, id: TupleId, src: Addr, src_id: TupleId, dst: Addr) {
+        self.pending.push(Tuple::with_name(
+            self.tuple_table.clone(),
+            [
+                Value::Addr(self.local.clone()),
+                Value::Id(RingId(id.0)),
+                Value::Addr(src),
+                Value::Id(RingId(src_id.0)),
+                Value::Addr(dst),
+            ],
+        ));
     }
 
     /// Record that `t` was sent to `dest`: sender-side `tupleTable` row
@@ -134,18 +160,8 @@ impl Tracer {
     /// Returns the sender-local ID, which the network envelope carries so
     /// the receiver can correlate (§2.1.3).
     pub fn on_send(&mut self, t: &Tuple, dest: &Addr, now: Time) -> TupleId {
-        let id = self.id_of(t, now);
-        self.pending.push(Tuple::new(
-            TUPLE_TABLE,
-            [
-                Value::Addr(self.local.clone()),
-                Value::Id(RingId(id.0)),
-                Value::Addr(self.local.clone()),
-                Value::Id(RingId(id.0)),
-                Value::Addr(dest.clone()),
-            ],
-        ));
-        self.described.insert(id);
+        let (id, _) = self.describe(t.clone(), now);
+        self.push_tuple_row(id, self.local.clone(), id, dest.clone());
         id
     }
 
@@ -153,37 +169,35 @@ impl Tracer {
     /// receiver-side row `(d1, src, src_id, self)` — the paper's
     /// `tupleTable@z(d1, n, o1, z)`. Returns the fresh local ID.
     pub fn on_receive(&mut self, t: &Tuple, src: &Addr, src_id: TupleId, now: Time) -> TupleId {
-        let id = self.id_of(t, now);
-        self.pending.push(Tuple::new(
-            TUPLE_TABLE,
-            [
-                Value::Addr(self.local.clone()),
-                Value::Id(RingId(id.0)),
-                Value::Addr(src.clone()),
-                Value::Id(RingId(src_id.0)),
-                Value::Addr(self.local.clone()),
-            ],
-        ));
-        self.described.insert(id);
+        let (id, _) = self.describe(t.clone(), now);
+        self.push_tuple_row(id, src.clone(), src_id, self.local.clone());
         id
     }
 
-    /// Describe a locally created tuple in the `tupleTable` (src = dst =
-    /// self), once. Local rows let forensic walks (§3.2) uniformly join
-    /// `tupleTable` to decide whether a hop crossed the network.
-    fn describe_local(&mut self, id: TupleId) {
-        if self.described.insert(id) {
-            self.pending.push(Tuple::new(
-                TUPLE_TABLE,
-                [
-                    Value::Addr(self.local.clone()),
-                    Value::Id(RingId(id.0)),
-                    Value::Addr(self.local.clone()),
-                    Value::Id(RingId(id.0)),
-                    Value::Addr(self.local.clone()),
-                ],
-            ));
+    /// The ID of a tapped tuple, describing it in the `tupleTable` (src
+    /// = dst = self) the first time. Local rows let forensic walks (§3.2)
+    /// uniformly join `tupleTable` to decide whether a hop crossed the
+    /// network.
+    fn describe_local(&mut self, t: Tuple, now: Time) -> TupleId {
+        let (id, described) = self.describe(t, now);
+        if !described {
+            self.push_tuple_row(id, self.local.clone(), id, self.local.clone());
         }
+        id
+    }
+
+    /// Keep only the execution records of strands `installed` accepts;
+    /// the node calls this on uninstall. Without it a re-installed
+    /// program whose strand ids and stage counts match would resume the
+    /// half-filled records its previous incarnation left, and
+    /// install/uninstall churn would leak one record set per strand.
+    pub fn retain_strands(&mut self, mut installed: impl FnMut(&str) -> bool) {
+        self.records.retain(|id, _| installed(id));
+    }
+
+    /// How many strands hold execution records.
+    pub fn tracked_strands(&self) -> usize {
+        self.records.len()
     }
 
     /// Take the accumulated `ruleExec`/`tupleTable` rows. The node
@@ -206,39 +220,35 @@ impl Tracer {
     /// referenced by any live `ruleExec` row. Runs periodically from the
     /// node runtime.
     pub fn gc(&mut self, catalog: &mut Catalog, now: Time) {
-        let mut referenced: HashSet<u64> = HashSet::new();
-        for row in catalog.scan(RULE_EXEC, now) {
-            for idx in [2usize, 3] {
-                if let Some(Value::Id(rid)) = row.get(idx) {
-                    referenced.insert(rid.0);
+        // Mark: the IDs live `ruleExec` rows name, read in place.
+        let mut referenced: FxHashSet<u64> = FxHashSet::default();
+        if let Some(table) = catalog.table_mut(RULE_EXEC) {
+            table.for_each_live(now, |row| {
+                for idx in [2usize, 3] {
+                    if let Some(Value::Id(rid)) = row.get(idx) {
+                        referenced.insert(rid.0);
+                    }
                 }
-            }
+            });
         }
+        // Sweep the table and, in step with it, the memoization maps —
+        // but keep young unreferenced entries: a referring ruleExec row
+        // (or a forensic walk) may still arrive for them.
+        let young = |birth: Time| birth + UNREFERENCED_GRACE > now;
+        let content = &mut self.content;
         if let Some(table) = catalog.table_mut(TUPLE_TABLE) {
-            let birth = &self.birth;
             table.delete_where(now, |row| match row.get(1) {
                 Some(Value::Id(rid)) => {
-                    let young = birth
-                        .get(&TupleId(rid.0))
-                        .is_some_and(|b| *b + UNREFERENCED_GRACE > now);
-                    !referenced.contains(&rid.0) && !young
+                    !referenced.contains(&rid.0)
+                        && !content
+                            .get(&TupleId(rid.0))
+                            .is_some_and(|(_, birth)| young(*birth))
                 }
                 _ => true,
             });
         }
-        // Prune the memoization maps in step with the table, but keep
-        // young unreferenced entries: a referring ruleExec row (or a
-        // forensic walk) may still arrive for them.
-        let birth = &self.birth;
-        let keep = |id: &TupleId| {
-            referenced.contains(&id.0)
-                || birth.get(id).is_some_and(|b| *b + UNREFERENCED_GRACE > now)
-        };
-        self.content.retain(|id, _| keep(id));
-        self.memo.retain(|_, id| keep(id));
-        self.described.retain(keep);
-        let content = &self.content;
-        self.birth.retain(|id, _| content.contains_key(id));
+        content.retain(|id, (_, birth)| referenced.contains(&id.0) || young(*birth));
+        self.memo.retain(|_, (id, _)| content.contains_key(id));
     }
 
     /// Approximate memory footprint of tracer-internal state in bytes
@@ -247,94 +257,80 @@ impl Tracer {
     pub fn approx_bytes(&self) -> usize {
         self.content
             .values()
-            .map(|t| t.approx_bytes() + 24)
+            .map(|(t, _)| t.approx_bytes() + 24)
             .sum::<usize>()
             + self.pending.iter().map(|t| t.approx_bytes()).sum::<usize>()
-    }
-
-    fn rule_exec_row(
-        &self,
-        rule: &str,
-        cause: TupleId,
-        effect: TupleId,
-        t_in: Time,
-        t_out: Time,
-        is_event: bool,
-    ) -> Tuple {
-        Tuple::new(
-            RULE_EXEC,
-            [
-                Value::Addr(self.local.clone()),
-                Value::str(rule),
-                Value::Id(RingId(cause.0)),
-                Value::Id(RingId(effect.0)),
-                Value::Time(t_in),
-                Value::Time(t_out),
-                Value::Bool(is_event),
-            ],
-        )
     }
 }
 
 impl TapSink for Tracer {
     fn tap(&mut self, event: TapEvent) {
+        let TapEvent {
+            strand_id,
+            rule_label,
+            stage_count,
+            kind,
+            at,
+        } = event;
+        // The tuple's ID first, then the strand's records, probed once.
+        let tapped = match kind {
+            TapKind::Input { tuple } => Tapped::Input(self.describe_local(tuple, at)),
+            TapKind::Precondition { stage, tuple } => {
+                Tapped::Precondition(stage, self.describe_local(tuple, at))
+            }
+            TapKind::StageComplete { stage } => Tapped::StageComplete(stage),
+            TapKind::Output { tuple } => Tapped::Output(self.describe_local(tuple, at)),
+        };
+        let per_strand = self.config.records_per_strand;
         let records = self
             .records
-            .entry(event.strand_id.clone())
-            .or_insert_with(|| RecordSet::new(event.stage_count, self.config.records_per_strand));
-        if records.stage_count() != event.stage_count {
+            .entry(strand_id)
+            .or_insert_with(|| RecordSet::new(stage_count, per_strand));
+        if records.stage_count() != stage_count {
             // Same strand id, different plan shape: the program was
             // re-installed after a planner change (e.g. join reordering at
             // a different optimization level). Stale records would index
             // preconditions out of bounds — start fresh.
-            *records = RecordSet::new(event.stage_count, self.config.records_per_strand);
+            *records = RecordSet::new(stage_count, per_strand);
         }
-        match event.kind {
-            TapKind::Input { tuple } => {
-                let id = self.id_of(&tuple, event.at);
-                self.describe_local(id);
-                self.records
-                    .get_mut(&event.strand_id)
-                    .expect("just inserted")
-                    .observe_input(id, event.at);
-            }
-            TapKind::Precondition { stage, tuple } => {
-                let id = self.id_of(&tuple, event.at);
-                self.describe_local(id);
-                self.records
-                    .get_mut(&event.strand_id)
-                    .expect("just inserted")
-                    .observe_precondition(stage, id, event.at);
-            }
-            TapKind::StageComplete { stage } => {
-                records.observe_stage_complete(stage);
-            }
-            TapKind::Output { tuple } => {
-                let effect = self.id_of(&tuple, event.at);
-                self.describe_local(effect);
-                let Some(record) = self
-                    .records
-                    .get(&event.strand_id)
-                    .and_then(|rs| rs.record_for_output())
-                else {
+        match tapped {
+            Tapped::Input(id) => records.observe_input(id, at),
+            Tapped::Precondition(stage, id) => records.observe_precondition(stage, id, at),
+            Tapped::StageComplete(stage) => records.observe_stage_complete(stage),
+            Tapped::Output(effect) => {
+                let Some(record) = records.record_for_output() else {
                     return;
                 };
-                let t_out = event.at;
-                let mut rows = Vec::new();
-                if let Some((cause, t_in)) = record.input {
-                    rows.push((cause, t_in, true));
-                }
-                for pre in record.preconditions.iter().flatten() {
-                    rows.push((pre.0, pre.1, false));
-                }
-                for (cause, t_in, is_event) in rows {
-                    let row =
-                        self.rule_exec_row(&event.rule_label, cause, effect, t_in, t_out, is_event);
-                    self.pending.push(row);
+                let event = record.input.map(|(cause, t_in)| (cause, t_in, true));
+                let preconditions = record.preconditions.iter().flatten();
+                for (cause, t_in, is_event) in event
+                    .into_iter()
+                    .chain(preconditions.map(|pre| (pre.0, pre.1, false)))
+                {
+                    self.pending.push(Tuple::with_name(
+                        self.rule_exec.clone(),
+                        [
+                            Value::Addr(self.local.clone()),
+                            Value::Str(rule_label.clone()),
+                            Value::Id(RingId(cause.0)),
+                            Value::Id(RingId(effect.0)),
+                            Value::Time(t_in),
+                            Value::Time(at),
+                            Value::Bool(is_event),
+                        ],
+                    ));
                 }
             }
         }
     }
+}
+
+/// A [`TapKind`] whose tuple has been exchanged for its ID.
+enum Tapped {
+    Input(TupleId),
+    Precondition(usize, TupleId),
+    StageComplete(usize),
+    Output(TupleId),
 }
 
 #[cfg(test)]

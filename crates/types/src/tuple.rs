@@ -17,6 +17,7 @@ use crate::addr::Addr;
 use crate::error::ValueError;
 use crate::value::Value;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A node-local tuple identifier (§2.1.3).
@@ -33,10 +34,29 @@ impl fmt::Display for TupleId {
 }
 
 /// An immutable, named tuple.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Eq, PartialOrd, Ord)]
 pub struct Tuple {
     name: Arc<str>,
     vals: Arc<[Value]>,
+}
+
+/// Structural equality, short-circuited per field when both sides share
+/// one allocation: a memo hit on a table row and the store's refresh
+/// check compare clones of one tuple, and `Arc`'s own `==` only takes
+/// that shortcut for sized payloads.
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Tuple) -> bool {
+        (Arc::ptr_eq(&self.name, &other.name) || self.name == other.name)
+            && (Arc::ptr_eq(&self.vals, &other.vals) || self.vals == other.vals)
+    }
+}
+
+/// What `#[derive(Hash)]` would write; by hand because `eq` is.
+impl Hash for Tuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.vals.hash(state);
+    }
 }
 
 impl Tuple {
@@ -47,8 +67,15 @@ impl Tuple {
     /// fixtures sometimes omit it, and the network layer checks locations
     /// where it matters.
     pub fn new(name: impl AsRef<str>, vals: impl IntoIterator<Item = Value>) -> Tuple {
+        Tuple::with_name(Arc::from(name.as_ref()), vals)
+    }
+
+    /// [`Tuple::new`] around an already-interned relation name: callers
+    /// that build many rows of one relation (the tracer, the segment
+    /// decoder) share one name allocation across all of them.
+    pub fn with_name(name: Arc<str>, vals: impl IntoIterator<Item = Value>) -> Tuple {
         Tuple {
-            name: Arc::from(name.as_ref()),
+            name,
             vals: vals.into_iter().collect(),
         }
     }
@@ -148,6 +175,8 @@ impl fmt::Debug for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
 
     fn t() -> Tuple {
         Tuple::new("link", [Value::addr("a"), Value::addr("b"), Value::Int(3)])
@@ -199,5 +228,53 @@ mod tests {
         let small = Tuple::new("x", [Value::Int(1)]);
         let big = Tuple::new("x", [Value::str("a".repeat(100))]);
         assert!(big.approx_bytes() > small.approx_bytes());
+    }
+
+    /// The field-by-field equality and hash `#[derive]` used to write.
+    fn structural_eq(a: &Tuple, b: &Tuple) -> bool {
+        a.name() == b.name() && a.values() == b.values()
+    }
+
+    fn structural_hash(t: &Tuple) -> u64 {
+        let mut s = DefaultHasher::new();
+        t.name().hash(&mut s);
+        t.values().hash(&mut s);
+        s.finish()
+    }
+
+    fn hash_of(t: &Tuple) -> u64 {
+        let mut s = DefaultHasher::new();
+        t.hash(&mut s);
+        s.finish()
+    }
+
+    fn arb_tuple() -> impl Strategy<Value = Tuple> {
+        let val = prop_oneof![
+            (0i64..4).prop_map(Value::Int),
+            (0u64..4).prop_map(Value::id),
+            "[ab]{0,2}".prop_map(Value::str),
+            "[ab]{0,2}".prop_map(Value::addr),
+        ];
+        ("[xy]{1,2}", proptest::collection::vec(val, 0..4))
+            .prop_map(|(name, vals)| Tuple::new(name, vals))
+    }
+
+    proptest! {
+        /// The hand-written `eq`/`hash` are the structural ones, whether
+        /// the two sides share allocations (a clone), share none (rebuilt
+        /// from the same parts), share only the name, or differ.
+        #[test]
+        fn prop_eq_and_hash_are_structural(a in arb_tuple(), b in arb_tuple()) {
+            let rebuilt = Tuple::new(a.name(), a.values().iter().cloned());
+            let renamed = Tuple::with_name(a.name_arc(), b.values().iter().cloned());
+            for other in [&a.clone(), &rebuilt, &renamed, &b] {
+                prop_assert_eq!(a == *other, structural_eq(&a, other));
+                prop_assert_eq!(hash_of(other), structural_hash(other));
+                if a == *other {
+                    prop_assert_eq!(hash_of(&a), hash_of(other));
+                }
+            }
+            prop_assert!(a == a.clone() && a == rebuilt);
+        }
     }
 }
