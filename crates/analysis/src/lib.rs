@@ -1,3 +1,5 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 //! # p2-analysis — static analysis of OverLog programs
 //!
 //! The paper's monitoring queries are deployed piecemeal onto live

@@ -1,7 +1,7 @@
-//! Population scaling: the engine's window protocol versus the
-//! scan-everything reference loop.
+//! Population scaling: the engine's published-clock protocol versus
+//! the scan-everything reference loop.
 //!
-//! The paper's testbed stops at 21 processes; the conservative-window
+//! The paper's testbed stops at 21 processes; the conservative sharded
 //! engine (DESIGN.md §2.10) is what lets the reproduction push the same
 //! Chord + monitoring workload to 1,000+ virtual nodes. This experiment
 //! runs an identical Chord population — same seed, same protocol
@@ -46,7 +46,8 @@ pub struct ScaleRow {
     /// Event instants executed across all shards (0 for sequential,
     /// which does not count them).
     pub events: u64,
-    /// Conservative-window barriers crossed, summed over shards.
+    /// Population-wide rendezvous (run deadlines and tracer-GC
+    /// instants), summed over shards.
     pub barrier_waits: u64,
     /// Envelopes routed through the cross-shard mailbox.
     pub mailbox_envelopes: u64,
@@ -175,7 +176,7 @@ pub fn population_scale(params: &ScaleParams) -> Vec<ScaleRow> {
 
 /// Render the sweep as an aligned text table.
 pub fn print_scale_table(rows: &[ScaleRow]) {
-    println!("\n== Population scaling — sharded conservative windows vs sequential");
+    println!("\n== Population scaling — sharded published clocks vs sequential");
     println!(
         "{:<7} {:<11} {:>7} {:>10} {:>10} {:>8} {:>11} {:>9} {:>9} {:>9}",
         "nodes",

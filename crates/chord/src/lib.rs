@@ -1,3 +1,5 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 //! # p2-chord — the Chord DHT on the p2ql runtime
 //!
 //! Every example in Section 3 of the paper runs against a P2

@@ -42,16 +42,17 @@ pub struct NodeMetrics {
 
 /// Runtime counters for the population shard a node lives on, published
 /// into every member node after each run so the `sysStat` introspection
-/// table covers the engine's barriers and mailbox (`shard.*` rows).
-/// Unreported when the population is a single shard.
+/// table covers the engine's synchronisation and mailbox (`shard.*`
+/// rows). Unreported when the population is a single shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Which shard the node is assigned to.
     pub shard: u64,
     /// Event instants the shard has executed.
     pub events: u64,
-    /// Conservative windows the shard has participated in (each one a
-    /// barrier round-trip with the coordinator).
+    /// Population-wide rendezvous the shard has taken part in: one per
+    /// run deadline and one per tracer-GC instant. (How often it waited
+    /// on a peer's clock in between is timing, and is not counted.)
     pub barrier_waits: u64,
     /// Envelopes the shard has routed through the cross-shard mailbox.
     pub mailbox_envelopes: u64,

@@ -410,7 +410,7 @@ impl Node {
     }
 
     /// Publish shard counters (a multi-shard engine calls this after
-    /// every run so introspection reflects its barriers and mailbox).
+    /// every run so introspection reflects its rendezvous and mailbox).
     pub fn set_shard_stats(&mut self, stats: crate::metrics::ShardStats) {
         self.shard_stats = Some(stats);
     }

@@ -3,24 +3,25 @@
 //!
 //! An [`Engine`] splits the node population round-robin across shards,
 //! each owning its nodes and one shard-local [`SimNetwork`] fabric, and
-//! advances virtual time in **conservative windows** of the network's
-//! base latency: because every envelope takes at least
-//! `SimConfig.latency` to arrive, no envelope sent inside window *k* can
-//! be delivered inside window *k* — shards therefore execute a window
-//! with no communication at all, and exchange mailboxes at a barrier
-//! between windows. With more than one shard the windows run on OS
-//! worker threads (std `mpsc` only); with one shard — what
-//! [`crate::SimHarness`] builds — they run inline and the mailbox stays
-//! empty.
+//! advances virtual time **conservatively on published clocks**. Every
+//! envelope takes at least `SimConfig.latency` to arrive, so a shard may
+//! run an instant `u` once every peer has finished everything before
+//! `u − latency`. Each shard publishes a clock — the virtual time before
+//! which it will execute, and therefore send, nothing more — and owns a
+//! mailbox its peers post cross-shard envelopes into ([`Shard::advance`]
+//! is the whole protocol). Nobody coordinates: `min(shards, cores)`
+//! workers — the calling thread and scoped threads — step their shards
+//! round-robin and spin only while none of them can move. One shard —
+//! what [`crate::SimHarness`] builds — has no peers, and the calling
+//! thread takes it to the deadline in one pass.
 //!
-//! Within a window a shard visits each of its event instants in order:
-//! fire due timers, sweep the tracer on GC instants, then settle in
-//! waves (pump the nodes that have work, deliver everything due) with
-//! one stamp epoch per wave. Tracer GC is a population-global event, so
-//! GC instants run as dedicated single-instant windows in which every
-//! shard participates. Control operations (install, inject, restart)
-//! happen between runs on the calling thread and settle the same way,
-//! over every live node.
+//! At an instant a shard fires due timers, sweeps the tracer on GC
+//! instants, then settles in waves (pump the nodes that have work,
+//! deliver everything due) with one stamp epoch per wave. Tracer GC is
+//! population-global: a stepping *phase* ends at the GC deadline (or the
+//! run's), and every shard runs the first instant at or past it. Control
+//! operations (install, inject, restart) happen between runs on the
+//! calling thread and settle the same way, over every live node.
 //!
 //! **Determinism.** Every send is stamped `(sent_at, epoch, src_idx,
 //! seq)` — see [`p2_net::Stamp`] — and every fabric orders deliveries by
@@ -45,8 +46,8 @@ use p2_net::{NetStats, SimConfig, SimNetwork, StampedEnvelope};
 use p2_types::{Addr, Time, TimeDelta, Tuple};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One shard's slice of the population: its nodes (in global insertion
 /// order, restricted), their inboxes, and the shard-local fabric.
@@ -72,34 +73,50 @@ pub(crate) struct Shard {
     /// and `next_event` read a flat vector instead of peeking every
     /// node's timer heap. Refreshed wholesale at `run_until` entry
     /// (control ops between runs can change any timer) and
-    /// incrementally for touched nodes inside a window.
+    /// incrementally for touched nodes inside a run.
     timers: Vec<Option<Time>>,
     /// Cached down-ness per local node — crash/revive only happen
-    /// between runs, so this is constant across a window and saves an
+    /// between runs, so this is constant across a run and saves an
     /// address hash per node per scan. Synced in `refresh_caches`.
     down: Vec<bool>,
+    /// Last instant stamped at and the next free stamp epoch at it,
+    /// synced with the engine's around every phase: an instant that
+    /// continues a time control ops already stamped at continues its
+    /// epochs.
+    stamp: (Time, u32),
 }
 
-/// One conservative window's work order for a shard.
-struct WindowCmd {
-    start: Time,
-    end: Time,
-    gc: bool,
-    /// Stamp epoch the first instant starts at, when that instant
-    /// continues a virtual time the coordinator already stamped at
-    /// (control ops can leave timers due at the current instant).
-    epoch_base: u32,
-    /// Cross-shard envelopes routed to this shard since it last ran.
-    incoming: Vec<StampedEnvelope>,
+/// What a shard shows its peers. Cache-line aligned: a clock is written
+/// by one thread and polled by the others.
+#[derive(Default)]
+#[repr(align(64))]
+struct Port {
+    /// Virtual µs before which the shard will execute, and therefore
+    /// send, nothing more. Written by the shard's worker, only upwards.
+    done: AtomicU64,
+    /// Cross-shard envelopes for the shard's nodes, pushed by senders.
+    mail: Mutex<Vec<StampedEnvelope>>,
 }
 
-/// What a shard reports back at the window barrier.
-struct WindowReply {
-    shard: usize,
-    outbound: Vec<StampedEnvelope>,
-    next_event: Option<Time>,
-    /// Last instant executed and the next free stamp epoch at it.
-    last: Option<(Time, u32)>,
+impl Port {
+    /// The mailbox. A push that panicked leaves a valid `Vec`, so a
+    /// poisoned lock is recovered ([`on_workers`] carries the panic).
+    fn mail(&self) -> MutexGuard<'_, Vec<StampedEnvelope>> {
+        self.mail.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What the workers of one [`Engine::phase`] share.
+struct Run<'a> {
+    ports: &'a [Port],
+    index: &'a HashMap<Addr, (usize, usize)>,
+    /// The clock at `run_until` entry: an event left in the past (a node
+    /// revived with a stale schedule) fires here.
+    floor: Time,
+    lookahead: TimeDelta,
+    /// Set by a worker that panicked, so that peers waiting on its clock
+    /// stop instead of spinning forever. Publishes nothing: `Relaxed`.
+    abort: AtomicBool,
 }
 
 impl Shard {
@@ -131,47 +148,56 @@ impl Shard {
         live.chain(self.net.next_delivery()).min()
     }
 
-    /// Execute one conservative window `[start, end)`.
-    fn run_window(&mut self, cmd: WindowCmd) -> WindowReply {
-        for se in cmd.incoming {
+    /// Move the mailbox into the fabric.
+    fn collect(&mut self, port: &Port) {
+        for se in std::mem::take(&mut *port.mail()) {
             self.net.accept(se);
         }
-        let mut last = None;
-        if cmd.gc {
-            // GC windows are single-instant and every shard runs the
-            // sweep, events or not.
-            let e = self.run_instant(cmd.start, cmd.epoch_base, true);
-            last = Some((cmd.start, e));
-            self.stats.events += 1;
-        } else {
-            while let Some(u_raw) = self.next_event() {
-                if u_raw >= cmd.end {
-                    break;
-                }
-                // A timer can predate the window when a node revived
-                // with a stale schedule; it fires "now".
-                let u = u_raw.max(cmd.start);
-                let base = if u == cmd.start { cmd.epoch_base } else { 0 };
-                let e = self.run_instant(u, base, false);
-                last = Some((u, e));
-                self.stats.events += 1;
-            }
+    }
+
+    /// One step of the published-clock protocol: run every local instant
+    /// the peers' clocks allow below `limit`; whether the own clock moved.
+    ///
+    /// The bit-identity of §2.10 rests on two orderings: the peers'
+    /// clocks are read (`Acquire`) *before* the mailbox is drained, and a
+    /// sender pushes an instant's mail *before* it publishes (`Release`)
+    /// a clock past that instant. So everything a peer sent before the
+    /// `done` read here is in the fabric before an instant runs, and what
+    /// it sends later arrives at or after `done + lookahead ≥ h`.
+    fn advance(&mut self, run: &Run<'_>, limit: Time) -> bool {
+        let port = &run.ports[self.id];
+        #[cfg(test)]
+        tests::perturb();
+        let peers = run.ports.iter().enumerate().filter(|(p, _)| *p != self.id);
+        let slowest = peers.map(|(_, p)| p.done.load(Ordering::Acquire)).min();
+        let h = slowest.map_or(limit, |d| limit.min(Time(d) + run.lookahead));
+        if h.0 <= port.done.load(Ordering::Relaxed) {
+            return false;
         }
-        self.stats.barrier_waits += 1;
-        let outbound = self.net.take_outbound();
-        self.stats.mailbox_envelopes += outbound.len() as u64;
-        WindowReply {
-            shard: self.id,
-            outbound,
-            next_event: self.next_event(),
-            last,
+        self.collect(port);
+        loop {
+            // Nothing arrives before `h` any more, so the next local
+            // event (a stale one fires at the floor) is the next instant.
+            let u = self.next_event().map_or(h, |e| e.max(run.floor).min(h));
+            port.done.store(u.0, Ordering::Release);
+            if u == h {
+                return true;
+            }
+            self.run_instant(u, false);
+            #[cfg(test)]
+            tests::perturb();
+            let outbound = self.net.take_outbound();
+            self.stats.mailbox_envelopes += outbound.len() as u64;
+            for se in outbound {
+                run.ports[run.index[&se.env.dst].0].mail().push(se);
+            }
         }
     }
 
     /// Run one event instant: fire due timers, sweep the tracer on GC
     /// instants, then settle in waves, pumping only dirty nodes (see
-    /// the module docs). Returns the next free stamp epoch at `u`.
-    fn run_instant(&mut self, u: Time, base: u32, gc: bool) -> u32 {
+    /// the module docs).
+    fn run_instant(&mut self, u: Time, gc: bool) {
         for i in 0..self.nodes.len() {
             if self.down[i] {
                 continue;
@@ -189,7 +215,7 @@ impl Shard {
                 self.mark(i);
             }
         }
-        let mut epoch = base;
+        let mut epoch = if self.stamp.0 == u { self.stamp.1 } else { 0 };
         loop {
             self.net.set_stamp(u, epoch);
             let mut progress = false;
@@ -234,20 +260,84 @@ impl Shard {
         // last wave clears every mark it visits, so this is a cheap
         // safety net, not a correctness dependency).
         self.dirty.fill(false);
-        epoch
+        self.stamp = (u, epoch);
+        self.stats.events += 1;
     }
 }
 
-/// Coordinator state threaded through the window loop (split out of the
-/// engine so the shards can be mutably lent to worker threads).
-struct Coord<'a> {
-    index: &'a HashMap<Addr, (usize, usize)>,
-    clock: &'a mut Time,
-    next_gc: &'a mut Time,
-    stamp_time: &'a mut Time,
-    stamp_epoch: &'a mut u32,
-    gc_period: TimeDelta,
-    lookahead: TimeDelta,
+impl Run<'_> {
+    /// A worker's share of a stepping phase: step its shards round-robin
+    /// until each has published `limit`, spinning — then yielding —
+    /// only while none of them can move.
+    fn step(&self, group: &mut [&mut Shard], limit: Time) {
+        let mut idle = 0u32;
+        loop {
+            let mut moved = false;
+            let mut open = false;
+            for shard in group.iter_mut() {
+                moved |= shard.advance(self, limit);
+                open |= self.ports[shard.id].done.load(Ordering::Relaxed) < limit.0;
+            }
+            if !open || self.abort.load(Ordering::Relaxed) {
+                return;
+            }
+            if moved {
+                idle = 0;
+            } else if idle < 64 {
+                idle += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Sets the run's abort flag when its worker unwinds.
+struct AbortOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Run `work` over the shards on `threads` workers: the calling thread
+/// is worker 0, scoped threads are the rest, and worker *k* gets shards
+/// *k, k + threads, …*. A worker that panics raises `run.abort` so its
+/// peers return instead of waiting on its clock, and its panic is
+/// re-raised here once every worker has stopped.
+fn on_workers(
+    shards: &mut [Shard],
+    threads: usize,
+    run: &Run<'_>,
+    work: impl Fn(&Run<'_>, &mut [&mut Shard]) + Sync,
+) {
+    let workers = threads.clamp(1, shards.len());
+    let mut groups: Vec<Vec<&mut Shard>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, shard) in shards.iter_mut().enumerate() {
+        groups[i % workers].push(shard);
+    }
+    let work = |group: &mut [&mut Shard]| {
+        let _guard = AbortOnPanic(&run.abort);
+        work(run, group);
+    };
+    std::thread::scope(|scope| {
+        let mut groups = groups.into_iter();
+        let mut mine = groups.next().unwrap_or_default();
+        let work = &work;
+        let rest: Vec<_> = groups
+            .map(|mut group| scope.spawn(move || work(&mut group)))
+            .collect();
+        work(&mut mine);
+        for worker in rest {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// How an [`Engine`] is built and stepped. The three implementors exist
@@ -256,7 +346,7 @@ struct Coord<'a> {
 /// over the one struct.
 pub trait Mode {
     /// Step with the scan-everything reference loop of [`crate::sim`]
-    /// instead of the window protocol.
+    /// instead of the published-clock protocol.
     #[doc(hidden)]
     const NAIVE: bool = false;
 }
@@ -265,13 +355,14 @@ pub trait Mode {
 pub struct Sharded;
 impl Mode for Sharded {}
 
-/// A sharded, conservatively windowed population.
+/// A sharded, conservatively synchronised population.
 pub type ParallelHarness = Engine<Sharded>;
 
 /// A population of simulated P2 nodes over a virtual clock: the shards,
-/// the window coordinator's state, and the control plane.
+/// their ports, the run loop's state, and the control plane.
 pub struct Engine<M> {
     pub(crate) shards: Vec<Shard>,
+    ports: Vec<Port>,
     index: HashMap<Addr, (usize, usize)>,
     order: Vec<Addr>,
     pub(crate) clock: Time,
@@ -281,9 +372,8 @@ pub struct Engine<M> {
     lookahead: TimeDelta,
     base_node_config: NodeConfig,
     seed: u64,
-    /// Next free stamp epoch at `stamp_time`.
-    stamp_time: Time,
-    stamp_epoch: u32,
+    /// Last instant stamped at and the next free stamp epoch at it.
+    stamp: (Time, u32),
     /// Per-node config as registered, replayed on [`Engine::restart`].
     configs: HashMap<Addr, NodeConfig>,
     /// Programs installed through the harness, replayed on restart.
@@ -299,8 +389,8 @@ impl ParallelHarness {
     ///
     /// Panics when `shards == 0`, or when there are several shards and
     /// the network latency is zero — the base latency is the
-    /// conservative lookahead, so it must be positive for windows
-    /// between shards to exist at all.
+    /// conservative lookahead, so it must be positive for a shard ever
+    /// to run ahead of a peer's clock.
     pub fn new(
         net_config: SimConfig,
         node_config: NodeConfig,
@@ -330,8 +420,8 @@ impl<M: Mode> Engine<M> {
         );
         let mut nc = node_config;
         nc.seed = seed;
-        // One shard has nobody to wait for: any positive window is sound.
-        let lookahead = net_config.latency.max(TimeDelta::from_micros(1));
+        let lookahead = net_config.latency;
+        let ports = (0..shards).map(|_| Port::default()).collect();
         let shards = (0..shards)
             .map(|id| Shard {
                 id,
@@ -349,10 +439,12 @@ impl<M: Mode> Engine<M> {
                 touched: Vec::new(),
                 timers: Vec::new(),
                 down: Vec::new(),
+                stamp: (Time::ZERO, 0),
             })
             .collect();
         Engine {
             shards,
+            ports,
             index: HashMap::new(),
             order: Vec::new(),
             clock: Time::ZERO,
@@ -361,8 +453,7 @@ impl<M: Mode> Engine<M> {
             lookahead,
             base_node_config: nc,
             seed,
-            stamp_time: Time::ZERO,
-            stamp_epoch: 0,
+            stamp: (Time::ZERO, 0),
             configs: HashMap::new(),
             programs: HashMap::new(),
             mode: PhantomData,
@@ -560,7 +651,7 @@ impl<M: Mode> Engine<M> {
         out
     }
 
-    /// Per-shard runtime counters (events, barrier waits, mailbox
+    /// Per-shard runtime counters (events, rendezvous, mailbox
     /// envelopes), in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards.iter().map(|s| s.stats).collect()
@@ -569,13 +660,11 @@ impl<M: Mode> Engine<M> {
     /// Hand the current stamp epoch out and advance past it, resetting
     /// at a fresh instant.
     fn alloc_epoch(&mut self, t: Time) -> u32 {
-        if self.stamp_time != t {
-            self.stamp_time = t;
-            self.stamp_epoch = 0;
+        if self.stamp.0 != t {
+            self.stamp = (t, 0);
         }
-        let e = self.stamp_epoch;
-        self.stamp_epoch += 1;
-        e
+        self.stamp.1 += 1;
+        self.stamp.1 - 1
     }
 
     /// Pump all nodes and exchange due messages until nothing more can
@@ -583,8 +672,8 @@ impl<M: Mode> Engine<M> {
     /// order, one stamp epoch per wave, cross-shard mail routed
     /// directly. Sends from later waves of the same instant carry
     /// larger stamps, so delivery order reproduces causal order. Runs on
-    /// the calling thread — control ops happen between runs, when the
-    /// coordinator owns all shards.
+    /// the calling thread — control ops happen between runs, when it
+    /// owns all shards.
     pub(crate) fn control_settle(&mut self) {
         let t = self.clock;
         loop {
@@ -624,7 +713,7 @@ impl<M: Mode> Engine<M> {
     }
 
     /// Move every shard's outbound mailbox into the owning fabric's
-    /// delivery heap (coordinator-side routing, between windows).
+    /// delivery heap (calling-thread routing, between phases).
     fn route_outbound(&mut self) {
         let mut moved: Vec<StampedEnvelope> = Vec::new();
         for shard in &mut self.shards {
@@ -639,7 +728,7 @@ impl<M: Mode> Engine<M> {
     }
 
     /// Copy each shard's counters into its member nodes so `sysStat`
-    /// carries `shard.*` rows. A single shard has no barrier or mailbox
+    /// carries `shard.*` rows. A single shard has no peers or mailbox
     /// to report, and publishes nothing.
     fn publish_shard_stats(&mut self) {
         if self.shards.len() == 1 {
@@ -654,11 +743,25 @@ impl<M: Mode> Engine<M> {
     }
 
     /// Advance virtual time to `deadline`, firing timers and deliveries
-    /// in order.
+    /// in order. A deadline in the past is the current time: the clock
+    /// never runs backwards.
     pub fn run_until(&mut self, deadline: Time) {
+        let deadline = deadline.max(self.clock);
         if M::NAIVE {
             return self.run_until_naive(deadline);
         }
+        // One worker per shard, up to the hardware's threads (a handful
+        // of file reads on Linux; one shard never asks).
+        let threads = match self.shards.len() {
+            1 => 1,
+            _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        };
+        self.run_until_on(deadline, threads);
+    }
+
+    /// [`Engine::run_until`] on a given number of workers (which must not
+    /// change anything observable; tests sweep it).
+    pub(crate) fn run_until_on(&mut self, deadline: Time, threads: usize) {
         // Settle on entry (work left behind by control ops — e.g. a
         // tuple injected into a then-down node that has since revived —
         // dispatches *before* the first event) and again at the deadline.
@@ -667,55 +770,62 @@ impl<M: Mode> Engine<M> {
             self.clock = deadline;
             return;
         }
-        for shard in &mut self.shards {
+        for (shard, port) in self.shards.iter_mut().zip(&self.ports) {
             shard.refresh_caches();
+            port.done.store(self.clock.0, Ordering::Relaxed);
         }
-        let initial: Vec<Option<Time>> = self.shards.iter().map(Shard::next_event).collect();
-        let gc_period = self.gc_period;
-        let lookahead = self.lookahead;
-        let Engine {
-            shards,
-            index,
-            clock,
-            next_gc,
-            stamp_time,
-            stamp_epoch,
-            ..
-        } = self;
-        let coord = Coord {
-            index,
-            clock,
-            next_gc,
-            stamp_time,
-            stamp_epoch,
-            gc_period,
-            lookahead,
-        };
-        // With one shard — or one hardware thread, where workers can
-        // only add channel round-trips — run windows inline. Reply
-        // handling is order-insensitive, so both paths merge identically.
-        // (The core count is a handful of file reads on Linux; one shard
-        // never asks.)
-        let inline =
-            shards.len() == 1 || std::thread::available_parallelism().map_or(1, |p| p.get()) == 1;
-        let leftover = if inline {
-            drive(coord, deadline, initial, |jobs| {
-                jobs.into_iter()
-                    .map(|(si, cmd)| shards[si].run_window(cmd))
-                    .collect()
-            })
-        } else {
-            run_threaded(shards, coord, deadline, initial)
-        };
-        // Envelopes still in the coordinator's hands (due beyond the
-        // deadline) go back into the owning fabric for the next run.
-        for (s, list) in leftover.into_iter().enumerate() {
-            for se in list {
-                self.shards[s].net.accept(se);
+        loop {
+            // A phase runs every instant before `limit`, which no shard
+            // passes alone: the deadline, or the tracer sweep.
+            let limit = self.next_gc.min(deadline + TimeDelta::from_micros(1));
+            self.phase(threads, |run, group| run.step(group, limit));
+            // Mail posted after its reader finished is due at or past
+            // the limit.
+            for (shard, port) in self.shards.iter_mut().zip(&self.ports) {
+                shard.collect(port);
+                shard.stats.barrier_waits += 1;
+            }
+            let next = self.shards.iter().filter_map(Shard::next_event).min();
+            let t = match next {
+                Some(t) if t <= deadline => t.max(self.clock),
+                _ => break,
+            };
+            // The tracer sweep is population-global: the first instant at
+            // or past the GC deadline is run by every shard, events or
+            // not.
+            self.phase(threads, |_, group| {
+                for shard in group {
+                    shard.run_instant(t, true);
+                }
+            });
+            self.route_outbound();
+            self.next_gc = t + self.gc_period;
+            for port in &self.ports {
+                port.done.store(t.0, Ordering::Relaxed);
             }
         }
+        self.clock = deadline;
         self.control_settle();
         self.publish_shard_stats();
+    }
+
+    /// Lend the shards to `threads` workers for one job, threading the
+    /// stamp epoch through it.
+    fn phase(&mut self, threads: usize, work: impl Fn(&Run<'_>, &mut [&mut Shard]) + Sync) {
+        for shard in &mut self.shards {
+            shard.stamp = self.stamp;
+        }
+        let run = Run {
+            ports: &self.ports,
+            index: &self.index,
+            floor: self.clock,
+            lookahead: self.lookahead,
+            abort: AtomicBool::new(false),
+        };
+        on_workers(&mut self.shards, threads, &run, work);
+        for shard in &self.shards {
+            self.stamp = self.stamp.max(shard.stamp);
+        }
     }
 
     /// Advance virtual time by `delta`.
@@ -725,124 +835,159 @@ impl<M: Mode> Engine<M> {
     }
 }
 
-/// Spawn one worker per shard (scoped, std mpsc) and run the window
-/// loop against them. Returns undelivered cross-shard envelopes.
-#[expect(
-    clippy::expect_used,
-    reason = "a dead or wedged shard worker is unrecoverable; fail loudly instead of hanging the barrier"
-)]
-fn run_threaded(
-    shards: &mut [Shard],
-    coord: Coord<'_>,
-    deadline: Time,
-    initial: Vec<Option<Time>>,
-) -> Vec<Vec<StampedEnvelope>> {
-    std::thread::scope(|scope| {
-        let (reply_tx, reply_rx) = mpsc::channel::<WindowReply>();
-        let mut cmd_txs = Vec::new();
-        for shard in shards.iter_mut() {
-            let (tx, rx) = mpsc::channel::<WindowCmd>();
-            cmd_txs.push(tx);
-            let rtx = reply_tx.clone();
-            scope.spawn(move || {
-                while let Ok(cmd) = rx.recv() {
-                    if rtx.send(shard.run_window(cmd)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(reply_tx);
-        drive(coord, deadline, initial, move |jobs| {
-            let k = jobs.len();
-            for (si, cmd) in jobs {
-                cmd_txs[si].send(cmd).expect("shard worker hung up mid-run");
-            }
-            (0..k)
-                .map(|_| {
-                    reply_rx
-                        .recv_timeout(Duration::from_secs(120))
-                        .expect("shard worker stalled or died")
-                })
-                .collect()
-        })
-    })
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::SequentialOracle;
+    use std::fmt::Write as _;
 
-/// The coordinator's window loop: pick the next global event time, open
-/// a conservative window (or a single-instant GC round), dispatch it to
-/// the shards that have work, then merge mailboxes at the barrier.
-/// Returns per-shard envelopes still undelivered at the deadline.
-fn drive(
-    coord: Coord<'_>,
-    deadline: Time,
-    mut next_event: Vec<Option<Time>>,
-    mut exec: impl FnMut(Vec<(usize, WindowCmd)>) -> Vec<WindowReply>,
-) -> Vec<Vec<StampedEnvelope>> {
-    let n = next_event.len();
-    let mut pending: Vec<Vec<StampedEnvelope>> = vec![Vec::new(); n];
-    let micro = TimeDelta::from_micros(1);
-    loop {
-        // Earliest event anywhere: shard-local timers/deliveries, plus
-        // cross-shard envelopes still in the coordinator's hands.
-        let in_hand = pending.iter().flatten().map(|se| se.deliver_at);
-        let t = match next_event.iter().flatten().copied().chain(in_hand).min() {
-            Some(t) if t <= deadline => t.max(*coord.clock),
-            _ => break,
-        };
-        // The tracer sweep is population-global: the first event instant
-        // at or past the GC deadline runs as its own single-instant
-        // window with every shard participating.
-        let (end, gc) = if t >= *coord.next_gc {
-            (t + micro, true)
-        } else {
-            let mut e = t + coord.lookahead;
-            if *coord.next_gc < e {
-                e = *coord.next_gc;
-            }
-            if deadline + micro < e {
-                e = deadline + micro;
-            }
-            (e, false)
-        };
-        let epoch_base = if t == *coord.stamp_time {
-            *coord.stamp_epoch
-        } else {
-            0
-        };
-        let mut jobs = Vec::new();
-        for s in 0..n {
-            let has_event = next_event[s].is_some_and(|x| x < end)
-                || pending[s].iter().any(|se| se.deliver_at < end);
-            if gc || has_event {
-                jobs.push((
-                    s,
-                    WindowCmd {
-                        start: t,
-                        end,
-                        gc,
-                        epoch_base,
-                        incoming: std::mem::take(&mut pending[s]),
-                    },
-                ));
-            }
+    /// The workers' interleaving perturbation: a stream every worker
+    /// draws from, 0 while off. Process-wide, so other tests running
+    /// beside the one that turns it on are perturbed too — it moves
+    /// timing only, which is the point.
+    static PERTURB: AtomicU64 = AtomicU64::new(0);
+
+    /// Vary the interleaving of workers: a seeded choice of nothing, a
+    /// yield, or a short sleep, taken before a shard reads its peers'
+    /// clocks and before it posts an instant's mail.
+    pub(super) fn perturb() {
+        if PERTURB.load(Ordering::Relaxed) == 0 {
+            return;
         }
-        let mut last: Option<(Time, u32)> = None;
-        for r in exec(jobs) {
-            next_event[r.shard] = r.next_event;
-            for se in r.outbound {
-                pending[coord.index[&se.env.dst].0].push(se);
-            }
-            last = last.max(r.last);
-        }
-        if let Some((u, e)) = last {
-            *coord.stamp_time = u;
-            *coord.stamp_epoch = e;
-        }
-        if gc {
-            *coord.next_gc = t + coord.gc_period;
+        let mut x = PERTURB.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 27;
+        match x % 8 {
+            0..=2 => std::thread::yield_now(),
+            3 => std::thread::sleep(std::time::Duration::from_micros((x >> 32) % 100)),
+            _ => {}
         }
     }
-    *coord.clock = deadline;
-    pending
+
+    /// A traced token ring run across a tracer-GC instant (30 s) and a
+    /// `restart`: per node, the sorted rows of the scenario and tracer
+    /// tables, then the fabric's counters.
+    fn token_ring<M: Mode>(sim: &mut Engine<M>, threads: usize) -> String {
+        let run = |sim: &mut Engine<M>, secs: u64| {
+            let deadline = sim.now() + TimeDelta::from_secs(secs);
+            if M::NAIVE {
+                sim.run_until(deadline);
+            } else {
+                sim.run_until_on(deadline, threads);
+            }
+        };
+        let n = 16;
+        let addrs: Vec<Addr> = (0..n).map(|i| sim.add_node(&format!("m{i}"))).collect();
+        sim.install_all(
+            "materialize(succ, infinity, 8, keys(1)).
+             materialize(seen, infinity, infinity, keys(1, 2, 3)).
+             tick token@M(E, 5) :- periodic@N(E, 1), succ@N(M).
+             fwd token@M(E, C2) :- token@N(E, C), C > 0, succ@N(M), C2 := C - 1.
+             rec seen@N(E, C) :- token@N(E, C).",
+        )
+        .unwrap();
+        for (i, addr) in addrs.iter().enumerate() {
+            let fact = format!("succ@\"m{i}\"(\"m{}\").\n", (i + 1) % n);
+            sim.install(addr, &fact).unwrap();
+        }
+        run(sim, 17);
+        sim.restart(&addrs[4]).unwrap();
+        run(sim, 18);
+        let now = sim.now();
+        let stats = sim.net_stats();
+        let mut out = String::new();
+        for a in &addrs {
+            let delivered = stats.delivered_to.get(a).copied().unwrap_or(0);
+            writeln!(out, "{a} sent={} delivered={delivered}", stats.sent_by(a)).unwrap();
+            for table in ["seen", "ruleExec", "tupleTable"] {
+                let rows = sim.node_mut(a).table_scan(table, now);
+                let mut rows: Vec<String> = rows.iter().map(|t| t.to_string()).collect();
+                rows.sort();
+                out.push_str(&rows.join("\n"));
+            }
+        }
+        writeln!(out, "dropped={}", stats.dropped).unwrap();
+        out
+    }
+
+    /// Every shard count × worker count is the oracle's bits, and the
+    /// shard counters do not depend on the worker count — with the
+    /// workers' interleaving perturbed, on any host (`threads` is an
+    /// argument here, `available_parallelism` only in production). Two
+    /// fabrics: in lockstep (no jitter, unstaggered timers) every
+    /// delivery lands exactly on a horizon; jittered and staggered, a
+    /// lookahead holds several instants of each shard.
+    ///
+    /// Three mutations of [`Shard::advance`] must each fail this test,
+    /// and did (three runs of three, two cores) when it was written:
+    /// the horizon test `u <= h` for `u < h`; publishing `done` for the
+    /// next instant before the last one's outbound is in the mailboxes;
+    /// draining the mailbox before the perturbed read of the peers'
+    /// `done`. Each splits an instant in two, which `events` shows even
+    /// where the tables come out the same.
+    #[test]
+    fn every_shard_and_worker_count_is_the_oracle() {
+        let lockstep = NodeConfig {
+            tracing: true,
+            stagger_timers: false,
+            ..Default::default()
+        };
+        let staggered = NodeConfig {
+            tracing: true,
+            ..Default::default()
+        };
+        let jittered = SimConfig {
+            jitter: TimeDelta::from_millis(6),
+            ..Default::default()
+        };
+        PERTURB.store(0x2545_f491_4f6c_dd1d, Ordering::Relaxed);
+        for (net, node) in [(SimConfig::default(), lockstep), (jittered, staggered)] {
+            let want = token_ring(&mut SequentialOracle::new(net.clone(), node.clone(), 77), 1);
+            assert!(want.contains("ruleExec"), "the scenario is traced");
+            for shards in [1usize, 2, 3, 8] {
+                let mut counters = Vec::new();
+                for threads in [1, 2, shards] {
+                    let mut sim = ParallelHarness::new(net.clone(), node.clone(), 77, shards);
+                    let got = token_ring(&mut sim, threads);
+                    assert!(got == want, "{shards} shards on {threads} workers diverged");
+                    counters.push(sim.shard_stats());
+                }
+                assert!(
+                    counters.iter().all(|c| *c == counters[0]),
+                    "{shards} shards: counters moved with the worker count: {counters:?}"
+                );
+                assert!(counters[0].iter().all(|s| s.events > 0));
+            }
+        }
+        PERTURB.store(0, Ordering::Relaxed);
+    }
+
+    /// A worker that dies mid-phase fails the run with its own panic;
+    /// the peers spinning on its clock stop instead of hanging.
+    #[test]
+    fn a_dying_worker_fails_the_phase() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sim = ParallelHarness::with_seed(1, 3);
+            for i in 0..3 {
+                sim.add_node(&format!("n{i}"));
+            }
+            let limit = Time::from_secs(5);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.phase(3, |run, group| {
+                    if group[0].id == 1 {
+                        panic!("shard 1 died");
+                    }
+                    run.step(group, limit);
+                });
+            }));
+            let _ = tx.send(caught.map_err(|p| p.downcast_ref::<&str>().copied()));
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(
+            got,
+            Ok(Err(Some("shard 1 died"))),
+            "hung, or lost the panic"
+        );
+    }
 }

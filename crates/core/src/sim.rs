@@ -2,14 +2,14 @@
 //! sequential oracle the engine is tested against.
 //!
 //! The substitution for the paper's 21-process testbed (DESIGN.md §2.4)
-//! is the windowed engine of [`crate::parallel`]; `SimHarness::new`
-//! builds it with a single shard, which runs on the calling thread.
+//! is the engine of [`crate::parallel`]; `SimHarness::new` builds it
+//! with a single shard, which runs on the calling thread.
 //!
 //! [`SequentialOracle`] is the same struct stepped by the classic
-//! discrete-event loop instead of windows: at every event instant of
-//! anyone, scan every node for the earliest event, fire every due
-//! timer, and pump *every* live node in every settle wave. It shares
-//! the engine's control plane but none of its window protocol,
+//! discrete-event loop instead of published clocks: at every event
+//! instant of anyone, scan every node for the earliest event, fire
+//! every due timer, and pump *every* live node in every settle wave. It
+//! shares the engine's control plane but none of its clock protocol,
 //! dirty-node tracking or timer caches, which is what makes it a useful
 //! reference: the equivalence suites run one scenario through both and
 //! demand identical bits. Nothing but tests and the scale bench's
@@ -177,6 +177,35 @@ mod tests {
         });
         let want = [5, 10, 15, 20].map(|s| format!("{:?}", Time::from_secs(s)));
         assert_eq!(ticks, want);
+    }
+
+    /// A deadline already behind the clock is "now": ticks keep their
+    /// schedule and nothing is stamped in an executed past.
+    #[test]
+    fn past_deadline_does_not_rewind_the_clock() {
+        let got = on_every_engine(SimConfig::default(), unstaggered(), 4, |sim| {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&a, r#"t tick@"b"(E) :- periodic@N(E, 3)."#)
+                .unwrap();
+            sim.node_mut(&b).watch("tick");
+            sim.run_for(TimeDelta::from_secs(10));
+            let mut nows = vec![sim.now()];
+            sim.run_until(Time::from_secs(5));
+            nows.push(sim.now());
+            sim.run_for(TimeDelta::from_secs(2));
+            nows.push(sim.now());
+            assert!(nows.is_sorted(), "the clock ran backwards: {nows:?}");
+            let got = sim.node_mut(&b).take_watched("tick");
+            let ticks = got.iter().map(|(t, _)| format!("{t:?}"));
+            ticks
+                .chain(nows.iter().map(|t| format!("now {t:?}")))
+                .collect()
+        });
+        let at = |ms| format!("{:?}", Time::from_millis(ms));
+        let ticks = [3_010, 6_010, 9_010].map(at);
+        let nows = [10_000, 10_000, 12_000].map(|ms| format!("now {}", at(ms)));
+        assert_eq!(got, [ticks, nows].concat());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **Exact counters.** Messages sent per node back the *Tx messages*
 //!   series of Figures 6 and 7.
 //! * **Shardable.** The fabric can be split across population shards for
-//!   the conservative-window parallel harness (DESIGN.md §2.10): each
+//!   the conservative parallel harness (DESIGN.md §2.10): each
 //!   shard owns one `SimNetwork` whose *local* set covers its nodes;
 //!   envelopes addressed to other shards land in an outbound mailbox
 //!   instead of the delivery heap, already carrying the canonical
@@ -37,8 +37,8 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// Network configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Base one-way latency. Also the conservative-window lookahead of
-    /// the parallel harness: no envelope is ever delivered earlier than
+    /// Base one-way latency. Also the conservative lookahead of the
+    /// parallel harness: no envelope is ever delivered earlier than
     /// `send time + latency`.
     pub latency: TimeDelta,
     /// Uniform extra latency in `[0, jitter]`.
@@ -266,7 +266,7 @@ impl SimNetwork {
 
     /// Position the stamp clock: the instant and its settle-wave epoch
     /// (0 at a fresh instant, one more per wave). The population engine
-    /// drives epochs from its coordinator so every shard fabric stamps
+    /// drives epochs from its run loop so every shard fabric stamps
     /// identically; sends in later waves of the same instant carry
     /// larger stamps, preserving causal order among same-instant sends.
     pub fn set_stamp(&mut self, now: Time, epoch: u32) {
@@ -347,7 +347,7 @@ impl SimNetwork {
     }
 
     /// Take every cross-shard envelope sent since the last call, in send
-    /// order. The caller (the window coordinator) routes each to the
+    /// order. The caller (the population engine) routes each to the
     /// fabric owning its destination via [`SimNetwork::accept`].
     pub fn take_outbound(&mut self) -> Vec<StampedEnvelope> {
         std::mem::take(&mut self.outbound)
@@ -364,8 +364,8 @@ impl SimNetwork {
     }
 
     /// The virtual time of the earliest pending local delivery. (The
-    /// outbound mailbox is not consulted — routing it is the window
-    /// coordinator's job.)
+    /// outbound mailbox is not consulted — routing it is the population
+    /// engine's job.)
     pub fn next_delivery(&self) -> Option<Time> {
         self.queue.peek().map(|Reverse(m)| m.deliver_at)
     }

@@ -1,4 +1,4 @@
-//! Windowed == sequential: the population engine must be bit-identical
+//! Sharded == sequential: the population engine must be bit-identical
 //! to the scan-everything sequential oracle at every shard count
 //! (DESIGN.md §2.10). These tests drive the same scenario through
 //! `SequentialOracle` and `ParallelHarness{1,2,4,8}` via the
