@@ -80,6 +80,8 @@ fn value_ty(v: &Value) -> Ty {
         Value::Id(_) => Ty::Id,
         Value::Str(_) | Value::Addr(_) => Ty::StrAddr,
         Value::List(_) => Ty::List,
+        // No OverLog literal exists, so no program constant has it.
+        Value::Bytes(_) => Ty::Unknown,
     }
 }
 

@@ -234,6 +234,9 @@ pub struct UdpPort {
     stash: Option<Envelope>,
     /// Undecodable datagrams seen (hostile or corrupt peers).
     pub malformed: u64,
+    /// Datagrams the OS refused to send (oversized, unroutable): the
+    /// envelope is lost like any dropped datagram, but not silently.
+    pub send_errors: u64,
 }
 
 impl UdpPort {
@@ -243,13 +246,16 @@ impl UdpPort {
             transport,
             stash: None,
             malformed: 0,
+            send_errors: 0,
         }
     }
 }
 
 impl Transport for UdpPort {
     fn send(&mut self, env: &Envelope) {
-        let _ = self.transport.send(env);
+        if self.transport.send(env).is_err() {
+            self.send_errors += 1;
+        }
     }
     fn try_recv(&mut self) -> Option<Envelope> {
         if let Some(env) = self.stash.take() {

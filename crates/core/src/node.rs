@@ -12,11 +12,9 @@
 //! * [`crate::installer`] — program compile/install/uninstall and
 //!   trace-table registration.
 //!
-//! Local deltas flow through [`Node::push_pending`] as **batched runs**:
-//! consecutive same-relation tuples share one `DeltaBatch`, so the
-//! scheduler can push a whole run through the store in one call when no
-//! strand is watching the relation (and fall back to the paper's exact
-//! per-tuple interleave when one is).
+//! Local deltas flow through [`Node::push_pending`] into one FIFO of
+//! tuples; the scheduler pops them one at a time, so the paper's §2.1.2
+//! per-tuple interleave is the only schedule there is.
 
 use crate::metrics::NodeMetrics;
 use p2_dataflow::{NullSink, StrandRuntime, TapSink};
@@ -28,7 +26,6 @@ use p2_types::{Addr, DetRng, Time, Tuple, Value};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// Handle to an installed program, for later removal ("piecemeal"
 /// deployment and un-deployment of monitoring queries, §1.3).
@@ -229,22 +226,14 @@ impl EvalCtx for NodeCtx<'_> {
     }
 }
 
-/// Longest same-relation run one [`DeltaBatch`] may hold. Larger runs
-/// amortize the store's expiry/compaction prologue better.
-const MAX_DELTA_BATCH: usize = 64;
-
-/// A queued run of same-relation local dispatches. `traced` is false for
-/// tuples that originate from the tracer's own tables, so trace
-/// processing is never itself traced (regress protection; see `p2-trace`
-/// docs).
-pub(crate) struct DeltaBatch {
-    /// The run's relation: its tuples' own interned name, never a copy.
-    pub(crate) relation: Arc<str>,
+/// A queued local dispatch. `traced` is false for tuples that originate
+/// from the tracer's own tables, so trace processing is never itself
+/// traced (regress protection; see `p2-trace` docs).
+pub(crate) struct Pending {
+    pub(crate) tuple: Tuple,
     pub(crate) traced: bool,
-    pub(crate) tuples: VecDeque<Tuple>,
-    /// Lint-oracle cascade tags, parallel to `tuples` when
-    /// `NodeConfig::lint` is on; empty (and never consulted) otherwise.
-    pub(crate) tags: VecDeque<Option<crate::lint::LintTag>>,
+    /// Lint-oracle cascade tag; always `None` with `NodeConfig::lint` off.
+    pub(crate) tag: Option<crate::lint::LintTag>,
 }
 
 /// One P2 node: catalog, strands, timers, tracer, router.
@@ -264,7 +253,7 @@ pub struct Node {
     pub(crate) timer_heap: BinaryHeap<Reverse<(Time, usize)>>,
     pub(crate) tracer: Tracer,
     pub(crate) rng: DetRng,
-    pub(crate) pending: VecDeque<DeltaBatch>,
+    pub(crate) pending: VecDeque<Pending>,
     /// Strands with in-flight pipeline work, ascending — the scheduler's
     /// worklist, replacing an O(strands) scan per pump iteration.
     pub(crate) active_strands: BTreeSet<usize>,
@@ -632,41 +621,14 @@ impl Node {
 
     // ------------------------------------------------------------ internal
 
-    /// Queue a local dispatch, coalescing it into the tail batch when it
-    /// extends a same-relation run (capped at [`MAX_DELTA_BATCH`]). Only
-    /// *consecutive* runs merge, so cross-relation dispatch order is
-    /// exactly the per-tuple engine's.
+    /// Queue a local dispatch behind everything already queued.
     pub(crate) fn push_pending(&mut self, tuple: Tuple, traced: bool) {
-        let lint_on = self.lint.is_some();
         // Trace/introspection churn is outside the flow model: it never
         // carries cascade attribution, whatever is being routed.
-        let tag = if Self::is_internal_relation(tuple.name()) {
-            None
-        } else {
-            self.lint_route_tag()
-        };
-        if let Some(last) = self.pending.back_mut() {
-            if last.traced == traced
-                && *last.relation == *tuple.name()
-                && last.tuples.len() < MAX_DELTA_BATCH
-            {
-                last.tuples.push_back(tuple);
-                if lint_on {
-                    last.tags.push_back(tag);
-                }
-                return;
-            }
-        }
-        self.pending.push_back(DeltaBatch {
-            relation: tuple.name_arc(),
-            traced,
-            tuples: VecDeque::from([tuple]),
-            tags: if lint_on {
-                VecDeque::from([tag])
-            } else {
-                VecDeque::new()
-            },
-        });
+        let tag = self
+            .lint_route_tag()
+            .filter(|_| !Self::is_internal_relation(tuple.name()));
+        self.pending.push_back(Pending { tuple, traced, tag });
     }
 
     /// Whether a relation belongs to the trace/introspection machinery

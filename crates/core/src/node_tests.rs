@@ -183,9 +183,9 @@ fn envelope_flush_threshold_cuts_runs() {
 }
 
 #[test]
-fn silent_relations_take_the_wholesale_path() {
+fn silent_relations_are_stored_counted_and_watched_in_order() {
     let mut n = node("n1");
-    // No rule reads t, so its run goes through insert_batch wholesale.
+    // No rule reads t: nothing fires, yet every tuple is dispatched.
     n.install(
         "materialize(t, infinity, infinity, keys(1, 2)).",
         Time::ZERO,
@@ -205,6 +205,36 @@ fn silent_relations_take_the_wholesale_path() {
         .map(|(_, t)| t.get(1).cloned().unwrap())
         .collect();
     assert_eq!(seen, (0..10).map(Value::Int).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_budget_cut_inside_a_silent_run_drops_the_rest() {
+    let mut n = Node::new(
+        Addr::new("n1"),
+        NodeConfig {
+            max_dispatch_per_pump: 4,
+            ..Default::default()
+        },
+    );
+    n.install(
+        "materialize(t, infinity, infinity, keys(1, 2)).",
+        Time::ZERO,
+    )
+    .unwrap();
+    n.watch("t");
+    for i in 0..10 {
+        n.inject(Tuple::new("t", [Value::addr("n1"), Value::Int(i)]));
+    }
+    n.pump(Time::ZERO);
+    assert_eq!(n.table_scan("t", Time::ZERO).len(), 4);
+    assert_eq!(n.metrics().tuples_dispatched, 4);
+    assert_eq!(n.metrics().overflow_drops, 6);
+    let seen: Vec<_> = n
+        .watched("t")
+        .iter()
+        .map(|(_, t)| t.get(1).cloned().unwrap())
+        .collect();
+    assert_eq!(seen, (0..4).map(Value::Int).collect::<Vec<_>>());
 }
 
 #[test]
@@ -374,8 +404,8 @@ fn budget_covers_strand_steps_and_counts_abandoned_work() {
         Time::ZERO,
     )
     .unwrap();
-    // Seed the joined table (its inserts are silent, so one pump's
-    // budget of 4 covers all rows wholesale).
+    // Seed the joined table (its inserts are silent: one budget unit
+    // each, so one pump's budget of 4 covers all rows).
     for i in 0..4 {
         n.inject(Tuple::new("p", [Value::addr("n1"), Value::Int(i)]));
     }

@@ -5,8 +5,9 @@
 //! envelopes — but only **consecutive** outputs coalesce (the router
 //! only ever appends to the most recent envelope), so the receiver
 //! dispatches tuples in exactly the order a one-envelope-per-tuple
-//! sender would have produced. A run is cut at [`ENVELOPE_FLUSH`]
-//! tuples.
+//! sender would have produced. An envelope is cut at
+//! [`ENVELOPE_FLUSH`] tuples; the receiver unpacks it into its queue one
+//! tuple per entry.
 
 use crate::node::Node;
 use p2_dataflow::Action;

@@ -1,18 +1,12 @@
 //! The node scheduler: pump loop, dispatch budget, and timer wheel.
 //!
-//! The pump consumes batched delta runs ([`crate::node::DeltaBatch`])
-//! while preserving the paper's §2.1.2 observable execution exactly:
-//!
-//! * a relation **with** strand subscribers is dispatched one tuple at a
-//!   time, interleaved with one pipeline step per active strand — the
-//!   same schedule (and thus the same tap order, and the same traced
-//!   tuple IDs) the per-tuple engine produced;
-//! * a relation **without** subscribers cannot fire a strand or emit a
-//!   tap, so its whole run is pushed through the store in a single
-//!   [`Catalog::insert_batch`] call, paying the table's
-//!   expiry/compaction prologue and name lookup once per run instead of
-//!   once per tuple. Trace rows (`ruleExec`/`tupleTable`), the event
-//!   log, and introspection churn all ride this wholesale path.
+//! The pump is the paper's §2.1.2 schedule and nothing else: pop one
+//! queued tuple and demux it (watches, event log, table insert, strand
+//! firings), then run one pipeline step per active strand, and repeat
+//! until nothing is left. Every tuple — application deltas, trace rows
+//! (`ruleExec`/`tupleTable`), the event log, introspection churn —
+//! takes that one path, so the tap order and the traced tuple IDs are
+//! whatever this loop produces.
 //!
 //! The per-pump budget covers *all* work — tuple dispatches and strand
 //! steps alike. On exhaustion queued tuples are dropped (counted in
@@ -24,7 +18,6 @@ use p2_dataflow::{NullSink, TapSink};
 use p2_net::Envelope;
 use p2_types::{Time, TimeDelta, Tuple, Value};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// A periodic timer installed for a `periodic`-triggered strand.
@@ -176,83 +169,13 @@ impl Node {
         !self.ship.released.is_empty() || (self.config.tracing && self.tracer.pending_len() > 0)
     }
 
-    /// Consume work from the front delta batch. Subscribed relations go
-    /// one tuple at a time (per-tuple interleave preserved); silent
-    /// relations go wholesale through `insert_batch` — but only while no
-    /// strand holds in-flight pipeline work. A silent dispatch steps no
-    /// strand and emits no tap, yet the per-tuple engine ran one strand
-    /// step-round after each one; consuming a whole run in a single
-    /// round would advance pending consumption relative to those steps
-    /// and reorder trace-ID assignment. With every pipeline drained the
-    /// step-rounds are no-ops, and the wholesale shortcut is observably
-    /// identical.
+    /// Dispatch the tuple at the front of the queue.
     fn consume_front(&mut self, budget: &mut u64, now: Time) {
-        let Some(front) = self.pending.front() else {
+        let Some(front) = self.pending.pop_front() else {
             return; // caller checks non-empty; an empty queue is done
         };
-        let subscribed = self.event_dispatch.contains_key(&*front.relation)
-            || self.table_dispatch.contains_key(&*front.relation);
-        if subscribed || !self.active_strands.is_empty() || front.tuples.len() == 1 {
-            // A run of length one gains nothing from the wholesale
-            // branch; sending it through `dispatch` keeps exactly one
-            // code path producing single-tuple effects.
-            let Some(front) = self.pending.front_mut() else {
-                return;
-            };
-            let Some(tuple) = front.tuples.pop_front() else {
-                self.pending.pop_front(); // batches are never empty
-                return;
-            };
-            let tag = front.tags.pop_front().flatten();
-            let traced = front.traced;
-            if front.tuples.is_empty() {
-                self.pending.pop_front();
-            }
-            *budget -= 1;
-            self.dispatch(tuple, traced, now, tag);
-            return;
-        }
-
-        // No strand can observe this relation, so no tap (and no trace
-        // ID assignment) depends on per-tuple timing: the whole run is
-        // one store call. Watches and the event log still see every
-        // tuple, in order.
-        let Some(mut front) = self.pending.pop_front() else {
-            return;
-        };
-        let traced = front.traced;
-        let relation = front.relation.clone();
-        let take = (*budget).min(front.tuples.len() as u64) as usize;
-        let run: VecDeque<Tuple> = if take == front.tuples.len() {
-            front.tags.clear(); // unsubscribed: no strand, no cascade
-            std::mem::take(&mut front.tuples)
-        } else {
-            front.tags.drain(..take.min(front.tags.len()));
-            front.tuples.drain(..take).collect()
-        };
-        if !front.tuples.is_empty() {
-            // Budget clamp mid-run: the rest waits (and is dropped by
-            // the overflow path on the next iteration).
-            self.pending.push_front(front);
-        }
-        *budget -= take as u64;
-        self.metrics.tuples_dispatched += take as u64;
-        // Per-run hoists: the run is same-relation by construction, so
-        // the watch log and the event-log decision resolve once.
-        if let Some(log) = self.watches.get_mut(&*relation) {
-            log.reserve(run.len());
-            for t in &run {
-                log.push((now, t.clone()));
-            }
-        }
-        if traced && self.config.tracing && self.config.trace.log_events {
-            for _ in 0..run.len() {
-                self.log_event(&relation, "arrive", now);
-            }
-        }
-        if self.catalog.is_materialized(&relation) {
-            let _ = self.catalog.insert_batch(&relation, run, now);
-        }
+        *budget -= 1;
+        self.dispatch(front.tuple, front.traced, now, front.tag);
     }
 
     /// Dispatch one tuple through the demux: watches, table insert (and
@@ -342,8 +265,7 @@ impl Node {
     /// Budget exhausted: drop all queued deltas and abandon all in-flight
     /// strand work, counting each separately.
     fn overflow(&mut self) {
-        let dropped: usize = self.pending.iter().map(|b| b.tuples.len()).sum();
-        self.metrics.overflow_drops += dropped as u64;
+        self.metrics.overflow_drops += self.pending.len() as u64;
         self.pending.clear();
         self.lint_overflow();
         let active: Vec<usize> = self.active_strands.iter().copied().collect();

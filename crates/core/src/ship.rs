@@ -32,7 +32,7 @@
 //!   deterministic. A delta whose baseline the receiver does not hold
 //!   is repaired the same way, with nothing staged on it.
 //!
-//! Ship messages ride ordinary envelopes as `sysShip(dst, payload)`
+//! Ship messages ride ordinary envelopes as `sysShip(dst, Bytes(frame))`
 //! tuples and are intercepted in [`Node::deliver`] *before* the tracing
 //! and dispatch machinery — shipping is infrastructure, not
 //! application traffic, so it never perturbs traces, watches, or the
@@ -52,7 +52,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 const MAX_FAILURES: usize = 64;
 /// Largest shipment chunk, bytes (the paper's runtime ships one
 /// marshaled tuple per datagram; chunking keeps a shipped archive
-/// within that discipline instead of one giant frame).
+/// within that discipline instead of one giant frame). The envelope
+/// carrying a full chunk must fit a UDP payload (65,507 bytes): the
+/// frame rides as `Value::Bytes`, so 48 KiB leaves ~16 KiB for the
+/// shipment header, the relation name and the addresses.
 const CHUNK_BYTES: usize = 48 * 1024;
 /// How long a fetch waits for its shipment before asking again.
 const FETCH_TIMEOUT: TimeDelta = TimeDelta::from_secs(2);
@@ -716,4 +719,49 @@ fn ship_decode_segments(payload: &[u8], relation: &str) -> Result<Vec<Segment>, 
         segments.push(seg);
     }
     Ok(segments)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A full chunk must cross the UDP transport as one datagram: the
+    /// envelope [`Node::ship_send`] builds around it, under the longest
+    /// header the codec can produce (every integer field is fixed-width;
+    /// the text fields are the relation and the three addresses), stays
+    /// within the 65,507 bytes `send_to` accepts.
+    #[test]
+    fn a_full_chunk_fits_one_udp_datagram() {
+        const UDP_PAYLOAD_MAX: usize = 65_507;
+        // Longest textual socket address: bracketed IPv6 with an
+        // embedded IPv4 tail, a numeric scope and a 5-digit port.
+        let addr = Addr::new("[ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255%4294967295]:65535");
+        let msg = ShipMsg::Shipment(Shipment {
+            gen: u64::MAX,
+            relation: "r".repeat(1024),
+            chunk: u32::MAX - 1,
+            chunks: u32::MAX,
+            solicited: true,
+            base: Some(u64::MAX),
+            watermark: u64::MAX,
+            oldest_lo: u64::MAX,
+            bytes: vec![0xA5; CHUNK_BYTES],
+        });
+        let mut env = Envelope {
+            tuples: Vec::new(),
+            src: addr.clone(),
+            dst: addr.clone(),
+            src_tuple_ids: Vec::new(),
+            delete: false,
+        };
+        env.push(msg.to_tuple(&addr), None);
+        let wire = p2_net::wire::encode_envelope(&env);
+        assert!(
+            wire.len() <= UDP_PAYLOAD_MAX,
+            "{} bytes on the wire",
+            wire.len()
+        );
+        let back = p2_net::wire::decode_envelope(&wire).unwrap();
+        assert_eq!(ShipMsg::from_tuple(&back.tuples[0]).unwrap(), msg);
+    }
 }

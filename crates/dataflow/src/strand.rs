@@ -33,19 +33,19 @@ pub struct StrandStats {
     /// (division by zero, type mismatch on wire data, ...).
     pub eval_errors: u64,
     /// Join probes answered from the strand's probe cache instead of the
-    /// store (batched same-key triggers; see [`ProbeCache`]).
+    /// store (consecutive same-key triggers; see [`ProbeCache`]).
     pub probe_cache_hits: u64,
 }
 
 /// The last equality-probe result, memoized per strand.
 ///
-/// Batched delta dispatch tends to feed a strand runs of triggers probing
-/// the same key (a same-relation run). The cache is
-/// keyed on `(stage, field, value, table-version, now)`: the store bumps
-/// a table's version on *every* observable mutation (including refreshes,
-/// which reorder scans) and expiry is a pure function of `now`, so a key
-/// hit guarantees the cached candidate rows are bit-identical to what a
-/// fresh probe would return — the trace stays exact.
+/// Consecutive triggers of one strand tend to probe the same key (an
+/// envelope's tuples, one rule's outputs). The cache is keyed on
+/// `(stage, field, value, table-version, now)`: the store bumps a table's
+/// version on *every* observable mutation (including refreshes, which
+/// reorder scans) and expiry is a pure function of `now`, so a key hit
+/// guarantees the cached candidate rows are bit-identical to what a fresh
+/// probe would return — the trace stays exact.
 #[derive(Debug)]
 struct ProbeCache {
     stage: usize,
@@ -747,8 +747,8 @@ fn group_key(
 /// A free function (rather than a method) so callers can hold a borrow of
 /// one stage definition while lending out the stats counters.
 ///
-/// Equality probes consult the strand's [`ProbeCache`] first: a batched
-/// run of same-key triggers probes the store once and replays the cached
+/// Equality probes consult the strand's [`ProbeCache`] first: consecutive
+/// same-key triggers probe the store once and replay the cached
 /// candidates, which the `(version, now)` key proves bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn probe_stage(

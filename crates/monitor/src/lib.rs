@@ -1,3 +1,8 @@
+// Library code must justify every panic path: unwrap/expect are
+// clippy-warned outside tests (see scripts/tier1.sh, which denies
+// warnings). Fix the call or carry an #[expect] with a reason.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 //! # p2-monitor — the paper's monitoring and forensics applications
 //!
 //! Every Section 3 example, as installable OverLog programs plus Rust

@@ -9,10 +9,11 @@ use p2_types::{Addr, Tuple, TupleId};
 /// correlation requires — the sender's node-local tuple IDs ride along so
 /// the receiver's `tupleTable` rows can name them.
 ///
-/// A batched runtime coalesces consecutive same-destination,
-/// same-relation outputs of one pump into a single envelope. Mixing
-/// relations in one envelope is not allowed: the receiver dispatches an
-/// envelope as one run, and the wire codec rejects mixed batches
+/// The router coalesces consecutive same-destination, same-relation
+/// outputs of one pump into a single envelope. Mixing relations in one
+/// envelope is not allowed: the receiver classifies an envelope by its
+/// one relation ([`Envelope::relation`]) before unpacking it tuple by
+/// tuple, and the wire codec rejects mixed batches
 /// ([`crate::wire::WireError::MixedBatch`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {

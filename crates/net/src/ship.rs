@@ -99,7 +99,7 @@ pub enum ShipError {
     Wire(WireError),
     /// Unknown message tag byte.
     BadTag(u8),
-    /// The carrier tuple is not shaped `sysShip(dst, hex-frame)`.
+    /// The carrier tuple is not shaped `sysShip(dst, Bytes(frame))`.
     BadField(&'static str),
     /// Bytes remained after the message was decoded.
     TrailingBytes(usize),
@@ -224,15 +224,12 @@ impl ShipMsg {
     }
 
     /// Wrap for transport: one tuple of the reserved [`SHIP_RELATION`],
-    /// shaped `sysShip(dst, hex-frame)` so it routes like any located
-    /// tuple. Hex keeps the payload inside the codec's UTF-8 strings.
+    /// shaped `sysShip(dst, Bytes(frame))` so it routes like any located
+    /// tuple.
     pub fn to_tuple(&self, dst: &Addr) -> Tuple {
         Tuple::new(
             SHIP_RELATION,
-            [
-                Value::Addr(dst.clone()),
-                Value::str(hex_encode(&self.encode())),
-            ],
+            [Value::Addr(dst.clone()), Value::Bytes(self.encode().into())],
         )
     }
 
@@ -241,11 +238,10 @@ impl ShipMsg {
         if tuple.name() != SHIP_RELATION {
             return Err(ShipError::BadField("relation_name"));
         }
-        let Some(Value::Str(payload)) = tuple.get(1) else {
+        let Some(Value::Bytes(frame)) = tuple.get(1) else {
             return Err(ShipError::BadField("payload"));
         };
-        let bytes = hex_decode(payload).ok_or(ShipError::BadField("payload_hex"))?;
-        ShipMsg::decode(&bytes)
+        ShipMsg::decode(frame)
     }
 }
 
@@ -335,35 +331,6 @@ impl Reassembly {
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(HEX[(b >> 4) as usize] as char);
-        s.push(HEX[(b & 0xF) as usize] as char);
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    let b = s.as_bytes();
-    if !b.len().is_multiple_of(2) {
-        return None;
-    }
-    let nib = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
-        }
-    };
-    let mut out = Vec::with_capacity(b.len() / 2);
-    for pair in b.chunks(2) {
-        out.push((nib(pair[0])? << 4) | nib(pair[1])?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +390,12 @@ mod tests {
             assert_eq!(t.get(0), Some(&Value::Addr(dst.clone())));
             assert_eq!(ShipMsg::from_tuple(&t).unwrap(), msg);
         }
+        // Anything but bytes in the payload slot is refused, typed.
+        let hexed = Tuple::new(SHIP_RELATION, [Value::Addr(dst), Value::str("01ff")]);
+        assert_eq!(
+            ShipMsg::from_tuple(&hexed),
+            Err(ShipError::BadField("payload"))
+        );
     }
 
     #[test]

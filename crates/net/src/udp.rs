@@ -16,8 +16,13 @@ use std::io;
 use std::net::UdpSocket;
 use std::time::Duration;
 
-/// Largest datagram we attempt to receive. Chord control tuples are tens
-/// of bytes; anything near this size indicates a runaway program.
+/// Receive buffer size. The real limit is the sender's: a UDP payload
+/// over IPv4 is at most 65,507 bytes (65,535 less the IP and UDP
+/// headers) and `send_to` refuses anything larger, so this buffer holds
+/// any datagram that can arrive. Chord control tuples are tens of bytes;
+/// the largest envelope the runtime itself builds carries one full ship
+/// chunk (48 KiB of frame plus its header, `p2-core`'s `ship` module)
+/// and fits.
 const MAX_DATAGRAM: usize = 64 * 1024;
 
 /// A UDP endpoint for one node.

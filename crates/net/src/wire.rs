@@ -26,8 +26,8 @@ pub enum WireError {
     /// Nesting deeper than the decoder permits (stack safety on hostile
     /// input).
     TooDeep,
-    /// An envelope batch mixed tuples of different relations; batches
-    /// are dispatched as one same-relation run, so this frame is invalid.
+    /// An envelope batch mixed tuples of different relations; an
+    /// envelope carries one relation's tuples, so this frame is invalid.
     MixedBatch,
     /// A frame field decoded to a value of the wrong type or range.
     BadField(&'static str),
@@ -222,6 +222,11 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
                 encode_value(out, i);
             }
         }
+        Value::Bytes(b) => {
+            out.push(8);
+            put_u32(out, b.len() as u32);
+            out.extend_from_slice(b);
+        }
     }
 }
 
@@ -255,6 +260,7 @@ fn decode_value(
             }
             Value::list(items)
         }
+        8 => Value::Bytes(r.bytes()?.into()),
         t => return Err(WireError::BadTag(t)),
     })
 }
@@ -383,6 +389,8 @@ mod tests {
                 Value::Time(Time(123)),
                 Value::str("hello \u{1F980}"),
                 Value::list([Value::Int(1), Value::list([Value::str("x")])]),
+                Value::Bytes([0u8, 0xFF, 0x80].into()),
+                Value::Bytes([].into()),
             ],
         );
         assert_eq!(rt(&t), t);
@@ -522,6 +530,17 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bytes_length_rejected() {
+        let t = Tuple::new("m", [Value::Bytes([1u8, 2, 3].into())]);
+        let mut bytes = encode_tuple(&t);
+        let pos = 4 + 1 + 4 + 1; // name, arity, bytes tag
+        for claimed in [4u32, u32::MAX] {
+            bytes[pos..pos + 4].copy_from_slice(&claimed.to_le_bytes());
+            assert_eq!(decode_tuple(&bytes), Err(WireError::Truncated));
+        }
+    }
+
+    #[test]
     fn deep_nesting_rejected() {
         let mut v = Value::Int(0);
         for _ in 0..40 {
@@ -539,11 +558,16 @@ mod tests {
             name in "[a-z]{1,12}",
             ints in proptest::collection::vec(any::<i64>(), 0..8),
             strs in proptest::collection::vec("[ -~]{0,20}", 0..4),
+            blobs in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..40),
+                0..3,
+            ),
         ) {
             let vals: Vec<Value> = ints
                 .into_iter()
                 .map(Value::Int)
                 .chain(strs.into_iter().map(Value::str))
+                .chain(blobs.into_iter().map(|b| Value::Bytes(b.into())))
                 .collect();
             let t = Tuple::new(&name, vals);
             prop_assert_eq!(rt(&t), t);
@@ -554,6 +578,12 @@ mod tests {
         fn prop_no_panic_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_tuple(&bytes);
             let _ = decode_envelope(&bytes);
+            // The same soup read as the body of a bytes value.
+            let mut framed = encode_tuple(&Tuple::new("m", [Value::Bool(false)]));
+            framed.truncate(4 + 1 + 4);
+            framed.push(8);
+            framed.extend_from_slice(&bytes);
+            let _ = decode_tuple(&framed);
         }
 
         /// Arbitrary same-relation batches — including the empty batch

@@ -276,6 +276,16 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The source from `start` to the cursor. Only for runs the lexer
+    /// matched byte by byte as ASCII (digits, identifier characters), so
+    /// widening each byte to a `char` is exact and nothing can fail.
+    fn ascii_since(&self, start: usize) -> String {
+        self.src[start..self.pos]
+            .iter()
+            .map(|&b| char::from(b))
+            .collect()
+    }
+
     fn lex_number(&mut self) -> Result<Token, LexError> {
         let span = self.span();
         let start = self.pos;
@@ -289,9 +299,8 @@ impl<'a> Lexer<'a> {
             if self.pos == hstart {
                 return Err(self.err("hex literal needs digits"));
             }
-            let text = std::str::from_utf8(&self.src[hstart..self.pos]).unwrap();
-            let v =
-                u64::from_str_radix(text, 16).map_err(|_| self.err("hex literal out of range"))?;
+            let v = u64::from_str_radix(&self.ascii_since(hstart), 16)
+                .map_err(|_| self.err("hex literal out of range"))?;
             // Hex literals denote ring identifiers: Chord node IDs span
             // the full 64-bit space, beyond i64.
             return Ok(Token {
@@ -312,7 +321,7 @@ impl<'a> Lexer<'a> {
                 self.bump();
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = self.ascii_since(start);
         if is_float {
             let v: f64 = text.parse().map_err(|_| self.err("bad float literal"))?;
             Ok(Token {
@@ -336,11 +345,8 @@ impl<'a> Lexer<'a> {
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .unwrap()
-            .to_string();
-        let first = text.as_bytes()[0];
-        let tok = if first.is_ascii_uppercase() {
+        let text = self.ascii_since(start);
+        let tok = if text.starts_with(|c: char| c.is_ascii_uppercase()) {
             Tok::Var(text)
         } else {
             Tok::Ident(text)

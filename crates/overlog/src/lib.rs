@@ -1,3 +1,8 @@
+// Library code must justify every panic path: unwrap/expect are
+// clippy-warned outside tests (see scripts/tier1.sh, which denies
+// warnings). Fix the call or carry an #[expect] with a reason.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 //! # p2-overlog — the OverLog language
 //!
 //! OverLog is the Datalog variant in which P2 programs — and, crucially

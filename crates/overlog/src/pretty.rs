@@ -6,7 +6,6 @@
 
 use crate::ast::*;
 use p2_types::Value;
-use std::fmt::Write;
 
 /// Render a full program, one statement per line.
 pub fn program_to_string(p: &Program) -> String {
@@ -55,7 +54,8 @@ pub fn materialize_to_string(m: &Materialize) -> String {
 pub fn rule_to_string(r: &Rule) -> String {
     let mut out = String::new();
     if let Some(l) = &r.label {
-        write!(out, "{l} ").unwrap();
+        out.push_str(l);
+        out.push(' ');
     }
     if r.delete {
         out.push_str("delete ");
@@ -83,7 +83,8 @@ pub fn pred_to_string(p: &Predicate) -> String {
     let mut out = String::new();
     out.push_str(&p.name);
     let rest: &[Arg] = if p.at_form && !p.args.is_empty() {
-        write!(out, "@{}", arg_to_string(&p.args[0])).unwrap();
+        out.push('@');
+        out.push_str(&arg_to_string(&p.args[0]));
         &p.args[1..]
     } else {
         &p.args
@@ -122,6 +123,8 @@ pub fn value_to_string(v: &Value) -> String {
             let xs: Vec<String> = items.iter().map(value_to_string).collect();
             format!("[{}]", xs.join(", "))
         }
+        // No OverLog literal exists; never produced by the parser.
+        Value::Bytes(_) => format!("{:?}", v.to_string()),
     }
 }
 

@@ -11,7 +11,7 @@ use crate::archive::{
     SpilledRow, LIVE_SENTINEL,
 };
 use crate::durable::{DurableStats, DurableStore};
-use crate::table::{BatchOutcome, InsertOutcome, ProbeStats, Table, TableSpec};
+use crate::table::{InsertOutcome, ProbeStats, Table, TableSpec};
 use p2_types::{Time, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -124,24 +124,6 @@ impl Catalog {
             Some(t) => Ok(t.insert(tuple, now)),
             None => Err(CatalogError::NoSuchTable {
                 name: tuple.name().to_string(),
-            }),
-        }
-    }
-
-    /// Insert a same-relation run of tuples in one go, resolving the
-    /// table once and paying its expiry/compaction prologue once. The
-    /// observable table state afterwards is identical to inserting the
-    /// run one tuple at a time at the same instant.
-    pub fn insert_batch(
-        &mut self,
-        name: &str,
-        tuples: impl IntoIterator<Item = Tuple>,
-        now: Time,
-    ) -> Result<BatchOutcome, CatalogError> {
-        match self.tables.get_mut(name) {
-            Some(t) => Ok(t.insert_batch(tuples, now)),
-            None => Err(CatalogError::NoSuchTable {
-                name: name.to_string(),
             }),
         }
     }

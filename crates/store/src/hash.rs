@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for the store's hot maps.
 //!
 //! Every tuple insert hashes its primary key (a `Vec<Value>`) at least
-//! twice; with SipHash that dominates the per-row cost of the wholesale
-//! `insert_batch` path. This is the classic Fx multiply-rotate mix
+//! twice; with SipHash that dominates the per-row cost of an insert.
+//! This is the classic Fx multiply-rotate mix
 //! (as used by rustc's FxHashMap), hand-rolled here because the image
 //! vendors no external hash crate.
 //!

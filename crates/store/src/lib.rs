@@ -37,6 +37,4 @@ pub use durable::{
     FileDurable, MemDurable, Recovery,
 };
 pub use hash::{FxHashMap, FxHashSet};
-pub use table::{
-    BatchOutcome, InsertOutcome, Key, ProbeStats, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD,
-};
+pub use table::{InsertOutcome, Key, ProbeStats, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD};

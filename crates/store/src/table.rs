@@ -154,19 +154,6 @@ pub struct ProbeStats {
 /// queries benefit without a reinstall).
 pub const DEFAULT_AUTO_INDEX_THRESHOLD: u32 = 16;
 
-/// Tally of what a batched insert did (see [`Table::insert_batch`]).
-/// Per-row outcomes are deliberately not materialized: batch callers are
-/// the no-subscriber fast path, which only needs the counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Rows newly added.
-    pub inserted: usize,
-    /// Rows that replaced an existing row with the same key.
-    pub replaced: usize,
-    /// Identical re-insertions (lifetime refresh, no delta).
-    pub refreshed: usize,
-}
-
 /// A soft-state table: primary-keyed rows with lifetime and size bounds.
 ///
 /// All methods take `now` explicitly; the table never consults a clock of
@@ -452,50 +439,12 @@ impl Table {
         }
     }
 
-    /// Insert (or replace, or refresh) a tuple.
+    /// Insert (or replace, or refresh) a tuple. One hash probe per row
+    /// (`entry`); key copies beyond the first are refcount bumps.
     pub fn insert(&mut self, tuple: Tuple, now: Time) -> InsertOutcome {
         self.expire(now);
         self.compact_order();
         self.compact_expiry();
-        self.insert_unchecked(tuple, now)
-    }
-
-    /// Insert a run of tuples at one instant, paying the expiry/compaction
-    /// prologue once for the whole batch instead of once per row. Since
-    /// all rows land at the same `now`, the observable result is exactly
-    /// that of inserting them one by one (expiry is idempotent at a fixed
-    /// instant); only the per-call overhead is amortized.
-    pub fn insert_batch(
-        &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
-        now: Time,
-    ) -> BatchOutcome {
-        self.expire(now);
-        self.compact_order();
-        self.compact_expiry();
-        let tuples = tuples.into_iter();
-        let (more, _) = tuples.size_hint();
-        self.rows.reserve(more);
-        self.order.reserve(more);
-        if self.archive_enrolled {
-            // Worst case every row replaces a version that must spill.
-            self.spilled.reserve(more);
-        }
-        let mut out = BatchOutcome::default();
-        for tuple in tuples {
-            match self.insert_unchecked(tuple, now) {
-                InsertOutcome::Inserted { .. } => out.inserted += 1,
-                InsertOutcome::Replaced { .. } => out.replaced += 1,
-                InsertOutcome::Refreshed => out.refreshed += 1,
-            }
-        }
-        out
-    }
-
-    /// The insert core, without the expiry/compaction prologue. One hash
-    /// probe per row (`entry`); key copies beyond the first are refcount
-    /// bumps.
-    fn insert_unchecked(&mut self, tuple: Tuple, now: Time) -> InsertOutcome {
         self.version += 1;
         let key = self.spec.key_arc(&tuple);
         let expires_at = self.spec.lifetime.map(|l| now + l);
@@ -1135,24 +1084,6 @@ mod tests {
         // Expiry (row due at t=11) bumps even through a read.
         t.scan(Time::from_secs(20));
         assert!(t.version() > v5, "expiry must bump");
-    }
-
-    #[test]
-    fn insert_batch_matches_sequential_inserts() {
-        let rows: Vec<Tuple> = (0..40).map(|i| tup(&format!("n{}", i % 7), i)).collect();
-        let mut seq = Table::new(spec(Some(10), Some(5), vec![0]));
-        for r in rows.clone() {
-            seq.insert(r, Time::from_secs(3));
-        }
-        let mut bat = Table::new(spec(Some(10), Some(5), vec![0]));
-        let out = bat.insert_batch(rows, Time::from_secs(3));
-        assert_eq!(out.inserted + out.replaced + out.refreshed, 40);
-        assert_eq!(bat.scan(Time::from_secs(3)), seq.scan(Time::from_secs(3)));
-        assert_eq!(bat.counters().0, seq.counters().0, "inserts");
-        assert_eq!(bat.counters().1, seq.counters().1, "replacements");
-        assert_eq!(bat.counters().2, seq.counters().2, "evictions");
-        // And both expire identically afterwards.
-        assert_eq!(bat.len(Time::from_secs(100)), 0);
     }
 
     proptest! {

@@ -131,6 +131,7 @@ impl Tuple {
                     Value::Str(s) => s.len(),
                     Value::Addr(a) => a.as_str().len(),
                     Value::List(l) => l.iter().map(val_bytes).sum(),
+                    Value::Bytes(b) => b.len(),
                     _ => 0,
                 }
         }

@@ -1,8 +1,9 @@
 //! Dynamically-typed values.
 //!
 //! OverLog is dynamically typed: a tuple field can hold an address, a ring
-//! identifier, a number, a string, a boolean, a timestamp, or a list (the
-//! paper's quickstart rule builds paths with `[B,A] + P`). [`Value`] is the
+//! identifier, a number, a string, a boolean, a timestamp, a list (the
+//! paper's quickstart rule builds paths with `[B,A] + P`), or opaque bytes
+//! (runtime-only: shipped archive frames). [`Value`] is the
 //! closed set of those types together with the arithmetic and comparison
 //! semantics the paper's rules rely on:
 //!
@@ -48,6 +49,9 @@ pub enum Value {
     Addr(Addr),
     /// Immutable list (paths in the quickstart example).
     List(Arc<[Value]>),
+    /// Opaque bytes (shipped archive frames). No OverLog literal and no
+    /// arithmetic: programs can only carry, compare and store them.
+    Bytes(Arc<[u8]>),
 }
 
 impl Value {
@@ -82,6 +86,7 @@ impl Value {
             Value::Str(_) => "str",
             Value::Addr(_) => "addr",
             Value::List(_) => "list",
+            Value::Bytes(_) => "bytes",
         }
     }
 
@@ -96,6 +101,7 @@ impl Value {
             Value::Str(_) => 5,
             Value::Addr(_) => 6,
             Value::List(_) => 7,
+            Value::Bytes(_) => 8,
         }
     }
 
@@ -302,6 +308,7 @@ impl Value {
                 }
                 a.len().cmp(&b.len())
             }
+            (Bytes(a), Bytes(b)) => a.cmp(b),
             (a, b) => a.rank().cmp(&b.rank()),
         }
     }
@@ -373,6 +380,10 @@ impl Hash for Value {
                 }
                 state.write_usize(l.len());
             }
+            Value::Bytes(b) => {
+                state.write_u8(8);
+                b.hash(state);
+            }
         }
     }
 }
@@ -396,6 +407,18 @@ impl fmt::Display for Value {
                     write!(f, "{v}")?;
                 }
                 write!(f, "]")
+            }
+            // Bounded: a shipped chunk is tens of KiB, and Display feeds
+            // string coercion and dumps.
+            Value::Bytes(b) => {
+                write!(f, "bytes[{}]:", b.len())?;
+                for x in b.iter().take(8) {
+                    write!(f, "{x:02x}")?;
+                }
+                if b.len() > 8 {
+                    write!(f, "..")?;
+                }
+                Ok(())
             }
         }
     }
@@ -588,6 +611,32 @@ mod tests {
         assert!(e.to_string().contains('+'));
     }
 
+    #[test]
+    fn bytes_are_structural_ranked_last_and_inert() {
+        let b = |x: &[u8]| Value::Bytes(Arc::from(x));
+        assert_eq!(b(&[1, 2]), b(&[1, 2]));
+        assert_eq!(h(&b(&[1, 2])), h(&b(&[1, 2])));
+        assert_ne!(b(&[1, 2]), b(&[1, 3]));
+        assert!(b(&[1, 2]) < b(&[1, 2, 0]));
+        // After every other variant, so no existing order moves; equal
+        // to none of them, whatever the content.
+        assert!(b(&[]) > Value::list([Value::Int(9)]));
+        assert_ne!(b(b"n1"), Value::str("n1"));
+        assert_eq!(b(&[]).type_name(), "bytes");
+        // Arithmetic is a type error, like any mismatched operand.
+        for rhs in [Value::Int(1), b(&[1])] {
+            assert!(b(&[1]).add(&rhs).is_err());
+            assert!(b(&[1]).sub(&rhs).is_err());
+            assert!(b(&[1]).mul(&rhs).is_err());
+            assert!(b(&[1]).div(&rhs).is_err());
+            assert!(b(&[1]).rem(&rhs).is_err());
+        }
+        // Display stays short however long the payload.
+        assert_eq!(b(&[0xde, 0xad]).to_string(), "bytes[2]:dead");
+        let big = b(&[0xab; 48 * 1024]);
+        assert_eq!(big.to_string(), "bytes[49152]:abababababababab..");
+    }
+
     fn arb_scalar() -> impl Strategy<Value = Value> {
         prop_oneof![
             any::<bool>().prop_map(Value::Bool),
@@ -597,6 +646,7 @@ mod tests {
             any::<u64>().prop_map(|t| Value::Time(Time(t))),
             "[a-z0-9:]{0,8}".prop_map(Value::str),
             "[a-z0-9:]{0,8}".prop_map(Value::addr),
+            proptest::collection::vec(any::<u8>(), 0..8).prop_map(|b| Value::Bytes(b.into())),
         ]
     }
 

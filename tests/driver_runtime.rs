@@ -566,3 +566,152 @@ fn udp_driver_counts_hostile_datagrams() {
         "garbage must be counted, not fatal"
     );
 }
+
+/// A port that holds what the driver sends until the test lets it out,
+/// one envelope at a time: a burst of 48-KiB datagrams would overflow
+/// the receiving socket's default buffer before a hand-ticked receiver
+/// gets to read any, and UDP drops what does not fit.
+struct Held<T> {
+    inner: T,
+    queue: std::collections::VecDeque<Envelope>,
+}
+
+impl<T: Transport> Held<T> {
+    fn new(inner: T) -> Held<T> {
+        Held {
+            inner,
+            queue: Default::default(),
+        }
+    }
+
+    fn release_one(&mut self) -> bool {
+        match self.queue.pop_front() {
+            Some(env) => {
+                self.inner.send(&env);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl<T: Transport> Transport for Held<T> {
+    fn send(&mut self, env: &Envelope) {
+        self.queue.push_back(env.clone());
+    }
+    fn try_recv(&mut self) -> Option<Envelope> {
+        self.inner.try_recv()
+    }
+    fn wait(&mut self, timeout: Duration) {
+        self.inner.wait(timeout)
+    }
+}
+
+/// An archiving origin whose sealed `ruleExec` history needs more than
+/// two ship chunks, a collector subscribed to it, each under its own
+/// [`Driver`] on the given transport. After the origin's GC sweeps the
+/// collector must hold, for the origin, exactly the origin's own
+/// history. Returns the origin's driver, for its port's own counters.
+fn history_ships_over<T: Transport>(
+    (origin_port, origin): (T, Addr),
+    (collector_port, collector): (T, Addr),
+) -> Driver<Held<T>> {
+    use p2ql::core::ArchiveMode;
+    const RULE_EXEC: &str = "ruleExec";
+    const FIRINGS: i64 = 1_500;
+
+    let mut node = Node::new(
+        origin.clone(),
+        NodeConfig {
+            stagger_timers: false,
+            ..NodeConfig::forensic()
+        },
+    );
+    node.install("r1 out@N(X) :- in@N(X).", Time::ZERO).unwrap();
+    node.ship_subscribe(collector.clone());
+    let mut o = Driver::new(node, Held::new(origin_port));
+    // The collector archives (it must, to import) but does not trace:
+    // every `ruleExec` row it can answer with is the origin's.
+    let node = Node::new(
+        collector,
+        NodeConfig {
+            archive: Some(ArchiveMode::default()),
+            ..Default::default()
+        },
+    );
+    let mut c = Driver::new(node, collector_port);
+
+    let fire = |o: &mut Driver<Held<T>>, xs: std::ops::Range<i64>| {
+        for x in xs {
+            o.node_mut().inject(Tuple::new(
+                "in",
+                [Value::Addr(origin.clone()), Value::Int(x)],
+            ));
+        }
+    };
+    fire(&mut o, 0..FIRINGS);
+    let mut now = Time::from_secs(1);
+    o.tick(now);
+    // Outlive the 120-s `ruleExec` lifetime twice: the first wave's
+    // epoch seals when the second wave's rows expire into a later one.
+    // Every tick past the 30-s GC period sweeps and pushes what moved;
+    // what a sweep queues leaves with the next tick's pump.
+    for t in [200u64, 240, 280, 320, 360, 400] {
+        now = Time::from_secs(t);
+        if t == 200 {
+            fire(&mut o, FIRINGS..FIRINGS + 10);
+        }
+        o.tick(now);
+        while o.transport_mut().release_one() {
+            let seen = c.node().metrics().msgs_received;
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while c.node().metrics().msgs_received == seen && Instant::now() < deadline {
+                c.tick(now);
+                c.transport_mut().wait(Duration::from_millis(1));
+            }
+        }
+    }
+
+    let sent = o.node().ship_stats();
+    let got = c.node().ship_stats();
+    let want = o
+        .node_mut()
+        .history_scan(RULE_EXEC, Time::ZERO, now, now)
+        .unwrap();
+    assert!(want.len() >= FIRINGS as usize, "{} rows", want.len());
+    assert!(want.iter().all(|r| r.dropped_at.is_some()), "all expired");
+    let sealed = o.node_mut().catalog_mut().archive_stats();
+    let sealed = sealed.iter().find(|(rel, _)| rel == RULE_EXEC).unwrap().1;
+    assert!(
+        sealed.sealed_bytes > 2 * 48 * 1024,
+        "more than two 48-KiB chunks sealed: {sealed:?}"
+    );
+    let have = c
+        .node_mut()
+        .deployment_history_scan(RULE_EXEC, Time::ZERO, now, now)
+        .unwrap();
+    assert_eq!(
+        have.len(),
+        want.len(),
+        "origin sent {sent:?}, collector got {got:?}"
+    );
+    assert_eq!(have, want);
+    assert_eq!(got.announce_chunks_received, sent.announce_chunks_sent);
+    assert_eq!(got.bytes_received, sent.bytes_sent);
+    assert_eq!(got.timeouts, 0);
+    assert_eq!(c.node().ship_failures().count(), 0);
+    o
+}
+
+#[test]
+fn sealed_history_ships_over_udp() {
+    let (origin, collector) = udp_pair();
+    let mut origin = history_ships_over(origin, collector);
+    assert_eq!(origin.transport_mut().inner.send_errors, 0);
+}
+
+#[test]
+fn sealed_history_ships_over_the_threaded_hub() {
+    let (origin, collector, _hub) = threaded_pair();
+    history_ships_over(origin, collector);
+}
