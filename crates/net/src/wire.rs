@@ -144,6 +144,14 @@ impl<'a> Reader<'a> {
         decode_value(self, 0, prev)
     }
 
+    /// Step over one tagged value, checking it exactly as
+    /// [`Reader::value`] would — tag, lengths, UTF-8, nesting, same
+    /// error first — without building it: a reader that wants only some
+    /// of a frame's values still validates every byte of it.
+    pub fn skip_value(&mut self) -> Result<(), WireError> {
+        skip_value(self, 0)
+    }
+
     /// A value that must be a string; `what` names the field in the
     /// error.
     pub fn str_field(&mut self, what: &'static str) -> Result<String, WireError> {
@@ -263,6 +271,34 @@ fn decode_value(
         8 => Value::Bytes(r.bytes()?.into()),
         t => return Err(WireError::BadTag(t)),
     })
+}
+
+/// [`decode_value`]'s checks in its order, with nothing built.
+fn skip_value(r: &mut Reader<'_>, depth: usize) -> Result<(), WireError> {
+    if depth > MAX_DEPTH {
+        return Err(WireError::TooDeep);
+    }
+    match r.u8()? {
+        0 => {
+            r.u8()?;
+        }
+        1..=4 => {
+            r.take(8)?;
+        }
+        5 | 6 => {
+            r.str()?;
+        }
+        7 => {
+            for _ in 0..r.count()? {
+                skip_value(r, depth + 1)?;
+            }
+        }
+        8 => {
+            r.bytes()?;
+        }
+        t => return Err(WireError::BadTag(t)),
+    }
+    Ok(())
 }
 
 /// Encode one value into `out` (the tag-per-value format above).
@@ -551,7 +587,75 @@ mod tests {
         assert_eq!(decode_tuple(&bytes), Err(WireError::TooDeep));
     }
 
+    /// Reads `bytes` as a run of values twice, decoding and skipping, and
+    /// checks the two readers agree value by value — same verdict, same
+    /// position — up to the first error, which must be the same error.
+    fn skip_agrees_with_decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let (mut dec, mut skip) = (Reader::new(bytes), Reader::new(bytes));
+        loop {
+            let (d, s) = (dec.value().map(|_| ()), skip.skip_value());
+            prop_assert_eq!(&d, &s);
+            prop_assert_eq!(dec.remaining(), skip.remaining());
+            if d.is_err() || dec.remaining() == 0 {
+                return Ok(());
+            }
+        }
+    }
+
+    #[test]
+    fn skip_steps_over_every_value_kind_and_rejects_what_decode_rejects() {
+        let t = Tuple::new(
+            "mix",
+            [
+                Value::addr("n1:7"),
+                Value::Bool(true),
+                Value::Int(-17),
+                Value::Float(0.5),
+                Value::id(u64::MAX),
+                Value::Time(Time(123)),
+                Value::str("hello \u{1F980}"),
+                Value::list([Value::Int(1), Value::list([Value::str("x")])]),
+                Value::Bytes([0u8, 0xFF, 0x80].into()),
+            ],
+        );
+        let mut body = Vec::new();
+        for v in t.values() {
+            encode_value_into(&mut body, v);
+        }
+        let mut r = Reader::new(&body);
+        for _ in t.values() {
+            r.skip_value().unwrap();
+        }
+        assert_eq!(r.remaining(), 0);
+        for cut in 0..body.len() {
+            skip_agrees_with_decode(&body[..cut]).unwrap();
+        }
+        let mut deep = Value::Int(0);
+        for _ in 0..40 {
+            deep = Value::list([deep]);
+        }
+        let mut deep_bytes = Vec::new();
+        encode_value_into(&mut deep_bytes, &deep);
+        assert_eq!(
+            Reader::new(&deep_bytes).skip_value(),
+            Err(WireError::TooDeep)
+        );
+        skip_agrees_with_decode(&[5, 2, 0, 0, 0, 0xC3, 0x28]).unwrap(); // bad UTF-8
+        skip_agrees_with_decode(&[0xFF]).unwrap(); // bad tag
+    }
+
     proptest! {
+        /// Skipping a value is decoding it without the value: on any
+        /// bytes the two agree on every verdict and every position.
+        #[test]
+        fn prop_skip_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+            skip_agrees_with_decode(&bytes)?;
+            // The soup behind a list header, so nesting gets exercised.
+            let mut listed = vec![7, 3, 0, 0, 0];
+            listed.extend_from_slice(&bytes);
+            skip_agrees_with_decode(&listed)?;
+        }
+
         /// Arbitrary flat tuples round-trip.
         #[test]
         fn prop_round_trip(

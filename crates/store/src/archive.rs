@@ -247,18 +247,32 @@ impl Segment {
     /// Decode and fully validate an encoded segment frame. Every byte
     /// is checked: header, each row, and that nothing trails.
     pub fn from_bytes(buf: &[u8]) -> Result<Segment, SegmentError> {
-        let (mut seg, _rows) = Segment::parse(buf)?;
+        let mut seg = Segment::walk(buf, None, |_| {})?;
         seg.bytes = buf.to_vec();
         Ok(seg)
     }
 
     /// Decode the segment's rows.
     pub fn rows(&self) -> Result<Vec<SpilledRow>, SegmentError> {
-        let (_seg, rows) = Segment::parse(&self.bytes)?;
+        let mut rows = Vec::with_capacity(self.row_count as usize);
+        let everything = (Time::ZERO, Time(u64::MAX), &[][..]);
+        Segment::walk(&self.bytes, Some(everything), |row| rows.push(row))?;
         Ok(rows)
     }
 
-    fn parse(buf: &[u8]) -> Result<(Segment, Vec<SpilledRow>), SegmentError> {
+    /// The one pass over a frame: parse and check the header, then every
+    /// row, then that nothing trails. A row is built — its values
+    /// decoded into a tuple — only when `want` holds a window its
+    /// interval meets; then it is handed to `emit` if its values also
+    /// satisfy `want`'s equalities. Every other row's values are stepped
+    /// over with [`Reader::skip_value`], which checks exactly what a
+    /// decode would: a frame walked for a few rows is as validated as
+    /// one decoded whole. `want` `None` builds nothing (validation only).
+    fn walk(
+        buf: &[u8],
+        want: Option<Wanted<'_>>,
+        mut emit: impl FnMut(SpilledRow),
+    ) -> Result<Segment, SegmentError> {
         let mut r = Reader::new(buf);
         let magic: [u8; 4] = r.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
         if magic != SEGMENT_MAGIC {
@@ -289,20 +303,36 @@ impl Segment {
             col_max.push(r.value()?);
         }
         // One relation-name allocation per segment, and one per run of
-        // equal strings down a column (see `Reader::value_sharing`).
+        // equal strings down a column (see `Reader::value_sharing`; the
+        // row above is the last one built).
         let name: Arc<str> = Arc::from(relation.as_str());
-        let mut rows: Vec<SpilledRow> = Vec::with_capacity(row_count);
+        let mut above: Option<Tuple> = None;
+        let mut vals: Vec<Value> = Vec::new();
         for _ in 0..row_count {
             let inserted_at = r.time_field("inserted_at")?;
             let dropped_at = r.time_field("dropped_at")?;
             let arity = count(&mut r, "arity")?;
-            let mut vals = Vec::with_capacity(arity.min(1024));
+            let eqs = match want {
+                Some((t0, t1, eqs)) if in_window(inserted_at, dropped_at, t0, t1) => eqs,
+                _ => {
+                    for _ in 0..arity {
+                        r.skip_value()?;
+                    }
+                    continue;
+                }
+            };
+            vals.clear();
             for col in 0..arity {
-                let above = rows.last().and_then(|prev| prev.tuple.get(col));
-                vals.push(r.value_sharing(above)?);
+                let prev = above.as_ref().and_then(|t| t.get(col));
+                vals.push(r.value_sharing(prev)?);
             }
-            rows.push(SpilledRow {
-                tuple: Tuple::with_name(name.clone(), vals),
+            if !eqs_hold(&vals, eqs) {
+                continue;
+            }
+            let tuple = Tuple::with_name(name.clone(), vals.drain(..));
+            above = Some(tuple.clone());
+            emit(SpilledRow {
+                tuple,
                 inserted_at,
                 dropped_at,
             });
@@ -310,20 +340,17 @@ impl Segment {
         if r.remaining() != 0 {
             return Err(SegmentError::TrailingBytes(r.remaining()));
         }
-        Ok((
-            Segment {
-                relation,
-                epoch_lo,
-                epoch_hi,
-                row_count: row_count as u64,
-                min_inserted,
-                max_dropped,
-                col_min,
-                col_max,
-                bytes: Vec::new(),
-            },
-            rows,
-        ))
+        Ok(Segment {
+            relation,
+            epoch_lo,
+            epoch_hi,
+            row_count: row_count as u64,
+            min_inserted,
+            max_dropped,
+            col_min,
+            col_max,
+            bytes: Vec::new(),
+        })
     }
 
     /// The relation this segment holds rows of.
@@ -508,12 +535,24 @@ fn enforce(relation: &str, ra: &mut RelationArchive, config: &ArchiveConfig) {
     }
 }
 
+/// What a history scan asks of a row: a window `[t0, t1]` its validity
+/// interval must meet, and `(field, value)` equalities.
+type Wanted<'a> = (Time, Time, &'a [(usize, Value)]);
+
 /// Whether `row`'s validity interval intersects `[t0, t1]` and it
 /// satisfies every `(field, value)` equality predicate.
 fn scan_hit(row: &SpilledRow, t0: Time, t1: Time, eqs: &[(usize, Value)]) -> bool {
-    row.inserted_at <= t1
-        && row.dropped_at >= t0
-        && eqs.iter().all(|(i, v)| row.tuple.get(*i) == Some(v))
+    in_window(row.inserted_at, row.dropped_at, t0, t1) && eqs_hold(row.tuple.values(), eqs)
+}
+
+/// Whether the interval `[inserted_at, dropped_at]` meets `[t0, t1]`.
+fn in_window(inserted_at: Time, dropped_at: Time, t0: Time, t1: Time) -> bool {
+    inserted_at <= t1 && dropped_at >= t0
+}
+
+/// Whether `vals` satisfies every `(field, value)` equality predicate.
+pub(crate) fn eqs_hold(vals: &[Value], eqs: &[(usize, Value)]) -> bool {
+    eqs.iter().all(|(i, v)| vals.get(*i) == Some(v))
 }
 
 /// A scan result. A row frozen while still live at its origin (drop
@@ -530,8 +569,9 @@ fn archived(row: SpilledRow) -> ArchivedRow {
 /// The one segment walk behind every history scan, own tier or
 /// imported: segments whose header bounds miss `[t0, t1]` — or whose
 /// per-column summary proves no row can satisfy `eqs` — are pruned
-/// without decoding; the rest are decoded and their [`scan_hit`]s
-/// appended to `out` in frame order. Returns the number pruned.
+/// without decoding; the rest are walked whole (every byte validated)
+/// and their [`scan_hit`]s — the only rows built — appended to `out`
+/// in frame order. Returns the number pruned.
 fn scan_segments<'a>(
     segments: impl IntoIterator<Item = &'a Segment>,
     t0: Time,
@@ -545,8 +585,9 @@ fn scan_segments<'a>(
             pruned += 1;
             continue;
         }
-        let rows = seg.rows()?.into_iter();
-        out.extend(rows.filter(|r| scan_hit(r, t0, t1, eqs)).map(archived));
+        Segment::walk(&seg.bytes, Some((t0, t1, eqs)), |row| {
+            out.push(archived(row))
+        })?;
     }
     Ok(pruned)
 }
@@ -704,6 +745,7 @@ impl Archive {
     /// intersects `[t0, t1]` and that satisfy every `(field, value)`
     /// equality predicate in `eqs`, in spill order: the sealed segments
     /// (see [`scan_segments`] for what is pruned), then the open buffer.
+    /// An inverted window (`t0 > t1`) is empty: nothing is scanned.
     pub fn scan_range(
         &mut self,
         relation: &str,
@@ -711,7 +753,7 @@ impl Archive {
         t1: Time,
         eqs: &[(usize, Value)],
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        let Some(ra) = self.relations.get_mut(relation) else {
+        let Some(ra) = self.relations.get_mut(relation).filter(|_| t0 <= t1) else {
             return Ok(Vec::new());
         };
         ra.scans += 1;
@@ -894,7 +936,8 @@ impl ImportedHistory {
     }
 
     /// Scan one origin's shipped history of `relation` for rows whose
-    /// validity interval intersects `[t0, t1]` and that satisfy `eqs`.
+    /// validity interval intersects `[t0, t1]` and that satisfy `eqs`
+    /// (none when `t0 > t1`).
     pub fn scan(
         &self,
         origin: &str,
@@ -904,13 +947,8 @@ impl ImportedHistory {
         eqs: &[(usize, Value)],
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
         let mut out = Vec::new();
-        scan_segments(
-            self.frames(origin, relation).unwrap_or_default(),
-            t0,
-            t1,
-            eqs,
-            &mut out,
-        )?;
+        let frames = self.frames(origin, relation).filter(|_| t0 <= t1);
+        scan_segments(frames.unwrap_or_default(), t0, t1, eqs, &mut out)?;
         Ok(out)
     }
 }

@@ -7,8 +7,8 @@
 //! here.
 
 use crate::archive::{
-    Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, Segment, SegmentError,
-    SpilledRow, LIVE_SENTINEL,
+    eqs_hold, Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, Segment,
+    SegmentError, SpilledRow, LIVE_SENTINEL,
 };
 use crate::durable::{DurableStats, DurableStore};
 use crate::table::{InsertOutcome, ProbeStats, Table, TableSpec};
@@ -314,7 +314,8 @@ impl Catalog {
     /// equality predicates in `eqs` — archived rows (closed intervals,
     /// spill order) followed by still-live rows (open intervals,
     /// insertion order). Returns empty when archiving is disabled: a
-    /// partial live-only answer would masquerade as history.
+    /// partial live-only answer would masquerade as history. An inverted
+    /// window (`t0 > t1`) is empty too, and touches nothing.
     pub fn archive_scan(
         &mut self,
         name: &str,
@@ -323,30 +324,32 @@ impl Catalog {
         now: Time,
         eqs: &[(usize, Value)],
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        // Touch the live table FIRST: its expiry prologue spills rows
-        // past due at `now`, and those must land in the archive before
-        // the segment walk below — otherwise a row expiring at scan
-        // time would be neither live nor archived. (Nothing is enrolled
-        // while archiving is disabled, so that case touches nothing.)
-        let live: Vec<(Tuple, Time)> = self
-            .tables
-            .get_mut(name)
-            .filter(|t| t.archive_enrolled())
-            .map(|t| t.scan_with_birth(now))
-            .unwrap_or_default();
+        if t0 > t1 {
+            return Ok(Vec::new());
+        }
+        // Expire the live table FIRST: rows past due at `now` spill,
+        // and must land in the archive before the segment walk below —
+        // otherwise a row expiring at scan time would be neither live
+        // nor archived. (Nothing is enrolled while archiving is
+        // disabled, so that case touches nothing.)
+        let enrolled = |t: &&mut Table| t.archive_enrolled();
+        if let Some(t) = self.tables.get_mut(name).filter(enrolled) {
+            t.expire(now);
+        }
         self.archive_maintain();
         let Some(archive) = self.archive.as_mut() else {
             return Ok(Vec::new());
         };
         let mut out = archive.scan_range(name, t0, t1, eqs)?;
-        for (tuple, inserted_at) in live {
-            if inserted_at <= t1 && eqs.iter().all(|(i, v)| tuple.get(*i) == Some(v)) {
-                out.push(ArchivedRow {
-                    tuple,
-                    inserted_at,
-                    dropped_at: None,
-                });
-            }
+        if let Some(t) = self.tables.get_mut(name).filter(enrolled) {
+            let live = t.live_where(now, |tuple, inserted_at| {
+                inserted_at <= t1 && eqs_hold(tuple.values(), eqs)
+            });
+            out.extend(live.into_iter().map(|(tuple, inserted_at)| ArchivedRow {
+                tuple,
+                inserted_at,
+                dropped_at: None,
+            }));
         }
         Ok(out)
     }
@@ -368,7 +371,7 @@ impl Catalog {
             .tables
             .get_mut(name)
             .filter(|t| t.archive_enrolled())
-            .map(|t| t.scan_with_birth(now))
+            .map(|t| t.live_where(now, |_, _| true))
             .unwrap_or_default();
         self.archive_maintain();
         let mut frames = self
@@ -619,5 +622,151 @@ mod tests {
             .unwrap();
         assert_eq!(c.expire_all(Time::from_secs(1000)), 1);
         assert_eq!(c.live_tuples(), 0);
+    }
+
+    // ---- history scans ---------------------------------------------------
+
+    fn hrow(origin: &str, k: i64, v: i64) -> Tuple {
+        Tuple::new("h", [Value::addr(origin), Value::Int(k), Value::Int(v)])
+    }
+
+    /// An archiving catalog with one enrolled table `h(origin, k, v)`:
+    /// keyed on `k`, rows live 10 s, at most 6 of them, 5-s epochs.
+    fn history_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.enable_archive(ArchiveConfig {
+            epoch: TimeDelta::from_secs(5),
+            compact_min_bytes: 64,
+            ..ArchiveConfig::default()
+        });
+        let spec = TableSpec::new("h", Some(TimeDelta::from_secs(10)), Some(6), vec![1]);
+        c.register(spec).unwrap();
+        c.enroll_archive("h").unwrap();
+        c
+    }
+
+    #[test]
+    fn an_inverted_window_matches_nothing_and_scans_nothing() {
+        let mut c = history_catalog();
+        for (k, at) in [(1, 0), (2, 4), (3, 8), (1, 12)] {
+            c.insert(hrow("m", k, 0), Time::from_secs(at)).unwrap();
+        }
+        // At 13 s: k=1's first version is archived ([0, 12]); k=2, k=3
+        // and k=1's second version are live.
+        let now = Time::from_secs(13);
+        let (t0, t1) = (Time::from_secs(9), Time::from_secs(3));
+        // The forward window over the same instants has both tiers in it.
+        assert_eq!(c.archive_scan("h", t1, t0, now, &[]).unwrap().len(), 3);
+        let scans = |c: &mut Catalog| c.archive_stats()[0].1.scans;
+        let before = scans(&mut c);
+        assert!(c.archive_scan("h", t0, t1, now, &[]).unwrap().is_empty());
+        assert!(c
+            .deployment_scan("m", "h", t0, t1, now, &[])
+            .unwrap()
+            .is_empty());
+        assert_eq!(scans(&mut c), before, "an empty window is not a scan");
+        // Nor does it touch the live tier: nothing expires by `later`.
+        let later = Time::from_secs(100);
+        c.archive_scan("h", t0, t1, later, &[]).unwrap();
+        assert_eq!(c.table("h").map(Table::raw_len), Some(3));
+    }
+
+    /// The history scan as it was before the live tier was filtered in
+    /// place and segments built only their hits: clone every live row
+    /// with its birth time, decode every frame whole, then filter — and
+    /// an inverted window is empty.
+    fn clone_then_filter(
+        c: &mut Catalog,
+        local: &str,
+        t0: Time,
+        t1: Time,
+        now: Time,
+        eqs: &[(usize, Value)],
+    ) -> Vec<ArchivedRow> {
+        if t0 > t1 {
+            return Vec::new();
+        }
+        let hit = |row: &ArchivedRow| {
+            row.inserted_at <= t1
+                && row.dropped_at.is_none_or(|d| d >= t0)
+                && eqs.iter().all(|(i, v)| row.tuple.get(*i) == Some(v))
+        };
+        let mut origins = c.imported.origins("h");
+        if !origins.iter().any(|o| o == local) {
+            origins.push(local.to_string());
+            origins.sort();
+        }
+        let mut out = Vec::new();
+        for origin in origins {
+            let (frames, live) = if origin == local {
+                let live = c.tables.get_mut("h").map(|t| t.scan_with_birth(now));
+                c.archive_maintain();
+                let frames = c.archive.as_ref().map(|a| a.export_frames("h"));
+                (frames.unwrap_or_default(), live.unwrap_or_default())
+            } else {
+                let frames = c.imported.frames(&origin, "h").unwrap_or_default();
+                (frames.to_vec(), Vec::new())
+            };
+            let archived = frames.iter().flat_map(|seg| seg.rows().unwrap_or_default());
+            let archived = archived.map(|r| ArchivedRow {
+                dropped_at: (r.dropped_at != LIVE_SENTINEL).then_some(r.dropped_at),
+                tuple: r.tuple,
+                inserted_at: r.inserted_at,
+            });
+            let live = live.into_iter().map(|(tuple, inserted_at)| ArchivedRow {
+                tuple,
+                inserted_at,
+                dropped_at: None,
+            });
+            out.extend(archived.chain(live).filter(hit));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Filtering the live tier in place and building only the hits
+        /// of each segment answer exactly what cloning everything and
+        /// filtering afterwards did: random histories on this node and
+        /// a shipping peer, random windows (inverted ones included),
+        /// random equality hints, and scan instants that land on rows'
+        /// expiry deadlines.
+        #[test]
+        fn prop_filtered_scan_matches_clone_then_filter(
+            ops in proptest::collection::vec((0u8..8, 0i64..8, 0i64..3, 0u64..4), 1..150),
+            probes in proptest::collection::vec((0u64..120, 0u64..120, 0u8..6, 0i64..3, 0u64..6), 1..10),
+        ) {
+            let (mut c, mut peer) = (history_catalog(), history_catalog());
+            let mut now = Time::ZERO;
+            let ship = |peer: &mut Catalog, c: &mut Catalog, now| {
+                if let Some(export) = peer.export_history("h", now) {
+                    c.import_history("b", "h", None, export.frames);
+                }
+            };
+            for (sel, k, v, dt) in ops {
+                now += TimeDelta::from_secs(dt);
+                match sel {
+                    0..=3 => drop(c.insert(hrow("m", k, v), now)),
+                    4 | 5 => drop(peer.insert(hrow("b", k, v), now)),
+                    6 => drop(c.delete_by_key(&hrow("m", k, 0), now)),
+                    _ => ship(&mut peer, &mut c, now),
+                }
+            }
+            ship(&mut peer, &mut c, now);
+            for (a, b, hint, v, dt) in probes {
+                // Whole seconds, like every insert: deadlines coincide.
+                now += TimeDelta::from_secs(dt);
+                let eqs: Vec<(usize, Value)> = match hint {
+                    0 => vec![],
+                    1 => vec![(0, Value::addr("m"))],
+                    2 => vec![(0, Value::addr("b"))],
+                    3 => vec![(1, Value::Int(v))],
+                    4 => vec![(2, Value::Int(v))],
+                    _ => vec![(0, Value::addr("m")), (2, Value::Int(v))],
+                };
+                let (t0, t1) = (Time::from_secs(a), Time::from_secs(b));
+                let got = c.deployment_scan("m", "h", t0, t1, now, &eqs);
+                proptest::prop_assert_eq!(got, Ok(clone_then_filter(&mut c, "m", t0, t1, now, &eqs)));
+            }
+        }
     }
 }

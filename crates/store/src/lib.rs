@@ -16,16 +16,17 @@
 //!   clock the caller passes in — virtual in simulation, real otherwise),
 //! * tables hold at most `max_size` rows; inserting into a full table
 //!   evicts the **oldest** row,
-//! * every mutation reports what happened so the node runtime can fire
-//!   delta rules (a replaced or evicted row does not fire an insertion
-//!   event for itself, but the caller needs to know for refcounts and
-//!   metrics).
+//! * every insert reports what happened so the node runtime can fire
+//!   delta rules (a refresh fires none; a replacement hands back the
+//!   old row; evicted rows are counted, and spilled when archiving).
 
 pub mod archive;
 pub mod catalog;
 pub mod durable;
 pub mod hash;
 pub mod table;
+#[cfg(test)]
+mod table_tests;
 
 pub use archive::{
     Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, Segment, SegmentError,

@@ -3,8 +3,8 @@
 use crate::archive::SpilledRow;
 use crate::hash::{FxHashMap, FxHashSet};
 use p2_types::{Time, TimeDelta, Tuple, Value};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// Declaration of a table — the runtime form of a `materialize` statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,12 +75,9 @@ pub type Key = std::sync::Arc<[Value]>;
 /// What an insert did, reported to the node runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InsertOutcome {
-    /// A new row was added. Carries the rows evicted to make room (empty
-    /// unless the table was at its size bound).
-    Inserted {
-        /// Rows evicted by the size bound, oldest first.
-        evicted: Vec<Tuple>,
-    },
+    /// A new row was added (evicting the oldest rows, into the spill
+    /// buffer when archiving, if the table was at its size bound).
+    Inserted,
     /// A row with the same primary key existed and was replaced.
     Replaced {
         /// The previous row.
@@ -94,40 +91,19 @@ pub enum InsertOutcome {
 #[derive(Debug, Clone)]
 struct Row {
     tuple: Tuple,
-    expires_at: Option<Time>,
     seq: u64,
     /// Start of the row's validity interval. A refresh keeps it (same
     /// content, one continuous interval); a replacement resets it.
     inserted_at: Time,
 }
 
-/// One pending-expiry entry. Ordering is `(at, seq)` only — `seq` is
-/// unique per entry, so keys (which are not `Ord`) never need comparing.
+/// One pending-expiry entry: the row under `key` is due at `at` if it
+/// still carries sequence number `seq`.
 #[derive(Debug, Clone)]
-struct HeapEnt {
+struct Due {
     at: Time,
     seq: u64,
     key: Key,
-}
-
-impl PartialEq for HeapEnt {
-    fn eq(&self, other: &HeapEnt) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapEnt {}
-
-impl PartialOrd for HeapEnt {
-    fn partial_cmp(&self, other: &HeapEnt) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEnt {
-    fn cmp(&self, other: &HeapEnt) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Probe-path counters, exposed through the `sysStat` introspection
@@ -143,7 +119,8 @@ pub struct ProbeStats {
     pub rows_scanned: u64,
     /// Rows actually returned across all probes.
     pub rows_returned: u64,
-    /// Expiry-heap entries popped (due or stale).
+    /// Expiry-queue entries popped by `expire` (due or stale). An
+    /// evicted row's entry is dropped by the eviction and not counted.
     pub heap_pops: u64,
     /// Indexes created by the runtime fallback (vs. planner-registered).
     pub auto_indexes: u64,
@@ -163,10 +140,10 @@ pub const DEFAULT_AUTO_INDEX_THRESHOLD: u32 = 16;
 /// Lookup structure (DESIGN.md §2.7): rows live in a primary-key map;
 /// `order` is the deterministic scan order (insertion sequence); each
 /// registered secondary index maps a field's value to the keys holding
-/// it; the expiry heap orders pending lifetimes so `expire(now)` touches
-/// only rows actually due. Stale entries in `order` and the heap are
-/// recognised by sequence number: every write stamps a fresh `seq`, so
-/// an entry is current iff the live row's `seq` matches.
+/// it; the expiry queue orders pending lifetimes so `expire(now)`
+/// touches only rows actually due. Stale entries in `order` and the
+/// expiry queue are recognised by sequence number: every write stamps a
+/// fresh `seq`, so an entry is current iff the live row's `seq` matches.
 #[derive(Debug, Clone)]
 pub struct Table {
     spec: TableSpec,
@@ -178,8 +155,9 @@ pub struct Table {
     /// Secondary indexes: field position → value → keys of rows holding
     /// that value in that field. Maintained on every mutation.
     indexes: HashMap<usize, FxHashMap<Value, FxHashSet<Key>>>,
-    /// Min-heap of pending expirations `(expires_at, seq, key)`.
-    expiry: BinaryHeap<Reverse<HeapEnt>>,
+    /// Pending expirations, sorted by `(at, seq)` — see
+    /// [`Table::enqueue`]. `expire` pops the front.
+    expiry: VecDeque<Due>,
     next_seq: u64,
     /// Bumped on every mutation that can change what `scan`/`scan_eq`
     /// observe (insert, refresh, replace, evict, expire, delete, clear).
@@ -213,7 +191,7 @@ impl Table {
             rows: FxHashMap::default(),
             order: VecDeque::new(),
             indexes: HashMap::new(),
-            expiry: BinaryHeap::new(),
+            expiry: VecDeque::new(),
             next_seq: 0,
             version: 0,
             archive_enrolled: false,
@@ -330,9 +308,32 @@ impl Table {
         std::mem::take(&mut self.spilled)
     }
 
-    /// Snapshot live rows with their insertion times (insertion order),
-    /// the live half of a history scan.
-    pub fn scan_with_birth(&mut self, now: Time) -> Vec<(Tuple, Time)> {
+    /// The live rows `keep` accepts, with their insertion times, in
+    /// insertion order: the live half of a history scan. Filtered in
+    /// place — one visit per row, no hashing, only accepted rows cloned
+    /// (an `Arc` bump each) — and only the hits sorted into sequence.
+    pub fn live_where(
+        &mut self,
+        now: Time,
+        mut keep: impl FnMut(&Tuple, Time) -> bool,
+    ) -> Vec<(Tuple, Time)> {
+        self.expire(now);
+        let mut hits: Vec<&Row> = self
+            .rows
+            .values()
+            .filter(|r| keep(&r.tuple, r.inserted_at))
+            .collect();
+        hits.sort_unstable_by_key(|r| r.seq);
+        hits.into_iter()
+            .map(|r| (r.tuple.clone(), r.inserted_at))
+            .collect()
+    }
+
+    /// Snapshot live rows with their insertion times by walking the
+    /// order queue — the pre-filter form of [`Table::live_where`], kept
+    /// as its oracle.
+    #[cfg(test)]
+    pub(crate) fn scan_with_birth(&mut self, now: Time) -> Vec<(Tuple, Time)> {
         self.expire(now);
         let rows = &self.rows;
         self.order
@@ -373,47 +374,61 @@ impl Table {
 
     /// Drop rows whose lifetime has elapsed. Returns how many were
     /// dropped. Called lazily by every read and write; cost is
-    /// O(due rows), not O(table), because the expiry heap orders pending
-    /// lifetimes.
+    /// O(due rows), not O(table), because the expiry queue is sorted by
+    /// deadline.
     pub fn expire(&mut self, now: Time) -> usize {
         if self.spec.lifetime.is_none() {
             return 0;
         }
         let mut dropped = 0;
-        while let Some(Reverse(top)) = self.expiry.peek() {
-            if top.at > now {
-                break;
-            }
-            let Some(Reverse(ent)) = self.expiry.pop() else {
-                break;
-            };
+        while let Some(ent) = self.expiry.pop_front_if(|d| d.at <= now) {
             self.stats.heap_pops += 1;
             // Current iff the live row still carries this entry's seq; a
-            // refresh/replace stamped a newer seq (and pushed its own
-            // heap entry), making this one stale.
-            let current = self.rows.get(&ent.key).is_some_and(|r| r.seq == ent.seq);
-            if current {
-                if let Some(row) = self.rows.remove(&ent.key) {
-                    Table::index_remove(&mut self.indexes, &ent.key, &row.tuple);
-                    self.expirations += 1;
-                    dropped += 1;
-                    if self.archive_enrolled {
-                        // The drop time is the expiry *deadline*, not
-                        // the (read-pattern-dependent) observation time:
-                        // archives must be deterministic.
-                        self.spilled.push(SpilledRow {
-                            tuple: row.tuple,
-                            inserted_at: row.inserted_at,
-                            dropped_at: ent.at,
-                        });
-                    }
-                }
+            // refresh/replace stamped a newer seq (and queued its own
+            // entry), making this one stale.
+            let Some((key, row)) = self.take_current(ent.key, ent.seq) else {
+                continue;
+            };
+            Table::index_remove(&mut self.indexes, &key, &row.tuple);
+            self.expirations += 1;
+            dropped += 1;
+            if self.archive_enrolled {
+                // The drop time is the expiry *deadline*, not the
+                // (read-pattern-dependent) observation time: archives
+                // must be deterministic.
+                self.spilled.push(SpilledRow {
+                    tuple: row.tuple,
+                    inserted_at: row.inserted_at,
+                    dropped_at: ent.at,
+                });
             }
         }
         if dropped > 0 {
             self.version += 1;
         }
         dropped
+    }
+
+    /// Whether a queue entry for `key` under `seq` is current.
+    fn is_current(&self, key: &Key, seq: u64) -> bool {
+        self.rows.get(key).is_some_and(|r| r.seq == seq)
+    }
+
+    /// Remove the row a queue entry names if the entry is current: one
+    /// probe, `entry` finding the row and removing it in place. `entry`
+    /// on a key that has left the map reserves room for an insert,
+    /// though, and a map with none to spare would rehash — moving rows
+    /// that `delete_where` visits in map order — so a map at capacity
+    /// checks with `get` first, leaving its layout to the next insert
+    /// exactly as a `get`-then-`remove` table would.
+    fn take_current(&mut self, key: Key, seq: u64) -> Option<(Key, Row)> {
+        if self.rows.len() == self.rows.capacity() && !self.is_current(&key, seq) {
+            return None;
+        }
+        match self.rows.entry(key) {
+            Entry::Occupied(e) if e.get().seq == seq => Some(e.remove_entry()),
+            _ => None,
+        }
     }
 
     /// Drop stale order-queue entries when they dominate, bounding the
@@ -426,82 +441,117 @@ impl Table {
         }
     }
 
-    /// Same bound for the expiry heap: long-lived rows that keep getting
+    /// Same bound for the expiry queue: long-lived rows that keep getting
     /// refreshed leave stale entries whose due time may be far off.
     fn compact_expiry(&mut self) {
         if self.expiry.len() > 16 && self.expiry.len() > 4 * self.rows.len() {
             let rows = &self.rows;
-            self.expiry = self
-                .expiry
-                .drain()
-                .filter(|Reverse(e)| rows.get(&e.key).is_some_and(|r| r.seq == e.seq))
-                .collect();
+            self.expiry
+                .retain(|d| rows.get(&d.key).is_some_and(|r| r.seq == d.seq));
+        }
+    }
+
+    /// Queue a fresh write: at the back of `order`, and — when the row
+    /// can expire — in `expiry` at its `(at, seq)` place. `seq` is the
+    /// newest, so under a clock that only advances (one lifetime per
+    /// table) that place is the back too; an earlier deadline, from a
+    /// clock run backwards, is inserted in order, O(entries it passes).
+    fn enqueue(&mut self, key: Key, seq: u64, expires_at: Option<Time>) {
+        if let Some(at) = expires_at {
+            let due = Due {
+                at,
+                seq,
+                key: key.clone(),
+            };
+            if self.expiry.back().is_none_or(|b| b.at <= at) {
+                self.expiry.push_back(due);
+            } else {
+                let i = self.expiry.partition_point(|d| d.at <= at);
+                self.expiry.insert(i, due);
+            }
+        }
+        self.order.push_back((key, seq));
+    }
+
+    /// Evict the oldest rows until at most `max` remain: pop order-queue
+    /// entries, skipping stale ones (amortized O(1)), one probe each
+    /// ([`Table::take_current`]). An evicted row moves into the spill
+    /// buffer, and its expiry entry goes with it
+    /// ([`Table::drop_evicted_due`]).
+    fn evict_to(&mut self, max: usize, now: Time) {
+        while self.rows.len() > max {
+            let Some((k, s)) = self.order.pop_front() else {
+                break; // only stale entries; cannot happen with rows live
+            };
+            let Some((k, r)) = self.take_current(k, s) else {
+                continue;
+            };
+            Table::index_remove(&mut self.indexes, &k, &r.tuple);
+            self.evictions += 1;
+            self.drop_evicted_due(s);
+            if self.archive_enrolled {
+                self.spilled.push(SpilledRow {
+                    tuple: r.tuple,
+                    inserted_at: r.inserted_at,
+                    dropped_at: now,
+                });
+            }
+        }
+    }
+
+    /// Pop the evicted row's (sequence `seq`) expiry entry, and the
+    /// stale entries ahead of it, off the expiry queue's front. With
+    /// one lifetime and a clock that only advances, the oldest row's
+    /// entry is the first current-looking one, so evicted rows leave
+    /// nothing behind for `expire` or [`Table::compact_expiry`] to drain
+    /// later; otherwise the walk stops at the first entry that can still
+    /// fire and the evicted one stays, stale, as a replaced row's does.
+    fn drop_evicted_due(&mut self, seq: u64) {
+        while let Some(front) = self.expiry.front() {
+            let evicted = front.seq == seq;
+            if !evicted && self.is_current(&front.key, front.seq) {
+                return;
+            }
+            self.expiry.pop_front();
+            if evicted {
+                return;
+            }
         }
     }
 
     /// Insert (or replace, or refresh) a tuple. One hash probe per row
-    /// (`entry`); key copies beyond the first are refcount bumps.
+    /// (`entry`); a full table adds a presence probe and one probe per
+    /// row it evicts. Key copies beyond the first are refcount bumps.
     pub fn insert(&mut self, tuple: Tuple, now: Time) -> InsertOutcome {
         self.expire(now);
         self.compact_order();
         self.compact_expiry();
         self.version += 1;
+        if self.spec.max_rows == Some(0) {
+            // Degenerate bound: nothing is ever stored.
+            return InsertOutcome::Inserted;
+        }
         let key = self.spec.key_arc(&tuple);
         let expires_at = self.spec.lifetime.map(|l| now + l);
         let seq = self.next_seq;
         self.next_seq += 1;
 
-        // Evict oldest rows if this insert would grow past the size
-        // bound (amortized O(1): pop order entries, skipping stale
-        // ones). Replacements and refreshes don't grow, hence the
-        // presence pre-check.
-        let mut evicted = Vec::new();
+        // Only a new row grows the table, so a full table makes room for
+        // one first (replacements and refreshes don't grow, hence the
+        // presence check).
         if let Some(max) = self.spec.max_rows {
-            if max == 0 {
-                // Degenerate bound: nothing is ever stored.
-                return InsertOutcome::Inserted { evicted };
-            }
             if self.rows.len() >= max && !self.rows.contains_key(&key) {
-                while self.rows.len() >= max {
-                    match self.order.pop_front() {
-                        Some((k, s)) => {
-                            let current = self.rows.get(&k).is_some_and(|r| r.seq == s);
-                            if current {
-                                if let Some(r) = self.rows.remove(&k) {
-                                    Table::index_remove(&mut self.indexes, &k, &r.tuple);
-                                    if self.archive_enrolled {
-                                        self.spilled.push(SpilledRow {
-                                            tuple: r.tuple.clone(),
-                                            inserted_at: r.inserted_at,
-                                            dropped_at: now,
-                                        });
-                                    }
-                                    evicted.push(r.tuple);
-                                    self.evictions += 1;
-                                }
-                            }
-                        }
-                        None => break, // only stale entries; cannot happen with rows live
-                    }
-                }
+                self.evict_to(max - 1, now);
             }
         }
 
         match self.rows.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            Entry::Occupied(mut e) => {
                 let existing = e.get_mut();
                 if existing.tuple == tuple {
-                    existing.expires_at = expires_at;
                     existing.seq = seq;
                     let key = e.key().clone();
-                    if let Some(at) = expires_at {
-                        self.expiry.push(Reverse(HeapEnt {
-                            at,
-                            seq,
-                            key: key.clone(),
-                        }));
-                    }
-                    self.order.push_back((key, seq));
+                    self.enqueue(key, seq, expires_at);
                     return InsertOutcome::Refreshed;
                 }
                 let new = tuple.clone(); // Arc-backed: no payload copy
@@ -509,7 +559,6 @@ impl Table {
                     existing,
                     Row {
                         tuple,
-                        expires_at,
                         seq,
                         inserted_at: now,
                     },
@@ -528,36 +577,21 @@ impl Table {
                 }
                 let old = old.tuple;
                 Table::index_add(&mut self.indexes, &key, &new);
-                if let Some(at) = expires_at {
-                    self.expiry.push(Reverse(HeapEnt {
-                        at,
-                        seq,
-                        key: key.clone(),
-                    }));
-                }
-                self.order.push_back((key, seq));
+                self.enqueue(key, seq, expires_at);
                 self.replacements += 1;
                 InsertOutcome::Replaced { old }
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
+            Entry::Vacant(v) => {
                 let key = v.key().clone();
                 Table::index_add(&mut self.indexes, &key, &tuple);
-                if let Some(at) = expires_at {
-                    self.expiry.push(Reverse(HeapEnt {
-                        at,
-                        seq,
-                        key: key.clone(),
-                    }));
-                }
-                self.order.push_back((key, seq));
                 v.insert(Row {
                     tuple,
-                    expires_at,
                     seq,
                     inserted_at: now,
                 });
+                self.enqueue(key, seq, expires_at);
                 self.inserts += 1;
-                InsertOutcome::Inserted { evicted }
+                InsertOutcome::Inserted
             }
         }
     }
@@ -736,10 +770,7 @@ mod tests {
     #[test]
     fn insert_and_scan() {
         let mut t = Table::new(spec(None, None, vec![0, 1]));
-        assert!(matches!(
-            t.insert(tup("n1", 1), Time::ZERO),
-            InsertOutcome::Inserted { .. }
-        ));
+        assert_eq!(t.insert(tup("n1", 1), Time::ZERO), InsertOutcome::Inserted);
         t.insert(tup("n1", 2), Time::ZERO);
         assert_eq!(t.len(Time::ZERO), 2);
         let rows = t.scan(Time::ZERO);
@@ -781,22 +812,29 @@ mod tests {
         assert_eq!(t.counters().3, 2); // expirations
     }
 
+    /// The rows an archiving table has dropped, as tuples.
+    fn spilled_tuples(t: &mut Table) -> Vec<Tuple> {
+        t.take_spilled().into_iter().map(|r| r.tuple).collect()
+    }
+
     #[test]
     fn size_bound_evicts_oldest() {
-        let mut t = Table::new(spec(None, Some(3), vec![0]));
+        let mut t = Table::new(spec(Some(10), Some(3), vec![0]));
+        t.set_archive_enrolled(true);
         for (i, n) in ["a", "b", "c"].iter().enumerate() {
             t.insert(tup(n, i as i64), Time::ZERO);
         }
-        let out = t.insert(tup("d", 3), Time::ZERO);
-        match out {
-            InsertOutcome::Inserted { evicted } => {
-                assert_eq!(evicted, vec![tup("a", 0)]);
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(t.insert(tup("d", 3), Time::ZERO), InsertOutcome::Inserted);
+        assert_eq!(spilled_tuples(&mut t), vec![tup("a", 0)]);
+        assert_eq!(t.counters().2, 1); // evictions
         assert_eq!(t.len(Time::ZERO), 3);
         assert!(t.scan(Time::ZERO).contains(&tup("d", 3)));
         assert!(!t.scan(Time::ZERO).contains(&tup("a", 0)));
+        // The evicted row's expiry entry left with it: at its deadline
+        // only the three live rows' entries pop.
+        assert_eq!(t.expiry.len(), 3);
+        assert_eq!(t.len(Time::from_secs(10)), 0);
+        assert_eq!(t.probe_stats().heap_pops, 3);
     }
 
     #[test]
@@ -817,16 +855,15 @@ mod tests {
         // Soft state that keeps getting re-asserted should be the last
         // to go when the table is full.
         let mut t = Table::new(spec(None, Some(3), vec![0]));
+        t.set_archive_enrolled(true);
         t.insert(tup("a", 0), Time::ZERO);
         t.insert(tup("b", 1), Time::ZERO);
         t.insert(tup("c", 2), Time::ZERO);
         // Refresh "a": it is now the most recently written.
         assert_eq!(t.insert(tup("a", 0), Time::ZERO), InsertOutcome::Refreshed);
         // Inserting "d" evicts the least recently written — "b".
-        match t.insert(tup("d", 3), Time::ZERO) {
-            InsertOutcome::Inserted { evicted } => assert_eq!(evicted, vec![tup("b", 1)]),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(t.insert(tup("d", 3), Time::ZERO), InsertOutcome::Inserted);
+        assert_eq!(spilled_tuples(&mut t), vec![tup("b", 1)]);
         assert!(t.scan(Time::ZERO).contains(&tup("a", 0)));
     }
 

@@ -1,3 +1,8 @@
+// The CLI reads files and flags from outside: every panic path must be
+// justified. unwrap/expect are clippy-warned outside tests (see
+// scripts/tier1.sh, which denies warnings).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 //! `p2ql` — command-line front end for OverLog programs.
 //!
 //! ```text

@@ -169,3 +169,37 @@ fn interval_bounds_select_the_window() {
     );
     assert_eq!(sim.node_mut(&a).take_watched("hist").len(), 1);
 }
+
+#[test]
+fn an_inverted_window_matches_nothing() {
+    // `past` over [T0, T1] with T0 > T1 is an empty window: the row that
+    // lies across [T1, T0] answers neither while it is live nor, later,
+    // from the archive — only the same window the right way round does.
+    let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), 13);
+    let a = sim.add_node("a");
+    sim.install(&a, APP).expect("app installs");
+    sim.install(&a, FORENSICS).expect("forensic query installs");
+    sim.node_mut(&a).watch("hist");
+    sim.run_until(Time::from_secs(10));
+    sim.inject(
+        &a,
+        Tuple::new("ping", [Value::Addr(a.clone()), Value::Int(1)]),
+    );
+    let probe = |t0: i64, t1: i64| {
+        Tuple::new(
+            "probe",
+            [Value::Addr(a.clone()), Value::Int(t0), Value::Int(t1)],
+        )
+    };
+    // The row lives [10s, 15s]: ask at 12s (live) and at 200s (archived).
+    for at in [12u64, 200] {
+        sim.run_until(Time::from_secs(at));
+        sim.inject(&a, probe(14, 11));
+        assert!(
+            sim.node_mut(&a).take_watched("hist").is_empty(),
+            "inverted window answered at {at}s"
+        );
+        sim.inject(&a, probe(11, 14));
+        assert_eq!(sim.node_mut(&a).take_watched("hist").len(), 1, "at {at}s");
+    }
+}
