@@ -1,5 +1,5 @@
-//! Amplification bounds (P2W602) and the static cost model backing the
-//! runtime lint oracle.
+//! Amplification bounds (P2W602) and the static cost model the traced
+//! cascades are checked against.
 //!
 //! Every trigger edge carries a fan-out estimate (see
 //! [`cascade::rule_fanout`]): the product of join multiplicities — a
@@ -11,12 +11,12 @@
 //! * **Amplification** — for each relation R, an upper bound on the
 //!   total number of tuples one R-tuple can transitively derive:
 //!   `amp(R) = Σ_edges fanout × (1 + amp(head))`. This is what the
-//!   runtime oracle's per-episode output counter is compared against
-//!   (measured ≤ static, asserted on the Chord corpus). Relations that
+//!   per-episode output count measured from `ruleExec` is compared
+//!   against (measured ≤ static, asserted on the Chord corpus). Relations that
 //!   can reach a trigger cycle — even a provably bounded one — are
 //!   `Unbounded`: the static model bounds shapes, not iteration counts.
 //! * **Cascade depth** — the longest chain of trigger edges out of R;
-//!   the oracle's per-episode depth counter is compared against this.
+//!   the measured per-episode depth is compared against this.
 //!
 //! `P2W602` flags super-linear paths: a root event whose cascade
 //! multiplies through **two or more** unbounded-table joins — the

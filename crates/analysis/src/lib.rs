@@ -116,9 +116,9 @@ impl std::fmt::Display for Bound {
 }
 
 /// What the deep flow passes derived about a program stack. This is the
-/// contract the runtime lint oracle is validated against: with lint
-/// counters enabled, a node's measured per-episode cascade depth and
-/// output count for root relation R must never exceed `depth[R]` /
+/// contract the cascades a node's tracer records are validated against:
+/// the per-episode cascade depth and output count measured from
+/// `ruleExec` rows for root relation R must never exceed `depth[R]` /
 /// `amplification[R]`.
 #[derive(Debug, Clone, Default)]
 pub struct FlowReport {
@@ -244,8 +244,8 @@ pub fn check_sources_with(
 }
 
 /// Run only the flow passes over already-parsed programs and return the
-/// report, discarding diagnostics. This is the API the runtime lint
-/// oracle's tests use to obtain static bounds to compare measurements
+/// report, discarding diagnostics. This is the API the cascade oracle's
+/// tests use to obtain static bounds to compare trace measurements
 /// against, and what the planner mirrors for its per-strand
 /// annotations.
 pub fn flow_report(programs: &[&Program], ctx: &AnalysisCtx) -> FlowReport {

@@ -4,8 +4,8 @@
 use crate::node::{ArchiveEnroll, InstallError, Node, ProgramId};
 use crate::scheduler::TimerState;
 use p2_dataflow::StrandRuntime;
-use p2_planner::compile_program_with;
 use p2_planner::plan::{Strand, Trigger};
+use p2_planner::{compile_program_with, PlanOpts};
 use p2_store::TableSpec;
 use p2_types::{Time, TimeDelta};
 use std::cmp::Reverse;
@@ -64,6 +64,18 @@ impl Node {
     /// classified against the tables materialized *at install time*, so
     /// install monitoring programs after the application they observe.
     pub fn install(&mut self, source: &str, now: Time) -> Result<ProgramId, InstallError> {
+        self.install_planned(source, now, &PlanOpts::default())
+    }
+
+    /// [`Node::install`] under explicit planner options. Nodes always
+    /// run every optimizer pass; node tests pass `PlanOpts::off()` (rule
+    /// bodies in literal source order) as the semantic oracle.
+    pub(crate) fn install_planned(
+        &mut self,
+        source: &str,
+        now: Time,
+        opts: &PlanOpts,
+    ) -> Result<ProgramId, InstallError> {
         let program = p2_overlog::compile(source).map_err(InstallError::Compile)?;
         let known: HashSet<String> = self
             .catalog
@@ -84,8 +96,7 @@ impl Node {
             return Err(InstallError::Analysis(analysis));
         }
 
-        let compiled = compile_program_with(&program, &known, &self.config.plan)
-            .map_err(InstallError::Plan)?;
+        let compiled = compile_program_with(&program, &known, opts).map_err(InstallError::Plan)?;
 
         // Register tables first (strand classification already done).
         for t in &compiled.tables {
@@ -196,8 +207,6 @@ impl Node {
     pub fn uninstall(&mut self, pid: ProgramId) {
         self.plan_diagnostics.retain(|(p, _)| *p != pid);
         self.analysis_diagnostics.retain(|(p, _)| *p != pid);
-        // Lint tags index into the strand vector being rebuilt.
-        self.lint_reset_strands();
         let keep: Vec<bool> = self.strand_programs.iter().map(|p| *p != pid).collect();
         // Rebuild the strand vector and all dispatch indexes.
         let mut new_strands = Vec::new();

@@ -120,28 +120,6 @@ pub fn refresh(node: &mut Node, now: Time) {
         }
     }
 
-    // Lint-oracle cascade maxima (DESIGN.md §2.13), one pair of rows per
-    // cascade-root relation. Absent entirely unless `NodeConfig::lint`
-    // is on — golden traces of un-linted nodes must not change.
-    for (rel, depth, outputs) in node.lint_maxima() {
-        stat_rows.push(Tuple::new(
-            SYS_STAT,
-            [
-                loc.clone(),
-                Value::str(format!("lint.depth.{rel}")),
-                Value::Int(depth as i64),
-            ],
-        ));
-        stat_rows.push(Tuple::new(
-            SYS_STAT,
-            [
-                loc.clone(),
-                Value::str(format!("lint.episodeOutputs.{rel}")),
-                Value::Int(outputs as i64),
-            ],
-        ));
-    }
-
     // Archive-tier counters, one row per (relation, counter), mirroring
     // the `idx.*` convention. Absent entirely when archiving is off —
     // golden traces of live-only nodes must not change — and relations

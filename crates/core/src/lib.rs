@@ -24,7 +24,6 @@ pub mod driver;
 pub mod harness;
 mod installer;
 pub mod introspect;
-mod lint;
 pub mod metrics;
 pub mod node;
 pub mod parallel;

@@ -149,24 +149,12 @@ pub struct NodeConfig {
     /// `NodeMetrics::overflow_drops` / `strand_overflow_drops` instead
     /// of hanging the process.
     pub max_dispatch_per_pump: u64,
-    /// Planner options for programs installed on this node. The default
-    /// runs every optimizer pass; `PlanOpts::off()` compiles rule bodies
-    /// in literal source order (the semantic oracle the optimized plans
-    /// are equivalence-tested against).
-    pub plan: p2_planner::PlanOpts,
     /// Archive tier (DESIGN.md §2.11): `None` (the default) keeps the
     /// live-only store bit-identical to the pre-archive runtime; `Some`
     /// spills dropped rows of the enrolled tables into epoch-segmented
     /// history, so `past()` scans and forensic replays can range over
     /// state that has already expired.
     pub archive: Option<ArchiveMode>,
-    /// Runtime lint oracle (DESIGN.md §2.13): tag every delta with its
-    /// cascade root and depth, and publish per-root maxima as `lint.*`
-    /// sysStat rows, so measured cascade depth and per-event output
-    /// counts can be checked against the flow analyzer's static bounds.
-    /// Off by default; enabling it changes no routing or derivation,
-    /// only the bookkeeping.
-    pub lint: bool,
     /// Durable segment log (DESIGN.md §2.14): `None` (the default)
     /// keeps the archive purely in memory and every existing trace
     /// byte-identical; `Some` appends each sealed segment to the
@@ -184,9 +172,7 @@ impl Default for NodeConfig {
             seed: 0,
             stagger_timers: true,
             max_dispatch_per_pump: 200_000,
-            plan: p2_planner::PlanOpts::default(),
             archive: None,
-            lint: false,
             durability: None,
         }
     }
@@ -226,16 +212,6 @@ impl EvalCtx for NodeCtx<'_> {
     }
 }
 
-/// A queued local dispatch. `traced` is false for tuples that originate
-/// from the tracer's own tables, so trace processing is never itself
-/// traced (regress protection; see `p2-trace` docs).
-pub(crate) struct Pending {
-    pub(crate) tuple: Tuple,
-    pub(crate) traced: bool,
-    /// Lint-oracle cascade tag; always `None` with `NodeConfig::lint` off.
-    pub(crate) tag: Option<crate::lint::LintTag>,
-}
-
 /// One P2 node: catalog, strands, timers, tracer, router.
 pub struct Node {
     pub(crate) addr: Addr,
@@ -253,7 +229,11 @@ pub struct Node {
     pub(crate) timer_heap: BinaryHeap<Reverse<(Time, usize)>>,
     pub(crate) tracer: Tracer,
     pub(crate) rng: DetRng,
-    pub(crate) pending: VecDeque<Pending>,
+    /// Queued local dispatches, `(tuple, traced)`. `traced` is false
+    /// for tuples that originate from the tracer's own tables, so trace
+    /// processing is never itself traced (regress protection; see
+    /// `p2-trace` docs).
+    pub(crate) pending: VecDeque<(Tuple, bool)>,
     /// Strands with in-flight pipeline work, ascending — the scheduler's
     /// worklist, replacing an O(strands) scan per pump iteration.
     pub(crate) active_strands: BTreeSet<usize>,
@@ -272,9 +252,6 @@ pub struct Node {
     pub(crate) analysis_diagnostics: Vec<(ProgramId, p2_overlog::Diagnostic)>,
     /// Segment-shipping coordinator state (DESIGN.md §2.12).
     pub(crate) ship: crate::ship::ShipState,
-    /// Runtime lint oracle state (DESIGN.md §2.13); `Some` iff
-    /// `NodeConfig::lint` is on.
-    pub(crate) lint: Option<crate::lint::LintState>,
 }
 
 impl Node {
@@ -355,11 +332,7 @@ impl Node {
             plan_diagnostics: Vec::new(),
             analysis_diagnostics: Vec::new(),
             ship: crate::ship::ShipState::default(),
-            lint: None,
         };
-        if node.config.lint {
-            node.lint = Some(crate::lint::LintState::default());
-        }
         // The archive tier goes up before any table registers, so every
         // registration path can enroll as it goes.
         if let Some(mode) = &node.config.archive {
@@ -516,23 +489,13 @@ impl Node {
                     }
                 }
             }
-            if self.lint.is_some() {
-                let tag = self.lint_new_root(tuple.name());
-                self.lint_set_route(tag);
-            }
             self.push_pending(tuple, true);
         }
-        self.lint_set_route(None);
     }
 
     /// Inject a local tuple (tests, operators, upper layers).
     pub fn inject(&mut self, tuple: Tuple) {
-        if self.lint.is_some() {
-            let tag = self.lint_new_root(tuple.name());
-            self.lint_set_route(tag);
-        }
         self.push_pending(tuple, true);
-        self.lint_set_route(None);
     }
 
     /// Run the tracer's reference-count sweep (§2.1.3) and drain table
@@ -623,12 +586,7 @@ impl Node {
 
     /// Queue a local dispatch behind everything already queued.
     pub(crate) fn push_pending(&mut self, tuple: Tuple, traced: bool) {
-        // Trace/introspection churn is outside the flow model: it never
-        // carries cascade attribution, whatever is being routed.
-        let tag = self
-            .lint_route_tag()
-            .filter(|_| !Self::is_internal_relation(tuple.name()));
-        self.pending.push_back(Pending { tuple, traced, tag });
+        self.pending.push_back((tuple, traced));
     }
 
     /// Whether a relation belongs to the trace/introspection machinery
@@ -669,21 +627,8 @@ impl Node {
 
     /// Fire strand `idx` with a trigger tuple, route its outputs, and
     /// keep the scheduler's worklist in sync with any pipeline work the
-    /// firing left behind. `tag` is the trigger's lint-oracle cascade
-    /// tag (always `None` with lint off); outputs are stamped and
-    /// counted one hop deeper.
-    pub(crate) fn fire_strand(
-        &mut self,
-        idx: usize,
-        tuple: &Tuple,
-        traced: bool,
-        now: Time,
-        tag: Option<crate::lint::LintTag>,
-    ) {
-        if self.lint.is_some() {
-            let busy = self.strands[idx].has_work();
-            self.lint_on_fire(idx, tag, busy);
-        }
+    /// firing left behind.
+    pub(crate) fn fire_strand(&mut self, idx: usize, tuple: &Tuple, traced: bool, now: Time) {
         let mut actions = Vec::new();
         let use_tracer = traced && self.config.tracing;
         {
@@ -706,26 +651,8 @@ impl Node {
         if self.strands[idx].has_work() {
             self.active_strands.insert(idx);
         }
-        self.lint_route_actions(idx, &actions);
         for a in actions {
             self.route_action(a, now);
-        }
-        self.lint_set_route(None);
-    }
-
-    /// Stamp and count a strand's outputs for the lint oracle (no-op
-    /// with lint off): each non-delete action lands one hop deeper than
-    /// the strand's trigger.
-    pub(crate) fn lint_route_actions(&mut self, idx: usize, actions: &[p2_dataflow::Action]) {
-        if self.lint.is_none() {
-            return;
-        }
-        let out_tag = self.lint_output_tag(idx);
-        self.lint_set_route(out_tag);
-        for a in actions {
-            if !a.delete {
-                self.lint_count_output(out_tag);
-            }
         }
     }
 }

@@ -633,11 +633,10 @@ fn optimizer_off_matches_full_end_to_end() {
             Addr::new("n1"),
             NodeConfig {
                 stagger_timers: false,
-                plan: opts,
                 ..Default::default()
             },
         );
-        n.install(src, Time::ZERO).unwrap();
+        n.install_planned(src, Time::ZERO, &opts).unwrap();
         n.watch("out");
         for z in 0..4 {
             n.inject(Tuple::new(

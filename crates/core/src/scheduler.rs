@@ -77,9 +77,7 @@ impl Node {
                     Value::Float(period.as_secs_f64()),
                 ],
             );
-            // Each timer firing roots a fresh cascade episode.
-            let tag = self.lint_new_root("periodic");
-            self.fire_strand(strand_idx, &tuple, true, now, tag);
+            self.fire_strand(strand_idx, &tuple, true, now);
         }
         self.metrics.busy += started.elapsed();
     }
@@ -102,11 +100,8 @@ impl Node {
                 }
                 budget -= 1;
                 if let Some(idxs) = self.event_dispatch.get(tuple.name()).cloned() {
-                    // A released trigger re-roots: its original episode
-                    // retired while the fetch was in flight.
-                    let tag = self.lint_new_root(tuple.name());
                     for idx in idxs {
-                        self.fire_strand(idx, &tuple, traced, now, tag);
+                        self.fire_strand(idx, &tuple, traced, now);
                     }
                 }
                 did_work = true;
@@ -154,9 +149,6 @@ impl Node {
                 break;
             }
         }
-        // Quiescent (or overflowed, which already discarded episodes):
-        // retire finished cascade episodes into the lint maxima.
-        self.lint_quiesce();
         self.metrics.busy += started.elapsed();
         self.flush_outbox()
     }
@@ -171,23 +163,16 @@ impl Node {
 
     /// Dispatch the tuple at the front of the queue.
     fn consume_front(&mut self, budget: &mut u64, now: Time) {
-        let Some(front) = self.pending.pop_front() else {
+        let Some((tuple, traced)) = self.pending.pop_front() else {
             return; // caller checks non-empty; an empty queue is done
         };
         *budget -= 1;
-        self.dispatch(front.tuple, front.traced, now, front.tag);
+        self.dispatch(tuple, traced, now);
     }
 
     /// Dispatch one tuple through the demux: watches, table insert (and
-    /// delta strands) or event strands. `tag` is the tuple's lint-oracle
-    /// cascade tag, handed to every strand it fires.
-    pub(crate) fn dispatch(
-        &mut self,
-        tuple: Tuple,
-        traced: bool,
-        now: Time,
-        tag: Option<crate::lint::LintTag>,
-    ) {
+    /// delta strands) or event strands.
+    pub(crate) fn dispatch(&mut self, tuple: Tuple, traced: bool, now: Time) {
         self.metrics.tuples_dispatched += 1;
         if let Some(log) = self.watches.get_mut(tuple.name()) {
             log.push((now, tuple.clone()));
@@ -207,7 +192,7 @@ impl Node {
             }
             if let Some(idxs) = self.table_dispatch.get(name).cloned() {
                 for idx in idxs {
-                    self.fire_strand(idx, &tuple, traced, now, tag);
+                    self.fire_strand(idx, &tuple, traced, now);
                 }
             }
         } else if let Some(idxs) = self.event_dispatch.get(name).cloned() {
@@ -218,7 +203,7 @@ impl Node {
                 return;
             }
             for idx in idxs {
-                self.fire_strand(idx, &tuple, traced, now, tag);
+                self.fire_strand(idx, &tuple, traced, now);
             }
         }
     }
@@ -250,11 +235,9 @@ impl Node {
             }
             steps += 1;
             let emitted = !actions.is_empty();
-            self.lint_route_actions(idx, &actions);
             for a in actions {
                 self.route_action(a, now);
             }
-            self.lint_set_route(None);
             if !solo || emitted || !self.pending.is_empty() || steps >= budget {
                 break;
             }
@@ -267,7 +250,6 @@ impl Node {
     fn overflow(&mut self) {
         self.metrics.overflow_drops += self.pending.len() as u64;
         self.pending.clear();
-        self.lint_overflow();
         let active: Vec<usize> = self.active_strands.iter().copied().collect();
         for idx in active {
             self.metrics.strand_overflow_drops += self.strands[idx].abandon_work();
