@@ -52,6 +52,17 @@ impl std::error::Error for WireError {}
 
 const MAX_DEPTH: usize = 16;
 
+// Value tags: one byte ahead of every value.
+const TAG_BOOL: u8 = 0;
+const TAG_INT: u8 = 1;
+const TAG_FLOAT: u8 = 2;
+const TAG_ID: u8 = 3;
+const TAG_TIME: u8 = 4;
+const TAG_STR: u8 = 5;
+const TAG_ADDR: u8 = 6;
+const TAG_LIST: u8 = 7;
+const TAG_BYTES: u8 = 8;
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -68,7 +79,9 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 /// The one bounds-checked cursor over bytes from outside (datagrams,
 /// ship frames, segment frames): every read is checked against the
 /// buffer, every offset sum is a `checked_add`, and every failure is a
-/// typed [`WireError`] — never a panic, never a wrap.
+/// typed [`WireError`] — never a panic, never a wrap. The small reads
+/// are `#[inline]`: the segment walk in `p2-store` makes several per
+/// value, across the crate boundary.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -87,6 +100,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
@@ -95,10 +109,12 @@ impl<'a> Reader<'a> {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(u32::from_le_bytes(b))
@@ -121,6 +137,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32` length prefix, then that many raw bytes.
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
         self.take(n)
@@ -147,9 +164,37 @@ impl<'a> Reader<'a> {
     /// Step over one tagged value, checking it exactly as
     /// [`Reader::value`] would — tag, lengths, UTF-8, nesting, same
     /// error first — without building it: a reader that wants only some
-    /// of a frame's values still validates every byte of it.
+    /// of a frame's values still validates every byte of it. Scalars
+    /// are stepped inline; only a list recurses.
+    #[inline]
     pub fn skip_value(&mut self) -> Result<(), WireError> {
-        skip_value(self, 0)
+        match self.u8()? {
+            TAG_LIST => skip_items(self, 0),
+            tag => self.skip_scalar(tag),
+        }
+    }
+
+    /// Step over the payload of a value whose non-list `tag` was just
+    /// read (an unknown tag is the error).
+    #[inline]
+    fn skip_scalar(&mut self, tag: u8) -> Result<(), WireError> {
+        match tag {
+            TAG_BOOL => self.take(1).map(drop),
+            // Int, Float, Id, Time: one 8-byte word.
+            TAG_INT..=TAG_TIME => self.take(8).map(drop),
+            TAG_STR | TAG_ADDR => {
+                // ASCII text (every name and address the engine
+                // writes) is UTF-8 without a call into the validator.
+                let s = self.bytes()?;
+                if s.is_ascii() || std::str::from_utf8(s).is_ok() {
+                    Ok(())
+                } else {
+                    Err(WireError::BadUtf8)
+                }
+            }
+            TAG_BYTES => self.bytes().map(drop),
+            t => Err(WireError::BadTag(t)),
+        }
     }
 
     /// A value that must be a string; `what` names the field in the
@@ -162,19 +207,33 @@ impl<'a> Reader<'a> {
     }
 
     /// A value that must be a time.
+    #[inline]
     pub fn time_field(&mut self, what: &'static str) -> Result<Time, WireError> {
-        match self.value()? {
-            Value::Time(t) => Ok(t),
-            _ => Err(WireError::BadField(what)),
-        }
+        self.word_field(TAG_TIME, what).map(Time)
     }
 
     /// A full `u64` riding an `Int` as a lossless two's-complement cast
     /// (encoders write `u64 as i64`), so any `Int` is acceptable.
+    #[inline]
     pub fn u64_field(&mut self, what: &'static str) -> Result<u64, WireError> {
-        match self.value()? {
-            Value::Int(n) => Ok(n as u64),
-            _ => Err(WireError::BadField(what)),
+        self.word_field(TAG_INT, what)
+    }
+
+    /// The 8-byte payload of a value that must carry `tag`: one fixed
+    /// 9-byte read. Anything else is stepped over as
+    /// [`Reader::skip_value`] would — so its own error comes first, as
+    /// it would from a decode — and then refused as `BadField(what)`.
+    #[inline]
+    fn word_field(&mut self, tag: u8, what: &'static str) -> Result<u64, WireError> {
+        match self.buf.get(self.pos..).and_then(<[u8]>::first_chunk::<9>) {
+            Some([t, word @ ..]) if *t == tag => {
+                self.pos += 9;
+                Ok(u64::from_le_bytes(*word))
+            }
+            _ => {
+                self.skip_value()?;
+                Err(WireError::BadField(what))
+            }
         }
     }
 
@@ -196,42 +255,42 @@ impl<'a> Reader<'a> {
 fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Bool(b) => {
-            out.push(0);
+            out.push(TAG_BOOL);
             out.push(*b as u8);
         }
         Value::Int(n) => {
-            out.push(1);
+            out.push(TAG_INT);
             put_u64(out, *n as u64);
         }
         Value::Float(x) => {
-            out.push(2);
+            out.push(TAG_FLOAT);
             put_u64(out, x.to_bits());
         }
         Value::Id(i) => {
-            out.push(3);
+            out.push(TAG_ID);
             put_u64(out, i.0);
         }
         Value::Time(t) => {
-            out.push(4);
+            out.push(TAG_TIME);
             put_u64(out, t.0);
         }
         Value::Str(s) => {
-            out.push(5);
+            out.push(TAG_STR);
             put_str(out, s);
         }
         Value::Addr(a) => {
-            out.push(6);
+            out.push(TAG_ADDR);
             put_str(out, a.as_str());
         }
         Value::List(items) => {
-            out.push(7);
+            out.push(TAG_LIST);
             put_u32(out, items.len() as u32);
             for i in items.iter() {
                 encode_value(out, i);
             }
         }
         Value::Bytes(b) => {
-            out.push(8);
+            out.push(TAG_BYTES);
             put_u32(out, b.len() as u32);
             out.extend_from_slice(b);
         }
@@ -247,20 +306,20 @@ fn decode_value(
         return Err(WireError::TooDeep);
     }
     Ok(match r.u8()? {
-        0 => Value::Bool(r.u8()? != 0),
-        1 => Value::Int(r.u64()? as i64),
-        2 => Value::Float(f64::from_bits(r.u64()?)),
-        3 => Value::Id(RingId(r.u64()?)),
-        4 => Value::Time(Time(r.u64()?)),
-        5 => match (r.str()?, prev) {
+        TAG_BOOL => Value::Bool(r.u8()? != 0),
+        TAG_INT => Value::Int(r.u64()? as i64),
+        TAG_FLOAT => Value::Float(f64::from_bits(r.u64()?)),
+        TAG_ID => Value::Id(RingId(r.u64()?)),
+        TAG_TIME => Value::Time(Time(r.u64()?)),
+        TAG_STR => match (r.str()?, prev) {
             (s, Some(Value::Str(p))) if **p == *s => Value::Str(p.clone()),
             (s, _) => Value::str(s),
         },
-        6 => match (r.str()?, prev) {
+        TAG_ADDR => match (r.str()?, prev) {
             (s, Some(Value::Addr(p))) if p.as_str() == s => Value::Addr(p.clone()),
             (s, _) => Value::addr(s),
         },
-        7 => {
+        TAG_LIST => {
             let n = r.count()?;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
@@ -268,35 +327,22 @@ fn decode_value(
             }
             Value::list(items)
         }
-        8 => Value::Bytes(r.bytes()?.into()),
+        TAG_BYTES => Value::Bytes(r.bytes()?.into()),
         t => return Err(WireError::BadTag(t)),
     })
 }
 
-/// [`decode_value`]'s checks in its order, with nothing built.
-fn skip_value(r: &mut Reader<'_>, depth: usize) -> Result<(), WireError> {
-    if depth > MAX_DEPTH {
-        return Err(WireError::TooDeep);
-    }
-    match r.u8()? {
-        0 => {
-            r.u8()?;
+/// The items of a list at nesting `depth`, past its tag: what
+/// [`decode_value`] checks for them, in its order, with nothing built.
+fn skip_items(r: &mut Reader<'_>, depth: usize) -> Result<(), WireError> {
+    for _ in 0..r.count()? {
+        if depth + 1 > MAX_DEPTH {
+            return Err(WireError::TooDeep);
         }
-        1..=4 => {
-            r.take(8)?;
+        match r.u8()? {
+            TAG_LIST => skip_items(r, depth + 1)?,
+            tag => r.skip_scalar(tag)?,
         }
-        5 | 6 => {
-            r.str()?;
-        }
-        7 => {
-            for _ in 0..r.count()? {
-                skip_value(r, depth + 1)?;
-            }
-        }
-        8 => {
-            r.bytes()?;
-        }
-        t => return Err(WireError::BadTag(t)),
     }
     Ok(())
 }

@@ -954,6 +954,9 @@ impl ImportedHistory {
 }
 
 #[cfg(test)]
+mod walk_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -34,8 +34,8 @@ pub use archive::{
 };
 pub use catalog::{Catalog, CatalogError};
 pub use durable::{
-    recover_log, recovery_report, DurableStats, DurableStore, Fault, FaultPlan, FaultingStore,
-    FileDurable, MemDurable, Recovery,
+    recover_log, recovery_report, AuditRefused, DurableStats, DurableStore, Fault, FaultPlan,
+    FaultingStore, FileDurable, MemDurable, Recovery,
 };
 pub use hash::{FxHashMap, FxHashSet};
 pub use table::{InsertOutcome, Key, ProbeStats, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD};

@@ -90,6 +90,7 @@
 
 use p2ql::core::{NodeConfig, ParallelHarness, SimHarness};
 use p2ql::net::SimConfig;
+use p2ql::store::AuditRefused;
 use p2ql::types::{TimeDelta, Value};
 use std::process::ExitCode;
 
@@ -819,7 +820,8 @@ fn replay_scenario(sim: &mut ParallelHarness, o: &ReplayOpts) -> String {
 /// frames quarantined, dirty logs rewritten clean) and prints the
 /// per-relation summary. Exits 0 on any directory that holds a store,
 /// no matter how damaged the logs are — recovery never panics — and
-/// non-zero, creating nothing, on a path that holds none.
+/// non-zero, changing nothing, on a path that holds none or a store of
+/// another format (whose tag it names).
 fn recover(args: &[String]) -> ExitCode {
     let mut dir: Option<String> = None;
     let mut it = args.iter();
@@ -837,12 +839,20 @@ fn recover(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     match p2ql::store::recovery_report(std::path::Path::new(&dir)) {
-        Some(report) => {
+        Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS
         }
-        None => {
+        Err(AuditRefused::NoStore) => {
             eprintln!("error: no durable store at {dir}");
+            ExitCode::FAILURE
+        }
+        Err(AuditRefused::OtherFormat(tag)) => {
+            eprintln!(
+                "error: {dir} holds a durable store of format '{tag}'; this build reads '{}' \
+                 and left it untouched",
+                p2ql::store::durable::MANIFEST_TAG
+            );
             ExitCode::FAILURE
         }
     }

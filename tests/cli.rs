@@ -42,23 +42,40 @@ fn dump_of_an_unknown_table_warns_on_stderr_and_leaves_stdout_alone() {
     );
 }
 
+/// The crash-restart replay report is the same on every backend and
+/// shard count (the in-memory log at 1 and 4 shards, the file log),
+/// and the file log it leaves is what `p2ql recover` audits.
 #[test]
 fn recover_audits_a_store_and_refuses_a_path_that_holds_none() {
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover");
     let _ = std::fs::remove_dir_all(&root);
     let data = root.join("data");
-    let filled = p2ql(&[
-        "replay",
-        "--nodes",
-        "5",
-        "--seed",
-        "1",
-        "--restart",
-        "2",
-        "--data-dir",
-        data.to_str().unwrap(),
-    ]);
-    assert!(filled.status.success());
+    let replay = |extra: &[&str]| {
+        let out = p2ql(
+            &[
+                &["replay", "--nodes", "5", "--seed", "1", "--restart", "2"],
+                extra,
+            ]
+            .concat(),
+        );
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let filled = replay(&["--data-dir", data.to_str().unwrap()]);
+    let memory = replay(&[]);
+    assert!(!memory.is_empty());
+    assert!(
+        filled == memory,
+        "the file backend's report differs from the in-memory one"
+    );
+    assert!(
+        replay(&["--shards", "4"]) == memory,
+        "4 shards' report differs from 1 shard's"
+    );
 
     // A populated node directory: the per-relation summary, exit 0.
     let audit = p2ql(&["recover", "--dir", data.join("n2").to_str().unwrap()]);
@@ -77,5 +94,81 @@ fn recover_audits_a_store_and_refuses_a_path_that_holds_none() {
         format!("error: no durable store at {}\n", missing.display())
     );
     assert!(!missing.exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Lists `dir`'s files with their bytes, sorted by name.
+fn files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// A store of the older format — written here by hand as that format
+/// wrote it: FNV-1a record sums under a `p2-durable v1` manifest — is
+/// refused, not wiped. A node booting on it recovers nothing, counts
+/// the refusal as an I/O error, bumps no boot counter and writes
+/// nothing; `p2ql recover` names the tag on stderr, exits non-zero and
+/// changes nothing either.
+#[test]
+fn a_store_of_another_format_is_refused_and_left_untouched() {
+    use p2ql::core::{DurabilityMode, DurableBackend, Node, NodeConfig};
+    use p2ql::store::{Segment, SpilledRow};
+    use p2ql::types::{rng::fnv1a, Addr, Time, Tuple, Value};
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover-v1");
+    let _ = std::fs::remove_dir_all(&root);
+    let store = root.join("n0");
+    std::fs::create_dir_all(&store).unwrap();
+    let rows: Vec<SpilledRow> = (0..3)
+        .map(|i| SpilledRow {
+            tuple: Tuple::new("seen", [Value::addr("n0"), Value::Int(i)]),
+            inserted_at: Time::from_secs(i as u64),
+            dropped_at: Time::from_secs(10),
+        })
+        .collect();
+    let frame = Segment::build("seen", 0, 0, &rows);
+    let mut log = (frame.len_bytes() as u32).to_le_bytes().to_vec();
+    log.extend_from_slice(&fnv1a(frame.as_bytes()).to_le_bytes());
+    log.extend_from_slice(frame.as_bytes());
+    std::fs::write(store.join("rel-0.seglog"), &log).unwrap();
+    std::fs::write(
+        store.join("MANIFEST"),
+        "p2-durable v1\nboot 2\nrel 0 seen\n",
+    )
+    .unwrap();
+    let before = files(&store);
+
+    let config = NodeConfig {
+        durability: Some(DurabilityMode {
+            backend: DurableBackend::Dir(root.clone()),
+            fsync: false,
+            plan: None,
+        }),
+        ..NodeConfig::forensic()
+    };
+    let mut node = Node::new(Addr::new("n0"), config);
+    let stats = node
+        .catalog_mut()
+        .durable_stats()
+        .expect("durability is on");
+    assert_eq!(
+        (stats.boots, stats.recovered_segments, stats.io_errors),
+        (0, 0, 1)
+    );
+    drop(node);
+    assert!(files(&store) == before, "a node boot changed the store");
+
+    let audit = p2ql(&["recover", "--dir", store.to_str().unwrap()]);
+    assert!(!audit.status.success());
+    assert!(audit.stdout.is_empty());
+    let err = String::from_utf8_lossy(&audit.stderr);
+    assert!(err.contains("of format 'p2-durable v1'"), "{err}");
+    assert!(files(&store) == before, "p2ql recover changed the store");
     let _ = std::fs::remove_dir_all(&root);
 }
