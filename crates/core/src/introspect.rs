@@ -7,17 +7,17 @@
 //! * `sysTable(loc, name, rows, maxRows, lifetimeSecs)` — the catalog;
 //! * `sysRule(loc, strandId, source, fired, outputs, evalErrors)` — the
 //!   installed rule strands and their execution counters;
-//! * `sysStat(loc, key, value)` — scalar runtime statistics, including
-//!   per-table store probe counters under `idx.<table>.<counter>` keys
-//!   (index vs linear probes, rows scanned/returned, expiry-heap pops,
-//!   auto-created indexes) for tables with any probe/expiry activity,
-//!   and — on archiving nodes — archive-tier counters under
-//!   `archive.<relation>.<counter>` keys (segments held, sealed bytes,
-//!   rows spilled, history scans served, retention drops, compactions).
+//! * `sysStat(loc, key, value)` — the engine's counters: each counter
+//!   struct declares its keys once (`p2_types::counters!`) and refresh
+//!   writes them under a family prefix (`shard.`, `archive.<relation>.`,
+//!   `durable.`, `archive.ship.`, `idx.<table>.`, …); DESIGN.md's
+//!   "sysStat keys" lists every family and when it is present.
 //!
-//! Refreshing is explicit ([`crate::node::Node::refresh_introspection`])
-//! or driven by a periodic rule the operator installs — reflection has a
-//! cost, so it is paid only when someone is looking.
+//! Refreshing is explicit: only a caller of
+//! [`crate::node::Node::refresh_introspection`] (a test, an example, the
+//! benchmark's snapshots) re-materializes the tables. No rule can
+//! trigger it, so a monitoring query reads them as of the last refresh;
+//! reflection has a cost, so it is paid only when someone asks.
 
 use crate::node::Node;
 use p2_store::TableSpec;
@@ -86,168 +86,55 @@ pub fn refresh(node: &mut Node, now: Time) {
         })
         .collect();
 
-    let m = node.metrics().clone();
-    let mut stat_rows: Vec<Tuple> = [
-        ("msgsSent", m.msgs_sent as i64),
-        ("msgsReceived", m.msgs_received as i64),
-        ("tuplesDispatched", m.tuples_dispatched as i64),
-        ("strandFirings", m.strand_firings as i64),
-        ("deletes", m.deletes as i64),
-        ("overflowDrops", m.overflow_drops as i64),
-        ("strandOverflowDrops", m.strand_overflow_drops as i64),
-        ("tuplesSent", m.tuples_sent as i64),
-        ("malformedDrops", m.malformed_drops as i64),
-        ("liveTuples", node.live_tuples() as i64),
-        ("busyMicros", m.busy.as_micros() as i64),
-    ]
-    .into_iter()
-    .map(|(k, v)| Tuple::new(SYS_STAT, [loc.clone(), Value::str(k), Value::Int(v)]))
-    .collect();
-
-    // Parallel-engine counters, present only when the node runs under
-    // the sharded harness (DESIGN.md §2.10).
-    if let Some(s) = node.shard_stats().copied() {
-        for (k, v) in [
-            ("shard.id", s.shard),
-            ("shard.events", s.events),
-            ("shard.barrier_waits", s.barrier_waits),
-            ("shard.mailbox_envelopes", s.mailbox_envelopes),
-        ] {
-            stat_rows.push(Tuple::new(
-                SYS_STAT,
-                [loc.clone(), Value::str(k), Value::Int(v as i64)],
-            ));
-        }
-    }
-
-    // Archive-tier counters, one row per (relation, counter), mirroring
-    // the `idx.*` convention. Absent entirely when archiving is off —
-    // golden traces of live-only nodes must not change — and relations
-    // that never spilled a row have no entries to emit.
-    let mut archive_rows: Vec<Tuple> = Vec::new();
-    if node.catalog_mut().archive_enabled() {
-        for (name, s) in node.catalog_mut().archive_stats() {
-            for (counter, v) in [
-                ("segments", s.segments),
-                ("sealedBytes", s.sealed_bytes),
-                ("openRows", s.open_rows),
-                ("spilledRows", s.spilled_rows),
-                ("scans", s.scans),
-                ("scanHits", s.scan_hits),
-                ("droppedSegments", s.dropped_segments),
-                ("compactions", s.compactions),
-                ("prunedSegments", s.pruned_segments),
-                ("ageDroppedSegments", s.age_dropped_segments),
-            ] {
-                archive_rows.push(Tuple::new(
-                    SYS_STAT,
-                    [
-                        loc.clone(),
-                        Value::str(format!("archive.{name}.{counter}")),
-                        Value::Int(v as i64),
-                    ],
-                ));
-            }
-        }
-    }
-
-    // Durable-tier counters (DESIGN.md §2.14), present only when a
-    // durable store is attached — nodes without durability keep their
-    // sysStat byte-identical.
-    let mut durable_rows: Vec<Tuple> = Vec::new();
-    if let Some(d) = node.catalog_mut().durable_stats() {
-        for (k, v) in [
-            ("durable.boots", d.boots),
-            ("durable.appends", d.appends),
-            ("durable.fsyncs", d.fsyncs),
-            ("durable.recoveredSegments", d.recovered_segments),
-            ("durable.truncatedTailBytes", d.truncated_tail_bytes),
-            ("durable.quarantined", d.quarantined),
-            ("durable.ioErrors", d.io_errors),
-        ] {
-            durable_rows.push(Tuple::new(
-                SYS_STAT,
-                [loc.clone(), Value::str(k), Value::Int(v as i64)],
-            ));
-        }
-    }
-
-    // Segment-shipping counters, present only on nodes where shipping
-    // was ever touched (peer enrolled, collector subscribed, or ship
-    // traffic received) — everyone else's sysStat is unchanged.
-    let mut ship_rows: Vec<Tuple> = Vec::new();
-    if node.ship_active() {
-        let s = node.ship_stats();
-        for (k, v) in [
-            ("archive.ship.requestsSent", s.requests_sent),
-            ("archive.ship.requestsServed", s.requests_served),
-            ("archive.ship.fetchesCompleted", s.fetches_completed),
-            ("archive.ship.announceChunksSent", s.announce_chunks_sent),
-            (
-                "archive.ship.announceChunksReceived",
-                s.announce_chunks_received,
-            ),
-            ("archive.ship.announcesApplied", s.announces_applied),
-            ("archive.ship.nacksSent", s.nacks_sent),
-            ("archive.ship.nacksReceived", s.nacks_received),
-            ("archive.ship.timeouts", s.timeouts),
-            ("archive.ship.retries", s.retries),
-            ("archive.ship.triggersStaged", s.triggers_staged),
-            ("archive.ship.triggersReleased", s.triggers_released),
-            ("archive.ship.bytesSent", s.bytes_sent),
-            ("archive.ship.bytesReceived", s.bytes_received),
-            ("archive.ship.strays", s.strays),
-            ("archive.ship.out.deltaSegments", s.delta_segments),
-        ] {
-            ship_rows.push(Tuple::new(
-                SYS_STAT,
-                [loc.clone(), Value::str(k), Value::Int(v as i64)],
-            ));
-        }
-        // Imported coverage, one (origin, relation) pair per counter —
-        // the collector-side mirror of the origin's archive.* rows.
-        for (origin, relation, segs, bytes, age_dropped) in node.catalog_mut().imported_stats() {
-            for (counter, v) in [
-                ("segments", segs),
-                ("bytes", bytes),
-                ("ageDroppedSegments", age_dropped),
-            ] {
-                ship_rows.push(Tuple::new(
-                    SYS_STAT,
-                    [
-                        loc.clone(),
-                        Value::str(format!("archive.ship.in.{origin}.{relation}.{counter}")),
-                        Value::Int(v as i64),
-                    ],
-                ));
-            }
-        }
-    }
-
-    // Store probe/expiry counters, one row per (table, counter). Tables
-    // with no activity yet are skipped so sysStat stays readable on nodes
-    // with large catalogs.
-    let mut idx_rows: Vec<Tuple> = Vec::new();
-    for (name, s) in node.catalog_mut().index_stats() {
-        if s.index_probes + s.linear_probes + s.heap_pops + s.auto_indexes == 0 {
-            continue;
-        }
-        for (counter, v) in [
-            ("indexProbes", s.index_probes),
-            ("linearProbes", s.linear_probes),
-            ("rowsScanned", s.rows_scanned),
-            ("rowsReturned", s.rows_returned),
-            ("heapPops", s.heap_pops),
-            ("autoIndexes", s.auto_indexes),
-        ] {
-            idx_rows.push(Tuple::new(
+    // sysStat: each counter source's `counters()` under its key prefix
+    // (DESIGN.md, "sysStat keys", says which families appear when).
+    let mut stat_rows: Vec<Tuple> = Vec::new();
+    let mut add = |prefix: &str, counters: Vec<(&'static str, u64)>| {
+        stat_rows.extend(counters.into_iter().map(|(key, v)| {
+            Tuple::new(
                 SYS_STAT,
                 [
                     loc.clone(),
-                    Value::str(format!("idx.{name}.{counter}")),
+                    Value::str(format!("{prefix}{key}")),
                     Value::Int(v as i64),
                 ],
-            ));
+            )
+        }))
+    };
+    let m = node.metrics();
+    add("", m.counters());
+    add(
+        "",
+        vec![
+            ("liveTuples", node.live_tuples() as u64),
+            ("busyMicros", m.busy.as_micros() as u64),
+        ],
+    );
+    if let Some(s) = node.shard_stats() {
+        add("shard.", s.counters());
+    }
+    let ship = node.ship_active().then(|| node.ship_stats());
+    let cat = node.catalog_mut();
+    if cat.archive_enabled() {
+        for (name, s) in cat.archive_stats() {
+            add(&format!("archive.{name}."), s.counters());
+        }
+    }
+    if let Some(d) = cat.durable_stats() {
+        add("durable.", d.counters());
+    }
+    if let Some(s) = ship {
+        add("archive.ship.", s.counters());
+        for (origin, relation, s) in cat.imported_stats() {
+            add(
+                &format!("archive.ship.in.{origin}.{relation}."),
+                s.counters(),
+            );
+        }
+    }
+    for (name, s) in cat.index_stats() {
+        if s.index_probes + s.linear_probes + s.heap_pops + s.auto_indexes > 0 {
+            add(&format!("idx.{name}."), s.counters());
         }
     }
 
@@ -307,20 +194,18 @@ pub fn refresh(node: &mut Node, now: Time) {
     }
 
     let cat = node.catalog_mut();
-    // sysDiag is re-materialized exactly: an uninstalled program's
-    // findings must not linger (the other sys tables keep their rows
-    // keyed by entities that never disappear).
-    if let Some(t) = cat.table_mut(SYS_DIAG) {
-        t.clear();
+    // sysRule and sysDiag are re-materialized exactly: an uninstalled
+    // rule's or program's rows must not linger (sysTable and sysStat
+    // rows are keyed by entities that never disappear).
+    for name in [SYS_RULE, SYS_DIAG] {
+        if let Some(t) = cat.table_mut(name) {
+            t.clear();
+        }
     }
     for row in table_rows
         .into_iter()
         .chain(rule_rows)
         .chain(stat_rows)
-        .chain(archive_rows)
-        .chain(durable_rows)
-        .chain(ship_rows)
-        .chain(idx_rows)
         .chain(diag_rows)
     {
         let _ = cat.insert(row, now);
@@ -454,6 +339,36 @@ mod tests {
         assert_eq!(n.analysis_diagnostics().count(), 0);
         n.refresh_introspection(Time::ZERO);
         assert!(n.table_scan(SYS_DIAG, Time::ZERO).is_empty());
+    }
+
+    #[test]
+    fn an_uninstalled_rule_leaves_sys_rule() {
+        let mut n = Node::new(Addr::new("n1"), NodeConfig::default());
+        let pid = n.install("r1 out@N(X) :- ev@N(X).", Time::ZERO).unwrap();
+        n.install(
+            "w1 rules@N(Id) :- probe@N(), sysRule@N(Id, Src, F, O, E).",
+            Time::ZERO,
+        )
+        .unwrap();
+        n.watch("rules");
+        n.refresh_introspection(Time::ZERO);
+        n.uninstall(pid);
+        n.refresh_introspection(Time::ZERO);
+        let ids: Vec<_> = n
+            .table_scan(SYS_RULE, Time::ZERO)
+            .iter()
+            .map(|t| t.values()[1].clone())
+            .collect();
+        assert_eq!(ids, [Value::str("w1")]);
+        // A monitor reading sysRule sees only the rule still installed.
+        n.inject(Tuple::new("probe", [Value::addr("n1")]));
+        n.pump(Time::ZERO);
+        let seen: Vec<_> = n
+            .watched("rules")
+            .iter()
+            .map(|(_, t)| t.values()[1].clone())
+            .collect();
+        assert_eq!(seen, [Value::str("w1")]);
     }
 
     #[test]

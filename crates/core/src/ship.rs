@@ -63,44 +63,46 @@ const FETCH_TIMEOUT: TimeDelta = TimeDelta::from_secs(2);
 /// unreachable and the staged trigger released without coverage.
 const MAX_RETRIES: u32 = 2;
 
-/// Shipping counters, surfaced as `archive.ship.*` rows in `sysStat`
-/// (only on nodes where shipping is active — see
-/// [`Node::ship_active`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShipStats {
-    /// Fetch requests sent (including retries).
-    pub requests_sent: u64,
-    /// Fetch requests served with a solicited shipment.
-    pub requests_served: u64,
-    /// Fetches resolved by an applied shipment.
-    pub fetches_completed: u64,
-    /// Shipment chunks sent, pushed or solicited.
-    pub announce_chunks_sent: u64,
-    /// Shipment chunks received.
-    pub announce_chunks_received: u64,
-    /// Complete shipments imported.
-    pub announces_applied: u64,
-    /// Nacks sent (request refused: archiving disabled here).
-    pub nacks_sent: u64,
-    /// Nacks received.
-    pub nacks_received: u64,
-    /// Fetches abandoned after exhausting retries.
-    pub timeouts: u64,
-    /// Resends after a timed-out attempt.
-    pub retries: u64,
-    /// Event triggers staged behind outstanding fetches.
-    pub triggers_staged: u64,
-    /// Staged triggers released (fetches resolved, strand fired).
-    pub triggers_released: u64,
-    /// Payload bytes sent in shipment chunks.
-    pub bytes_sent: u64,
-    /// Payload bytes received.
-    pub bytes_received: u64,
-    /// Messages dropped as unparseable or answering no open fetch.
-    pub strays: u64,
-    /// Sealed segments shipped in deltas instead of being re-shipped
-    /// with the full history.
-    pub delta_segments: u64,
+p2_types::counters! {
+    /// Shipping counters, surfaced as `archive.ship.*` rows in `sysStat`
+    /// (only on nodes where shipping is active — see
+    /// [`Node::ship_active`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ShipStats {
+        /// Fetch requests sent (including retries).
+        pub requests_sent: u64 = "requestsSent",
+        /// Fetch requests served with a solicited shipment.
+        pub requests_served: u64 = "requestsServed",
+        /// Fetches resolved by an applied shipment.
+        pub fetches_completed: u64 = "fetchesCompleted",
+        /// Shipment chunks sent, pushed or solicited.
+        pub announce_chunks_sent: u64 = "announceChunksSent",
+        /// Shipment chunks received.
+        pub announce_chunks_received: u64 = "announceChunksReceived",
+        /// Complete shipments imported.
+        pub announces_applied: u64 = "announcesApplied",
+        /// Nacks sent (request refused: archiving disabled here).
+        pub nacks_sent: u64 = "nacksSent",
+        /// Nacks received.
+        pub nacks_received: u64 = "nacksReceived",
+        /// Fetches abandoned after exhausting retries.
+        pub timeouts: u64 = "timeouts",
+        /// Resends after a timed-out attempt.
+        pub retries: u64 = "retries",
+        /// Event triggers staged behind outstanding fetches.
+        pub triggers_staged: u64 = "triggersStaged",
+        /// Staged triggers released (fetches resolved, strand fired).
+        pub triggers_released: u64 = "triggersReleased",
+        /// Payload bytes sent in shipment chunks.
+        pub bytes_sent: u64 = "bytesSent",
+        /// Payload bytes received.
+        pub bytes_received: u64 = "bytesReceived",
+        /// Messages dropped as unparseable or answering no open fetch.
+        pub strays: u64 = "strays",
+        /// Sealed segments shipped in deltas instead of being re-shipped
+        /// with the full history.
+        pub delta_segments: u64 = "out.deltaSegments",
+    }
 }
 
 /// A typed remote-history failure — the §3 forensic distinction

@@ -409,31 +409,49 @@ impl Segment {
     }
 }
 
-/// Point-in-time counters for one relation's archive, surfaced as
-/// `archive.*` sysStat rows by `core::introspect`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArchiveStats {
-    /// Sealed segments currently held.
-    pub segments: u64,
-    /// Bytes across sealed segments currently held.
-    pub sealed_bytes: u64,
-    /// Rows waiting in the open (not yet sealed) buffer.
-    pub open_rows: u64,
-    /// Rows ever spilled into this relation's archive.
-    pub spilled_rows: u64,
-    /// History scans served.
-    pub scans: u64,
-    /// Rows returned across all history scans.
-    pub scan_hits: u64,
-    /// Segments dropped by the retention budget.
-    pub dropped_segments: u64,
-    /// Compaction merges performed.
-    pub compactions: u64,
-    /// Segments skipped without body decode during scans (header time
-    /// range or column-summary equality miss).
-    pub pruned_segments: u64,
-    /// Segments dropped by age retention (`max_age_epochs`).
-    pub age_dropped_segments: u64,
+p2_types::counters! {
+    /// Point-in-time counters for one relation's archive, surfaced as
+    /// `archive.*` sysStat rows by `core::introspect`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ArchiveStats {
+        /// Sealed segments currently held.
+        pub segments: u64 = "segments",
+        /// Bytes across sealed segments currently held.
+        pub sealed_bytes: u64 = "sealedBytes",
+        /// Rows waiting in the open (not yet sealed) buffer.
+        pub open_rows: u64 = "openRows",
+        /// Rows ever spilled into this relation's archive.
+        pub spilled_rows: u64 = "spilledRows",
+        /// History scans served.
+        pub scans: u64 = "scans",
+        /// Rows returned across all history scans.
+        pub scan_hits: u64 = "scanHits",
+        /// Segments dropped by the retention budget.
+        pub dropped_segments: u64 = "droppedSegments",
+        /// Compaction merges performed.
+        pub compactions: u64 = "compactions",
+        /// Segments skipped without body decode during scans (header time
+        /// range or column-summary equality miss).
+        pub pruned_segments: u64 = "prunedSegments",
+        /// Segments dropped by age retention (`max_age_epochs`).
+        pub age_dropped_segments: u64 = "ageDroppedSegments",
+    }
+}
+
+p2_types::counters! {
+    /// Point-in-time counters for one origin's shipped history of one
+    /// relation, surfaced as `archive.ship.in.*` sysStat rows by
+    /// `core::introspect` — the collector-side mirror of the origin's
+    /// `archive.*` rows.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ImportedStats {
+        /// Segments held.
+        pub segments: u64 = "segments",
+        /// Bytes across the segments held.
+        pub bytes: u64 = "bytes",
+        /// Segments dropped by the holder's age policy.
+        pub age_dropped_segments: u64 = "ageDroppedSegments",
+    }
 }
 
 #[derive(Debug, Default)]
@@ -441,13 +459,9 @@ struct RelationArchive {
     sealed: VecDeque<Segment>,
     open: Vec<SpilledRow>,
     open_epoch: u64,
-    spilled_rows: u64,
-    scans: u64,
-    scan_hits: u64,
-    dropped_segments: u64,
-    compactions: u64,
-    pruned_segments: u64,
-    age_dropped_segments: u64,
+    /// The monotonic counters; the three point-in-time ones (segments,
+    /// sealed bytes, open rows) are read off the buffers by `stats`.
+    stats: ArchiveStats,
 }
 
 fn seal_open(
@@ -498,7 +512,7 @@ fn enforce(relation: &str, ra: &mut RelationArchive, config: &ArchiveConfig) {
                 rows.extend(more);
                 ra.sealed
                     .push_back(Segment::build(relation, a.epoch_lo(), b.epoch_hi(), &rows));
-                ra.compactions += 1;
+                ra.stats.compactions += 1;
             }
             // Own bytes never fail to decode; if they somehow did,
             // restore both rather than lose history.
@@ -514,7 +528,7 @@ fn enforce(relation: &str, ra: &mut RelationArchive, config: &ArchiveConfig) {
     while total > config.retention_bytes && ra.sealed.len() > 1 {
         if let Some(seg) = ra.sealed.pop_front() {
             total -= seg.len_bytes();
-            ra.dropped_segments += 1;
+            ra.stats.dropped_segments += 1;
         }
     }
     // Age retention: measured in epochs behind the newest sealed drop
@@ -530,7 +544,7 @@ fn enforce(relation: &str, ra: &mut RelationArchive, config: &ArchiveConfig) {
                 break;
             }
             ra.sealed.pop_front();
-            ra.age_dropped_segments += 1;
+            ra.stats.age_dropped_segments += 1;
         }
     }
 }
@@ -673,7 +687,7 @@ impl Archive {
                 ra.open_epoch = epoch;
             }
             ra.open.push(row);
-            ra.spilled_rows += 1;
+            ra.stats.spilled_rows += 1;
         }
     }
 
@@ -697,7 +711,7 @@ impl Archive {
                 if ra.open.is_empty() {
                     ra.open_epoch = e0;
                 }
-                ra.spilled_rows += rows.len() as u64;
+                ra.stats.spilled_rows += rows.len() as u64;
                 if ra.open.is_empty() {
                     ra.open = rows;
                 } else {
@@ -756,12 +770,12 @@ impl Archive {
         let Some(ra) = self.relations.get_mut(relation).filter(|_| t0 <= t1) else {
             return Ok(Vec::new());
         };
-        ra.scans += 1;
+        ra.stats.scans += 1;
         let mut out = Vec::new();
-        ra.pruned_segments += scan_segments(&ra.sealed, t0, t1, eqs, &mut out)?;
+        ra.stats.pruned_segments += scan_segments(&ra.sealed, t0, t1, eqs, &mut out)?;
         let open = ra.open.iter().filter(|r| scan_hit(r, t0, t1, eqs));
         out.extend(open.cloned().map(archived));
-        ra.scan_hits += out.len() as u64;
+        ra.stats.scan_hits += out.len() as u64;
         Ok(out)
     }
 
@@ -806,13 +820,7 @@ impl Archive {
                         segments: ra.sealed.len() as u64,
                         sealed_bytes: ra.sealed.iter().map(|s| s.len_bytes() as u64).sum(),
                         open_rows: ra.open.len() as u64,
-                        spilled_rows: ra.spilled_rows,
-                        scans: ra.scans,
-                        scan_hits: ra.scan_hits,
-                        dropped_segments: ra.dropped_segments,
-                        compactions: ra.compactions,
-                        pruned_segments: ra.pruned_segments,
-                        age_dropped_segments: ra.age_dropped_segments,
+                        ..ra.stats
                     },
                 )
             })
@@ -912,24 +920,18 @@ impl ImportedHistory {
             .collect()
     }
 
-    /// `(origin, relation, segment count, bytes, age-dropped)` rows,
-    /// sorted by origin then relation.
-    pub fn stats(&self) -> Vec<(String, String, u64, u64, u64)> {
+    /// `(origin, relation, counters)`, sorted by origin then relation.
+    pub fn stats(&self) -> Vec<(String, String, ImportedStats)> {
         let mut out = Vec::new();
         for (origin, rels) in &self.by_origin {
             for (relation, segs) in rels {
-                let dropped = self
-                    .age_dropped
-                    .get(&(origin.clone(), relation.clone()))
-                    .copied()
-                    .unwrap_or(0);
-                out.push((
-                    origin.clone(),
-                    relation.clone(),
-                    segs.len() as u64,
-                    segs.iter().map(|s| s.len_bytes() as u64).sum(),
-                    dropped,
-                ));
+                let key = (origin.clone(), relation.clone());
+                let stats = ImportedStats {
+                    segments: segs.len() as u64,
+                    bytes: segs.iter().map(|s| s.len_bytes() as u64).sum(),
+                    age_dropped_segments: self.age_dropped.get(&key).copied().unwrap_or(0),
+                };
+                out.push((key.0, key.1, stats));
             }
         }
         out

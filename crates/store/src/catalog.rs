@@ -7,8 +7,8 @@
 //! here.
 
 use crate::archive::{
-    eqs_hold, Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, Segment,
-    SegmentError, SpilledRow, LIVE_SENTINEL,
+    eqs_hold, Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, ImportedStats,
+    Segment, SegmentError, SpilledRow, LIVE_SENTINEL,
 };
 use crate::durable::{DurableStats, DurableStore};
 use crate::table::{InsertOutcome, ProbeStats, Table, TableSpec};
@@ -487,10 +487,9 @@ impl Catalog {
             .unwrap_or_default()
     }
 
-    /// `(origin, relation, segments, bytes, age-dropped)` rows for
-    /// shipped history held here, sorted — the `archive.ship.*` sysStat
-    /// feed.
-    pub fn imported_stats(&self) -> Vec<(String, String, u64, u64, u64)> {
+    /// `(origin, relation, counters)` for shipped history held here,
+    /// sorted — the `archive.ship.in.*` sysStat feed.
+    pub fn imported_stats(&self) -> Vec<(String, String, ImportedStats)> {
         self.imported.stats()
     }
 
@@ -579,21 +578,21 @@ mod tests {
         c.import_history("a", "seen", None, frames);
         let stats = c.imported_stats();
         assert_eq!(stats.len(), 1);
-        let (origin, relation, segs, _bytes, age_dropped) = &stats[0];
+        let (origin, relation, s) = &stats[0];
         assert_eq!((origin.as_str(), relation.as_str()), ("a", "seen"));
-        assert_eq!(*segs, 4, "epochs 7..=9 plus the live frame stay");
-        assert_eq!(*age_dropped, 7);
+        assert_eq!(s.segments, 4, "epochs 7..=9 plus the live frame stay");
+        assert_eq!(s.age_dropped_segments, 7);
 
         // Re-import accumulates the counter (wholesale replacement).
         let frames: Vec<Segment> = (0..5).map(seg).collect();
         c.import_history("a", "seen", None, frames);
-        assert_eq!(c.imported_stats()[0].4, 9);
+        assert_eq!(c.imported_stats()[0].2.age_dropped_segments, 9);
 
         // No archive tier → no policy → shipments held whole.
         let mut plain = Catalog::new();
         plain.import_history("a", "seen", None, (0..10).map(seg).collect());
-        assert_eq!(plain.imported_stats()[0].2, 10);
-        assert_eq!(plain.imported_stats()[0].4, 0);
+        assert_eq!(plain.imported_stats()[0].2.segments, 10);
+        assert_eq!(plain.imported_stats()[0].2.age_dropped_segments, 0);
     }
 
     #[test]

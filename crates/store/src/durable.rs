@@ -55,28 +55,30 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Counters for one node's durable tier, surfaced as `durable.*` sysStat
-/// rows by `core::introspect` (absent entirely when durability is off).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurableStats {
-    /// Times this store has been booted (first boot included): a
-    /// restarted node's count exceeds 1, which the ship layer folds into
-    /// its announce generation so collectors never mistake post-restart
-    /// shipments for stale ones.
-    pub boots: u64,
-    /// Segment frames appended since the store was created.
-    pub appends: u64,
-    /// Durability barriers honoured (fsyncs for the file backend).
-    pub fsyncs: u64,
-    /// Valid segments rebuilt by recovery, cumulative over boots.
-    pub recovered_segments: u64,
-    /// Bytes discarded from torn log tails, cumulative over boots.
-    pub truncated_tail_bytes: u64,
-    /// Corrupt frames quarantined by recovery, cumulative over boots.
-    pub quarantined: u64,
-    /// I/O errors swallowed by the file backend (the store goes quiet
-    /// rather than panicking the node; see [`FileDurable`]).
-    pub io_errors: u64,
+p2_types::counters! {
+    /// Counters for one node's durable tier, surfaced as `durable.*` sysStat
+    /// rows by `core::introspect` (absent entirely when durability is off).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DurableStats {
+        /// Times this store has been booted (first boot included): a
+        /// restarted node's count exceeds 1, which the ship layer folds into
+        /// its announce generation so collectors never mistake post-restart
+        /// shipments for stale ones.
+        pub boots: u64 = "boots",
+        /// Segment frames appended since the store was created.
+        pub appends: u64 = "appends",
+        /// Durability barriers honoured (fsyncs for the file backend).
+        pub fsyncs: u64 = "fsyncs",
+        /// Valid segments rebuilt by recovery, cumulative over boots.
+        pub recovered_segments: u64 = "recoveredSegments",
+        /// Bytes discarded from torn log tails, cumulative over boots.
+        pub truncated_tail_bytes: u64 = "truncatedTailBytes",
+        /// Corrupt frames quarantined by recovery, cumulative over boots.
+        pub quarantined: u64 = "quarantined",
+        /// I/O errors swallowed by the file backend (the store goes quiet
+        /// rather than panicking the node; see [`FileDurable`]).
+        pub io_errors: u64 = "ioErrors",
+    }
 }
 
 /// What one recovery pass found, per relation (sorted by name).

@@ -29,8 +29,8 @@ pub mod table;
 mod table_tests;
 
 pub use archive::{
-    Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, Segment, SegmentError,
-    SpilledRow, LIVE_SENTINEL,
+    Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, ImportedStats, Segment,
+    SegmentError, SpilledRow, LIVE_SENTINEL,
 };
 pub use catalog::{Catalog, CatalogError};
 pub use durable::{

@@ -106,24 +106,26 @@ struct Due {
     key: Key,
 }
 
-/// Probe-path counters, exposed through the `sysStat` introspection
-/// table so monitoring programs can query the query engine's own lookup
-/// behaviour (§2.2 of the paper).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// `scan_eq` calls answered from a secondary index.
-    pub index_probes: u64,
-    /// `scan_eq` calls that fell back to a linear filter.
-    pub linear_probes: u64,
-    /// Live rows examined across all probes.
-    pub rows_scanned: u64,
-    /// Rows actually returned across all probes.
-    pub rows_returned: u64,
-    /// Expiry-queue entries popped by `expire` (due or stale). An
-    /// evicted row's entry is dropped by the eviction and not counted.
-    pub heap_pops: u64,
-    /// Indexes created by the runtime fallback (vs. planner-registered).
-    pub auto_indexes: u64,
+p2_types::counters! {
+    /// Probe-path counters, exposed through the `sysStat` introspection
+    /// table so monitoring programs can query the query engine's own lookup
+    /// behaviour (§2.2 of the paper).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ProbeStats {
+        /// `scan_eq` calls answered from a secondary index.
+        pub index_probes: u64 = "indexProbes",
+        /// `scan_eq` calls that fell back to a linear filter.
+        pub linear_probes: u64 = "linearProbes",
+        /// Live rows examined across all probes.
+        pub rows_scanned: u64 = "rowsScanned",
+        /// Rows actually returned across all probes.
+        pub rows_returned: u64 = "rowsReturned",
+        /// Expiry-queue entries popped by `expire` (due or stale). An
+        /// evicted row's entry is dropped by the eviction and not counted.
+        pub heap_pops: u64 = "heapPops",
+        /// Indexes created by the runtime fallback (vs. planner-registered).
+        pub auto_indexes: u64 = "autoIndexes",
+    }
 }
 
 /// Unindexed probes on one field before the runtime auto-creates an

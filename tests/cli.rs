@@ -42,39 +42,60 @@ fn dump_of_an_unknown_table_warns_on_stderr_and_leaves_stdout_alone() {
     );
 }
 
-/// The crash-restart replay report is the same on every backend and
-/// shard count (the in-memory log at 1 and 4 shards, the file log),
-/// and the file log it leaves is what `p2ql recover` audits.
+/// `p2ql replay --nodes 5 --seed 1` with `extra` flags: its report.
+fn replay(extra: &[&str]) -> Vec<u8> {
+    let out = p2ql(&[&["replay", "--nodes", "5", "--seed", "1"], extra].concat());
+    assert!(
+        out.status.success(),
+        "{extra:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+/// The forensic replay report is the same at 1 and 4 shards, and the
+/// same again when every verdict is answered from a collector's
+/// shipped history instead of each origin's own archive.
+#[test]
+fn replay_report_is_the_same_sharded_and_collected() {
+    let one = replay(&["--shards", "1"]);
+    let four = replay(&["--shards", "4"]);
+    assert!(!one.is_empty());
+    assert!(four == one, "4 shards' report differs from 1 shard's");
+    assert!(
+        replay(&["--shards", "1", "--collect"]) == one,
+        "the collected report differs from the plain one"
+    );
+    assert!(
+        replay(&["--shards", "4", "--collect"]) == four,
+        "the collected report at 4 shards differs from the plain one"
+    );
+}
+
+/// The crash-restart replay report is the same on every backend, shard
+/// count and history source (the in-memory log at 1 and 4 shards, the
+/// file log, a collector's shipped history), and the file log it leaves
+/// is what `p2ql recover` audits.
 #[test]
 fn recover_audits_a_store_and_refuses_a_path_that_holds_none() {
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover");
     let _ = std::fs::remove_dir_all(&root);
     let data = root.join("data");
-    let replay = |extra: &[&str]| {
-        let out = p2ql(
-            &[
-                &["replay", "--nodes", "5", "--seed", "1", "--restart", "2"],
-                extra,
-            ]
-            .concat(),
-        );
-        assert!(
-            out.status.success(),
-            "{extra:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let filled = replay(&["--data-dir", data.to_str().unwrap()]);
-    let memory = replay(&[]);
+    let restart = |extra: &[&str]| replay(&[&["--restart", "2"], extra].concat());
+    let filled = restart(&["--shards", "1", "--data-dir", data.to_str().unwrap()]);
+    let memory = restart(&["--shards", "1"]);
     assert!(!memory.is_empty());
     assert!(
         filled == memory,
         "the file backend's report differs from the in-memory one"
     );
     assert!(
-        replay(&["--shards", "4"]) == memory,
+        restart(&["--shards", "4"]) == memory,
         "4 shards' report differs from 1 shard's"
+    );
+    assert!(
+        restart(&["--shards", "1", "--collect"]) == memory,
+        "the collected report differs from the plain one"
     );
 
     // A populated node directory: the per-relation summary, exit 0.
