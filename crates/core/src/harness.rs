@@ -57,7 +57,8 @@ pub trait Population {
 
     /// Restart a node: all soft state is lost (as in a process crash),
     /// archived history is recovered from the node's durable store when
-    /// durability is configured, harness-installed programs are
+    /// durability is configured, the programs the node had installed
+    /// and not uninstalled are
     /// reinstalled at the current virtual time, and the node becomes
     /// reachable again. Bit-identical across shard counts for the same
     /// seed and fault schedule.

@@ -1,16 +1,107 @@
 //! The node installer: program compile/install/uninstall and trace-table
 //! registration ("piecemeal deployment", §1.3).
+//!
+//! Installing is two steps. A [`Compiled`] program is parse → analysis →
+//! plan, a pure function of the source text, the names of the tables
+//! materialized where it installs, and the planner options; the install
+//! step registers its tables, instantiates its strands and routes its
+//! facts on one node. An engine deploys one source onto many nodes with
+//! identical catalogs, so it keeps a [`CompileMap`] and compiles each
+//! (source, catalog) pair once; the nodes share the compiled strands.
 
 use crate::node::{ArchiveEnroll, InstallError, Node, ProgramId};
 use crate::scheduler::TimerState;
 use p2_dataflow::StrandRuntime;
-use p2_planner::plan::{Strand, Trigger};
+use p2_planner::plan::{CompiledProgram, Strand, Trigger};
 use p2_planner::{compile_program_with, PlanOpts};
 use p2_store::TableSpec;
 use p2_types::{Time, TimeDelta};
 use std::cmp::Reverse;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// A program compiled against one catalog, installable on every node
+/// whose catalog names the same tables.
+pub(crate) struct Compiled {
+    source: Arc<str>,
+    /// The plan, but for its strands, which are in `strands`.
+    plan: CompiledProgram,
+    /// Shared by the runtimes of every node that installs this.
+    strands: Vec<Arc<Strand>>,
+    /// Warnings and notes; a program with analysis errors never compiles.
+    analysis: p2_overlog::Diagnostics,
+}
+
+impl Compiled {
+    /// Compile `source` for a node whose catalog holds the tables `known`.
+    pub(crate) fn new(
+        source: Arc<str>,
+        known: HashSet<String>,
+        opts: &PlanOpts,
+    ) -> Result<Compiled, InstallError> {
+        let program = p2_overlog::compile(&source).map_err(InstallError::Compile)?;
+        // Static analysis against the live catalog: hard errors reject
+        // the install; warnings and notes ride along and surface through
+        // `sysDiag` (and `Node::analysis_diagnostics`).
+        let ctx = p2_analysis::AnalysisCtx {
+            known_tables: known,
+            ..Default::default()
+        };
+        let analysis = p2_analysis::analyze(&[&program], &ctx);
+        if analysis.has_errors() {
+            return Err(InstallError::Analysis(analysis));
+        }
+        let mut plan =
+            compile_program_with(&program, &ctx.known_tables, opts).map_err(InstallError::Plan)?;
+        let strands = std::mem::take(&mut plan.strands)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        Ok(Compiled {
+            source,
+            plan,
+            strands,
+            analysis,
+        })
+    }
+}
+
+/// One deployment's compiles, by source text and then by the sorted
+/// table names of the catalog compiled against — the compile's whole
+/// input, since an engine always plans with the default options. It
+/// holds one entry per distinct (source, catalog) pair installed, and
+/// lives as long as the engine.
+#[derive(Default)]
+pub(crate) struct CompileMap(HashMap<Arc<str>, HashMap<Vec<String>, Compiled>>);
+
+impl CompileMap {
+    /// `source` compiled against a catalog of the tables `known`
+    /// (sorted), compiling it on the first ask. A failed compile is not
+    /// kept.
+    pub(crate) fn get(
+        &mut self,
+        source: &str,
+        known: Vec<String>,
+    ) -> Result<&Compiled, InstallError> {
+        let source = match self.0.get_key_value(source) {
+            Some((shared, _)) => shared.clone(),
+            None => Arc::from(source),
+        };
+        match self.0.entry(source.clone()).or_default().entry(known) {
+            Entry::Occupied(hit) => Ok(hit.into_mut()),
+            Entry::Vacant(miss) => {
+                let known = miss.key().iter().cloned().collect();
+                Ok(miss.insert(Compiled::new(source, known, &PlanOpts::default())?))
+            }
+        }
+    }
+
+    /// How many (source, catalog) pairs have been compiled.
+    pub(crate) fn len(&self) -> usize {
+        self.0.values().map(HashMap::len).sum()
+    }
+}
 
 impl Node {
     pub(crate) fn register_trace_tables(&mut self) {
@@ -76,30 +167,21 @@ impl Node {
         now: Time,
         opts: &PlanOpts,
     ) -> Result<ProgramId, InstallError> {
-        let program = p2_overlog::compile(source).map_err(InstallError::Compile)?;
-        let known: HashSet<String> = self
-            .catalog
-            .table_stats()
-            .into_iter()
-            .map(|(name, _, _)| name)
-            .collect();
+        let known = self.catalog.table_names().into_iter().collect();
+        let compiled = Compiled::new(Arc::from(source), known, opts)?;
+        self.install_compiled(&compiled, now)
+    }
 
-        // Static analysis against the live catalog: hard errors reject
-        // the install; warnings and notes ride along and surface through
-        // `sysDiag` (and `Node::analysis_diagnostics`).
-        let analysis_ctx = p2_analysis::AnalysisCtx {
-            known_tables: known.clone(),
-            ..Default::default()
-        };
-        let analysis = p2_analysis::analyze(&[&program], &analysis_ctx);
-        if analysis.has_errors() {
-            return Err(InstallError::Analysis(analysis));
-        }
-
-        let compiled = compile_program_with(&program, &known, opts).map_err(InstallError::Plan)?;
-
+    /// Install a program compiled against this node's catalog as it is
+    /// now (the tables the compile was told are materialized).
+    pub(crate) fn install_compiled(
+        &mut self,
+        compiled: &Compiled,
+        now: Time,
+    ) -> Result<ProgramId, InstallError> {
+        let plan = &compiled.plan;
         // Register tables first (strand classification already done).
-        for t in &compiled.tables {
+        for t in &plan.tables {
             self.catalog
                 .register(TableSpec::new(
                     &t.name,
@@ -119,19 +201,20 @@ impl Node {
         // here, so the table is already in the catalog. A miss is
         // tolerated anyway — the store's auto-index fallback would pick
         // the field up after a few linear probes.
-        for (table, field) in &compiled.index_requests {
+        for (table, field) in &plan.index_requests {
             let _ = self.catalog.ensure_index(table, *field);
         }
 
         let pid = ProgramId(self.next_program);
         self.next_program += 1;
 
-        for d in compiled.diagnostics {
-            self.plan_diagnostics.push((pid, d));
+        for d in &plan.diagnostics {
+            self.plan_diagnostics.push((pid, d.clone()));
         }
-        for d in analysis.items {
-            self.analysis_diagnostics.push((pid, d));
+        for d in &compiled.analysis.items {
+            self.analysis_diagnostics.push((pid, d.clone()));
         }
+        self.programs.push((pid, compiled.source.clone()));
 
         // Instantiate runtimes. Strands the optimizer grouped into a
         // shared-prefix family become ONE runtime (instantiated at the
@@ -139,17 +222,17 @@ impl Node {
         // member tails fan out); everything else is a runtime of its own.
         // A family's members share one trigger, so dispatch/timer
         // registration is per runtime, exactly as for single strands.
-        let plans: Vec<Arc<Strand>> = compiled.strands.into_iter().map(Arc::new).collect();
+        let plans = &compiled.strands;
         let mut group_of: Vec<Option<usize>> = vec![None; plans.len()];
-        for (g, pg) in compiled.prefix_groups.iter().enumerate() {
+        for (g, pg) in plan.prefix_groups.iter().enumerate() {
             for &m in &pg.members {
                 group_of[m] = Some(g);
             }
         }
-        for (i, plan) in plans.iter().enumerate() {
+        for (i, strand) in plans.iter().enumerate() {
             let runtime = match group_of[i] {
                 Some(g) => {
-                    let pg = &compiled.prefix_groups[g];
+                    let pg = &plan.prefix_groups[g];
                     if pg.members[0] != i {
                         continue; // instantiated with its family leader
                     }
@@ -157,7 +240,7 @@ impl Node {
                         pg.members.iter().map(|&m| plans[m].clone()).collect();
                     StrandRuntime::family(members, pg.shared_ops)
                 }
-                None => StrandRuntime::new(plan.clone()),
+                None => StrandRuntime::new(strand.clone()),
             };
             let idx = self.strands.len();
             match &runtime.plan().trigger {
@@ -195,8 +278,8 @@ impl Node {
         }
 
         // Inject facts as ordinary dispatches (they may be remote).
-        for fact in compiled.facts {
-            self.route_tuple(fact, false, now);
+        for fact in &plan.facts {
+            self.route_tuple(fact.clone(), false, now);
         }
         Ok(pid)
     }
@@ -205,6 +288,7 @@ impl Node {
     /// contents) remain — soft state expires on its own, and other
     /// programs may read them.
     pub fn uninstall(&mut self, pid: ProgramId) {
+        self.programs.retain(|(p, _)| *p != pid);
         self.plan_diagnostics.retain(|(p, _)| *p != pid);
         self.analysis_diagnostics.retain(|(p, _)| *p != pid);
         let keep: Vec<bool> = self.strand_programs.iter().map(|p| *p != pid).collect();

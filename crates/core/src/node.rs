@@ -26,6 +26,7 @@ use p2_types::{Addr, DetRng, Time, Tuple, Value};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to an installed program, for later removal ("piecemeal"
 /// deployment and un-deployment of monitoring queries, §1.3).
@@ -244,6 +245,9 @@ pub struct Node {
     /// one shard (otherwise `sysStat` carries no `shard.*` rows).
     pub(crate) shard_stats: Option<crate::metrics::ShardStats>,
     pub(crate) next_program: u64,
+    /// Installed programs and their sources, in install order; what a
+    /// restart reinstalls.
+    pub(crate) programs: Vec<(ProgramId, Arc<str>)>,
     /// Plan-time warnings from installed programs (dead rules, ...),
     /// tagged with the owning program for uninstall cleanup.
     pub(crate) plan_diagnostics: Vec<(ProgramId, p2_planner::Diagnostic)>,
@@ -329,6 +333,7 @@ impl Node {
             metrics: NodeMetrics::default(),
             shard_stats: None,
             next_program: 1,
+            programs: Vec::new(),
             plan_diagnostics: Vec::new(),
             analysis_diagnostics: Vec::new(),
             ship: crate::ship::ShipState::default(),

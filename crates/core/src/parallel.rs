@@ -21,7 +21,7 @@
 //! population-global: a stepping *phase* ends at the GC deadline (or the
 //! run's), and every shard runs the first instant at or past it. Control
 //! operations (install, inject, restart) happen between runs on the
-//! calling thread and settle the same way, over every live node.
+//! calling thread and settle the same way, over the nodes they marked.
 //!
 //! **Determinism.** Every send is stamped `(sent_at, epoch, src_idx,
 //! seq)` — see [`p2_net::Stamp`] — and every fabric orders deliveries by
@@ -37,9 +37,14 @@
 //! observable. The one pump that does not reach quiescence is the one
 //! cut by `max_dispatch_per_pump`: a node it leaves with a backlog
 //! stays dirty and is pumped again in the next wave of the same
-//! instant, so it never waits on who else has events. [`crate::sim`]
-//! keeps the scan-everything stepper this is tested against.
+//! instant, so it never waits on who else has events. A control
+//! settle follows the same rule: it pumps the nodes a control op
+//! touched (`node_mut`, `install`, `inject`, `restart`, `revive`) and
+//! then those handed a delivery or left with a backlog.
+//! [`crate::sim`] keeps the scan-everything stepper this is tested
+//! against, whose settles pump every live node.
 
+use crate::installer::CompileMap;
 use crate::metrics::ShardStats;
 use crate::node::{InstallError, Node, NodeConfig, ProgramId};
 use p2_net::{NetStats, SimConfig, SimNetwork, StampedEnvelope};
@@ -63,11 +68,13 @@ pub(crate) struct Shard {
     local_idx: HashMap<Addr, usize>,
     pub(crate) net: SimNetwork,
     stats: ShardStats,
-    /// Per-node "might have runnable work" flags, reused across instants
-    /// (always all-false between instants).
+    /// Per-node "might have runnable work" flags, reused across instants.
+    /// Control ops set them between runs; every instant and every
+    /// control settle leaves them all-false.
     dirty: Vec<bool>,
-    /// Nodes whose state changed this instant (their cached timer needs
-    /// recomputing). Drained at the end of every instant.
+    /// Nodes marked this instant (their cached timer needs recomputing).
+    /// Drained at the end of every instant; a control settle only
+    /// clears it.
     touched: Vec<usize>,
     /// Cached `Node::next_timer` per node, so the per-instant fire scan
     /// and `next_event` read a flat vector instead of peeking every
@@ -131,7 +138,7 @@ impl Shard {
         }
     }
 
-    /// Mark a node as having runnable work this instant.
+    /// Mark a node as having runnable work: the next wave pumps it.
     fn mark(&mut self, i: usize) {
         if !self.dirty[i] {
             self.dirty[i] = true;
@@ -376,8 +383,8 @@ pub struct Engine<M> {
     stamp: (Time, u32),
     /// Per-node config as registered, replayed on [`Engine::restart`].
     configs: HashMap<Addr, NodeConfig>,
-    /// Programs installed through the harness, replayed on restart.
-    programs: HashMap<Addr, Vec<String>>,
+    /// Every program this engine installed, compiled once per catalog.
+    compiles: CompileMap,
     mode: PhantomData<M>,
 }
 
@@ -455,7 +462,7 @@ impl<M: Mode> Engine<M> {
             seed,
             stamp: (Time::ZERO, 0),
             configs: HashMap::new(),
-            programs: HashMap::new(),
+            compiles: CompileMap::default(),
             mode: PhantomData,
         }
     }
@@ -521,7 +528,10 @@ impl<M: Mode> Engine<M> {
     /// Panics if `addr` was never added to the harness.
     pub fn node_mut(&mut self, addr: &Addr) -> &mut Node {
         let (si, ni) = self.index[addr];
-        &mut self.shards[si].nodes[ni].node
+        // Whatever the caller does to it, the next settle pumps it.
+        let shard = &mut self.shards[si];
+        shard.mark(ni);
+        &mut shard.nodes[ni].node
     }
 
     /// All node addresses in insertion order.
@@ -531,7 +541,7 @@ impl<M: Mode> Engine<M> {
 
     /// Install a program on one node at the current time and settle.
     pub fn install(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
-        let pid = self.install_recorded(addr, source)?;
+        let pid = self.install_on(addr, source)?;
         self.control_settle();
         Ok(pid)
     }
@@ -541,21 +551,27 @@ impl<M: Mode> Engine<M> {
         let mut out = Vec::new();
         for i in 0..self.order.len() {
             let addr = self.order[i].clone();
-            out.push(self.install_recorded(&addr, source)?);
+            out.push(self.install_on(&addr, source)?);
         }
         self.control_settle();
         Ok(out)
     }
 
-    /// Install at the current time and record the source for restart.
-    fn install_recorded(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
-        let now = self.clock;
-        let pid = self.node_mut(addr).install(source, now)?;
-        self.programs
-            .entry(addr.clone())
-            .or_default()
-            .push(source.to_string());
-        Ok(pid)
+    /// Install on one node at the current time, compiling only if no
+    /// node with the same catalog has installed `source` before.
+    fn install_on(&mut self, addr: &Addr, source: &str) -> Result<ProgramId, InstallError> {
+        let (si, ni) = self.index[addr];
+        let shard = &mut self.shards[si];
+        shard.mark(ni);
+        let node = &mut shard.nodes[ni].node;
+        let compiled = self.compiles.get(source, node.catalog.table_names())?;
+        node.install_compiled(compiled, self.clock)
+    }
+
+    /// How many (source, catalog) pairs this engine has compiled: every
+    /// other install reused one of those compiles.
+    pub fn compiled_programs(&self) -> usize {
+        self.compiles.len()
     }
 
     /// Inject a tuple at a node and settle.
@@ -572,10 +588,14 @@ impl<M: Mode> Engine<M> {
         }
     }
 
-    /// Revive a crashed node.
+    /// Revive a crashed node. What it was handed while down (an
+    /// injected tuple) runs at the next settle.
     pub fn revive(&mut self, addr: &Addr) {
         for shard in &mut self.shards {
             shard.net.set_down(addr, false);
+        }
+        if let Some(&(si, ni)) = self.index.get(addr) {
+            self.shards[si].mark(ni);
         }
     }
 
@@ -588,9 +608,10 @@ impl<M: Mode> Engine<M> {
     /// dataflow, pending timers, queued inbox mail — is lost, exactly as
     /// in a process crash. If the node's config enables durability, the
     /// sealed archive is recovered from its durable store; otherwise
-    /// the node comes back empty. Programs installed *through the
-    /// harness* are reinstalled at the current virtual time, and every
-    /// shard fabric marks the node reachable again.
+    /// the node comes back empty. The programs it had installed and
+    /// not uninstalled are reinstalled, in install order, at the current
+    /// virtual time, and every shard fabric marks the node reachable
+    /// again.
     ///
     /// # Panics
     ///
@@ -606,22 +627,18 @@ impl<M: Mode> Engine<M> {
         // Swap in a throwaway placeholder so the dying node can be
         // consumed for its durable store — the only thing that
         // survives the crash.
-        let old = std::mem::replace(
+        let mut old = std::mem::replace(
             &mut slot.node,
             Node::new(addr.clone(), NodeConfig::default()),
         );
+        let programs = std::mem::take(&mut old.programs);
         let store = old.into_durable();
         slot.node = Node::with_recovered(addr.clone(), config, store);
         slot.inbox.clear();
         self.shards[si].timers[ni] = None;
-        let now = self.clock;
-        let node = &mut self.shards[si].nodes[ni].node;
-        let reinstalled = self
-            .programs
-            .get(addr)
-            .into_iter()
-            .flatten()
-            .try_for_each(|source| node.install(source, now).map(drop));
+        let reinstalled = programs
+            .iter()
+            .try_for_each(|(_, source)| self.install_on(addr, source).map(drop));
         self.revive(addr);
         self.control_settle();
         reinstalled
@@ -667,15 +684,19 @@ impl<M: Mode> Engine<M> {
         self.stamp.1 - 1
     }
 
-    /// Pump all nodes and exchange due messages until nothing more can
-    /// happen at the current virtual time: every live node in insertion
-    /// order, one stamp epoch per wave, cross-shard mail routed
-    /// directly. Sends from later waves of the same instant carry
+    /// Pump the marked nodes and exchange due messages until nothing
+    /// more can happen at the current virtual time: marked live nodes in
+    /// insertion order, one stamp epoch per wave, cross-shard mail
+    /// routed directly. A node handed a delivery or left with a backlog
+    /// is marked for the next wave; a pump of any other node would be a
+    /// no-op (see the module docs). The oracle pumps every live node in
+    /// every wave. Sends from later waves of the same instant carry
     /// larger stamps, so delivery order reproduces causal order. Runs on
     /// the calling thread — control ops happen between runs, when it
     /// owns all shards.
     pub(crate) fn control_settle(&mut self) {
         let t = self.clock;
+        let width = self.shards.len();
         loop {
             let e = self.alloc_epoch(t);
             for shard in &mut self.shards {
@@ -683,8 +704,13 @@ impl<M: Mode> Engine<M> {
             }
             let mut progress = false;
             for i in 0..self.order.len() {
-                let (si, ni) = self.index[&self.order[i]];
-                let shard = &mut self.shards[si];
+                // Round-robin placement: the i-th node added is local
+                // node i / width of shard i % width.
+                let (shard, ni) = (&mut self.shards[i % width], i / width);
+                if !(M::NAIVE || shard.dirty[ni]) {
+                    continue;
+                }
+                shard.dirty[ni] = false;
                 let sn = &mut shard.nodes[ni];
                 if shard.net.is_down(&sn.addr) {
                     continue;
@@ -696,19 +722,27 @@ impl<M: Mode> Engine<M> {
                     shard.net.send(env, t);
                     progress = true;
                 }
-                progress |= sn.node.has_backlog();
+                if sn.node.has_backlog() {
+                    shard.mark(ni);
+                    progress = true;
+                }
             }
             self.route_outbound();
             for shard in &mut self.shards {
                 for env in shard.net.pop_due(t) {
                     let ni = shard.local_idx[&env.dst];
                     shard.nodes[ni].inbox.push_back(env);
+                    shard.mark(ni);
                     progress = true;
                 }
             }
             if !progress {
                 break;
             }
+        }
+        // No timer cache to update: `run_until` re-reads them on entry.
+        for shard in &mut self.shards {
+            shard.touched.clear();
         }
     }
 
@@ -960,6 +994,62 @@ mod tests {
             }
         }
         PERTURB.store(0, Ordering::Relaxed);
+    }
+
+    /// A compile shared between nodes is the compile each would make
+    /// alone. `ping` is a table on `a` and `c` and an event on `b`, so
+    /// one source compiles twice — once per catalog — and `a` and `c`
+    /// run the same strands. Each node's plans and outputs are those of
+    /// a lone node that compiled the source itself.
+    #[test]
+    fn a_shared_compile_is_each_nodes_own() {
+        fn plans(node: &Node) -> Vec<&p2_planner::plan::Strand> {
+            let branches = node.strands.iter().flat_map(|s| s.branches());
+            branches.map(|(plan, _)| plan).collect()
+        }
+        let table = "materialize(ping, infinity, infinity, keys(1, 2)).";
+        let source = "r pong@N(Y) :- ping@N(X), Y := X * 2.";
+        let mut sim = ParallelHarness::with_seed(3, 2);
+        let nodes = [("a", true), ("b", false), ("c", true)];
+        for (name, has_table) in nodes {
+            let addr = sim.add_node(name);
+            if has_table {
+                sim.install(&addr, table).unwrap();
+            }
+        }
+        sim.install_all(source).unwrap();
+        let compiles = sim.compiled_programs();
+        assert_eq!(compiles, 3, "the table, and the source once per catalog");
+        {
+            let [a, b, c] = ["a", "b", "c"].map(|name| plans(sim.node(&Addr::new(name))));
+            let same = |x: &[&_], y: &[&_]| x.iter().zip(y).all(|(p, q)| std::ptr::eq(*p, *q));
+            assert!(same(&a, &c), "a and c share one compile's strands");
+            assert!(!same(&a, &b), "b's catalog has its own compile");
+        }
+
+        for (name, has_table) in nodes {
+            let addr = Addr::new(name);
+            let mut alone = Node::new(addr.clone(), NodeConfig::default());
+            if has_table {
+                alone.install(table, sim.now()).unwrap();
+            }
+            alone.install(source, sim.now()).unwrap();
+            assert_eq!(
+                plans(sim.node(&addr)),
+                plans(&alone),
+                "{name}: plans differ"
+            );
+
+            let ping = Tuple::new("ping", [p2_types::Value::Addr(addr.clone()), 21.into()]);
+            alone.watch("pong");
+            alone.inject(ping.clone());
+            alone.pump(sim.now());
+            sim.node_mut(&addr).watch("pong");
+            sim.inject(&addr, ping);
+            let got = sim.node_mut(&addr).take_watched("pong");
+            assert_eq!(got, alone.take_watched("pong"), "{name}: outputs differ");
+            assert_eq!(got.len(), 1);
+        }
     }
 
     /// A worker that dies mid-phase fails the run with its own panic;

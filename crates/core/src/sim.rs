@@ -8,12 +8,12 @@
 //! [`SequentialOracle`] is the same struct stepped by the classic
 //! discrete-event loop instead of published clocks: at every event
 //! instant of anyone, scan every node for the earliest event, fire
-//! every due timer, and pump *every* live node in every settle wave. It
-//! shares the engine's control plane but none of its clock protocol,
-//! dirty-node tracking or timer caches, which is what makes it a useful
-//! reference: the equivalence suites run one scenario through both and
-//! demand identical bits. Nothing but tests and the scale bench's
-//! "sequential" baseline row should construct it.
+//! every due timer, and pump *every* live node in every settle wave,
+//! control ops' included. It shares the engine's control plane but none
+//! of its clock protocol, dirty-node marks or timer caches, which is
+//! what makes it a useful reference: the equivalence suites run one
+//! scenario through both and demand identical bits. Nothing but tests
+//! and the scale bench's "sequential" baseline row should construct it.
 
 use crate::node::NodeConfig;
 use crate::parallel::{Engine, Mode};
@@ -247,6 +247,103 @@ mod tests {
         });
         assert_eq!(seen.len(), 1);
         assert!(seen[0].ends_with("seen(b, 2)"), "{seen:?}");
+    }
+
+    /// A tuple injected into a down node waits for the revival, and
+    /// runs at the first settle after it: the entry settle of the next
+    /// run, at the run's start.
+    #[test]
+    fn a_tuple_injected_while_down_runs_at_the_entry_settle() {
+        let seen = defaults(13, |sim| {
+            let _a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&b, "c seen@N(X) :- go@N(X).").unwrap();
+            sim.node_mut(&b).watch("seen");
+            sim.run_for(TimeDelta::from_secs(1));
+            sim.crash(&b);
+            sim.inject(&b, int_event("go", "b", 1));
+            sim.run_for(TimeDelta::from_secs(1));
+            assert!(sim.node(&b).watched("seen").is_empty());
+            sim.revive(&b);
+            sim.run_for(TimeDelta::from_secs(1));
+            watched(sim, &b, "seen")
+        });
+        assert_eq!(seen, [format!("{:?} seen(b, 1)", Time::from_secs(2))]);
+    }
+
+    /// A tuple handed straight to a node through `node_mut`, with no
+    /// settle of its own, is pumped by the next run's entry settle.
+    #[test]
+    fn a_direct_node_inject_is_pumped() {
+        let seen = defaults(14, |sim| {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&a, r#"f out@"b"(X) :- go@N(X)."#).unwrap();
+            sim.install(&b, "c seen@N(X) :- out@N(X).").unwrap();
+            sim.node_mut(&b).watch("seen");
+            sim.run_for(TimeDelta::from_secs(1));
+            sim.node_mut(&a).inject(int_event("go", "a", 5));
+            sim.run_for(TimeDelta::from_secs(1));
+            watched(sim, &b, "seen")
+        });
+        assert_eq!(seen, [format!("{:?} seen(b, 5)", Time::from_millis(1_010))]);
+    }
+
+    /// An install's fact addressed to a node on another shard leaves
+    /// within the install's settle; where it lands answers one latency
+    /// later. On a zero-latency fabric (one shard) the receiver answers
+    /// within the install itself.
+    #[test]
+    fn an_installs_remote_fact_settles_its_receiver() {
+        fn remote_fact(sim: &mut dyn Population) -> Vec<String> {
+            let a = sim.add_node("a");
+            let b = sim.add_node("b");
+            sim.install(&b, r#"e echo@"a"(X) :- fact@N(X)."#).unwrap();
+            sim.node_mut(&a).watch("echo");
+            sim.install(&a, r#"fact@"b"(3)."#).unwrap();
+            let mut out = vec![format!("sent {}", sim.net_stats().sent_by(&a))];
+            out.extend(watched(sim, &a, "echo"));
+            sim.run_for(TimeDelta::from_millis(50));
+            out.extend(watched(sim, &a, "echo"));
+            out
+        }
+        let echo = |ms| format!("{:?} echo(a, 3)", Time::from_millis(ms));
+        let got = defaults(15, remote_fact);
+        assert_eq!(got, ["sent 1".to_string(), echo(20)]);
+        let instant = SimConfig {
+            latency: TimeDelta::ZERO,
+            ..Default::default()
+        };
+        let want = remote_fact(&mut SequentialOracle::new(
+            instant.clone(),
+            unstaggered(),
+            15,
+        ));
+        assert_eq!(want, ["sent 1".to_string(), echo(0)]);
+        assert_eq!(
+            remote_fact(&mut SimHarness::new(instant, unstaggered(), 15)),
+            want
+        );
+    }
+
+    /// A restart reinstalls what the node had installed and not
+    /// uninstalled.
+    #[test]
+    fn restart_leaves_an_uninstalled_program_out() {
+        let got = defaults(16, |sim| {
+            let a = sim.add_node("a");
+            let gone = sim.install(&a, "r1 pong@N(X) :- ping@N(X).").unwrap();
+            sim.install(&a, "r2 pung@N(X) :- ping@N(X).").unwrap();
+            sim.node_mut(&a).uninstall(gone);
+            sim.restart(&a).unwrap();
+            sim.node_mut(&a).watch("pong");
+            sim.node_mut(&a).watch("pung");
+            sim.inject(&a, int_event("ping", "a", 1));
+            let mut out = watched(sim, &a, "pong");
+            out.extend(watched(sim, &a, "pung"));
+            out
+        });
+        assert_eq!(got, [format!("{:?} pung(a, 1)", Time::ZERO)]);
     }
 
     #[test]

@@ -108,6 +108,13 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
+    /// Every registered table's name, sorted.
+    pub fn table_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.tables.keys().cloned().collect();
+        names.sort_unstable();
+        names
+    }
+
     /// Access a table mutably.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(name)

@@ -48,44 +48,9 @@ cargo run --release --bin p2ql -- check --deep --json --chord \
 # (already inside `cargo test`, but run by name so a divergence is
 # unmistakable in CI logs).
 cargo test -q --test parallel_equivalence golden_chord_trace_is_identical_when_sharded
-# Replay determinism gates: `p2ql replay` writes the full
-# incident-reconstruction report — archive scans, past() answers,
-# retrospective detectors — and each variant must reproduce its
-# reference report byte for byte. Shard count (1 vs 4), `--collect`
-# (DESIGN.md §2.12: every verdict answered from a collector's shipped
-# history) and the crash-restart variants on the in-memory log run
-# inside `cargo test` (tests/cli.rs); the file-backend run stays here
-# because the recovery audit below reads the log it leaves.
-replay_gate() { # <name> <reference|-> <replay flags...>
-  local name=$1 ref=$2
-  shift 2
-  cargo run --release --bin p2ql -- replay --nodes 5 --seed 1 "$@" \
-      > "target/replay.$name.txt"
-  if [ "$ref" != - ] && ! cmp -s "target/replay.$ref.txt" "target/replay.$name.txt"; then
-    echo "tier1: replay '$name' diverged from '$ref'" >&2
-    diff "target/replay.$ref.txt" "target/replay.$name.txt" >&2 || true
-    exit 1
-  fi
-}
-rm -rf target/tier1-durable
-# Durability (§2.14): the file backend reports what the in-memory one
-# does across a mid-run crash-restart of one ring node.
-replay_gate restart.1shard   -               --shards 1 --restart 2
-replay_gate restart.file     restart.1shard  --shards 1 --restart 2 \
-    --data-dir target/tier1-durable
-# A corrupted data dir must recover (quarantine + truncate) with a
-# clean exit — recovery never panics.
-printf 'torn tail and then some garbage' >> target/tier1-durable/n2/rel-0.seglog
-cargo run --release --bin p2ql -- recover --dir target/tier1-durable/n2 \
-    > target/recover.audit.txt
-if grep -q "truncated 0 tail bytes" target/recover.audit.txt; then
-  echo "tier1: recover missed the injected log damage" >&2
-  exit 1
-fi
-# A second audit must find the log rewritten clean.
-cargo run --release --bin p2ql -- recover --dir target/tier1-durable/n2 \
-    > target/recover.audit2.txt
-grep -q "truncated 0 tail bytes, quarantined 0 frames" target/recover.audit2.txt
+# The replay determinism gates (every `p2ql replay` variant against its
+# reference, byte for byte) and the file-log recovery audit, garbage
+# repair included, run inside `cargo test` (tests/cli.rs).
 # The frozen benchmark (BENCHMARK.json) is its own package and may not
 # be edited, so whatever it calls must keep compiling and running: build
 # it against this tree and run its tests (a toy-size run of every

@@ -75,7 +75,8 @@ fn replay_report_is_the_same_sharded_and_collected() {
 /// The crash-restart replay report is the same on every backend, shard
 /// count and history source (the in-memory log at 1 and 4 shards, the
 /// file log, a collector's shipped history), and the file log it leaves
-/// is what `p2ql recover` audits.
+/// is what `p2ql recover` audits, and repairs once garbage follows its
+/// last record.
 #[test]
 fn recover_audits_a_store_and_refuses_a_path_that_holds_none() {
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-recover");
@@ -104,6 +105,25 @@ fn recover_audits_a_store_and_refuses_a_path_that_holds_none() {
     let report = String::from_utf8_lossy(&audit.stdout);
     assert!(report.contains("ruleExec: "), "{report}");
     assert!(report.contains("quarantined 0 frames"), "{report}");
+
+    // Garbage after the last record: the audit truncates it with a
+    // clean exit (recovery never panics), and a second audit finds the
+    // log rewritten clean.
+    let log = data.join("n2").join("rel-0.seglog");
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes.extend_from_slice(b"torn tail and then some garbage");
+    std::fs::write(&log, bytes).unwrap();
+    for clean in [false, true] {
+        let audit = p2ql(&["recover", "--dir", data.join("n2").to_str().unwrap()]);
+        assert!(audit.status.success());
+        let report = String::from_utf8_lossy(&audit.stdout);
+        let untouched = "truncated 0 tail bytes, quarantined 0 frames";
+        if clean {
+            assert!(report.contains(untouched), "{report}");
+        } else {
+            assert!(!report.contains("truncated 0 tail bytes"), "{report}");
+        }
+    }
 
     // A typo: named on stderr, non-zero, and the audit creates nothing.
     let missing = data.join("n22");

@@ -173,6 +173,19 @@ fn golden_chord_trace_is_identical_when_sharded() {
     }
 }
 
+/// A deployment compiles each (source, catalog) pair once. A 64-node
+/// ring installs the Chord program on 64 identical fresh catalogs and a
+/// fact program of its own on each node: 128 installs, 65 compiles —
+/// one for Chord, one per node's facts.
+#[test]
+fn a_ring_compiles_the_chord_program_once() {
+    for shards in [1usize, 2] {
+        let mut sim = ParallelHarness::with_seed(5, shards);
+        build_ring(&mut sim, 64, &ChordConfig::default());
+        assert_eq!(sim.compiled_programs(), 1 + 64, "{shards} shards");
+    }
+}
+
 /// Programs that exhaust `max_dispatch_per_pump` are inside the
 /// bit-identical contract: a node the cut pump leaves with a backlog is
 /// pumped again in the same instant, however the population is stepped.
