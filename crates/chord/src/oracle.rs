@@ -5,11 +5,29 @@
 //! outside* (by reading node tables directly), so tests can check both
 //! that the ring actually converges and that the in-band detectors agree
 //! with the out-of-band truth.
+//!
+//! The two §3.1 judgments, [`forms_ring`] and [`misordered`], are pure
+//! functions over a successor map: the live oracles here feed them the
+//! pointers nodes hold now, `monitor::retrospect` the pointers it
+//! reconstructs from history at a past instant, and the snapshot tests
+//! the pointers a Chandy–Lamport snapshot recorded.
 
 use crate::testbed::ChordRing;
 use p2_core::Population;
 use p2_types::{Addr, Interval, RingId, Value};
 use std::collections::HashMap;
+
+/// A §3.1.2 ordering violation: `node` pointed at `actual` while the
+/// ID order demanded `expected`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OrderingViolation {
+    /// The node holding the bad pointer.
+    pub node: Addr,
+    /// Where its `bestSucc` pointed.
+    pub actual: Addr,
+    /// The member with the next-higher ring ID.
+    pub expected: Addr,
+}
 
 /// Read each live node's `bestSucc` pointer.
 pub fn collect_ring<H: Population>(sim: &mut H, ring: &ChordRing) -> HashMap<Addr, Addr> {
@@ -31,58 +49,81 @@ pub fn collect_ring<H: Population>(sim: &mut H, ring: &ChordRing) -> HashMap<Add
     out
 }
 
-/// Ring well-formedness (§3.1.1): starting from any live node and
-/// following `bestSucc` pointers visits **every** live node exactly once
-/// before returning to the start.
-pub fn ring_is_well_formed<H: Population>(sim: &mut H, ring: &ChordRing) -> bool {
-    let succ = collect_ring(sim, ring);
-    let live: Vec<Addr> = ring
-        .addrs
+/// Ring well-formedness (§3.1.1) over a successor map whose keys are
+/// all in `members`: following pointers from any member visits every
+/// member exactly once before returning to the start. A walk from the
+/// first member that first comes back after exactly `members.len()`
+/// hops has visited that many distinct keys, so it is the whole check.
+/// The verdict does not depend on the order of `members`. No members is
+/// vacuously a ring.
+pub fn forms_ring(succ: &HashMap<Addr, Addr>, members: &[Addr]) -> bool {
+    let Some(start) = members.first() else {
+        return true;
+    };
+    let mut cur = start;
+    for hop in 1..=members.len() {
+        let Some(next) = succ.get(cur) else {
+            return false; // a pointer leads to a node holding none
+        };
+        if next == start {
+            return hop == members.len(); // earlier: a sub-cycle
+        }
+        cur = next;
+    }
+    false // the start sits on a tail into a cycle without it
+}
+
+/// Ring ID ordering (§3.1.2): the members whose pointer in `succ` is
+/// not the member with the next-higher ID (one wrap-around total), in
+/// ID order. A member without a pointer is not reported; one member is
+/// never misordered.
+pub fn misordered(
+    ring: &ChordRing,
+    succ: &HashMap<Addr, Addr>,
+    members: &[Addr],
+) -> Vec<OrderingViolation> {
+    let mut sorted: Vec<(RingId, &Addr)> = members.iter().map(|a| (ring.id_of(a), a)).collect();
+    sorted.sort();
+    if sorted.len() <= 1 {
+        return Vec::new();
+    }
+    let next = sorted.iter().cycle().skip(1);
+    sorted
+        .iter()
+        .zip(next)
+        .filter_map(|(&(_, node), &(_, expected))| {
+            let actual = succ.get(node).filter(|a| *a != expected)?;
+            Some(OrderingViolation {
+                node: node.clone(),
+                actual: actual.clone(),
+                expected: expected.clone(),
+            })
+        })
+        .collect()
+}
+
+/// The ring members that have not crashed, in `ring.addrs` order.
+fn live_members<H: Population>(sim: &H, ring: &ChordRing) -> Vec<Addr> {
+    ring.addrs
         .iter()
         .filter(|a| !sim.is_down(a))
         .cloned()
-        .collect();
-    if live.is_empty() {
-        return true;
-    }
-    if succ.len() != live.len() {
-        return false; // some live node has no successor pointer
-    }
-    let start = live[0].clone();
-    let mut seen = vec![start.clone()];
-    let mut cur = start.clone();
-    for _ in 0..live.len() {
-        let Some(next) = succ.get(&cur) else {
-            return false;
-        };
-        if *next == start {
-            return seen.len() == live.len();
-        }
-        if seen.contains(next) {
-            return false; // sub-cycle not containing all nodes
-        }
-        seen.push(next.clone());
-        cur = next.clone();
-    }
-    false
+        .collect()
 }
 
-/// Ring ID ordering (§3.1.2): every live node's successor is the live
-/// node with the next higher ID (one wrap-around total).
+/// Live ring well-formedness: [`forms_ring`] over the pointers every
+/// live node holds now.
+pub fn ring_is_well_formed<H: Population>(sim: &mut H, ring: &ChordRing) -> bool {
+    let succ = collect_ring(sim, ring);
+    forms_ring(&succ, &live_members(sim, ring))
+}
+
+/// Live ring ID ordering: with more than one live node, every one
+/// holds a pointer and none is [`misordered`].
 pub fn ring_is_ordered<H: Population>(sim: &mut H, ring: &ChordRing) -> bool {
     let succ = collect_ring(sim, ring);
-    let sorted = ring.live_sorted(sim);
-    if sorted.len() <= 1 {
-        return true;
-    }
-    for (i, (_, addr)) in sorted.iter().enumerate() {
-        let expected = &sorted[(i + 1) % sorted.len()].1;
-        match succ.get(addr) {
-            Some(s) if s == expected => {}
-            _ => return false,
-        }
-    }
-    true
+    let live = live_members(sim, ring);
+    live.len() <= 1 || (succ.len() == live.len() && misordered(ring, &succ, &live).is_empty())
 }
 
 /// The ground-truth successor of `key`: the live node whose ID segment
@@ -115,6 +156,156 @@ mod tests {
     use crate::testbed::{build_ring, collect_lookup_results, issue_lookup};
     use p2_core::SimHarness;
     use p2_types::TimeDelta;
+
+    /// A hand-built ring of `n` members `a`, `b`, … with ring IDs 10,
+    /// 20, … in that order; nothing runs.
+    fn members(n: u8) -> (ChordRing, Vec<Addr>) {
+        let addrs: Vec<Addr> = (b'a'..b'a' + n)
+            .map(|c| Addr::new(char::from(c).to_string()))
+            .collect();
+        let ids = (1..)
+            .zip(&addrs)
+            .map(|(i, a)| (a.clone(), RingId(10 * i)))
+            .collect();
+        let ring = ChordRing {
+            addrs: addrs.clone(),
+            ids,
+            config: ChordConfig::default(),
+        };
+        (ring, addrs)
+    }
+
+    fn pointers(pairs: &[(&str, &str)]) -> HashMap<Addr, Addr> {
+        pairs
+            .iter()
+            .map(|(from, to)| (Addr::new(from), Addr::new(to)))
+            .collect()
+    }
+
+    /// Both judgments of `succ`, asserted the same from every rotation
+    /// of `members`.
+    fn judge(
+        ring: &ChordRing,
+        succ: &HashMap<Addr, Addr>,
+        members: &[Addr],
+    ) -> (bool, Vec<OrderingViolation>) {
+        let verdict = (forms_ring(succ, members), misordered(ring, succ, members));
+        for k in 1..members.len() {
+            let mut rotated = members.to_vec();
+            rotated.rotate_left(k);
+            let again = (forms_ring(succ, &rotated), misordered(ring, succ, &rotated));
+            assert_eq!(again, verdict, "rotation {k} of {members:?} over {succ:?}");
+        }
+        verdict
+    }
+
+    fn violation(node: &str, actual: &str, expected: &str) -> OrderingViolation {
+        OrderingViolation {
+            node: Addr::new(node),
+            actual: Addr::new(actual),
+            expected: Addr::new(expected),
+        }
+    }
+
+    #[test]
+    fn no_members_is_vacuously_a_ring() {
+        let (ring, _) = members(0);
+        assert_eq!(judge(&ring, &HashMap::new(), &[]), (true, vec![]));
+    }
+
+    #[test]
+    fn one_member_is_never_misordered() {
+        let (ring, m) = members(1);
+        assert_eq!(judge(&ring, &pointers(&[("a", "a")]), &m), (true, vec![]));
+        // Pointing away from itself leaves the ring, but a lone member
+        // has no ID order to break.
+        assert_eq!(judge(&ring, &pointers(&[("a", "b")]), &m), (false, vec![]));
+    }
+
+    #[test]
+    fn an_ordered_four_ring_is_well_formed_and_wraps_once() {
+        let (ring, m) = members(4);
+        let succ = pointers(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]);
+        // `d`, the highest ID, pointing at `a`, the lowest, is the wrap.
+        assert_eq!(judge(&ring, &succ, &m), (true, vec![]));
+    }
+
+    #[test]
+    fn a_well_formed_ring_out_of_id_order_names_each_wrong_pointer() {
+        let (ring, m) = members(4);
+        let succ = pointers(&[("a", "c"), ("c", "b"), ("b", "d"), ("d", "a")]);
+        assert_eq!(
+            judge(&ring, &succ, &m),
+            (
+                true,
+                vec![
+                    violation("a", "c", "b"),
+                    violation("b", "d", "c"),
+                    violation("c", "b", "d"),
+                ]
+            )
+        );
+    }
+
+    #[test]
+    fn a_cycle_with_a_tail_is_not_a_ring() {
+        let (ring, m) = members(4);
+        let succ = pointers(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]);
+        assert_eq!(
+            judge(&ring, &succ, &m),
+            (false, vec![violation("d", "b", "a")])
+        );
+    }
+
+    #[test]
+    fn two_disjoint_cycles_are_not_a_ring() {
+        let (ring, m) = members(4);
+        let succ = pointers(&[("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]);
+        assert_eq!(
+            judge(&ring, &succ, &m),
+            (
+                false,
+                vec![violation("b", "a", "c"), violation("d", "c", "a")]
+            )
+        );
+    }
+
+    #[test]
+    fn a_pointer_to_a_node_without_one_breaks_the_ring() {
+        let (ring, m) = members(3);
+        // `x` is no member and holds no pointer.
+        let succ = pointers(&[("a", "b"), ("b", "c"), ("c", "x")]);
+        assert_eq!(
+            judge(&ring, &succ, &m),
+            (false, vec![violation("c", "x", "a")])
+        );
+    }
+
+    #[test]
+    fn a_member_missing_its_pointer_breaks_the_ring_but_is_not_misordered() {
+        let (ring, m) = members(3);
+        // `c` holds no pointer; `a` and `b` close a cycle without it.
+        let succ = pointers(&[("a", "b"), ("b", "a")]);
+        assert_eq!(
+            judge(&ring, &succ, &m),
+            (false, vec![violation("b", "a", "c")])
+        );
+        // The tail into `c` is no ring either, and nothing is misordered.
+        let succ = pointers(&[("a", "b"), ("b", "c")]);
+        assert_eq!(judge(&ring, &succ, &m), (false, vec![]));
+    }
+
+    #[test]
+    fn misordered_names_exactly_the_skipping_pointer() {
+        let (ring, m) = members(4);
+        // `a` skips `b`; everything else is right, and `b`, still
+        // pointing at `c`, sits off the cycle `a → c → d → a`.
+        let succ = pointers(&[("a", "c"), ("b", "c"), ("c", "d"), ("d", "a")]);
+        assert_eq!(
+            judge(&ring, &succ, &m),
+            (false, vec![violation("a", "c", "b")])
+        );
+    }
 
     fn warmed_ring(n: usize, seed: u64, warm_secs: u64) -> (SimHarness, ChordRing) {
         let mut sim = SimHarness::with_seed(seed);

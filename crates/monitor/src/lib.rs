@@ -31,7 +31,9 @@
 //!   fact** from archived history (DESIGN.md §2.11): reconstruct the
 //!   ring at a past instant and ask whether it was well-formed,
 //!   ordered, or oscillating — no monitor needed to have been
-//!   installed at the time.
+//!   installed at the time. One function per question, reading a
+//!   `History` (each member's own archive, or one collector's), judged
+//!   by the same `p2_chord::oracle` functions as the live ring.
 //!
 //! All of these install **on-line** onto running nodes (the paper's
 //! "deployed piecemeal" model) — the tests in each module start a live

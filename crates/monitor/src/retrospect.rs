@@ -11,29 +11,49 @@
 //!
 //! Reconstruction picks, per node, the row version whose validity
 //! interval `[inserted_at, dropped_at)` contains the probe instant.
+//! The reconstructed successor map is judged by the same functions as
+//! the live ring, [`p2_chord::oracle::forms_ring`] and
+//! [`p2_chord::oracle::misordered`]; what only history adds here is the
+//! reconstruction and the flip count.
 //!
-//! Every detector is one gatherer plus one judgment, and comes under
-//! two names: the plain form feeds the gatherer from every member's own
-//! archive, and the `*_collected` form (DESIGN.md §2.12) from a
-//! **single collector node's** deployment-wide history — every member's
-//! segments shipped there in pull or subscribe mode — so the whole
-//! investigation runs against one node even after the origins are gone.
+//! There is one detector per question. Each reads a [`History`]: every
+//! ring member's own archive (`&ring`), or a **single collector node's**
+//! deployment-wide history (`(&ring, &collector)`, DESIGN.md §2.12) —
+//! every member's segments shipped there in pull or subscribe mode — so
+//! the whole investigation runs against one node even after the origins
+//! are gone.
 
+use p2_chord::oracle::{forms_ring, misordered, OrderingViolation};
 use p2_chord::ChordRing;
 use p2_core::Population;
 use p2_types::{Addr, Time, Value};
 use std::collections::HashMap;
 
-/// An ordering violation found retrospectively: at the probe instant,
-/// `node` pointed at `actual` while the ID order demanded `expected`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderingViolation {
-    /// The node holding the bad pointer.
-    pub node: Addr,
-    /// Where its `bestSucc` pointed.
-    pub actual: Addr,
-    /// The live node with the next-higher ring ID.
-    pub expected: Addr,
+/// Where a detector reads `bestSucc` history: each ring member's own
+/// archive (`From<&ChordRing>`), or one collector's deployment-wide
+/// history (`From<(&ChordRing, &Addr)>`).
+#[derive(Debug, Clone, Copy)]
+pub struct History<'a> {
+    ring: &'a ChordRing,
+    collector: Option<&'a Addr>,
+}
+
+impl<'a> From<&'a ChordRing> for History<'a> {
+    fn from(ring: &'a ChordRing) -> Self {
+        History {
+            ring,
+            collector: None,
+        }
+    }
+}
+
+impl<'a> From<(&'a ChordRing, &'a Addr)> for History<'a> {
+    fn from((ring, collector): (&'a ChordRing, &'a Addr)) -> Self {
+        History {
+            ring,
+            collector: Some(collector),
+        }
+    }
 }
 
 /// One version of a ring member's `bestSucc` row.
@@ -52,14 +72,14 @@ struct SuccVersion {
 /// per origin. Members with no readable history are absent.
 fn succ_versions<H: Population>(
     sim: &mut H,
-    collector: Option<&Addr>,
-    ring: &ChordRing,
+    history: History,
     t0: Time,
     t1: Time,
 ) -> HashMap<Addr, Vec<SuccVersion>> {
     let now = sim.now();
+    let ring = history.ring;
     // (origin every row belongs to, if the scan fixes it; the scan)
-    let scans = match collector {
+    let scans = match history.collector {
         Some(c) => {
             let node = sim.node_mut(c);
             vec![(None, node.deployment_history_scan("bestSucc", t0, t1, now))]
@@ -96,16 +116,18 @@ fn succ_versions<H: Population>(
     out
 }
 
-/// Each member's successor pointer as of instant `t`: the newest
-/// version valid at `t`. `bestSucc` is keyed by location with one live
-/// row, so at most one version is valid at a time.
-fn pointers_at<H: Population>(
+/// Reconstruct every ring member's successor pointer as of instant `t`:
+/// the newest version valid at `t`. `bestSucc` is keyed by location
+/// with one live row, so at most one version is valid at a time. Nodes
+/// with no valid version at `t` — no successor yet, or history dropped
+/// by the retention budget — are absent from the map, and so from the
+/// ring the two judgments below are asked of.
+pub fn ring_at<'a, H: Population>(
     sim: &mut H,
-    collector: Option<&Addr>,
-    ring: &ChordRing,
+    history: impl Into<History<'a>>,
     t: Time,
 ) -> HashMap<Addr, Addr> {
-    succ_versions(sim, collector, ring, t, t)
+    succ_versions(sim, history.into(), t, t)
         .into_iter()
         .filter_map(|(node, versions)| {
             let valid = versions.into_iter().rfind(|v| v.valid_at_end)?;
@@ -114,116 +136,30 @@ fn pointers_at<H: Population>(
         .collect()
 }
 
-/// Reconstruct every ring member's successor pointer as of instant `t`
-/// from its own archived (and still-live) `bestSucc` history. Nodes
-/// with no valid version at `t` — no successor yet, or history dropped
-/// by the retention budget — are absent from the map.
-pub fn ring_at<H: Population>(sim: &mut H, ring: &ChordRing, t: Time) -> HashMap<Addr, Addr> {
-    pointers_at(sim, None, ring, t)
-}
-
-/// [`ring_at`] from a **collector's** deployment-wide history: one scan
-/// over the union of every shipped origin, instead of one archive walk
-/// per member.
-pub fn ring_at_collected<H: Population>(
+/// §3.1.1 after the fact: was the ring well-formed at instant `t`? No
+/// history at all is vacuously well-formed.
+pub fn ring_was_well_formed_at<'a, H: Population>(
     sim: &mut H,
-    collector: &Addr,
-    ring: &ChordRing,
-    t: Time,
-) -> HashMap<Addr, Addr> {
-    pointers_at(sim, Some(collector), ring, t)
-}
-
-/// The §3.1.1 judgment, over any reconstructed pointer map: following
-/// `bestSucc` pointers from any member must visit every member with a
-/// pointer exactly once before closing.
-fn pointers_form_ring(succ: &HashMap<Addr, Addr>) -> bool {
-    let members: Vec<&Addr> = succ.keys().collect();
-    let Some(&start) = members.first() else {
-        return true; // no history at all: vacuously well-formed
-    };
-    let mut seen = vec![start.clone()];
-    let mut cur = start.clone();
-    for _ in 0..members.len() {
-        let Some(next) = succ.get(&cur) else {
-            return false; // pointer leads outside the reconstruction
-        };
-        if *next == *start {
-            return seen.len() == members.len();
-        }
-        if seen.contains(next) {
-            return false; // sub-cycle excluding some members
-        }
-        seen.push(next.clone());
-        cur = next.clone();
-    }
-    false
-}
-
-/// §3.1.1 after the fact: was the ring well-formed at instant `t`?
-pub fn ring_was_well_formed_at<H: Population>(sim: &mut H, ring: &ChordRing, t: Time) -> bool {
-    pointers_form_ring(&ring_at(sim, ring, t))
-}
-
-/// §3.1.1 from a collector: the same judgment, reconstructed entirely
-/// from history shipped to `collector`.
-pub fn ring_was_well_formed_at_collected<H: Population>(
-    sim: &mut H,
-    collector: &Addr,
-    ring: &ChordRing,
+    history: impl Into<History<'a>>,
     t: Time,
 ) -> bool {
-    pointers_form_ring(&ring_at_collected(sim, collector, ring, t))
+    let succ = ring_at(sim, history, t);
+    let members: Vec<Addr> = succ.keys().cloned().collect();
+    forms_ring(&succ, &members)
 }
 
 /// §3.1.2 after the fact: which nodes violated ring ID ordering at
 /// instant `t`? Empty means every reconstructed pointer aimed at the
 /// member with the next-higher ID.
-pub fn ordering_violations_at<H: Population>(
+pub fn ordering_violations_at<'a, H: Population>(
     sim: &mut H,
-    ring: &ChordRing,
+    history: impl Into<History<'a>>,
     t: Time,
 ) -> Vec<OrderingViolation> {
-    let succ = ring_at(sim, ring, t);
-    judge_ordering(ring, &succ)
-}
-
-/// §3.1.2 from a collector: the same judgment, reconstructed entirely
-/// from history shipped to `collector`.
-pub fn ordering_violations_at_collected<H: Population>(
-    sim: &mut H,
-    collector: &Addr,
-    ring: &ChordRing,
-    t: Time,
-) -> Vec<OrderingViolation> {
-    let succ = ring_at_collected(sim, collector, ring, t);
-    judge_ordering(ring, &succ)
-}
-
-fn judge_ordering(ring: &ChordRing, succ: &HashMap<Addr, Addr>) -> Vec<OrderingViolation> {
-    // Order the *reconstructed* membership by ring ID: a node with no
-    // valid pointer at `t` (e.g. not yet joined) is not part of the
-    // ring we are judging.
-    let mut sorted: Vec<(p2_types::RingId, Addr)> =
-        succ.keys().map(|a| (ring.id_of(a), a.clone())).collect();
-    sorted.sort();
-    if sorted.len() <= 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, (_, addr)) in sorted.iter().enumerate() {
-        let expected = sorted[(i + 1) % sorted.len()].1.clone();
-        if let Some(actual) = succ.get(addr) {
-            if *actual != expected {
-                out.push(OrderingViolation {
-                    node: addr.clone(),
-                    actual: actual.clone(),
-                    expected,
-                });
-            }
-        }
-    }
-    out
+    let history = history.into();
+    let succ = ring_at(sim, history, t);
+    let members: Vec<Addr> = succ.keys().cloned().collect();
+    misordered(history.ring, &succ, &members)
 }
 
 /// The §3.1.3 judgment: members whose successor pointer *changed value*
@@ -248,38 +184,45 @@ fn count_flips(versions: HashMap<Addr, Vec<SuccVersion>>, threshold: usize) -> V
 
 /// §3.1.3 after the fact: nodes whose successor pointer flipped at
 /// least `threshold` times inside the window `[t0, t1]`.
-pub fn oscillators_in<H: Population>(
+pub fn oscillators_in<'a, H: Population>(
     sim: &mut H,
-    ring: &ChordRing,
+    history: impl Into<History<'a>>,
     t0: Time,
     t1: Time,
     threshold: usize,
 ) -> Vec<(Addr, usize)> {
-    count_flips(succ_versions(sim, None, ring, t0, t1), threshold)
-}
-
-/// §3.1.3 from a collector: the same judgment over one deployment-wide
-/// scan of shipped history.
-pub fn oscillators_in_collected<H: Population>(
-    sim: &mut H,
-    collector: &Addr,
-    ring: &ChordRing,
-    t0: Time,
-    t1: Time,
-    threshold: usize,
-) -> Vec<(Addr, usize)> {
-    count_flips(succ_versions(sim, Some(collector), ring, t0, t1), threshold)
+    count_flips(succ_versions(sim, history.into(), t0, t1), threshold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use p2_chord::{build_ring, ChordConfig};
-    use p2_core::{NodeConfig, SimHarness};
+    use p2_core::{NodeConfig, ParallelHarness, SimHarness};
     use p2_types::{TimeDelta, Tuple};
 
     fn forensic_sim(seed: u64) -> SimHarness {
         SimHarness::new(p2_net::SimConfig::default(), NodeConfig::forensic(), seed)
+    }
+
+    /// Mis-point the lowest-ID member's `bestSucc` two members ahead,
+    /// now. Returns that member and where it points.
+    fn mis_point<H: Population>(sim: &mut H, ring: &ChordRing) -> (Addr, Addr) {
+        let sorted = ring.live_sorted(sim);
+        let victim = sorted[0].1.clone();
+        let wrong = sorted[2].1.clone();
+        sim.inject(
+            &victim,
+            Tuple::new(
+                "bestSucc",
+                [
+                    Value::Addr(victim.clone()),
+                    Value::Id(ring.id_of(&wrong)),
+                    Value::Addr(wrong.clone()),
+                ],
+            ),
+        );
+        (victim, wrong)
     }
 
     #[test]
@@ -307,20 +250,7 @@ mod tests {
         sim.run_for(TimeDelta::from_secs(1));
         // Corrupt one successor pointer; Chord's stabilization will
         // heal it, so only a window of history is malformed.
-        let sorted = ring.live_sorted(&sim);
-        let victim = sorted[0].1.clone();
-        let wrong = sorted[2].1.clone();
-        sim.inject(
-            &victim,
-            Tuple::new(
-                "bestSucc",
-                [
-                    Value::Addr(victim.clone()),
-                    Value::Id(ring.id_of(&wrong)),
-                    Value::Addr(wrong.clone()),
-                ],
-            ),
-        );
+        let (victim, wrong) = mis_point(&mut sim, &ring);
         let during = sim.now();
         sim.run_for(TimeDelta::from_secs(120));
 
@@ -365,21 +295,67 @@ mod tests {
         let probe = Time::from_secs(120);
         assert_eq!(
             ring_at(&mut sim, &ring, probe),
-            ring_at_collected(&mut sim, &collector, &ring, probe),
+            ring_at(&mut sim, (&ring, &collector), probe),
             "collected reconstruction must match per-node walks"
         );
         assert_eq!(
             ring_was_well_formed_at(&mut sim, &ring, probe),
-            ring_was_well_formed_at_collected(&mut sim, &collector, &ring, probe)
+            ring_was_well_formed_at(&mut sim, (&ring, &collector), probe)
         );
         assert_eq!(
             ordering_violations_at(&mut sim, &ring, probe),
-            ordering_violations_at_collected(&mut sim, &collector, &ring, probe)
+            ordering_violations_at(&mut sim, (&ring, &collector), probe)
         );
         assert_eq!(
             oscillators_in(&mut sim, &ring, Time::from_secs(30), probe, 1),
-            oscillators_in_collected(&mut sim, &collector, &ring, Time::from_secs(30), probe, 1)
+            oscillators_in(&mut sim, (&ring, &collector), Time::from_secs(30), probe, 1)
         );
+    }
+
+    #[test]
+    fn history_at_now_is_the_live_ring() {
+        // The reconstruction at the current instant must be exactly the
+        // pointers the nodes hold live, so the retrospective verdicts
+        // are the live oracles' — at every step, sharded or not, and at
+        // the instant a pointer is overwritten, where the half-open
+        // `[inserted_at, dropped_at)` rule must pick the new version.
+        const CORRUPT_STEP: usize = 3;
+        for shards in [1, 2] {
+            let mut sim = ParallelHarness::new(
+                p2_net::SimConfig::default(),
+                NodeConfig::forensic(),
+                26,
+                shards,
+            );
+            let ring = build_ring(&mut sim, 6, &ChordConfig::default());
+            for step in 0..6 {
+                sim.run_for(TimeDelta::from_secs(60));
+                if step == CORRUPT_STEP {
+                    mis_point(&mut sim, &ring);
+                }
+                let now = sim.now();
+                let at = format!("{shards} shard(s), {now}");
+                assert_eq!(
+                    ring_at(&mut sim, &ring, now),
+                    p2_chord::collect_ring(&mut sim, &ring),
+                    "{at}"
+                );
+                let well_formed = p2_chord::ring_is_well_formed(&mut sim, &ring);
+                let ordered = p2_chord::ring_is_ordered(&mut sim, &ring);
+                assert_eq!(
+                    ring_was_well_formed_at(&mut sim, &ring, now),
+                    well_formed,
+                    "{at}"
+                );
+                assert_eq!(
+                    ordering_violations_at(&mut sim, &ring, now).is_empty(),
+                    ordered,
+                    "{at}"
+                );
+                let healthy = step != CORRUPT_STEP;
+                assert_eq!((well_formed, ordered), (healthy, healthy), "{at}");
+            }
+        }
     }
 
     #[test]

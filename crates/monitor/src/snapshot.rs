@@ -336,19 +336,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("{a} has no snapped bestSucc"));
             succ.insert(a, s);
         }
-        // Walk the snapped ring.
-        let start = ring.addrs[0].clone();
-        let mut cur = start.clone();
-        let mut seen = 0;
-        loop {
-            cur = succ[&cur].clone();
-            seen += 1;
-            if cur == start {
-                break;
-            }
-            assert!(seen <= ring.addrs.len(), "snapped ring does not close");
-        }
-        assert_eq!(seen, ring.addrs.len(), "snapped ring skipped nodes");
+        assert!(
+            p2_chord::oracle::forms_ring(&succ, &ring.addrs),
+            "snapped ring is not well-formed: {succ:?}"
+        );
     }
 
     #[test]

@@ -745,8 +745,10 @@ impl Archive {
         }
     }
 
-    /// Seal every open buffer, freezing all spilled rows into segments.
-    /// Forensic readers call this so answers come from segments alone.
+    /// Seal every open buffer, freezing all spilled rows into segments,
+    /// the current epoch's included. The engine never does (it seals
+    /// through [`Archive::seal_aged`]); tests call this to read a
+    /// history from segments alone.
     pub fn seal_all(&mut self) {
         let config = self.config;
         let durable = &mut self.durable;

@@ -646,12 +646,6 @@ impl Table {
         out
     }
 
-    /// Fetch the row with exactly this key.
-    pub fn get_by_key(&mut self, key: &[Value], now: Time) -> Option<&Tuple> {
-        self.expire(now);
-        self.rows.get(key).map(|r| &r.tuple)
-    }
-
     /// Snapshot all live rows (deterministic order: insertion sequence).
     ///
     /// The order queue is seq-ascending by construction, so no sort is
@@ -923,15 +917,6 @@ mod tests {
         assert_eq!(hits.len(), 2);
         let hits = t.scan_eq(1, &Value::Int(99), Time::ZERO);
         assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn get_by_key() {
-        let mut t = Table::new(spec(None, None, vec![0]));
-        t.insert(tup("a", 1), Time::ZERO);
-        let key = vec![Value::addr("a")];
-        assert_eq!(t.get_by_key(&key, Time::ZERO), Some(&tup("a", 1)));
-        assert_eq!(t.get_by_key(&[Value::addr("zz")], Time::ZERO), None);
     }
 
     #[test]

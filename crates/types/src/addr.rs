@@ -25,12 +25,6 @@ impl Addr {
         Addr(Arc::from(s.as_ref()))
     }
 
-    /// The conventional null address `"-"`, used by P2 programs to denote
-    /// "no such neighbor" (e.g. an unset predecessor).
-    pub fn nil() -> Self {
-        Addr(Arc::from("-"))
-    }
-
     /// Whether this is the conventional null address.
     pub fn is_nil(&self) -> bool {
         &*self.0 == "-"
@@ -72,7 +66,6 @@ mod tests {
 
     #[test]
     fn nil_is_dash() {
-        assert!(Addr::nil().is_nil());
         assert!(Addr::new("-").is_nil());
         assert!(!Addr::new("n1").is_nil());
     }

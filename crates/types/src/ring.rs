@@ -41,14 +41,6 @@ impl RingId {
     pub fn wrapping_sub(self, k: u64) -> RingId {
         RingId(self.0.wrapping_sub(k))
     }
-
-    /// The `i`-th finger target of this identifier: `self + 2^i (mod 2^64)`.
-    ///
-    /// `i` must be below 64.
-    pub fn finger_target(self, i: u32) -> RingId {
-        debug_assert!(i < 64, "finger index out of range");
-        self.wrapping_add(1u64 << i)
-    }
 }
 
 impl fmt::Display for RingId {
@@ -196,13 +188,6 @@ mod tests {
         assert_eq!(id(7).distance_to(id(5)), u64::MAX - 1);
         assert_eq!(id(0).distance_to(id(0)), 0);
         assert_eq!(RingId::MAX.distance_to(id(0)), 1);
-    }
-
-    #[test]
-    fn finger_targets() {
-        assert_eq!(id(0).finger_target(0), id(1));
-        assert_eq!(id(0).finger_target(10), id(1024));
-        assert_eq!(RingId::MAX.finger_target(0), id(0)); // wraps
     }
 
     #[test]

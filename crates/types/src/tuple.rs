@@ -139,19 +139,6 @@ impl Tuple {
             + self.name.len()
             + self.vals.iter().map(val_bytes).sum::<usize>()
     }
-
-    /// Project selected fields into a new tuple with a new name.
-    pub fn project(&self, name: impl AsRef<str>, fields: &[usize]) -> Result<Tuple, ValueError> {
-        let mut vals = Vec::with_capacity(fields.len());
-        for &i in fields {
-            vals.push(
-                self.get(i)
-                    .cloned()
-                    .ok_or(ValueError::MissingField { index: i })?,
-            );
-        }
-        Ok(Tuple::new(name, vals))
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -202,14 +189,6 @@ mod tests {
             empty.location(),
             Err(ValueError::MissingField { index: 0 })
         ));
-    }
-
-    #[test]
-    fn projection() {
-        let p = t().project("out", &[0, 2]).unwrap();
-        assert_eq!(p.name(), "out");
-        assert_eq!(p.values(), &[Value::addr("a"), Value::Int(3)]);
-        assert!(t().project("out", &[7]).is_err());
     }
 
     #[test]

@@ -105,14 +105,6 @@ impl Value {
         }
     }
 
-    /// Extract an address, or fail with a typed error.
-    pub fn as_addr(&self) -> Result<&Addr, ValueError> {
-        match self {
-            Value::Addr(a) => Ok(a),
-            other => Err(ValueError::type_mismatch("addr", other)),
-        }
-    }
-
     /// Coerce to an address, accepting strings. `Str` and `Addr` compare
     /// and hash identically (rules match address fields against string
     /// literals like `"-"`), so address-valued strings flow through
@@ -148,15 +140,6 @@ impl Value {
         match self {
             Value::Bool(b) => Ok(*b),
             other => Err(ValueError::type_mismatch("bool", other)),
-        }
-    }
-
-    /// Extract a timestamp, accepting raw ints as microseconds.
-    pub fn as_time(&self) -> Result<Time, ValueError> {
-        match self {
-            Value::Time(t) => Ok(*t),
-            Value::Int(n) if *n >= 0 => Ok(Time(*n as u64)),
-            other => Err(ValueError::type_mismatch("time", other)),
         }
     }
 
@@ -591,15 +574,12 @@ mod tests {
 
     #[test]
     fn accessors_reject_wrong_types() {
-        assert!(Value::Int(1).as_addr().is_err());
         assert!(Value::str("x").as_int().is_err());
         assert!(Value::Int(1).as_bool().is_err());
-        assert!(Value::Bool(true).as_time().is_err());
         assert!(Value::Int(1).as_str().is_err());
         assert!(Value::str("x").as_ring_id().is_err());
         // Coercions that are allowed:
         assert_eq!(Value::Int(7).as_ring_id().unwrap(), RingId(7));
-        assert_eq!(Value::Int(5).as_time().unwrap(), Time(5));
         assert_eq!(Value::str("n").to_addr().unwrap().as_str(), "n");
         assert_eq!(Value::addr("n").to_addr().unwrap().as_str(), "n");
         assert!(Value::Int(1).to_addr().is_none());

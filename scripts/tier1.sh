@@ -19,27 +19,15 @@ cargo test -q
 # by name so a drift failure is unmistakable in CI logs; re-record
 # intentional plan changes with scripts/update_snapshots.sh).
 cargo test -q -p p2-planner --test explain_snapshots
-# Static analysis gate: every shipped example must check clean through
-# the full `p2ql check` pipeline *including the deep flow passes*
-# (cascade termination, amplification, stratification — DESIGN.md
-# §2.13; the stacked-monitor corpus runs as tests/check_corpus.rs
-# inside `cargo test` above), and known-broken programs must fail with
-# a non-zero exit.
-cargo run --release --bin p2ql -- check --deep programs/*.olg
-# The built-in Chord + §3 monitor stack must be deep-clean too.
-cargo run --release --bin p2ql -- check --deep --chord
-if cargo run --release --bin p2ql -- check tests/bad_programs/typo_relation.olg \
-    >/dev/null 2>&1; then
-  echo "tier1: p2ql check passed a known-broken program" >&2
-  exit 1
-fi
-# A known event storm must fail the deep pass (P2W601).
-if cargo run --release --bin p2ql -- check --deep tests/bad_programs/storm_ping_pong.olg \
-    >/dev/null 2>&1; then
-  echo "tier1: p2ql check --deep passed a known event storm" >&2
-  exit 1
-fi
-# --json smoke: the machine-readable report must be well-formed JSON.
+# Static analysis gate: every shipped example and the built-in Chord +
+# §3 monitor stack check clean through the full `p2ql check` pipeline
+# *including the deep flow passes* (cascade termination, amplification,
+# stratification — DESIGN.md §2.13), and known-broken programs fail
+# with a non-zero exit; both run inside `cargo test` above
+# (tests/cli.rs, and tests/check_corpus.rs for the stacked-monitor
+# corpus). The --json smoke stays here because the tree has no JSON
+# parser a test could use: the machine-readable report must be
+# well-formed JSON.
 cargo run --release --bin p2ql -- check --deep --json --chord \
     | python3 -m json.tool > /dev/null
 # Engine determinism gates. The golden Chord trace must be

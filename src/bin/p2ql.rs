@@ -658,7 +658,7 @@ fn parse_replay_opts(args: &[String]) -> Result<ReplayOpts, String> {
 /// shard-count-invariant.
 fn replay_scenario(sim: &mut ParallelHarness, o: &ReplayOpts) -> String {
     use p2ql::chord::{build_ring, ChordConfig};
-    use p2ql::monitor::retrospect;
+    use p2ql::monitor::retrospect::{self, History};
     use p2ql::types::{Time, Tuple};
     use std::fmt::Write as _;
 
@@ -732,17 +732,13 @@ fn replay_scenario(sim: &mut ParallelHarness, o: &ReplayOpts) -> String {
     }
     let t_end = sim.now();
 
+    let history = match &collector {
+        Some(c) => History::from((&ring, c)),
+        None => History::from(&ring),
+    };
     let verdict = |sim: &mut ParallelHarness, t: Time, out: &mut String| {
-        let (wf, viols) = match &collector {
-            Some(c) => (
-                retrospect::ring_was_well_formed_at_collected(sim, c, &ring, t),
-                retrospect::ordering_violations_at_collected(sim, c, &ring, t),
-            ),
-            None => (
-                retrospect::ring_was_well_formed_at(sim, &ring, t),
-                retrospect::ordering_violations_at(sim, &ring, t),
-            ),
-        };
+        let wf = retrospect::ring_was_well_formed_at(sim, history, t);
+        let viols = retrospect::ordering_violations_at(sim, history, t);
         let _ = writeln!(
             out,
             "[{t}] ring: {}, {} ordering violation(s)",
@@ -761,10 +757,7 @@ fn replay_scenario(sim: &mut ParallelHarness, o: &ReplayOpts) -> String {
     verdict(sim, t_corrupt, &mut out);
     verdict(sim, t_end, &mut out);
 
-    let osc = match &collector {
-        Some(c) => retrospect::oscillators_in_collected(sim, c, &ring, t_healthy, t_end, 2),
-        None => retrospect::oscillators_in(sim, &ring, t_healthy, t_end, 2),
-    };
+    let osc = retrospect::oscillators_in(sim, history, t_healthy, t_end, 2);
     let _ = writeln!(out, "oscillators in [{t_healthy} .. {t_end}]:");
     for (addr, flips) in osc {
         let _ = writeln!(out, "  {addr}: {flips} successor flips");

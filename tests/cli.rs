@@ -42,6 +42,41 @@ fn dump_of_an_unknown_table_warns_on_stderr_and_leaves_stdout_alone() {
     );
 }
 
+/// `p2ql check`'s exit status is the gate: every shipped program and
+/// the built-in Chord + §3 monitor stack check clean through the deep
+/// flow passes, and known-broken programs fail — a typo in a relation
+/// name, and (only under `--deep`) an event storm (P2W601).
+#[test]
+fn check_passes_the_shipped_programs_and_fails_broken_ones() {
+    let mut programs: Vec<String> = std::fs::read_dir("programs")
+        .unwrap()
+        .map(|e| e.unwrap().path().display().to_string())
+        .filter(|p| p.ends_with(".olg"))
+        .collect();
+    programs.sort();
+    assert!(!programs.is_empty());
+    let programs: Vec<&str> = programs.iter().map(String::as_str).collect();
+    let check = |args: &[&str]| p2ql(&[&["check"], args].concat());
+    for clean in [
+        &[&["--deep"], &programs[..]].concat()[..],
+        &["--deep", "--chord"],
+    ] {
+        let out = check(clean);
+        let report = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "check {clean:?} failed:\n{report}");
+    }
+    for broken in [
+        &["tests/bad_programs/typo_relation.olg"][..],
+        &["--deep", "tests/bad_programs/storm_ping_pong.olg"],
+    ] {
+        let out = check(broken);
+        assert!(
+            !out.status.success(),
+            "check {broken:?} passed a broken program"
+        );
+    }
+}
+
 /// `p2ql replay --nodes 5 --seed 1` with `extra` flags: its report.
 fn replay(extra: &[&str]) -> Vec<u8> {
     let out = p2ql(&[&["replay", "--nodes", "5", "--seed", "1"], extra].concat());

@@ -3,12 +3,14 @@
 //! discrete-event simulation), but the schedules are adversarial in the
 //! dimensions that matter: fault timing, network conditions, and seeds.
 
+use p2ql::chord::oracle::forms_ring;
 use p2ql::chord::{build_ring, lookup_oracle, ring_is_ordered, ChordConfig};
 use p2ql::core::SimHarness;
 use p2ql::monitor::snapshot;
 use p2ql::net::SimConfig;
 use p2ql::types::{DetRng, TimeDelta};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
@@ -69,20 +71,15 @@ proptest! {
         sim.install(&init, &snapshot::initiator_program(&init, 50.0)).unwrap();
         sim.run_for(TimeDelta::from_secs(100));
         // The union of snapped bestSucc pointers closes over all nodes.
-        let start = topo.addrs[0].clone();
-        let mut cur = start.clone();
-        let mut hops = 0;
-        loop {
-            let next = snapshot::snapped_succ(&mut sim, &cur, 1);
-            prop_assert!(next.is_some(), "{cur} missing snapped pointer (seed {seed})");
-            cur = next.unwrap();
-            hops += 1;
-            if cur == start {
-                break;
-            }
-            prop_assert!(hops <= topo.addrs.len(), "snapped ring has a sub-cycle");
-        }
-        prop_assert_eq!(hops, topo.addrs.len());
+        let succ: HashMap<_, _> = topo
+            .addrs
+            .iter()
+            .filter_map(|a| Some((a.clone(), snapshot::snapped_succ(&mut sim, a, 1)?)))
+            .collect();
+        prop_assert!(
+            forms_ring(&succ, &topo.addrs),
+            "snapped ring is not well-formed (seed {seed}): {succ:?}"
+        );
     }
 
     /// A lossy network delays convergence but does not wedge the
