@@ -13,16 +13,16 @@
 //!
 //! Three analysis passes, on top of the front end's validation:
 //!
-//! * [`types`] *(private)* — **field/variable type inference** by
+//! * `types` *(private)* — **field/variable type inference** by
 //!   unification across every rule, fact, and `materialize` in the
 //!   stack. Conflicting uses of a relation field are `P2W201`;
 //!   `keys(...)` over a field that never settles on a comparable type
 //!   is `P2W202`.
-//! * [`location`] *(private)* — **location safety**: a rule whose body
+//! * `location` *(private)* — **location safety**: a rule whose body
 //!   predicates live at more than one location is not localizable
 //!   (`P2W111`); a wildcard as a body location matches tuples
 //!   regardless of their address (`P2W112`).
-//! * [`liveness`] *(private)* — the **program dependency graph**:
+//! * `liveness` *(private)* — the **program dependency graph**:
 //!   relations consumed but never produced (`P2W301`, with a
 //!   did-you-mean hint), produced but never consumed (`P2N302`),
 //!   declared tables nothing writes (`P2N303`), two transient events
@@ -75,7 +75,7 @@ pub struct AnalysisCtx {
 /// `programs[0]` is the bottom of the stack (the base application);
 /// later units see earlier ones. Findings are stamped with the unit
 /// index they refer to. This never reports the front end's validation
-/// errors — run [`p2_overlog::validate`] (or [`check_sources`]) for
+/// errors — run [`p2_overlog::validate()`] (or [`check_sources`]) for
 /// those.
 pub fn analyze(programs: &[&Program], ctx: &AnalysisCtx) -> Diagnostics {
     let mut diags = Diagnostics::new();

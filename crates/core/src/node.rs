@@ -5,14 +5,14 @@
 //! across sibling modules, each an `impl Node` block over the same
 //! state:
 //!
-//! * [`crate::scheduler`] — the pump loop, the dispatch budget, and the
+//! * `scheduler` — the pump loop, the dispatch budget, and the
 //!   timer wheel,
-//! * [`crate::router`] — action routing (local loop-back vs network) and
+//! * `router` — action routing (local loop-back vs network) and
 //!   the coalescing outbox,
-//! * [`crate::installer`] — program compile/install/uninstall and
+//! * `installer` — program compile/install/uninstall and
 //!   trace-table registration.
 //!
-//! Local deltas flow through [`Node::push_pending`] into one FIFO of
+//! Local deltas flow through `Node::push_pending` into one FIFO of
 //! tuples; the scheduler pops them one at a time, so the paper's §2.1.2
 //! per-tuple interleave is the only schedule there is.
 
@@ -275,7 +275,7 @@ impl Node {
     pub fn with_recovered(
         addr: Addr,
         config: NodeConfig,
-        store: Option<Box<dyn p2_store::DurableStore>>,
+        store: Option<p2_store::DurableStore>,
     ) -> Node {
         Node::boot(addr, config, store)
     }
@@ -283,35 +283,28 @@ impl Node {
     /// Tear the node down and detach its durable store (if any) for
     /// handover to the next incarnation. Everything else is dropped —
     /// the crash loses all soft state.
-    pub fn into_durable(mut self) -> Option<Box<dyn p2_store::DurableStore>> {
+    pub fn into_durable(mut self) -> Option<p2_store::DurableStore> {
         self.catalog.take_durable()
     }
 
     /// Build the durable store described by `mode` (first boot: no
     /// handover). File-backed logs live under `<dir>/<sanitized addr>/`.
-    fn build_durable(addr: &Addr, mode: &DurabilityMode) -> Box<dyn p2_store::DurableStore> {
-        let inner: Box<dyn p2_store::DurableStore> = match &mode.backend {
-            DurableBackend::Memory => Box::new(p2_store::MemDurable::new()),
+    fn build_durable(addr: &Addr, mode: &DurabilityMode) -> p2_store::DurableStore {
+        let store = match &mode.backend {
+            DurableBackend::Memory => p2_store::DurableStore::memory(),
             DurableBackend::Dir(base) => {
                 let leaf: String = addr
                     .as_str()
                     .chars()
                     .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
                     .collect();
-                Box::new(p2_store::FileDurable::new(base.join(leaf), mode.fsync))
+                p2_store::DurableStore::dir(base.join(leaf), mode.fsync)
             }
         };
-        match &mode.plan {
-            Some(plan) => Box::new(p2_store::FaultingStore::new(inner, plan.clone())),
-            None => inner,
-        }
+        store.with_faults(mode.plan.clone().unwrap_or_default())
     }
 
-    fn boot(
-        addr: Addr,
-        config: NodeConfig,
-        handover: Option<Box<dyn p2_store::DurableStore>>,
-    ) -> Node {
+    fn boot(addr: Addr, config: NodeConfig, handover: Option<p2_store::DurableStore>) -> Node {
         let rng = DetRng::derive(config.seed, addr.as_str());
         let tracer = Tracer::new(addr.clone(), config.trace.clone());
         let mut node = Node {

@@ -8,7 +8,7 @@
 //! run an instant `u` once every peer has finished everything before
 //! `u − latency`. Each shard publishes a clock — the virtual time before
 //! which it will execute, and therefore send, nothing more — and owns a
-//! mailbox its peers post cross-shard envelopes into ([`Shard::advance`]
+//! mailbox its peers post cross-shard envelopes into (`Shard::advance`
 //! is the whole protocol). Nobody coordinates: `min(shards, cores)`
 //! workers — the calling thread and scoped threads — step their shards
 //! round-robin and spin only while none of them can move. One shard —

@@ -33,7 +33,7 @@ pub struct StrandStats {
     /// (division by zero, type mismatch on wire data, ...).
     pub eval_errors: u64,
     /// Join probes answered from the strand's probe cache instead of the
-    /// store (consecutive same-key triggers; see [`ProbeCache`]).
+    /// store (consecutive same-key triggers; see `ProbeCache`).
     pub probe_cache_hits: u64,
 }
 

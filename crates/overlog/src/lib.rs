@@ -47,7 +47,7 @@ pub use validate::{
 /// This is the entry point the node runtime uses when a query is
 /// installed on-line; both phases report positioned, typed errors.
 /// Validation is strict here (first error rejects); use
-/// [`validate`] directly — or the `p2-analysis` crate — for the
+/// [`validate()`] directly — or the `p2-analysis` crate — for the
 /// collect-everything diagnostics surface.
 pub fn compile(src: &str) -> Result<Program, CompileError> {
     let program = parse_program(src).map_err(CompileError::Parse)?;

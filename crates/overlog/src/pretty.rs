@@ -25,7 +25,7 @@ pub fn program_to_string(p: &Program) -> String {
 }
 
 /// Render a `materialize` declaration.
-pub fn materialize_to_string(m: &Materialize) -> String {
+fn materialize_to_string(m: &Materialize) -> String {
     let lifetime = match m.lifetime {
         Lifetime::Secs(s) => {
             if s.fract() == 0.0 {

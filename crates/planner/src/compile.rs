@@ -5,7 +5,7 @@
 //! 1. [`crate::ir::build_strand_ir`] — normalize to the symbolic IR,
 //! 2. [`crate::passes::schedule_ops`] — pushdown + join reordering
 //!    (skipped at [`OptLevel::Off`]),
-//! 3. [`lower_strand`] — slot allocation in op order, expression
+//! 3. `lower_strand` — slot allocation in op order, expression
 //!    compilation with plan-time builtin interning, head lowering,
 //! 4. [`crate::passes::fold_strand`] — constant folding + dead-rule
 //!    diagnostics (skipped at `Off`),

@@ -384,7 +384,7 @@ impl Segment {
     }
 
     /// `[min, max]` over column `i`, if the summary covers it.
-    pub fn col_range(&self, i: usize) -> Option<(&Value, &Value)> {
+    fn col_range(&self, i: usize) -> Option<(&Value, &Value)> {
         Some((self.col_min.get(i)?, self.col_max.get(i)?))
     }
 
@@ -468,7 +468,7 @@ fn seal_open(
     relation: &str,
     ra: &mut RelationArchive,
     config: &ArchiveConfig,
-    durable: Option<&mut Box<dyn DurableStore>>,
+    durable: Option<&mut DurableStore>,
 ) {
     if ra.open.is_empty() {
         return;
@@ -615,7 +615,7 @@ pub struct Archive {
     /// Crash-surviving sink for sealed frames (DESIGN.md §2.14); `None`
     /// — the default — costs the seal path nothing and leaves behavior
     /// byte-identical to the pre-durability engine.
-    durable: Option<Box<dyn DurableStore>>,
+    durable: Option<DurableStore>,
 }
 
 impl Archive {
@@ -644,7 +644,7 @@ impl Archive {
     /// gone: the durability contract covers the clean prefix of *sealed*
     /// epochs, nothing more. Soft counters (`spilled_rows`, scans, …)
     /// restart from the replay.
-    pub fn recover_from(&mut self, mut store: Box<dyn DurableStore>) {
+    pub fn recover_from(&mut self, mut store: DurableStore) {
         let recovery = store.recover();
         let config = self.config;
         for (relation, segments) in recovery.relations {
@@ -660,7 +660,7 @@ impl Archive {
     /// Detach the durable store (crash teardown: the harness moves it to
     /// the node's next incarnation). Open buffers are *not* sealed first
     /// — a crash loses them, by contract.
-    pub fn take_durable(&mut self) -> Option<Box<dyn DurableStore>> {
+    pub fn take_durable(&mut self) -> Option<DurableStore> {
         self.durable.take()
     }
 
@@ -695,8 +695,9 @@ impl Archive {
     /// whole run lands in one epoch (the common case: a maintenance
     /// drain runs far more often than an epoch rolls over) the buffer is
     /// moved — or bulk-appended — without per-row work. This is the
-    /// write-through hot path from [`Catalog::archive_maintain`]
-    /// (`crate::Catalog::archive_maintain`); the per-row path only runs
+    /// write-through hot path from
+    /// [`Catalog::archive_maintain`](crate::Catalog::archive_maintain);
+    /// the per-row path only runs
     /// when the drain itself straddles an epoch boundary.
     pub fn spill_vec(&mut self, relation: &str, rows: Vec<SpilledRow>) {
         let epoch_len = self.config.epoch.0.max(1);
@@ -760,7 +761,8 @@ impl Archive {
     /// All archived rows of `relation` whose validity interval
     /// intersects `[t0, t1]` and that satisfy every `(field, value)`
     /// equality predicate in `eqs`, in spill order: the sealed segments
-    /// (see [`scan_segments`] for what is pruned), then the open buffer.
+    /// (one whose header bounds miss the window, or whose per-column
+    /// summary rules out `eqs`, is pruned unread), then the open buffer.
     /// An inverted window (`t0 > t1`) is empty: nothing is scanned.
     pub fn scan_range(
         &mut self,

@@ -239,7 +239,7 @@ impl Catalog {
     /// pass — rebuilding the archive's sealed segments from the logs —
     /// and adopt it as the sink every future seal writes through. A
     /// no-op when the archive tier is off (there is nothing to persist).
-    pub fn recover_durability(&mut self, store: Box<dyn DurableStore>) {
+    pub fn recover_durability(&mut self, store: DurableStore) {
         if let Some(a) = self.archive.as_mut() {
             a.recover_from(store);
         }
@@ -267,7 +267,7 @@ impl Catalog {
 
     /// Detach the durable store for handover to the node's next
     /// incarnation (crash teardown: open buffers are lost, by contract).
-    pub fn take_durable(&mut self) -> Option<Box<dyn DurableStore>> {
+    pub fn take_durable(&mut self) -> Option<DurableStore> {
         self.archive.as_mut().and_then(Archive::take_durable)
     }
 

@@ -5,16 +5,18 @@
 //! the paper's "what happened?" promise evaporated exactly when it
 //! mattered most. This module gives sealed segments a home that survives
 //! the process: every segment frame the archive seals is appended to a
-//! per-relation **segment log** behind a [`DurableStore`], and recovery
+//! per-relation **segment log** in a [`DurableStore`], and recovery
 //! rebuilds the in-memory archive by replaying those frames through the
-//! same seal/compact/retain pipeline that built them.
+//! same seal/compact/retain pipeline that built them. One store owns the
+//! record format, the recovery walk and the fault injector; memory and a
+//! directory are two media under it.
 //!
 //! Three properties carry over from the archive and one is new:
 //!
 //! * **Determinism.** The log is a pure function of the seal stream, and
 //!   recovery replays it in order — so a restarted node's archive is a
 //!   pure function of what was sealed before the crash, identical across
-//!   engines and shard counts.
+//!   engines, shard counts and media.
 //! * **No panics on hostile bytes.** Recovery validates every frame with
 //!   [`Segment::from_bytes`]; a corrupt frame is **quarantined** (counted,
 //!   skipped, never served) and a torn trailing record — the signature of
@@ -22,18 +24,21 @@
 //! * **Bounded cost.** Appends are sequential writes; the durability
 //!   barrier ([`DurableStore::barrier`]) is the only synchronous point,
 //!   paid once per seal.
-//! * **Testable failure.** [`FaultPlan`] injects crashes, torn writes,
-//!   and bit flips at deterministic points in the append stream, so the
-//!   recovery contract is *proven* under failure, not assumed
-//!   (`tests/recovery.rs`, `crates/store/tests/archive_props.rs`).
+//! * **Testable failure.** A [`FaultPlan`] armed on the store
+//!   ([`DurableStore::with_faults`]) shapes a record *before* it reaches
+//!   the medium — dropped, torn, or with a bit flipped — or halts the
+//!   store after a barrier, at deterministic points in the append
+//!   stream, so the recovery contract is *proven* under failure on
+//!   either medium, not assumed (`tests/recovery.rs`,
+//!   `crates/store/tests/archive_props.rs`).
 //!
 //! ## Log format
 //!
 //! A relation's log is a concatenation of records, each
 //! `[u32 LE frame length][u64 LE XXH64 (seed 0) of frame][P2AR segment frame]`,
-//! and a file-backed store's `MANIFEST` opens with the format tag
+//! and a directory store's `MANIFEST` opens with the format tag
 //! [`MANIFEST_TAG`] (`p2-durable v2`; v1 logs carried FNV-1a sums and
-//! are refused, not read — see [`FileDurable`]).
+//! are refused, not read — see [`DurableStore`]).
 //! Recovery walks records front to back: a record whose declared length
 //! runs past the end of the log is a **torn tail** (the crash
 //! interrupted the append) and everything from it on is discarded; a
@@ -48,7 +53,7 @@
 //! in four lanes, and [`Segment::from_bytes`] validates every value
 //! without building one.
 
-use crate::archive::{Segment, SegmentError};
+use crate::archive::Segment;
 use p2_types::DetRng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -67,7 +72,7 @@ p2_types::counters! {
         pub boots: u64 = "boots",
         /// Segment frames appended since the store was created.
         pub appends: u64 = "appends",
-        /// Durability barriers honoured (fsyncs for the file backend).
+        /// Durability barriers honoured (fsyncs on a directory).
         pub fsyncs: u64 = "fsyncs",
         /// Valid segments rebuilt by recovery, cumulative over boots.
         pub recovered_segments: u64 = "recoveredSegments",
@@ -75,8 +80,8 @@ p2_types::counters! {
         pub truncated_tail_bytes: u64 = "truncatedTailBytes",
         /// Corrupt frames quarantined by recovery, cumulative over boots.
         pub quarantined: u64 = "quarantined",
-        /// I/O errors swallowed by the file backend (the store goes quiet
-        /// rather than panicking the node; see [`FileDurable`]).
+        /// I/O errors swallowed by a directory store (the store goes quiet
+        /// rather than panicking the node; see [`DurableStore`]).
         pub io_errors: u64 = "ioErrors",
     }
 }
@@ -90,37 +95,6 @@ pub struct Recovery {
     pub truncated_tail_bytes: u64,
     /// Corrupt frames quarantined across all logs.
     pub quarantined: u64,
-}
-
-/// A crash-surviving sink for sealed segment frames.
-///
-/// The archive appends every frame it seals, then calls
-/// [`barrier`](DurableStore::barrier); the contract is that everything
-/// appended before a returned barrier survives a crash after it. What
-/// was appended *after* the last barrier may survive whole, torn, or not
-/// at all — recovery tolerates all three.
-pub trait DurableStore: fmt::Debug + Send {
-    /// Append one sealed segment frame to `relation`'s log.
-    fn append(&mut self, relation: &str, frame: &[u8]);
-    /// Durability barrier: on return, everything appended so far is
-    /// crash-safe.
-    fn barrier(&mut self);
-    /// Boot (or re-boot) the store: bump the boot counter and rebuild
-    /// every relation's valid segment list from its log, truncating torn
-    /// tails and quarantining corrupt frames. Called exactly once per
-    /// node lifetime, at construction or restart.
-    fn recover(&mut self) -> Recovery;
-    /// Point-in-time counters.
-    fn stats(&self) -> DurableStats;
-    /// Current length of `relation`'s log in bytes (fault injection and
-    /// tests; 0 for unknown relations).
-    fn log_len(&self, relation: &str) -> usize;
-    /// Truncate `relation`'s log to its first `keep` bytes — the fault
-    /// injector's model of a write torn by a crash.
-    fn truncate_log(&mut self, relation: &str, keep: usize);
-    /// Flip bit `bit` of byte `offset` in `relation`'s log — the fault
-    /// injector's model of silent media corruption.
-    fn flip_bit(&mut self, relation: &str, offset: usize, bit: u8);
 }
 
 /// Bytes of record header preceding each frame: u32 length + u64 XXH64.
@@ -191,7 +165,7 @@ fn xxh64(bytes: &[u8]) -> u64 {
 
 /// Walk one log's records, returning the valid segments plus torn-tail
 /// and quarantine counts. Never panics, whatever the bytes.
-pub fn recover_log(bytes: &[u8]) -> (Vec<Segment>, u64, u64) {
+fn recover_log(bytes: &[u8]) -> (Vec<Segment>, u64, u64) {
     let mut segments = Vec::new();
     let mut quarantined = 0u64;
     let mut pos = 0usize;
@@ -221,167 +195,292 @@ pub fn recover_log(bytes: &[u8]) -> (Vec<Segment>, u64, u64) {
     (segments, tail, quarantined)
 }
 
-/// Frame one segment as a log record.
-fn encode_record(out: &mut Vec<u8>, frame: &[u8]) {
-    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    out.extend_from_slice(&xxh64(frame).to_le_bytes());
-    out.extend_from_slice(frame);
-}
-
-/// Re-encode recovered segments as a clean log (what the file backend
-/// rewrites after a dirty recovery, so quarantined frames and torn tails
-/// are not re-counted on every subsequent boot).
-fn clean_log(segments: &[Segment]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(segments.iter().map(|s| RECORD_HEADER + s.len_bytes()).sum());
-    for seg in segments {
-        encode_record(&mut out, seg.as_bytes());
+/// Frame segments as consecutive log records: what an append writes
+/// (one frame) and what a dirty recovery rewrites (the valid frames).
+fn encode_log<'a, I>(frames: I) -> Vec<u8>
+where
+    I: IntoIterator<Item = &'a [u8]>,
+    I::IntoIter: Clone,
+{
+    let frames = frames.into_iter();
+    let mut out = Vec::with_capacity(frames.clone().map(|f| RECORD_HEADER + f.len()).sum());
+    for frame in frames {
+        out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        out.extend_from_slice(&xxh64(frame).to_le_bytes());
+        out.extend_from_slice(frame);
     }
     out
 }
 
-/// The deterministic in-memory backend: logs live in a map, barriers are
-/// free, and the whole store is handed across a simulated restart as a
-/// value. This is what `Population::restart` moves between node
-/// incarnations, so crash-restart runs bit-identically in the simulator
-/// at any shard count.
-#[derive(Debug, Default)]
-pub struct MemDurable {
-    logs: BTreeMap<String, Vec<u8>>,
-    stats: DurableStats,
-}
-
-impl MemDurable {
-    /// An empty store.
-    pub fn new() -> MemDurable {
-        MemDurable::default()
-    }
-}
-
-impl DurableStore for MemDurable {
-    fn append(&mut self, relation: &str, frame: &[u8]) {
-        encode_record(self.logs.entry(relation.to_string()).or_default(), frame);
-        self.stats.appends += 1;
-    }
-
-    fn barrier(&mut self) {
-        self.stats.fsyncs += 1;
-    }
-
-    fn recover(&mut self) -> Recovery {
-        self.stats.boots += 1;
-        let mut out = Recovery::default();
-        for (relation, log) in self.logs.iter_mut() {
-            let (segments, torn, quarantined) = recover_log(log);
-            if torn > 0 || quarantined > 0 {
-                *log = clean_log(&segments);
-            }
-            out.truncated_tail_bytes += torn;
-            out.quarantined += quarantined;
-            self.stats.recovered_segments += segments.len() as u64;
-            out.relations.push((relation.clone(), segments));
-        }
-        self.stats.truncated_tail_bytes += out.truncated_tail_bytes;
-        self.stats.quarantined += out.quarantined;
-        out
-    }
-
-    fn stats(&self) -> DurableStats {
-        self.stats
-    }
-
-    fn log_len(&self, relation: &str) -> usize {
-        self.logs.get(relation).map(Vec::len).unwrap_or(0)
-    }
-
-    fn truncate_log(&mut self, relation: &str, keep: usize) {
-        if let Some(log) = self.logs.get_mut(relation) {
-            log.truncate(keep);
-        }
-    }
-
-    fn flip_bit(&mut self, relation: &str, offset: usize, bit: u8) {
-        if let Some(log) = self.logs.get_mut(relation) {
-            if let Some(b) = log.get_mut(offset) {
-                *b ^= 1 << (bit % 8);
-            }
-        }
-    }
-}
-
-/// Manifest filename inside a [`FileDurable`] directory.
+/// Manifest filename inside a directory-backed store.
 const MANIFEST: &str = "MANIFEST";
 /// Manifest format tag (first line). A store under any other tag is
-/// refused and left as found (see [`FileDurable`]).
+/// refused and left as found (see [`DurableStore`]).
 pub const MANIFEST_TAG: &str = "p2-durable v2";
 
-/// The file backend: one directory per node, one `rel-<idx>.seglog`
-/// file per relation, and a small `MANIFEST` mapping relations to files
-/// and carrying the boot counter.
+/// A crash-surviving sink for sealed segment frames: one record format,
+/// one recovery walk and one fault injector over either of two media —
+/// memory ([`DurableStore::memory`]) or a directory
+/// ([`DurableStore::dir`]).
 ///
-/// **Never panics, never errors out of the node.** The directory is
+/// The archive appends every frame it seals, then calls
+/// [`barrier`](DurableStore::barrier); the contract is that everything
+/// appended before a returned barrier survives a crash after it. What
+/// was appended *after* the last barrier may survive whole, torn, or not
+/// at all — recovery tolerates all three.
+///
+/// **Never panics, never errors out of the node.** A directory is
 /// created lazily on first append; any I/O failure (disk full,
 /// permissions, the directory vanishing) is counted in
 /// [`DurableStats::io_errors`] and the offending operation is dropped —
 /// a node with a sick disk degrades to in-memory-only archives instead
 /// of crashing, exactly as a monitoring system should.
 ///
-/// **A store of another format is refused, not rewritten.** When the
-/// manifest's first line is not [`MANIFEST_TAG`] (an older format's
-/// store, or no store of ours), recovery reads nothing, bumps no boot
-/// counter and rewrites no log: the directory stays byte-for-byte as
-/// found. The refusal counts one I/O error, and every later append is
-/// dropped and counted as on a sick disk.
+/// **A store of another format is refused, not rewritten.** When a
+/// directory's manifest does not open with [`MANIFEST_TAG`] (an older
+/// format's store, or no store of ours), recovery reads nothing, bumps
+/// no boot counter and rewrites no log: the directory stays
+/// byte-for-byte as found. The refusal counts one I/O error, and every
+/// later append is dropped and counted as on a sick disk.
 #[derive(Debug)]
-pub struct FileDurable {
-    dir: PathBuf,
+pub struct DurableStore {
+    medium: Medium,
+    stats: DurableStats,
+    /// Armed faults that have not fired yet, in plan order.
+    faults: Vec<Fault>,
+    /// Appends offered since the plan was armed, across boots: the
+    /// position a [`Fault`] is addressed by.
+    offered: u64,
+    /// A crash fault fired: every append and barrier is dropped until
+    /// the next recovery, as if the process had died at that instant.
+    halted: bool,
+}
+
+/// Where a store's records land.
+#[derive(Debug)]
+enum Medium {
+    /// `relation → log bytes`. Barriers are free, and the whole store is
+    /// handed across a simulated restart as a value — what
+    /// `Population::restart` moves between node incarnations, so
+    /// crash-restart runs bit-identically at any shard count.
+    Memory(BTreeMap<String, Vec<u8>>),
+    /// One directory per node: a `MANIFEST` mapping relations to
+    /// `rel-<idx>.seglog` files and carrying the boot counter.
+    Dir(DirLog),
+}
+
+#[derive(Debug, Default)]
+struct DirLog {
+    path: PathBuf,
+    fsync: bool,
     /// `relation → log file index` (names come from the manifest so a
     /// relation keeps its file across boots).
     files: BTreeMap<String, u64>,
     next_file: u64,
-    fsync: bool,
     /// Open append handles, one per touched relation.
     handles: BTreeMap<String, std::fs::File>,
     /// The manifest's first line when it is not [`MANIFEST_TAG`].
     foreign: Option<String>,
-    stats: DurableStats,
 }
 
-impl FileDurable {
-    /// A store rooted at `dir` (created on first use). `fsync` makes the
-    /// durability barrier call `File::sync_data` on every touched log —
-    /// off, the barrier only flushes userspace buffers (fine for tests
-    /// and crash *simulation*; turn it on when the threat model includes
-    /// the whole machine dying).
-    pub fn new(dir: impl Into<PathBuf>, fsync: bool) -> FileDurable {
-        FileDurable {
-            dir: dir.into(),
-            files: BTreeMap::new(),
-            next_file: 0,
-            fsync,
-            handles: BTreeMap::new(),
-            foreign: None,
+impl DurableStore {
+    /// An empty in-memory store.
+    pub fn memory() -> DurableStore {
+        DurableStore {
+            medium: Medium::Memory(BTreeMap::new()),
             stats: DurableStats::default(),
+            faults: Vec::new(),
+            offered: 0,
+            halted: false,
         }
     }
 
-    /// The directory this store persists under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// A store rooted at directory `path` (created on first use).
+    /// `fsync` makes the durability barrier call `File::sync_data` on
+    /// every touched log — off, the barrier only flushes userspace
+    /// buffers (fine for tests and crash *simulation*; turn it on when
+    /// the threat model includes the whole machine dying).
+    pub fn dir(path: impl Into<PathBuf>, fsync: bool) -> DurableStore {
+        DurableStore {
+            medium: Medium::Dir(DirLog {
+                path: path.into(),
+                fsync,
+                ..DirLog::default()
+            }),
+            ..DurableStore::memory()
+        }
     }
 
-    /// The format tag of a refused store of another format, as its
-    /// manifest's first line reads; `None` once a recovery has found a
-    /// store of this format or a fresh directory.
+    /// Arm `plan`: each fault shapes the record of the append it names
+    /// before the record reaches the medium, or halts the store after a
+    /// barrier, and fires at most once — a restart hands the store over
+    /// as a value, so a fired fault stays fired.
+    ///
+    /// A "crash" halts the *store*, not the node: every later append and
+    /// barrier is dropped, as if the process had died at that instant.
+    /// The harness restarts the node at a point of its choosing, and
+    /// recovery sees the log as the crash left it (the node's soft state
+    /// in between is torn down wholesale by the restart, so nothing it
+    /// did after the "crash" leaks into the recovered world).
+    pub fn with_faults(self, plan: FaultPlan) -> DurableStore {
+        DurableStore {
+            faults: plan.faults,
+            ..self
+        }
+    }
+
+    /// Append one sealed segment frame to `relation`'s log.
+    pub fn append(&mut self, relation: &str, frame: &[u8]) {
+        if self.halted {
+            return;
+        }
+        let at = self.offered;
+        self.offered += 1;
+        let mut record = encode_log([frame]);
+        let hit = self.faults.iter().position(|f| {
+            matches!(*f, Fault::CrashBeforeAppend { append }
+                | Fault::TornAppend { append, .. }
+                | Fault::FlipBit { append, .. } if append == at)
+        });
+        match hit.map(|i| self.faults.remove(i)) {
+            Some(Fault::CrashBeforeAppend { .. }) => {
+                self.halted = true;
+                return; // the frame never reaches the log
+            }
+            Some(Fault::TornAppend { keep_bytes, .. }) => {
+                record.truncate(keep_bytes);
+                self.halted = true;
+            }
+            Some(Fault::FlipBit { byte, bit, .. }) => {
+                // A bit of the frame body (a flipped length prefix is the
+                // torn-tail case, which TornAppend already covers).
+                if let Some(b) = record.get_mut(RECORD_HEADER + byte % frame.len().max(1)) {
+                    *b ^= 1 << (bit % 8);
+                }
+            }
+            _ => {}
+        }
+        let written = match &mut self.medium {
+            Medium::Memory(logs) => {
+                logs.entry(relation.to_string())
+                    .or_default()
+                    .extend_from_slice(&record);
+                true
+            }
+            Medium::Dir(d) => d.append(relation, &record, &mut self.stats),
+        };
+        if written {
+            self.stats.appends += 1;
+        }
+    }
+
+    /// Durability barrier: on return, everything appended so far is
+    /// crash-safe.
+    pub fn barrier(&mut self) {
+        if self.halted {
+            return;
+        }
+        if let Medium::Dir(d) = &mut self.medium {
+            for f in d.handles.values_mut() {
+                if f.flush().is_err() || (d.fsync && f.sync_data().is_err()) {
+                    self.stats.io_errors += 1;
+                }
+            }
+        }
+        self.stats.fsyncs += 1;
+        let (armed, offered) = (self.faults.len(), self.offered);
+        self.faults
+            .retain(|f| !matches!(*f, Fault::CrashAfterBarrier { append } if offered > append));
+        self.halted = self.faults.len() < armed;
+    }
+
+    /// Boot (or re-boot) the store: bump the boot counter and rebuild
+    /// every relation's valid segment list from its log, truncating torn
+    /// tails and quarantining corrupt frames. Called exactly once per
+    /// node lifetime, at construction or restart.
+    pub fn recover(&mut self) -> Recovery {
+        self.halted = false;
+        if let Medium::Dir(d) = &mut self.medium {
+            d.reopen(&mut self.stats);
+            if d.foreign.is_some() {
+                self.stats.io_errors += 1;
+                return Recovery::default();
+            }
+        }
+        self.stats.boots += 1;
+        let relations: Vec<String> = match &self.medium {
+            Medium::Memory(logs) => logs.keys().cloned().collect(),
+            Medium::Dir(d) => d.files.keys().cloned().collect(),
+        };
+        let mut out = Recovery::default();
+        for relation in relations {
+            let (segments, torn, quarantined) = match &self.medium {
+                Medium::Memory(logs) => recover_log(&logs[&relation]),
+                Medium::Dir(d) => match d.read(&relation, &mut self.stats) {
+                    Some(bytes) => recover_log(&bytes),
+                    None => continue,
+                },
+            };
+            if torn > 0 || quarantined > 0 {
+                // Rewrite the clean prefix so the damage is counted once,
+                // not on every boot, and new appends land after valid
+                // records.
+                let clean = encode_log(segments.iter().map(Segment::as_bytes));
+                match &mut self.medium {
+                    Medium::Memory(logs) => {
+                        logs.insert(relation.clone(), clean);
+                    }
+                    Medium::Dir(d) => {
+                        if std::fs::write(d.log_path(d.files[&relation]), clean).is_err() {
+                            self.stats.io_errors += 1;
+                        }
+                    }
+                }
+            }
+            out.truncated_tail_bytes += torn;
+            out.quarantined += quarantined;
+            self.stats.recovered_segments += segments.len() as u64;
+            out.relations.push((relation, segments));
+        }
+        self.stats.truncated_tail_bytes += out.truncated_tail_bytes;
+        self.stats.quarantined += out.quarantined;
+        if let Medium::Dir(d) = &self.medium {
+            d.write_manifest(&mut self.stats);
+        }
+        out
+    }
+
+    /// Point-in-time counters.
+    pub fn stats(&self) -> DurableStats {
+        self.stats
+    }
+
+    /// The format tag of a refused directory store of another format, as
+    /// its manifest's first line reads; `None` in memory, and once a
+    /// recovery has found a store of this format or a fresh directory.
     pub fn foreign_tag(&self) -> Option<&str> {
-        self.foreign.as_deref()
+        match &self.medium {
+            Medium::Dir(d) => d.foreign.as_deref(),
+            Medium::Memory(_) => None,
+        }
     }
+}
 
+impl DirLog {
     fn log_path(&self, idx: u64) -> PathBuf {
-        self.dir.join(format!("rel-{idx}.seglog"))
+        self.path.join(format!("rel-{idx}.seglog"))
     }
 
-    fn read_manifest(&mut self) {
-        let Ok(bytes) = std::fs::read(self.dir.join(MANIFEST)) else {
+    /// Forget every handle and mapping, then read the manifest back: the
+    /// boot counter and the relation → file map, or a foreign tag.
+    fn reopen(&mut self, stats: &mut DurableStats) {
+        *self = DirLog {
+            path: std::mem::take(&mut self.path),
+            fsync: self.fsync,
+            ..DirLog::default()
+        };
+        stats.boots = 0;
+        let Ok(bytes) = std::fs::read(self.path.join(MANIFEST)) else {
             return; // fresh directory
         };
         let text = String::from_utf8_lossy(&bytes);
@@ -396,7 +495,7 @@ impl FileDurable {
             match parts.next() {
                 Some("boot") => {
                     if let Some(n) = parts.next().and_then(|s| s.parse::<u64>().ok()) {
-                        self.stats.boots = n;
+                        stats.boots = n;
                     }
                 }
                 Some("rel") => {
@@ -413,172 +512,70 @@ impl FileDurable {
         }
     }
 
-    fn write_manifest(&mut self) {
+    fn write_manifest(&self, stats: &mut DurableStats) {
         let mut text = String::from(MANIFEST_TAG);
         text.push('\n');
-        text.push_str(&format!("boot {}\n", self.stats.boots));
+        text.push_str(&format!("boot {}\n", stats.boots));
         for (name, idx) in &self.files {
             text.push_str(&format!("rel {idx} {name}\n"));
         }
-        if std::fs::create_dir_all(&self.dir).is_err()
-            || std::fs::write(self.dir.join(MANIFEST), text).is_err()
+        if std::fs::create_dir_all(&self.path).is_err()
+            || std::fs::write(self.path.join(MANIFEST), text).is_err()
         {
-            self.stats.io_errors += 1;
+            stats.io_errors += 1;
         }
     }
 
-    fn file_index(&mut self, relation: &str) -> u64 {
-        if let Some(&idx) = self.files.get(relation) {
-            return idx;
+    /// `relation`'s log, or `None` when it was never written (or could
+    /// not be read, which counts an I/O error).
+    fn read(&self, relation: &str, stats: &mut DurableStats) -> Option<Vec<u8>> {
+        let mut f = std::fs::File::open(self.log_path(self.files[relation])).ok()?;
+        let mut bytes = Vec::new();
+        if f.read_to_end(&mut bytes).is_err() {
+            stats.io_errors += 1;
+            return None;
         }
-        let idx = self.next_file;
-        self.next_file += 1;
-        self.files.insert(relation.to_string(), idx);
-        self.write_manifest();
-        idx
+        Some(bytes)
     }
-}
 
-impl DurableStore for FileDurable {
-    fn append(&mut self, relation: &str, frame: &[u8]) {
+    /// Write `record` at the end of `relation`'s log; whether it landed.
+    fn append(&mut self, relation: &str, record: &[u8], stats: &mut DurableStats) -> bool {
         if self.foreign.is_some() {
-            self.stats.io_errors += 1;
-            return;
+            stats.io_errors += 1;
+            return false;
         }
-        let idx = self.file_index(relation);
+        if !self.files.contains_key(relation) {
+            self.files.insert(relation.to_string(), self.next_file);
+            self.next_file += 1;
+            // A failed manifest write is counted; the append still goes on.
+            self.write_manifest(stats);
+        }
         if !self.handles.contains_key(relation) {
-            if std::fs::create_dir_all(&self.dir).is_err() {
-                self.stats.io_errors += 1;
-                return;
-            }
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.log_path(idx))
-            {
+            let path = self.log_path(self.files[relation]);
+            let opened = std::fs::create_dir_all(&self.path).and_then(|()| {
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+            });
+            match opened {
                 Ok(f) => {
                     self.handles.insert(relation.to_string(), f);
                 }
                 Err(_) => {
-                    self.stats.io_errors += 1;
-                    return;
+                    stats.io_errors += 1;
+                    return false;
                 }
             }
         }
         let Some(f) = self.handles.get_mut(relation) else {
-            return;
+            return false;
         };
-        let mut record = Vec::with_capacity(RECORD_HEADER + frame.len());
-        encode_record(&mut record, frame);
-        if f.write_all(&record).is_err() {
-            self.stats.io_errors += 1;
-            return;
+        if f.write_all(record).is_err() {
+            stats.io_errors += 1;
+            return false;
         }
-        self.stats.appends += 1;
-    }
-
-    fn barrier(&mut self) {
-        for f in self.handles.values_mut() {
-            if f.flush().is_err() || (self.fsync && f.sync_data().is_err()) {
-                self.stats.io_errors += 1;
-            }
-        }
-        self.stats.fsyncs += 1;
-    }
-
-    fn recover(&mut self) -> Recovery {
-        self.handles.clear();
-        self.files.clear();
-        self.next_file = 0;
-        self.stats.boots = 0;
-        self.foreign = None;
-        self.read_manifest();
-        if self.foreign.is_some() {
-            self.stats.io_errors += 1;
-            return Recovery::default();
-        }
-        self.stats.boots += 1;
-        let mut out = Recovery::default();
-        for (relation, &idx) in &self.files.clone() {
-            let path = self.log_path(idx);
-            let mut bytes = Vec::new();
-            match std::fs::File::open(&path) {
-                Ok(mut f) => {
-                    if f.read_to_end(&mut bytes).is_err() {
-                        self.stats.io_errors += 1;
-                        continue;
-                    }
-                }
-                Err(_) => continue, // manifest entry, log never written
-            }
-            let (segments, torn, quarantined) = recover_log(&bytes);
-            if torn > 0 || quarantined > 0 {
-                // Rewrite the clean prefix so the damage is counted once,
-                // not on every boot, and new appends land after valid
-                // records.
-                if std::fs::write(&path, clean_log(&segments)).is_err() {
-                    self.stats.io_errors += 1;
-                }
-            }
-            out.truncated_tail_bytes += torn;
-            out.quarantined += quarantined;
-            self.stats.recovered_segments += segments.len() as u64;
-            out.relations.push((relation.clone(), segments));
-        }
-        self.stats.truncated_tail_bytes += out.truncated_tail_bytes;
-        self.stats.quarantined += out.quarantined;
-        self.write_manifest();
-        out
-    }
-
-    fn stats(&self) -> DurableStats {
-        self.stats
-    }
-
-    fn log_len(&self, relation: &str) -> usize {
-        self.files
-            .get(relation)
-            .and_then(|&idx| std::fs::metadata(self.log_path(idx)).ok())
-            .map(|m| m.len() as usize)
-            .unwrap_or(0)
-    }
-
-    fn truncate_log(&mut self, relation: &str, keep: usize) {
-        self.handles.remove(relation); // reopen after mutation
-        if self.files.is_empty() {
-            self.read_manifest(); // fault injection on a reopened dir
-        }
-        let Some(&idx) = self.files.get(relation) else {
-            return;
-        };
-        let path = self.log_path(idx);
-        let Ok(mut bytes) = std::fs::read(&path) else {
-            return;
-        };
-        bytes.truncate(keep);
-        if std::fs::write(&path, bytes).is_err() {
-            self.stats.io_errors += 1;
-        }
-    }
-
-    fn flip_bit(&mut self, relation: &str, offset: usize, bit: u8) {
-        self.handles.remove(relation);
-        if self.files.is_empty() {
-            self.read_manifest(); // fault injection on a reopened dir
-        }
-        let Some(&idx) = self.files.get(relation) else {
-            return;
-        };
-        let path = self.log_path(idx);
-        let Ok(mut bytes) = std::fs::read(&path) else {
-            return;
-        };
-        if let Some(b) = bytes.get_mut(offset) {
-            *b ^= 1 << (bit % 8);
-            if std::fs::write(&path, bytes).is_err() {
-                self.stats.io_errors += 1;
-            }
-        }
+        true
     }
 }
 
@@ -608,13 +605,13 @@ pub enum Fault {
         /// Zero-based index into the append stream.
         append: u64,
     },
-    /// Silent corruption: after append `append` lands, flip one bit of
-    /// its stored frame. The node keeps running; recovery must
-    /// quarantine the frame instead of panicking.
+    /// Silent corruption: append `append` lands with one bit of its
+    /// frame flipped. The node keeps running; recovery must quarantine
+    /// the frame instead of panicking.
     FlipBit {
         /// Zero-based index into the append stream.
         append: u64,
-        /// Byte offset within the stored frame (taken modulo its size).
+        /// Byte offset within the frame (taken modulo its size).
         byte: usize,
         /// Bit index within that byte.
         bit: u8,
@@ -664,128 +661,6 @@ impl FaultPlan {
     }
 }
 
-/// A [`DurableStore`] decorator that executes a [`FaultPlan`].
-///
-/// A "crash" here halts the *store*, not the node: once a crash fault
-/// fires, every later append and barrier is silently dropped, exactly as
-/// if the process had died at that instant — the harness then calls
-/// `Population::restart` at a point of its choosing and recovery sees
-/// the log as the crash left it. (The node's in-memory state between
-/// fault and restart is torn down wholesale by the restart, so nothing
-/// it did after the "crash" can leak into the recovered world.) Fired
-/// faults stay fired across restarts: the wrapper itself is the object
-/// handed to the next incarnation.
-#[derive(Debug)]
-pub struct FaultingStore {
-    inner: Box<dyn DurableStore>,
-    plan: FaultPlan,
-    fired: Vec<bool>,
-    appends: u64,
-    halted: bool,
-}
-
-impl FaultingStore {
-    /// Wrap `inner`, arming `plan`.
-    pub fn new(inner: Box<dyn DurableStore>, plan: FaultPlan) -> FaultingStore {
-        let fired = vec![false; plan.faults.len()];
-        FaultingStore {
-            inner,
-            plan,
-            fired,
-            appends: 0,
-            halted: false,
-        }
-    }
-
-    /// Whether a crash fault has fired and the store is dropping writes.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-}
-
-impl DurableStore for FaultingStore {
-    fn append(&mut self, relation: &str, frame: &[u8]) {
-        if self.halted {
-            return;
-        }
-        let idx = self.appends;
-        self.appends += 1;
-        for (i, fault) in self.plan.faults.iter().enumerate() {
-            if self.fired[i] {
-                continue;
-            }
-            match *fault {
-                Fault::CrashBeforeAppend { append } if append == idx => {
-                    self.fired[i] = true;
-                    self.halted = true;
-                    return; // frame never reaches the log
-                }
-                Fault::TornAppend { append, keep_bytes } if append == idx => {
-                    self.fired[i] = true;
-                    let before = self.inner.log_len(relation);
-                    self.inner.append(relation, frame);
-                    let keep = keep_bytes.min(RECORD_HEADER + frame.len());
-                    self.inner.truncate_log(relation, before + keep);
-                    self.halted = true;
-                    return;
-                }
-                Fault::FlipBit { append, byte, bit } if append == idx => {
-                    self.fired[i] = true;
-                    let before = self.inner.log_len(relation);
-                    self.inner.append(relation, frame);
-                    // Corrupt the stored frame body (skip the length
-                    // prefix: a flipped length is the torn-tail case,
-                    // which TornAppend already covers).
-                    let off = before + RECORD_HEADER + byte % frame.len().max(1);
-                    self.inner.flip_bit(relation, off, bit);
-                    return; // silent: the node keeps running
-                }
-                _ => {}
-            }
-        }
-        self.inner.append(relation, frame);
-    }
-
-    fn barrier(&mut self) {
-        if self.halted {
-            return;
-        }
-        self.inner.barrier();
-        for (i, fault) in self.plan.faults.iter().enumerate() {
-            if self.fired[i] {
-                continue;
-            }
-            if let Fault::CrashAfterBarrier { append } = *fault {
-                if self.appends > append {
-                    self.fired[i] = true;
-                    self.halted = true;
-                }
-            }
-        }
-    }
-
-    fn recover(&mut self) -> Recovery {
-        self.halted = false;
-        self.inner.recover()
-    }
-
-    fn stats(&self) -> DurableStats {
-        self.inner.stats()
-    }
-
-    fn log_len(&self, relation: &str) -> usize {
-        self.inner.log_len(relation)
-    }
-
-    fn truncate_log(&mut self, relation: &str, keep: usize) {
-        self.inner.truncate_log(relation, keep);
-    }
-
-    fn flip_bit(&mut self, relation: &str, offset: usize, bit: u8) {
-        self.inner.flip_bit(relation, offset, bit);
-    }
-}
-
 /// Why [`recovery_report`] refused a directory; nothing under it was
 /// created or changed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -807,7 +682,7 @@ pub fn recovery_report(dir: &Path) -> Result<String, AuditRefused> {
         return Err(AuditRefused::NoStore);
     }
     let mut out = String::new();
-    let mut store = FileDurable::new(dir, false);
+    let mut store = DurableStore::dir(dir, false);
     let rec = store.recover();
     if let Some(tag) = store.foreign_tag() {
         return Err(AuditRefused::OtherFormat(tag.to_string()));
@@ -832,14 +707,34 @@ pub fn recovery_report(dir: &Path) -> Result<String, AuditRefused> {
     Ok(out)
 }
 
-/// Re-exported for callers that match on recovery errors.
-pub type DurableSegmentError = SegmentError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::archive::SpilledRow;
     use p2_types::{Time, Tuple, Value};
+
+    /// `relation`'s log bytes, read through the medium (empty when the
+    /// store holds no log for it).
+    fn logged(d: &DurableStore, relation: &str) -> Vec<u8> {
+        match &d.medium {
+            Medium::Memory(logs) => logs.get(relation).cloned(),
+            Medium::Dir(dir) => dir
+                .files
+                .contains_key(relation)
+                .then(|| dir.read(relation, &mut DurableStats::default()))
+                .flatten(),
+        }
+        .unwrap_or_default()
+    }
+
+    /// Edit `relation`'s in-memory log bytes in place.
+    fn edit_log(d: &mut DurableStore, relation: &str, edit: impl FnOnce(&mut Vec<u8>)) {
+        if let Medium::Memory(logs) = &mut d.medium {
+            if let Some(log) = logs.get_mut(relation) {
+                edit(log);
+            }
+        }
+    }
 
     fn seg(relation: &str, epoch: u64, n: i64) -> Segment {
         let rows: Vec<SpilledRow> = (0..n)
@@ -865,7 +760,7 @@ mod tests {
 
     #[test]
     fn mem_round_trip() {
-        let mut d = MemDurable::new();
+        let mut d = DurableStore::memory();
         let a = seg("t", 0, 3);
         let b = seg("t", 1, 2);
         d.append("t", a.as_bytes());
@@ -884,18 +779,18 @@ mod tests {
 
     #[test]
     fn torn_tail_truncates_to_clean_prefix() {
-        let mut d = MemDurable::new();
+        let mut d = DurableStore::memory();
         let a = seg("t", 0, 3);
         let b = seg("t", 1, 2);
         d.append("t", a.as_bytes());
         d.append("t", b.as_bytes());
-        let whole = d.log_len("t");
+        let whole = logged(&d, "t").len();
         // Tear the second record at every possible byte.
         for keep in (12 + a.as_bytes().len() + 1)..whole {
-            let mut d2 = MemDurable::new();
+            let mut d2 = DurableStore::memory();
             d2.append("t", a.as_bytes());
             d2.append("t", b.as_bytes());
-            d2.truncate_log("t", keep);
+            edit_log(&mut d2, "t", |log| log.truncate(keep));
             let rec = d2.recover();
             assert_eq!(rec.relations[0].1, vec![a.clone()], "keep={keep}");
             assert!(rec.truncated_tail_bytes > 0, "keep={keep}");
@@ -908,10 +803,10 @@ mod tests {
         let b = seg("t", 1, 2);
         let reclen = 12 + a.as_bytes().len();
         for off in 0..reclen {
-            let mut d = MemDurable::new();
+            let mut d = DurableStore::memory();
             d.append("t", a.as_bytes());
             d.append("t", b.as_bytes());
-            d.flip_bit("t", off, (off % 8) as u8);
+            edit_log(&mut d, "t", |log| log[off] ^= 1 << (off % 8));
             let rec = d.recover();
             // Whatever the flip hit — length prefix or frame body —
             // every recovered segment is one of the originals and the
@@ -941,14 +836,14 @@ mod tests {
         let a = seg("t", 0, 4);
         let b = seg("u", 0, 2);
         {
-            let mut d = FileDurable::new(&dir, false);
+            let mut d = DurableStore::dir(&dir, false);
             d.recover();
             d.append("t", a.as_bytes());
             d.append("u", b.as_bytes());
             d.barrier();
         }
         {
-            let mut d = FileDurable::new(&dir, false);
+            let mut d = DurableStore::dir(&dir, false);
             let rec = d.recover();
             assert_eq!(d.stats().boots, 2, "boot counter persists");
             assert_eq!(rec.relations.len(), 2);
@@ -957,16 +852,17 @@ mod tests {
         }
         // Corrupt the tail; the next boot truncates and rewrites clean.
         {
-            let mut d = FileDurable::new(&dir, false);
+            let mut d = DurableStore::dir(&dir, false);
             d.recover();
             d.append("t", a.as_bytes());
-            let len = d.log_len("t");
-            d.truncate_log("t", len - 3);
-            let mut d = FileDurable::new(&dir, false);
+            let mut log = logged(&d, "t");
+            log.truncate(log.len() - 3);
+            std::fs::write(dir.join("rel-0.seglog"), log).unwrap();
+            let mut d = DurableStore::dir(&dir, false);
             let rec = d.recover();
             assert!(rec.truncated_tail_bytes > 0);
             // Clean after rewrite: a fourth boot sees no damage.
-            let mut d = FileDurable::new(&dir, false);
+            let mut d = DurableStore::dir(&dir, false);
             let rec = d.recover();
             assert_eq!(rec.truncated_tail_bytes, 0);
             assert_eq!(rec.quarantined, 0);
@@ -979,7 +875,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("p2-durable-foreign-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut d = FileDurable::new(&dir, false);
+            let mut d = DurableStore::dir(&dir, false);
             d.recover();
             d.append("t", seg("t", 0, 3).as_bytes());
             d.barrier();
@@ -1003,7 +899,7 @@ mod tests {
             files
         };
         let before = snapshot();
-        let mut d = FileDurable::new(&dir, false);
+        let mut d = DurableStore::dir(&dir, false);
         let rec = d.recover();
         assert!(rec.relations.is_empty());
         assert_eq!(d.foreign_tag(), Some("p2-durable v1"));
@@ -1012,7 +908,7 @@ mod tests {
         d.barrier();
         let s = d.stats();
         assert_eq!((s.boots, s.appends, s.io_errors), (0, 0, 2));
-        assert_eq!(d.log_len("t"), 0);
+        assert_eq!(logged(&d, "t").len(), 0);
         assert_eq!(snapshot(), before);
         assert_eq!(
             recovery_report(&dir),
@@ -1027,18 +923,16 @@ mod tests {
         let a = seg("t", 0, 3);
         let b = seg("t", 1, 3);
         // Crash before append 1: only the first frame survives.
-        let mut d = FaultingStore::new(
-            Box::new(MemDurable::new()),
-            FaultPlan::new(vec![Fault::CrashBeforeAppend { append: 1 }]),
-        );
+        let mut d = DurableStore::memory()
+            .with_faults(FaultPlan::new(vec![Fault::CrashBeforeAppend { append: 1 }]));
         d.append("t", a.as_bytes());
         d.barrier();
         d.append("t", b.as_bytes());
         d.barrier();
-        assert!(d.halted());
+        assert!(d.halted);
         let rec = d.recover();
         assert_eq!(rec.relations[0].1, vec![a.clone()]);
-        assert!(!d.halted(), "recovery clears the halt");
+        assert!(!d.halted, "recovery clears the halt");
         // After recovery the store accepts appends again, and the fired
         // fault does not re-fire.
         d.append("t", b.as_bytes());
@@ -1047,13 +941,10 @@ mod tests {
         assert_eq!(rec.relations[0].1, vec![a.clone(), b.clone()]);
 
         // Torn append: recovery truncates the tail.
-        let mut d = FaultingStore::new(
-            Box::new(MemDurable::new()),
-            FaultPlan::new(vec![Fault::TornAppend {
-                append: 1,
-                keep_bytes: 7,
-            }]),
-        );
+        let mut d = DurableStore::memory().with_faults(FaultPlan::new(vec![Fault::TornAppend {
+            append: 1,
+            keep_bytes: 7,
+        }]));
         d.append("t", a.as_bytes());
         d.barrier();
         d.append("t", b.as_bytes());
@@ -1062,17 +953,14 @@ mod tests {
         assert!(rec.truncated_tail_bytes > 0);
 
         // Bit flip: silent until recovery quarantines.
-        let mut d = FaultingStore::new(
-            Box::new(MemDurable::new()),
-            FaultPlan::new(vec![Fault::FlipBit {
-                append: 0,
-                byte: 9,
-                bit: 2,
-            }]),
-        );
+        let mut d = DurableStore::memory().with_faults(FaultPlan::new(vec![Fault::FlipBit {
+            append: 0,
+            byte: 9,
+            bit: 2,
+        }]));
         d.append("t", a.as_bytes());
         d.append("t", b.as_bytes());
-        assert!(!d.halted(), "corruption is silent");
+        assert!(!d.halted, "corruption is silent");
         let rec = d.recover();
         assert_eq!(rec.relations[0].1, vec![b.clone()]);
         assert_eq!(rec.quarantined, 1);
@@ -1099,7 +987,7 @@ mod tests {
     fn recovery_report_renders() {
         let dir = std::env::temp_dir().join(format!("p2-durable-report-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut d = FileDurable::new(&dir, false);
+        let mut d = DurableStore::dir(&dir, false);
         d.recover();
         d.append("t", seg("t", 0, 2).as_bytes());
         d.barrier();

@@ -34,8 +34,7 @@ pub use archive::{
 };
 pub use catalog::{Catalog, CatalogError};
 pub use durable::{
-    recover_log, recovery_report, AuditRefused, DurableStats, DurableStore, Fault, FaultPlan,
-    FaultingStore, FileDurable, MemDurable, Recovery,
+    recovery_report, AuditRefused, DurableStats, DurableStore, Fault, FaultPlan, Recovery,
 };
 pub use hash::{FxHashMap, FxHashSet};
 pub use table::{InsertOutcome, Key, ProbeStats, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD};

@@ -12,7 +12,7 @@
 //! The file-backed log's recovery is held to the same standard, and
 //! one small log is flipped at every bit it has.
 
-use p2_store::{DurableStore, FileDurable, Segment, SegmentError, SpilledRow};
+use p2_store::{DurableStore, Segment, SegmentError, SpilledRow};
 use p2_types::{Time, Tuple, Value};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,18 +38,30 @@ fn seeded_log(dir: &std::path::Path, n: usize) -> (Vec<Segment>, usize) {
             Segment::build("r", i as u64, i as u64, &rows)
         })
         .collect();
-    let mut store = FileDurable::new(dir, false);
+    let mut store = DurableStore::dir(dir, false);
     for seg in &segs {
         store.append("r", seg.as_bytes());
     }
     store.barrier();
-    let len = store.log_len("r");
+    let len = log_path(dir).metadata().map_or(0, |m| m.len() as usize);
     (segs, len)
+}
+
+/// The log file of `r`, the only relation a seeded log holds.
+fn log_path(dir: &std::path::Path) -> std::path::PathBuf {
+    dir.join("rel-0.seglog")
+}
+
+/// Edit the on-disk log of `r` in place, as a crash or the media would.
+fn edit_log(dir: &std::path::Path, edit: impl FnOnce(&mut Vec<u8>)) {
+    let mut bytes = std::fs::read(log_path(dir)).expect("seeded log exists");
+    edit(&mut bytes);
+    std::fs::write(log_path(dir), bytes).expect("log is writable");
 }
 
 /// The valid segments a fresh boot rebuilds from `dir`'s log of `r`.
 fn reboot(dir: &std::path::Path) -> (Vec<Segment>, u64, u64) {
-    let mut store = FileDurable::new(dir, false);
+    let mut store = DurableStore::dir(dir, false);
     let rec = store.recover();
     let segs = rec
         .relations
@@ -153,10 +165,7 @@ proptest! {
         let dir = scratch_dir();
         let (segs, len) = seeded_log(&dir, n);
         let cut = cut % (len + 1);
-        {
-            let mut store = FileDurable::new(&dir, false);
-            store.truncate_log("r", cut);
-        }
+        edit_log(&dir, |log| log.truncate(cut));
         let (got, torn, quarantined) = reboot(&dir);
         prop_assert!(got.len() <= n);
         for (g, want) in got.iter().zip(&segs) {
@@ -190,10 +199,7 @@ proptest! {
         let dir = scratch_dir();
         let (segs, len) = seeded_log(&dir, n);
         let pos = pos % len;
-        {
-            let mut store = FileDurable::new(&dir, false);
-            store.flip_bit("r", pos, bit);
-        }
+        edit_log(&dir, |log| log[pos] ^= 1 << bit);
         // Which record the flip landed in: every record ahead of it
         // must recover untouched.
         let mut off = 0usize;
@@ -252,7 +258,7 @@ fn every_bit_flip_of_a_small_file_log_is_caught_and_never_served() {
         for bit in 0..8 {
             let _ = std::fs::remove_dir_all(&dir);
             seeded_log(&dir, 3);
-            FileDurable::new(&dir, false).flip_bit("r", pos, bit);
+            edit_log(&dir, |log| log[pos] ^= 1 << bit);
             let (got, torn, quarantined) = reboot(&dir);
             let at = format!("byte {pos} bit {bit}");
             assert!(torn > 0 || quarantined > 0, "{at}: flip not counted");

@@ -13,9 +13,7 @@ use std::sync::Arc;
 ///
 /// Addresses are opaque to the query engine: the only operations it needs
 /// are equality, ordering (for deterministic iteration), hashing (for
-/// routing tables), and display. The conventional "null" address used by
-/// the paper's listings is `"-"` (see rule `rp1`); [`Addr::is_nil`]
-/// recognises it.
+/// routing tables), and display.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(Arc<str>);
 
@@ -23,11 +21,6 @@ impl Addr {
     /// Create an address from any string-like value.
     pub fn new(s: impl AsRef<str>) -> Self {
         Addr(Arc::from(s.as_ref()))
-    }
-
-    /// Whether this is the conventional null address.
-    pub fn is_nil(&self) -> bool {
-        &*self.0 == "-"
     }
 
     /// The address as a string slice.
@@ -63,12 +56,6 @@ impl From<String> for Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nil_is_dash() {
-        assert!(Addr::new("-").is_nil());
-        assert!(!Addr::new("n1").is_nil());
-    }
 
     #[test]
     fn equality_and_order() {

@@ -3,16 +3,21 @@
 #
 #   scripts/tier1.sh
 #
-# Checks formatting and lints, builds the workspace in release mode,
-# runs the full test suite (unit + integration + proptests), the CLI
-# and replay determinism gates, the frozen benchmark's own tests, and
-# the exact-count gate: every count the ledger marks exact, on all six
-# workloads, must equal tests/golden/ledger_counts.json.
+# Checks formatting, lints and the docs, builds the workspace in release
+# mode, and runs the full test suite (unit + integration + proptests),
+# which holds the CLI and replay determinism gates, the frozen
+# benchmark's own tests and the exact-count gate (tests/ledger_gate.rs:
+# every count the ledger marks exact, on all six workloads, must equal
+# tests/golden/ledger_counts.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --all-targets -- -D warnings
+# The doc gate, a step that cannot be a test: every intra-doc link
+# resolves and names a public item. `cargo doc` builds in this target
+# directory, whose lock a running `cargo test` holds.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 cargo build --release
 cargo test -q
 # Golden EXPLAIN snapshots (already part of `cargo test`, but run them
@@ -39,28 +44,13 @@ cargo test -q --test parallel_equivalence golden_chord_trace_is_identical_when_s
 # The replay determinism gates (every `p2ql replay` variant against its
 # reference, byte for byte) and the file-log recovery audit, garbage
 # repair included, run inside `cargo test` (tests/cli.rs).
-# The frozen benchmark (BENCHMARK.json) is its own package and may not
-# be edited, so whatever it calls must keep compiling and running: build
-# it against this tree and run its tests (a toy-size run of every
-# workload, ~10 s).
-cargo test --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
+# The frozen benchmark's own tests and the exact-count gate run inside
+# `cargo test` (tests/ledger_gate.rs).
 # The parent-vs-change pair runner a performance claim is shown with,
 # as a smoke: this tree on both sides, one 1-second pair on the realtime
 # workload. Exit status only — a failed operation fails it, a timing
 # never does.
 scripts/bench_pairs.sh realtime_echo . . 1 --seconds 1
-# The exact-count gate: a 1-second traced run of every workload against
-# the committed one. With every run traced `compare` has no untraced
-# pair to bound, so it checks only the ~100 counts marked exact
-# (dispatches, total_sent, barrier_waits, past_query_hits, segments, …)
-# and no timing. A change that moves one on purpose re-records the file
-# with the first command, `--out tests/golden/ledger_counts.json`.
-ledger() {
-  cargo run --release --offline --quiet \
-      --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- "$@"
-}
-ledger all --seconds 1 --trace 1 --out target/ledger_counts.json > target/ledger_counts.log
-ledger compare tests/golden/ledger_counts.json target/ledger_counts.json
 # Population-scaling emission: the CI-sized sweep exercises the full
 # `figures scale --json` path (its internal assert re-checks that every
 # shard count sends exactly the sequential oracle's envelope count).

@@ -21,7 +21,7 @@ use p2ql::core::{
     ShipFailure, SimHarness,
 };
 use p2ql::net::SimConfig;
-use p2ql::store::{Fault, FaultPlan};
+use p2ql::store::{DurableStats, Fault, FaultPlan};
 use p2ql::types::{Addr, Time, TimeDelta, Tuple, Value};
 
 const APP: &str = r#"
@@ -43,9 +43,14 @@ fn forensic_config() -> NodeConfig {
 
 /// Forensic node with the in-memory durable log, optionally faulted.
 fn durable_config(plan: Option<FaultPlan>) -> NodeConfig {
+    durable_on(DurableBackend::Memory, plan)
+}
+
+/// Forensic node with its durable log on `backend`, optionally faulted.
+fn durable_on(backend: DurableBackend, plan: Option<FaultPlan>) -> NodeConfig {
     NodeConfig {
         durability: Some(DurabilityMode {
-            backend: DurableBackend::Memory,
+            backend,
             fsync: false,
             plan,
         }),
@@ -105,17 +110,27 @@ fn archived_rows<H: Population>(sim: &mut H, addr: &Addr) -> Vec<String> {
         .collect()
 }
 
-/// One faulted life: incident, restart (recovering whatever the fault
-/// left durable), then the archive scan and the forensic answer.
-fn faulted_run<H: Population>(sim: &mut H, plan: Option<FaultPlan>) -> (Vec<String>, Vec<String>) {
-    let origin = sim.add_node_with("a", durable_config(plan));
+/// One faulted life of a node built from `config`: incident, restart
+/// (recovering whatever the fault left durable), then the archive scan,
+/// the forensic answer and the durable counters.
+fn faulted_run<H: Population>(
+    sim: &mut H,
+    config: NodeConfig,
+) -> (Vec<String>, Vec<String>, DurableStats) {
+    let origin = sim.add_node_with("a", config);
     sim.install(&origin, APP).expect("app installs");
     incident(sim, &origin);
     sim.restart(&origin).expect("restart reinstalls");
     let rows = archived_rows(sim, &origin);
     sim.install(&origin, DEPLOY_FORENSICS)
         .expect("query installs");
-    (rows, ask(sim, &origin))
+    let ans = ask(sim, &origin);
+    let stats = sim
+        .node_mut(&origin)
+        .catalog_mut()
+        .durable_stats()
+        .expect("durability is on");
+    (rows, ans, stats)
 }
 
 /// The no-crash reference: same incident, no restart.
@@ -159,7 +174,7 @@ fn unfaulted_restart_recovers_full_history_bit_identically() {
     assert_eq!(want_ans.len(), 3, "three pings reconstruct: {want_ans:?}");
 
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), seed);
-    let (rows, ans) = faulted_run(&mut sim, None);
+    let (rows, ans, _) = faulted_run(&mut sim, durable_config(None));
     assert_eq!(rows, want_rows, "recovery replays the full log");
     assert_eq!(ans, want_ans, "past() over recovered history matches");
 
@@ -188,8 +203,10 @@ fn crash_at_any_fault_point_recovers_a_clean_prefix() {
     let seed = 7;
     let (want_rows, want_ans) = baseline(seed);
 
+    // The incident seals five frames, so positions below 5 put every
+    // seeded fault inside the run (beyond it a plan never fires).
     for fault_seed in 0..12u64 {
-        let plan = FaultPlan::seeded(fault_seed, 12);
+        let plan = FaultPlan::seeded(fault_seed, 5);
         let crashy = matches!(
             plan.faults[0],
             Fault::CrashBeforeAppend { .. }
@@ -198,7 +215,7 @@ fn crash_at_any_fault_point_recovers_a_clean_prefix() {
         );
 
         let mut sim = SequentialOracle::new(SimConfig::default(), forensic_config(), seed);
-        let (rows, ans) = faulted_run(&mut sim, Some(plan.clone()));
+        let (rows, ans, stats) = faulted_run(&mut sim, durable_config(Some(plan.clone())));
 
         if crashy {
             // Everything before the crash point survives in order;
@@ -232,10 +249,34 @@ fn crash_at_any_fault_point_recovers_a_clean_prefix() {
         for shards in [1usize, 2, 4] {
             let mut par =
                 ParallelHarness::new(SimConfig::default(), forensic_config(), seed, shards);
-            let (prows, pans) = faulted_run(&mut par, Some(plan.clone()));
+            let (prows, pans, pstats) = faulted_run(&mut par, durable_config(Some(plan.clone())));
             assert_eq!(prows, rows, "rows diverged at {shards} shards");
             assert_eq!(pans, ans, "answers diverged at {shards} shards");
+            assert_eq!(pstats, stats, "durable stats diverged at {shards} shards");
         }
+
+        // The same plan over a directory: the fault shapes the record
+        // before it reaches either medium, so the file log recovers the
+        // same history with the same counters.
+        let dir =
+            std::env::temp_dir().join(format!("p2-recovery-{}-{fault_seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sim = SequentialOracle::new(SimConfig::default(), forensic_config(), seed);
+        let on_disk = durable_on(DurableBackend::Dir(dir.clone()), Some(plan.clone()));
+        let (drows, dans, dstats) = faulted_run(&mut sim, on_disk);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            drows, rows,
+            "rows diverged on disk (fault_seed={fault_seed})"
+        );
+        assert_eq!(
+            dans, ans,
+            "answers diverged on disk (fault_seed={fault_seed})"
+        );
+        assert_eq!(
+            dstats, stats,
+            "durable stats diverged on disk (fault_seed={fault_seed})"
+        );
     }
 }
 
@@ -248,7 +289,7 @@ fn bit_flip_is_quarantined_and_counted() {
         bit: 3,
     }]);
     let mut sim = SimHarness::new(SimConfig::default(), forensic_config(), seed);
-    let (rows, _) = faulted_run(&mut sim, Some(plan));
+    let (rows, _, _) = faulted_run(&mut sim, durable_config(Some(plan)));
     let (want_rows, _) = baseline(seed);
     assert!(rows.len() < want_rows.len(), "the flipped frame is gone");
     let origin = Addr::new("a");
