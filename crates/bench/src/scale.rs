@@ -258,4 +258,16 @@ mod tests {
         assert!(json.contains("\"engine\": \"sequential\""));
         assert!(json.contains("\"shards\": 2"));
     }
+
+    /// The CI-sized sweep (`figures scale --quick`): 21 and 64 nodes,
+    /// sequential plus 1 and 4 shards. Every engine sends the
+    /// sequential oracle's envelope count (asserted inside
+    /// `population_scale`), and the JSON carries all six rows.
+    #[test]
+    fn quick_sweep_agrees_across_engines() {
+        let rows = population_scale(&ScaleParams::quick());
+        assert_eq!(rows.len(), 6);
+        let json = scale_to_json(&rows);
+        assert_eq!(json.matches("\"nodes\": ").count(), 6, "{json}");
+    }
 }

@@ -21,7 +21,8 @@
 //! | `sendPred@R(PID, PAddr)` | msg | successor's predecessor (rule `sb4`) |
 //! | `returnSucc@R(SID, SAddr)` | msg | successor-list gossip (rule `sb7`) |
 //! | `pingReq@R(NAddr, E)` / `pingResp` | msg | liveness (rule `bp1`) |
-//! | `lookup@N(K, ReqAddr, E)` | msg | lookup request (rules `l1`–`l3`) |
+//! | `lookup@N(K, ReqAddr, E)` | msg | lookup request (rules `l1`–`l4`) |
+//! | `lookupHop(N, K, ReqAddr, E, FAddr)` | event | a lookup's one next hop (rules `l3`/`l3b`) |
 //! | `lookupResults@R(K, SID, SAddr, E, Resp)` | msg | lookup answer (rule `ri1`) |
 //!
 //! Deliberately, the implementation keeps the **recycled-dead-neighbor

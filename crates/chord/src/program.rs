@@ -18,9 +18,10 @@
 //! * **Liveness** (`pg*`, `ft*`): every neighbor in `pingNode` is pinged;
 //!   an unanswered ping becomes a `faultyNode`, which deletes the dead
 //!   neighbor from the routing tables (and resets `pred`).
-//! * **Lookups** (`l1`–`l4`): the paper's three rules verbatim, plus the
-//!   standard fall-back to the successor when no finger improves on the
-//!   local node.
+//! * **Lookups** (`l1`–`l4`): the paper's three rules, except that `l3`
+//!   forwards one copy per next-hop node (`l3`/`l3b`) instead of one per
+//!   finger position, plus the standard fall-back to the successor when
+//!   no finger improves on the local node.
 
 /// Tunable parameters. Defaults are §4's evaluation settings: *"Nodes fix
 /// fingers every 10 sec, stabilize every 5 sec, and ping neighbors for
@@ -197,9 +198,13 @@ l1 lookupResults@ReqAddr(K, SID, SAddr, E, NAddr) :- node@NAddr(NID),
 l2 bestLookupDist@NAddr(K, ReqAddr, E, min<D>) :- node@NAddr(NID),
      lookup@NAddr(K, ReqAddr, E), finger@NAddr(FPos, FID, FAddr),
      D := K - FID - 1, FID in (NID, K).
-l3 lookup@FAddr(K, ReqAddr, E) :- node@NAddr(NID),
+/* Several finger positions can hold the best finger; the hop goes to its
+   node once, not once per position (min<> picks among rows that share
+   one FID and so one address). */
+l3 lookupHop@NAddr(K, ReqAddr, E, min<FAddr>) :- node@NAddr(NID),
      bestLookupDist@NAddr(K, ReqAddr, E, D), finger@NAddr(FPos, FID, FAddr),
      D == K - FID - 1, FID in (NID, K), FAddr != NAddr.
+l3b lookup@FAddr(K, ReqAddr, E) :- lookupHop@NAddr(K, ReqAddr, E, FAddr).
 l2b lookupFingerCount@NAddr(K, ReqAddr, E, count<*>) :- node@NAddr(NID),
      lookup@NAddr(K, ReqAddr, E), finger@NAddr(FPos, FID, FAddr), FID in (NID, K).
 l4 lookup@SAddr(K, ReqAddr, E) :- lookupFingerCount@NAddr(K, ReqAddr, E, C),

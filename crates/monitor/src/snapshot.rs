@@ -126,8 +126,8 @@ sr1c snap@NAddr(I + 1) :- curSnapId@NAddr(I).
     )
 }
 
-/// Lookups over a frozen snapshot (`l1s`–`l3s` + the successor
-/// fall-back, mirroring the live rules).
+/// Lookups over a frozen snapshot (`l1s`–`l3s`, `l3sb` + the successor
+/// fall-back, mirroring the live rules: one hop per next-hop node).
 pub fn snapshot_lookup_program() -> String {
     r#"
 l1s sLookupResults@ReqAddr(SnapID, K, SID, SAddr, E, NAddr) :- node@NAddr(NID),
@@ -136,10 +136,11 @@ l1s sLookupResults@ReqAddr(SnapID, K, SID, SAddr, E, NAddr) :- node@NAddr(NID),
 l2s sBestLookupDist@NAddr(SnapID, K, ReqAddr, E, min<D>) :- node@NAddr(NID),
      sLookup@NAddr(SnapID, K, ReqAddr, E), snapFinger@NAddr(SnapID, FPos, FID, FAddr),
      D := K - FID - 1, FID in (NID, K).
-l3s sLookup@FAddr(SnapID, K, ReqAddr, E) :- node@NAddr(NID),
+l3s sLookupHop@NAddr(SnapID, K, ReqAddr, E, min<FAddr>) :- node@NAddr(NID),
      sBestLookupDist@NAddr(SnapID, K, ReqAddr, E, D),
      snapFinger@NAddr(SnapID, FPos, FID, FAddr), D == K - FID - 1, FID in (NID, K),
      FAddr != NAddr.
+l3sb sLookup@FAddr(SnapID, K, ReqAddr, E) :- sLookupHop@NAddr(SnapID, K, ReqAddr, E, FAddr).
 l2sb sFingerCount@NAddr(SnapID, K, ReqAddr, E, count<*>) :- node@NAddr(NID),
      sLookup@NAddr(SnapID, K, ReqAddr, E), snapFinger@NAddr(SnapID, FPos, FID, FAddr),
      FID in (NID, K).
@@ -361,10 +362,17 @@ mod tests {
         sim.run_for(TimeDelta::from_secs(3));
         let got = sim.node_mut(&origin).take_watched("sLookupResults");
         assert!(
-            got.len() >= keys.len(),
-            "snapshot lookups unanswered: {} of {}",
+            got.len() == keys.len(),
+            "snapshot lookups answered {} times, want one answer each for {}",
             got.len(),
             keys.len()
+        );
+        let answered: std::collections::BTreeSet<&Value> =
+            got.iter().filter_map(|(_, t)| t.get(5)).collect();
+        assert_eq!(
+            answered.len(),
+            keys.len(),
+            "a snapshot lookup answered twice"
         );
         // Every answer names a live ring member and carries snapshot ID 1.
         for (_, t) in &got {

@@ -65,9 +65,17 @@ run() { # <side> <checkout> <pair> <seed>
   tail -n 1 "$out/$1.$3.txt" > "$out/$1.$3.json"
 }
 
+describe() { # <checkout>: its commit and uncommitted edits, when git can tell
+  if git -C "$1" rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    echo "$(git -C "$1" rev-parse --short HEAD), $(git -C "$1" status --porcelain | wc -l) files modified"
+  else
+    echo "not a git work tree: commit and edits unknown"
+  fi
+}
+
 echo "bench_pairs: $workload, $pairs pairs, seeds $((base + 1))..$((base + pairs)), $(nproc) cpus"
-echo "  parent $parent ($(git -C "$parent" rev-parse --short HEAD 2>/dev/null || echo '?'))"
-echo "  change $change ($(git -C "$change" rev-parse --short HEAD 2>/dev/null || echo '?'), $(git -C "$change" status --porcelain 2>/dev/null | wc -l) files modified)"
+echo "  parent $parent ($(describe "$parent"))"
+echo "  change $change ($(describe "$change"))"
 for i in $(seq 1 "$pairs"); do
   seed=$((base + i))
   if [ $((i % 2)) -eq 1 ]; then

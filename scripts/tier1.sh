@@ -51,13 +51,11 @@ cargo test -q --test parallel_equivalence golden_chord_trace_is_identical_when_s
 # workload. Exit status only — a failed operation fails it, a timing
 # never does.
 scripts/bench_pairs.sh realtime_echo . . 1 --seconds 1
-# Population-scaling emission: the CI-sized sweep exercises the full
-# `figures scale --json` path (its internal assert re-checks that every
-# shard count sends exactly the sequential oracle's envelope count).
-# It writes to target/ so it never clobbers the committed artifact;
-# regenerate that one with the full 21/256/1024-node sweep:
+# The CI-sized population-scaling sweep (every shard count sends exactly
+# the sequential oracle's envelope count) runs inside `cargo test`
+# (p2-bench `scale::tests::quick_sweep_agrees_across_engines`). Regenerate
+# the committed BENCH_scale.json with the full 21/256/1024-node sweep:
 #   cargo run --release -p p2-bench --bin figures -- scale --json BENCH_scale.json
-cargo run --release -p p2-bench --bin figures -- scale --quick --json target/BENCH_scale.quick.json
 
 # The size of what the gates above protect (non-test Rust, per crate).
 scripts/loc.sh

@@ -2,10 +2,12 @@
 //! §3 monitoring family — running together on one simulated population.
 
 use p2ql::chord::testbed::{collect_lookup_results, issue_lookup};
-use p2ql::chord::{build_ring, ring_is_ordered, ring_is_well_formed, ChordConfig};
-use p2ql::core::{NodeConfig, SimHarness};
+use p2ql::chord::{build_ring, lookup_oracle, ring_is_ordered, ring_is_well_formed, ChordConfig};
+use p2ql::core::{NodeConfig, ParallelHarness, Population, SequentialOracle, SimHarness};
 use p2ql::monitor::{consistency, ordering, oscillation, ring, snapshot};
-use p2ql::types::{RingId, TimeDelta};
+use p2ql::net::SimConfig;
+use p2ql::types::{Addr, DetRng, RingId, TimeDelta, Value};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The kitchen sink: all monitors coexist on a traced ring without
@@ -261,4 +263,77 @@ fn trace_tables_stay_bounded() {
         // And not trivially empty either — the system is being traced.
         assert!(execs > 0, "{a}: tracing produced nothing");
     }
+}
+
+/// Rule `l3` forwards a lookup once per next-hop node, not once per
+/// finger position that holds it (DESIGN.md §1, "P2-Chord: rules beyond
+/// the published listing"). On a converged 10-node ring, one lookup per
+/// node for a random key: every requester gets exactly one answer, the
+/// right one, and no node dispatches the same `(K, E)` lookup twice — on
+/// the sequential oracle and at 2 shards.
+#[test]
+fn a_lookup_travels_once_per_hop() {
+    fn check<H: Population>(sim: &mut H, who: &str) {
+        let topo = build_ring(sim, 10, &ChordConfig::default());
+        sim.run_for(TimeDelta::from_secs(240));
+        assert!(ring_is_ordered(sim, &topo), "{who}: ring must converge");
+        for a in &topo.addrs {
+            sim.node_mut(a).watch("lookup");
+            sim.node_mut(a).watch("lookupResults");
+        }
+        let mut rng = DetRng::new(40);
+        let mut key_of: HashMap<RingId, RingId> = HashMap::new(); // E -> K
+        let mut requests = Vec::new();
+        for (i, a) in topo.addrs.iter().enumerate() {
+            let key = rng.ring_id();
+            let e = issue_lookup(sim, a, key, a, 0x40_0000 + i as u64);
+            key_of.insert(e, key);
+            requests.push((a.clone(), key, e));
+        }
+        sim.run_for(TimeDelta::from_secs(5));
+
+        let mut visits = 0;
+        for (a, key, e) in &requests {
+            let mut seen: HashMap<(&RingId, &RingId), usize> = HashMap::new();
+            for (_, t) in sim.node(a).watched("lookup") {
+                if let (Some(Value::Id(k)), Some(Value::Id(e))) = (t.get(1), t.get(3)) {
+                    if key_of.get(e) == Some(k) {
+                        *seen.entry((k, e)).or_default() += 1;
+                    }
+                }
+            }
+            for ((k, e), n) in &seen {
+                assert_eq!(
+                    *n, 1,
+                    "{who}: {a} dispatched lookup (K={k}, E={e}) {n} times"
+                );
+            }
+            visits += seen.len();
+
+            let answers: Vec<Addr> = sim
+                .node(a)
+                .watched("lookupResults")
+                .iter()
+                .filter(|(_, t)| t.get(4) == Some(&Value::Id(*e)))
+                .filter_map(|(_, t)| t.get(3).and_then(Value::to_addr))
+                .collect();
+            let owner = lookup_oracle(sim, &topo, *key).map(|(_, owner)| owner);
+            assert_eq!(answers.len(), 1, "{who}: {a} got {answers:?} for E={e}");
+            assert_eq!(
+                answers.first(),
+                owner.as_ref(),
+                "{who}: {a} got a wrong owner"
+            );
+        }
+        assert!(
+            visits > requests.len(),
+            "{who}: no lookup left its origin, so nothing was forwarded"
+        );
+    }
+
+    check(
+        &mut SequentialOracle::new(SimConfig::default(), NodeConfig::default(), 4040),
+        "oracle",
+    );
+    check(&mut ParallelHarness::with_seed(4040, 2), "2 shards");
 }
