@@ -282,6 +282,29 @@ mod tests {
         );
     }
 
+    /// E1's deterministic counts at the tiny size, both rows: a change
+    /// that moves tracing's work or footprint shows up here as a diff,
+    /// not only as a drifting ratio in EXPERIMENTS.md. `mem_bytes` is the
+    /// node's own byte estimate (live rows plus tracer state), not RSS.
+    #[test]
+    fn e1_counts_are_pinned() {
+        let rows = e1_logging_cost(&tiny());
+        let got: Vec<(&str, f64, f64, f64, f64)> = rows
+            .iter()
+            .map(|r| {
+                let x = r.x.as_str();
+                (x, r.dispatches, r.live_tuples, r.tx_messages, r.mem_bytes)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("tracing off", 362.0, 21.0, 100.0, 2_475.0),
+                ("tracing on", 1_398.0, 1_445.0, 100.0, 207_464.0),
+            ]
+        );
+    }
+
     #[test]
     fn fig6_probes_cost_messages() {
         let params = tiny();

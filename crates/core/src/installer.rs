@@ -105,10 +105,10 @@ impl CompileMap {
 
 impl Node {
     pub(crate) fn register_trace_tables(&mut self) {
-        for spec in self.tracer.table_specs() {
+        for (spec, kind) in self.tracer.table_specs() {
             let name = spec.name.clone();
             // Idempotent; conflict impossible (we own the specs).
-            let _ = self.catalog.register(spec);
+            let _ = self.catalog.register_records(spec, kind);
             self.maybe_enroll_archive(&name, true);
         }
         if self.config.trace.log_events {

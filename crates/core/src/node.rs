@@ -13,8 +13,9 @@
 //!   trace-table registration.
 //!
 //! Local deltas flow through `Node::push_pending` into one FIFO of
-//! tuples; the scheduler pops them one at a time, so the paper's §2.1.2
-//! per-tuple interleave is the only schedule there is.
+//! tuples, which the tracer's rows join as records; the scheduler pops
+//! them one at a time, so the paper's §2.1.2 per-tuple interleave is
+//! the only schedule there is.
 
 use crate::metrics::NodeMetrics;
 use p2_dataflow::{NullSink, StrandRuntime, TapSink};
@@ -22,7 +23,7 @@ use p2_net::Envelope;
 use p2_planner::expr::EvalCtx;
 use p2_store::Catalog;
 use p2_trace::{TraceConfig, Tracer};
-use p2_types::{Addr, DetRng, Time, Tuple, Value};
+use p2_types::{Addr, DetRng, Time, TraceRow, Tuple, Value};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -213,6 +214,17 @@ impl EvalCtx for NodeCtx<'_> {
     }
 }
 
+/// One queued local dispatch.
+pub(crate) enum Queued {
+    /// A tuple, and whether its processing is traced: false for tuples
+    /// that originate from the tracer's own tables, so trace processing
+    /// is never itself traced (regress protection; see `p2-trace` docs).
+    Tuple(Tuple, bool),
+    /// A tracer row, queued as its record (DESIGN.md §2.3): it becomes a
+    /// tuple only if a strand or a watch reads its relation.
+    Trace(TraceRow),
+}
+
 /// One P2 node: catalog, strands, timers, tracer, router.
 pub struct Node {
     pub(crate) addr: Addr,
@@ -230,11 +242,8 @@ pub struct Node {
     pub(crate) timer_heap: BinaryHeap<Reverse<(Time, usize)>>,
     pub(crate) tracer: Tracer,
     pub(crate) rng: DetRng,
-    /// Queued local dispatches, `(tuple, traced)`. `traced` is false
-    /// for tuples that originate from the tracer's own tables, so trace
-    /// processing is never itself traced (regress protection; see
-    /// `p2-trace` docs).
-    pub(crate) pending: VecDeque<(Tuple, bool)>,
+    /// Queued local dispatches, one FIFO for tuples and trace rows.
+    pub(crate) pending: VecDeque<Queued>,
     /// Strands with in-flight pipeline work, ascending — the scheduler's
     /// worklist, replacing an O(strands) scan per pump iteration.
     pub(crate) active_strands: BTreeSet<usize>,
@@ -584,7 +593,7 @@ impl Node {
 
     /// Queue a local dispatch behind everything already queued.
     pub(crate) fn push_pending(&mut self, tuple: Tuple, traced: bool) {
-        self.pending.push_back((tuple, traced));
+        self.pending.push_back(Queued::Tuple(tuple, traced));
     }
 
     /// Whether a relation belongs to the trace/introspection machinery

@@ -4,19 +4,19 @@
 //! queued tuple and demux it (watches, event log, table insert, strand
 //! firings), then run one pipeline step per active strand, and repeat
 //! until nothing is left. Every tuple — application deltas, trace rows
-//! (`ruleExec`/`tupleTable`), the event log, introspection churn —
-//! takes that one path, so the tap order and the traced tuple IDs are
-//! whatever this loop produces.
+//! (`ruleExec`/`tupleTable`, queued as records), the event log,
+//! introspection churn — takes that one path, so the tap order and the
+//! traced tuple IDs are whatever this loop produces.
 //!
 //! The per-pump budget covers *all* work — tuple dispatches and strand
 //! steps alike. On exhaustion queued tuples are dropped (counted in
 //! `overflow_drops`) and in-flight strand pipelines are abandoned
 //! (counted separately in `strand_overflow_drops`).
 
-use crate::node::{Node, NodeCtx};
+use crate::node::{Node, NodeCtx, Queued};
 use p2_dataflow::{NullSink, TapSink};
 use p2_net::Envelope;
-use p2_types::{Time, TimeDelta, Tuple, Value};
+use p2_types::{Time, TimeDelta, TraceRow, Tuple, Value};
 use std::cmp::Reverse;
 use std::time::Instant;
 
@@ -136,12 +136,11 @@ impl Node {
                 did_work = true;
             }
 
-            // Flush tracer rows into the catalog; their deltas dispatch
-            // untraced.
+            // Flush tracer rows into the queue, each in the slot a tuple
+            // would take; their deltas dispatch untraced.
             if self.config.tracing && self.tracer.pending_len() > 0 {
-                for row in self.tracer.drain_rows() {
-                    self.push_pending(row, false);
-                }
+                let rows = self.tracer.drain_rows();
+                self.pending.extend(rows.into_iter().map(Queued::Trace));
                 did_work = true;
             }
 
@@ -161,13 +160,37 @@ impl Node {
         !self.ship.released.is_empty() || (self.config.tracing && self.tracer.pending_len() > 0)
     }
 
-    /// Dispatch the tuple at the front of the queue.
+    /// Dispatch the tuple or trace row at the front of the queue.
     fn consume_front(&mut self, budget: &mut u64, now: Time) {
-        let Some((tuple, traced)) = self.pending.pop_front() else {
+        let Some(queued) = self.pending.pop_front() else {
             return; // caller checks non-empty; an empty queue is done
         };
         *budget -= 1;
-        self.dispatch(tuple, traced, now);
+        match queued {
+            Queued::Tuple(tuple, traced) => self.dispatch(tuple, traced, now),
+            Queued::Trace(row) => self.dispatch_trace(row, now),
+        }
+    }
+
+    /// Dispatch a tracer row. Its relation is a table no strand or
+    /// watch reads, as a rule: then the row goes into the table as its
+    /// record, which is all [`Node::dispatch`] would do with its tuple.
+    /// Otherwise its tuple is built and takes that path.
+    fn dispatch_trace(&mut self, row: TraceRow, now: Time) {
+        let name = row.relation();
+        let read = self.watches.contains_key(name)
+            || self
+                .table_dispatch
+                .get(name)
+                .is_some_and(|idxs| !idxs.is_empty());
+        if read || !self.catalog.is_materialized(name) {
+            self.dispatch(row.to_tuple(), false, now);
+            return;
+        }
+        self.metrics.tuples_dispatched += 1;
+        if self.catalog.insert_row(row, now).is_err() {
+            self.metrics.malformed_drops += 1;
+        }
     }
 
     /// Dispatch one tuple through the demux: watches, table insert (and

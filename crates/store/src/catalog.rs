@@ -7,12 +7,12 @@
 //! here.
 
 use crate::archive::{
-    eqs_hold, Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, ImportedStats,
-    Segment, SegmentError, SpilledRow, LIVE_SENTINEL,
+    Archive, ArchiveConfig, ArchiveStats, ArchivedRow, ImportedHistory, ImportedStats, Segment,
+    SegmentError, SpilledRow, LIVE_SENTINEL,
 };
 use crate::durable::{DurableStats, DurableStore};
 use crate::table::{InsertOutcome, ProbeStats, Table, TableSpec};
-use p2_types::{Time, Tuple, Value};
+use p2_types::{Time, TraceKind, TraceRow, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -102,6 +102,23 @@ impl Catalog {
         Ok(())
     }
 
+    /// Register a trace table whose rows are `kind` records
+    /// ([`Table::records`]). Re-registration follows [`Catalog::register`]:
+    /// an identical spec is a no-op (the table keeps the storage it
+    /// was created with), a differing one an error.
+    pub fn register_records(
+        &mut self,
+        spec: TableSpec,
+        kind: TraceKind,
+    ) -> Result<(), CatalogError> {
+        if self.tables.contains_key(&spec.name) {
+            return self.register(spec);
+        }
+        self.tables
+            .insert(spec.name.clone(), Table::records(spec, kind));
+        Ok(())
+    }
+
     /// Whether a relation is materialized (the planner uses this to
     /// classify predicates as table matches vs transient events).
     pub fn is_materialized(&self, name: &str) -> bool {
@@ -131,6 +148,17 @@ impl Catalog {
             Some(t) => Ok(t.insert(tuple, now)),
             None => Err(CatalogError::NoSuchTable {
                 name: tuple.name().to_string(),
+            }),
+        }
+    }
+
+    /// Insert a trace row into its table (by relation name) without
+    /// building its tuple when the table keeps records.
+    pub fn insert_row(&mut self, row: TraceRow, now: Time) -> Result<InsertOutcome, CatalogError> {
+        match self.tables.get_mut(row.relation()) {
+            Some(t) => Ok(t.insert_row(row, now)),
+            None => Err(CatalogError::NoSuchTable {
+                name: row.relation().to_string(),
             }),
         }
     }
@@ -349,8 +377,8 @@ impl Catalog {
         };
         let mut out = archive.scan_range(name, t0, t1, eqs)?;
         if let Some(t) = self.tables.get_mut(name).filter(enrolled) {
-            let live = t.live_where(now, |tuple, inserted_at| {
-                inserted_at <= t1 && eqs_hold(tuple.values(), eqs)
+            let live = t.live_where(now, |row, inserted_at| {
+                inserted_at <= t1 && eqs.iter().all(|(i, v)| row.field_is(*i, v))
             });
             out.extend(live.into_iter().map(|(tuple, inserted_at)| ArchivedRow {
                 tuple,

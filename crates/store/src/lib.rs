@@ -24,6 +24,9 @@ pub mod archive;
 pub mod catalog;
 pub mod durable;
 pub mod hash;
+mod ring;
+#[cfg(test)]
+mod ring_tests;
 pub mod table;
 #[cfg(test)]
 mod table_tests;
@@ -37,4 +40,6 @@ pub use durable::{
     recovery_report, AuditRefused, DurableStats, DurableStore, Fault, FaultPlan, Recovery,
 };
 pub use hash::{FxHashMap, FxHashSet};
-pub use table::{InsertOutcome, Key, ProbeStats, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD};
+pub use table::{
+    InsertOutcome, Key, ProbeStats, RowRef, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD,
+};

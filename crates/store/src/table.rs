@@ -2,7 +2,8 @@
 
 use crate::archive::SpilledRow;
 use crate::hash::{FxHashMap, FxHashSet};
-use p2_types::{Time, TimeDelta, Tuple, Value};
+use crate::ring::Ring;
+use p2_types::{Time, TimeDelta, TraceKind, TraceRow, Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
@@ -88,22 +89,32 @@ pub enum InsertOutcome {
     Refreshed,
 }
 
-#[derive(Debug, Clone)]
-struct Row {
-    tuple: Tuple,
-    seq: u64,
-    /// Start of the row's validity interval. A refresh keeps it (same
-    /// content, one continuous interval); a replacement resets it.
-    inserted_at: Time,
+/// A live row as a visitor reads it in place: a stored tuple, or a
+/// trace record whose tuple is never built for the visit.
+#[derive(Debug, Clone, Copy)]
+pub enum RowRef<'a> {
+    /// A row of general storage.
+    Tuple(&'a Tuple),
+    /// A row of a trace table's ring.
+    Trace(&'a TraceRow),
 }
 
-/// One pending-expiry entry: the row under `key` is due at `at` if it
-/// still carries sequence number `seq`.
-#[derive(Debug, Clone)]
-struct Due {
-    at: Time,
-    seq: u64,
-    key: Key,
+impl RowRef<'_> {
+    /// Field `i` (a refcount bump for text, a copy otherwise).
+    pub fn get(&self, i: usize) -> Option<Value> {
+        match self {
+            RowRef::Tuple(t) => t.get(i).cloned(),
+            RowRef::Trace(r) => r.get(i),
+        }
+    }
+
+    /// Whether field `i` equals `v`, without copying it.
+    pub fn field_is(&self, i: usize, v: &Value) -> bool {
+        match self {
+            RowRef::Tuple(t) => t.get(i) == Some(v),
+            RowRef::Trace(r) => r.field_is(i, v),
+        }
+    }
 }
 
 p2_types::counters! {
@@ -122,6 +133,8 @@ p2_types::counters! {
         pub rows_returned: u64 = "rowsReturned",
         /// Expiry-queue entries popped by `expire` (due or stale). An
         /// evicted row's entry is dropped by the eviction and not counted.
+        /// A trace table's ring keeps no stale entries: it counts the
+        /// rows that expired.
         pub heap_pops: u64 = "heapPops",
         /// Indexes created by the runtime fallback (vs. planner-registered).
         pub auto_indexes: u64 = "autoIndexes",
@@ -133,79 +146,102 @@ p2_types::counters! {
 /// queries benefit without a reinstall).
 pub const DEFAULT_AUTO_INDEX_THRESHOLD: u32 = 16;
 
-/// A soft-state table: primary-keyed rows with lifetime and size bounds.
-///
-/// All methods take `now` explicitly; the table never consults a clock of
-/// its own, which is what lets the discrete-event simulator drive it on
-/// virtual time (DESIGN.md §2.4).
-///
-/// Lookup structure (DESIGN.md §2.7): rows live in a primary-key map;
-/// `order` is the deterministic scan order (insertion sequence); each
-/// registered secondary index maps a field's value to the keys holding
-/// it; the expiry queue orders pending lifetimes so `expire(now)`
-/// touches only rows actually due. Stale entries in `order` and the
-/// expiry queue are recognised by sequence number: every write stamps a
-/// fresh `seq`, so an entry is current iff the live row's `seq` matches.
-#[derive(Debug, Clone)]
-pub struct Table {
-    spec: TableSpec,
-    rows: FxHashMap<Key, Row>,
-    /// Keys in insertion order, with the sequence number they were
-    /// enqueued under. Always seq-ascending; stale entries are skipped
-    /// lazily and compacted when they dominate.
-    order: VecDeque<(Key, u64)>,
-    /// Secondary indexes: field position → value → keys of rows holding
-    /// that value in that field. Maintained on every mutation.
-    indexes: HashMap<usize, FxHashMap<Value, FxHashSet<Key>>>,
-    /// Pending expirations, sorted by `(at, seq)` — see
-    /// [`Table::enqueue`]. `expire` pops the front.
-    expiry: VecDeque<Due>,
-    next_seq: u64,
-    /// Bumped on every mutation that can change what `scan`/`scan_eq`
-    /// observe (insert, refresh, replace, evict, expire, delete, clear).
-    /// A `(version, now)` pair therefore keys probe results exactly:
-    /// same version and same probe time ⇒ bit-identical candidate set.
-    version: u64,
+/// What a table's writes and drops report, whichever storage holds its
+/// rows: lifetime and probe counters, and the spill buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Book {
     /// Archive enrollment (DESIGN.md §2.11): when set, every dropped
     /// row — expired, evicted, replaced, or deleted — lands in `spilled`
     /// with its validity interval instead of vanishing. The catalog
     /// drains the buffer into the archive tier.
     archive_enrolled: bool,
     spilled: Vec<SpilledRow>,
+    pub(crate) inserts: u64,
+    pub(crate) replacements: u64,
+    pub(crate) evictions: u64,
+    pub(crate) expirations: u64,
+    pub(crate) deletions: u64,
+    pub(crate) stats: ProbeStats,
+}
+
+impl Book {
+    /// Record a dropped row in the spill buffer, when archiving; the
+    /// tuple is built only then.
+    pub(crate) fn spill(
+        &mut self,
+        tuple: impl FnOnce() -> Tuple,
+        inserted_at: Time,
+        dropped_at: Time,
+    ) {
+        if self.archive_enrolled {
+            self.spilled.push(SpilledRow {
+                tuple: tuple(),
+                inserted_at,
+                dropped_at,
+            });
+        }
+    }
+}
+
+/// Where a table's rows live.
+#[derive(Debug, Clone)]
+enum Rows {
+    /// Any relation: tuples in a primary-key map.
+    Keyed(Keyed),
+    /// A trace relation: records in write order ([`Ring`]).
+    Ring(Ring),
+}
+
+/// A soft-state table: primary-keyed rows with lifetime and size bounds.
+///
+/// All methods take `now` explicitly; the table never consults a clock of
+/// its own, which is what lets the discrete-event simulator drive it on
+/// virtual time (DESIGN.md §2.4).
+///
+/// Rows live in one of two stores behind the same API. General storage
+/// serves every relation. A trace table created with
+/// [`Table::records`] keeps its rows as [`TraceRow`] records in a ring
+/// (DESIGN.md §2.3) and builds a tuple only for a reader; a write the
+/// ring cannot hold (a tuple of another shape, a clock run backwards)
+/// moves its rows to general storage first, for good.
+#[derive(Debug, Clone)]
+pub struct Table {
+    spec: TableSpec,
+    rows: Rows,
+    book: Book,
+    /// Bumped on every mutation that can change what `scan`/`scan_eq`
+    /// observe (insert, refresh, replace, evict, expire, delete, clear).
+    /// A `(version, now)` pair therefore keys probe results exactly:
+    /// same version and same probe time ⇒ bit-identical candidate set.
+    version: u64,
     /// `None` disables the runtime auto-index fallback.
     auto_index_threshold: Option<u32>,
     /// Unindexed-probe counts per field, driving the fallback.
     unindexed_probes: HashMap<usize, u32>,
-    /// Monotonic counters for the introspection/metrics tables.
-    inserts: u64,
-    replacements: u64,
-    evictions: u64,
-    expirations: u64,
-    deletions: u64,
-    stats: ProbeStats,
 }
 
 impl Table {
-    /// Create an empty table.
+    /// Create an empty table in general storage.
     pub fn new(spec: TableSpec) -> Table {
+        Table::with_rows(spec, Rows::Keyed(Keyed::default()))
+    }
+
+    /// Create an empty trace table whose rows are `kind` records: same
+    /// behaviour as [`Table::new`], a fraction of the memory per row.
+    /// General storage when `spec`'s key names a field `kind` lacks.
+    pub fn records(spec: TableSpec, kind: TraceKind) -> Table {
+        let rows = Ring::new(&spec, kind).map_or(Rows::Keyed(Keyed::default()), Rows::Ring);
+        Table::with_rows(spec, rows)
+    }
+
+    fn with_rows(spec: TableSpec, rows: Rows) -> Table {
         Table {
             spec,
-            rows: FxHashMap::default(),
-            order: VecDeque::new(),
-            indexes: HashMap::new(),
-            expiry: VecDeque::new(),
-            next_seq: 0,
+            rows,
+            book: Book::default(),
             version: 0,
-            archive_enrolled: false,
-            spilled: Vec::new(),
             auto_index_threshold: Some(DEFAULT_AUTO_INDEX_THRESHOLD),
             unindexed_probes: HashMap::new(),
-            inserts: 0,
-            replacements: 0,
-            evictions: 0,
-            expirations: 0,
-            deletions: 0,
-            stats: ProbeStats::default(),
         }
     }
 
@@ -223,7 +259,7 @@ impl Table {
     /// Live row count (after expiring stale rows at `now`).
     pub fn len(&mut self, now: Time) -> usize {
         self.expire(now);
-        self.rows.len()
+        self.raw_len()
     }
 
     /// Whether the table has no live rows.
@@ -234,51 +270,63 @@ impl Table {
     /// Row count without expiring first (used by metrics snapshots that
     /// must not mutate).
     pub fn raw_len(&self) -> usize {
-        self.rows.len()
+        match &self.rows {
+            Rows::Keyed(k) => k.rows.len(),
+            Rows::Ring(r) => r.len(),
+        }
     }
 
-    /// Approximate bytes held by live tuples (metrics).
+    /// Approximate bytes held by live rows (metrics): tuple bytes in
+    /// general storage, record bytes in a ring.
     pub fn approx_bytes(&self) -> usize {
-        self.rows.values().map(|r| r.tuple.approx_bytes()).sum()
+        match &self.rows {
+            Rows::Keyed(k) => k.rows.values().map(|r| r.tuple.approx_bytes()).sum(),
+            Rows::Ring(r) => r.approx_bytes(),
+        }
     }
 
     /// Lifetime counters: (inserts, replacements, evictions, expirations,
     /// deletions).
     pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
+        let b = &self.book;
         (
-            self.inserts,
-            self.replacements,
-            self.evictions,
-            self.expirations,
-            self.deletions,
+            b.inserts,
+            b.replacements,
+            b.evictions,
+            b.expirations,
+            b.deletions,
         )
     }
 
     /// Probe-path counters (index vs. linear probes, rows touched, heap
     /// activity).
     pub fn probe_stats(&self) -> ProbeStats {
-        self.stats
+        self.book.stats
     }
 
     /// Register a secondary index on `field`, building it from current
     /// rows. Idempotent.
     pub fn ensure_index(&mut self, field: usize) {
-        if self.indexes.contains_key(&field) {
-            return;
+        match &mut self.rows {
+            Rows::Keyed(k) => k.ensure_index(field),
+            Rows::Ring(r) => r.ensure_index(field),
         }
-        let mut idx: FxHashMap<Value, FxHashSet<Key>> = FxHashMap::default();
-        for (key, row) in &self.rows {
-            if let Some(v) = row.tuple.get(field) {
-                idx.entry(v.clone()).or_default().insert(key.clone());
-            }
-        }
-        self.indexes.insert(field, idx);
         self.unindexed_probes.remove(&field);
+    }
+
+    fn has_index(&self, field: usize) -> bool {
+        match &self.rows {
+            Rows::Keyed(k) => k.indexes.contains_key(&field),
+            Rows::Ring(r) => r.has_index(field),
+        }
     }
 
     /// Fields with a secondary index, ascending.
     pub fn indexed_fields(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.indexes.keys().copied().collect();
+        let mut out: Vec<usize> = match &self.rows {
+            Rows::Keyed(k) => k.indexes.keys().copied().collect(),
+            Rows::Ring(r) => r.indexed_fields().collect(),
+        };
         out.sort_unstable();
         out
     }
@@ -292,43 +340,38 @@ impl Table {
     /// spill into a buffer instead of vanishing. `clear` is exempt —
     /// it is a test-reset, not part of an execution's history.
     pub fn set_archive_enrolled(&mut self, on: bool) {
-        self.archive_enrolled = on;
+        self.book.archive_enrolled = on;
         if !on {
-            self.spilled = Vec::new();
+            self.book.spilled = Vec::new();
         }
     }
 
     /// Whether dropped rows spill to the archive.
     pub fn archive_enrolled(&self) -> bool {
-        self.archive_enrolled
+        self.book.archive_enrolled
     }
 
     /// Drain the spill buffer (rows in drop order, `dropped_at`
     /// non-decreasing — expiry pops ascend in due time and run before
     /// every same-instant mutation).
     pub fn take_spilled(&mut self) -> Vec<SpilledRow> {
-        std::mem::take(&mut self.spilled)
+        std::mem::take(&mut self.book.spilled)
     }
 
     /// The live rows `keep` accepts, with their insertion times, in
     /// insertion order: the live half of a history scan. Filtered in
-    /// place — one visit per row, no hashing, only accepted rows cloned
-    /// (an `Arc` bump each) — and only the hits sorted into sequence.
+    /// place — one visit per row, no hashing, and only accepted rows
+    /// cloned (an `Arc` bump each) or, from a ring, built.
     pub fn live_where(
         &mut self,
         now: Time,
-        mut keep: impl FnMut(&Tuple, Time) -> bool,
+        mut keep: impl FnMut(RowRef<'_>, Time) -> bool,
     ) -> Vec<(Tuple, Time)> {
         self.expire(now);
-        let mut hits: Vec<&Row> = self
-            .rows
-            .values()
-            .filter(|r| keep(&r.tuple, r.inserted_at))
-            .collect();
-        hits.sort_unstable_by_key(|r| r.seq);
-        hits.into_iter()
-            .map(|r| (r.tuple.clone(), r.inserted_at))
-            .collect()
+        match &self.rows {
+            Rows::Keyed(k) => k.live_where(&mut keep),
+            Rows::Ring(r) => r.live_where(&mut keep),
+        }
     }
 
     /// Snapshot live rows with their insertion times by walking the
@@ -337,19 +380,298 @@ impl Table {
     #[cfg(test)]
     pub(crate) fn scan_with_birth(&mut self, now: Time) -> Vec<(Tuple, Time)> {
         self.expire(now);
-        let rows = &self.rows;
+        match &self.rows {
+            Rows::Keyed(k) => k
+                .live_seqs()
+                .map(|r| (r.tuple.clone(), r.inserted_at))
+                .collect(),
+            Rows::Ring(r) => r.live_where(&mut |_, _| true),
+        }
+    }
+
+    /// Panic unless a ring's invariants hold (general storage has
+    /// none checked here).
+    #[cfg(test)]
+    pub(crate) fn assert_sound(&self) {
+        if let Rows::Ring(r) = &self.rows {
+            r.assert_sound();
+        }
+    }
+
+    /// Drop rows whose lifetime has elapsed. Returns how many were
+    /// dropped. Called lazily by every read and write; cost is
+    /// O(due rows), not O(table): general storage keeps a queue sorted
+    /// by deadline, a ring is in deadline order already.
+    pub fn expire(&mut self, now: Time) -> usize {
+        let lifetime = self.spec.lifetime;
+        let dropped = match &mut self.rows {
+            Rows::Keyed(k) => k.expire(now, lifetime, &mut self.book),
+            Rows::Ring(r) => r.expire(now, lifetime, &mut self.book),
+        };
+        if dropped > 0 {
+            self.version += 1;
+        }
+        dropped
+    }
+
+    /// General storage, taking a ring's rows over first, for good.
+    fn general<'a>(rows: &'a mut Rows, spec: &TableSpec) -> &'a mut Keyed {
+        if let Rows::Ring(ring) = rows {
+            *rows = Rows::Keyed(ring.to_keyed(spec));
+        }
+        match rows {
+            Rows::Keyed(k) => k,
+            Rows::Ring(_) => unreachable!("a ring was just replaced"),
+        }
+    }
+
+    /// What every write does first: expire due rows and bump the
+    /// version. False when the table's bound is 0 and nothing is stored.
+    fn begin_write(&mut self, now: Time) -> bool {
+        self.expire(now);
+        self.version += 1;
+        self.spec.max_rows != Some(0)
+    }
+
+    /// Insert (or replace, or refresh) a tuple. In general storage, one
+    /// hash probe per row (`entry`); a full table adds a presence probe
+    /// and one probe per row it evicts. Key copies beyond the first are
+    /// refcount bumps. A ring keeps a trace row's tuple as its record.
+    pub fn insert(&mut self, tuple: Tuple, now: Time) -> InsertOutcome {
+        if let Rows::Ring(_) = self.rows {
+            if let Some(row) = TraceRow::from_tuple(&tuple) {
+                return self.insert_row(row, now);
+            }
+        }
+        if !self.begin_write(now) {
+            return InsertOutcome::Inserted;
+        }
+        Table::general(&mut self.rows, &self.spec).insert(&self.spec, tuple, now, &mut self.book)
+    }
+
+    /// Insert (or replace, or refresh) a trace row: kept as a record in
+    /// a ring, built into its tuple in general storage.
+    pub fn insert_row(&mut self, row: TraceRow, now: Time) -> InsertOutcome {
+        if !self.begin_write(now) {
+            return InsertOutcome::Inserted;
+        }
+        if let Rows::Ring(r) = &mut self.rows {
+            if r.takes(&row, now, self.spec.lifetime) {
+                return r.insert(row, now, self.spec.max_rows, &mut self.book);
+            }
+        }
+        let tuple = row.to_tuple();
+        Table::general(&mut self.rows, &self.spec).insert(&self.spec, tuple, now, &mut self.book)
+    }
+
+    /// Remove the row whose primary key matches `tuple`'s. Returns the
+    /// removed row, if any. This is the executor for `delete` rules
+    /// (paper rules `cs10`/`cs11`).
+    pub fn delete_by_key(&mut self, tuple: &Tuple, now: Time) -> Option<Tuple> {
+        self.expire(now);
+        let key = self.spec.key_of(tuple);
+        let removed = match &mut self.rows {
+            Rows::Keyed(k) => k.delete_by_key(&key, now, &mut self.book),
+            Rows::Ring(r) => r.delete_by_key(&key, now, &mut self.book),
+        };
+        if removed.is_some() {
+            self.version += 1;
+        }
+        removed
+    }
+
+    /// Remove the rows `pred` accepts, read in place, and return how
+    /// many went. The executor of the tracer's reference-counted
+    /// `tupleTable` flush (§2.1.3). Single pass: rows are extracted as
+    /// they match — in map order in general storage, in write order in a
+    /// ring.
+    pub fn delete_where(&mut self, now: Time, mut pred: impl FnMut(RowRef<'_>) -> bool) -> usize {
+        self.expire(now);
+        let removed = match &mut self.rows {
+            Rows::Keyed(k) => k.delete_where(now, &mut pred, &mut self.book),
+            Rows::Ring(r) => r.delete_where(now, &mut pred, &mut self.book),
+        };
+        if removed > 0 {
+            self.version += 1;
+        }
+        removed
+    }
+
+    /// Snapshot all live rows (deterministic order: insertion sequence).
+    pub fn scan(&mut self, now: Time) -> Vec<Tuple> {
+        self.expire(now);
+        match &self.rows {
+            Rows::Keyed(k) => k.live_seqs().map(|r| r.tuple.clone()).collect(),
+            Rows::Ring(r) => r.scan(),
+        }
+    }
+
+    /// Visit every live row in place, in no particular order: for
+    /// callers that fold over a table (the tracer's §2.1.3 sweep reads
+    /// two ids per `ruleExec` row) and need neither [`Table::scan`]'s
+    /// snapshot nor its insertion order.
+    pub fn for_each_live(&mut self, now: Time, mut visit: impl FnMut(RowRef<'_>)) {
+        self.expire(now);
+        match &self.rows {
+            Rows::Keyed(k) => k.rows.values().for_each(|r| visit(RowRef::Tuple(&r.tuple))),
+            Rows::Ring(r) => r.for_each(&mut visit),
+        }
+    }
+
+    /// Snapshot rows where field `field` equals `value` — the probe side
+    /// of a join. Deterministic order as in [`Table::scan`].
+    ///
+    /// With a secondary index on `field` this touches only matching rows
+    /// (`rows_scanned == rows_returned`); otherwise it filters linearly
+    /// and, after [`DEFAULT_AUTO_INDEX_THRESHOLD`] unindexed probes of
+    /// the same field, creates the index on the fly.
+    pub fn scan_eq(&mut self, field: usize, value: &Value, now: Time) -> Vec<Tuple> {
+        self.expire(now);
+        if !self.has_index(field) {
+            if let Some(threshold) = self.auto_index_threshold {
+                let n = self.unindexed_probes.entry(field).or_insert(0);
+                *n += 1;
+                if *n >= threshold {
+                    self.ensure_index(field);
+                    self.book.stats.auto_indexes += 1;
+                }
+            }
+        }
+        if self.has_index(field) {
+            let hits = match &self.rows {
+                Rows::Keyed(k) => k.indexed_eq(field, value),
+                Rows::Ring(r) => r.indexed_eq(field, value),
+            };
+            let stats = &mut self.book.stats;
+            stats.index_probes += 1;
+            stats.rows_scanned += hits.len() as u64;
+            stats.rows_returned += hits.len() as u64;
+            hits
+        } else {
+            let scanned = self.raw_len() as u64;
+            let stats = &mut self.book.stats;
+            stats.linear_probes += 1;
+            stats.rows_scanned += scanned;
+            let out = match &self.rows {
+                Rows::Keyed(k) => k.linear_eq(field, value),
+                Rows::Ring(r) => r.linear_eq(field, value),
+            };
+            self.book.stats.rows_returned += out.len() as u64;
+            out
+        }
+    }
+
+    /// The pre-index linear probe, kept as the oracle for the
+    /// equivalence proptests: filter every live row, sort by insertion
+    /// sequence.
+    /// Bypasses indexes, probe counters, and the auto-index fallback.
+    pub fn scan_eq_linear(&mut self, field: usize, value: &Value, now: Time) -> Vec<Tuple> {
+        self.expire(now);
+        match &self.rows {
+            Rows::Keyed(k) => {
+                let mut rows: Vec<&Row> = k
+                    .rows
+                    .values()
+                    .filter(|r| r.tuple.get(field) == Some(value))
+                    .collect();
+                rows.sort_by_key(|r| r.seq);
+                rows.into_iter().map(|r| r.tuple.clone()).collect()
+            }
+            Rows::Ring(r) => r.linear_eq(field, value),
+        }
+    }
+
+    /// Remove every row (used by snapshot resets in tests). Indexes stay
+    /// registered but empty.
+    pub fn clear(&mut self) {
+        self.version += 1;
+        match &mut self.rows {
+            Rows::Keyed(k) => k.clear(),
+            Rows::Ring(r) => r.clear(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Row {
+    tuple: Tuple,
+    seq: u64,
+    /// Start of the row's validity interval. A refresh keeps it (same
+    /// content, one continuous interval); a replacement resets it.
+    inserted_at: Time,
+}
+
+/// One pending-expiry entry: the row under `key` is due at `at` if it
+/// still carries sequence number `seq`.
+#[derive(Debug, Clone)]
+struct Due {
+    at: Time,
+    seq: u64,
+    key: Key,
+}
+
+type Indexes = HashMap<usize, FxHashMap<Value, FxHashSet<Key>>>;
+
+/// General storage (DESIGN.md §2.7): rows live in a primary-key map;
+/// `order` is the deterministic scan order (insertion sequence); each
+/// registered secondary index maps a field's value to the keys holding
+/// it; the expiry queue orders pending lifetimes so `expire(now)`
+/// touches only rows actually due. Stale entries in `order` and the
+/// expiry queue are recognised by sequence number: every write stamps a
+/// fresh `seq`, so an entry is current iff the live row's `seq` matches.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Keyed {
+    rows: FxHashMap<Key, Row>,
+    /// Keys in insertion order, with the sequence number they were
+    /// enqueued under. Always seq-ascending; stale entries are skipped
+    /// lazily and compacted when they dominate.
+    order: VecDeque<(Key, u64)>,
+    /// Secondary indexes: field position → value → keys of rows holding
+    /// that value in that field. Maintained on every mutation.
+    indexes: Indexes,
+    /// Pending expirations, sorted by `(at, seq)` — see
+    /// [`Keyed::enqueue`]. `expire` pops the front.
+    expiry: VecDeque<Due>,
+    next_seq: u64,
+}
+
+impl Keyed {
+    /// Register a secondary index on `field`, building it from current
+    /// rows. Idempotent.
+    pub(crate) fn ensure_index(&mut self, field: usize) {
+        if self.indexes.contains_key(&field) {
+            return;
+        }
+        let mut idx: FxHashMap<Value, FxHashSet<Key>> = FxHashMap::default();
+        for (key, row) in &self.rows {
+            if let Some(v) = row.tuple.get(field) {
+                idx.entry(v.clone()).or_default().insert(key.clone());
+            }
+        }
+        self.indexes.insert(field, idx);
+    }
+
+    /// Live rows in insertion order: the order queue, stale entries
+    /// skipped.
+    fn live_seqs(&self) -> impl Iterator<Item = &Row> {
         self.order
             .iter()
-            .filter(|(k, s)| rows.get(k).is_some_and(|r| r.seq == *s))
-            .map(|(k, _)| (rows[k].tuple.clone(), rows[k].inserted_at))
+            .filter_map(|(k, s)| self.rows.get(k).filter(|r| r.seq == *s))
+    }
+
+    fn live_where(&self, keep: &mut dyn FnMut(RowRef<'_>, Time) -> bool) -> Vec<(Tuple, Time)> {
+        let mut hits: Vec<&Row> = self
+            .rows
+            .values()
+            .filter(|r| keep(RowRef::Tuple(&r.tuple), r.inserted_at))
+            .collect();
+        hits.sort_unstable_by_key(|r| r.seq);
+        hits.into_iter()
+            .map(|r| (r.tuple.clone(), r.inserted_at))
             .collect()
     }
 
-    fn index_add(
-        indexes: &mut HashMap<usize, FxHashMap<Value, FxHashSet<Key>>>,
-        key: &Key,
-        tuple: &Tuple,
-    ) {
+    fn index_add(indexes: &mut Indexes, key: &Key, tuple: &Tuple) {
         for (&field, idx) in indexes.iter_mut() {
             if let Some(v) = tuple.get(field) {
                 idx.entry(v.clone()).or_default().insert(key.clone());
@@ -357,11 +679,7 @@ impl Table {
         }
     }
 
-    fn index_remove(
-        indexes: &mut HashMap<usize, FxHashMap<Value, FxHashSet<Key>>>,
-        key: &[Value],
-        tuple: &Tuple,
-    ) {
+    fn index_remove(indexes: &mut Indexes, key: &[Value], tuple: &Tuple) {
         for (&field, idx) in indexes.iter_mut() {
             if let Some(v) = tuple.get(field) {
                 if let Some(bucket) = idx.get_mut(v) {
@@ -374,39 +692,28 @@ impl Table {
         }
     }
 
-    /// Drop rows whose lifetime has elapsed. Returns how many were
-    /// dropped. Called lazily by every read and write; cost is
-    /// O(due rows), not O(table), because the expiry queue is sorted by
-    /// deadline.
-    pub fn expire(&mut self, now: Time) -> usize {
-        if self.spec.lifetime.is_none() {
+    /// Drop rows whose lifetime has elapsed; cost is O(due rows), not
+    /// O(table), because the expiry queue is sorted by deadline.
+    fn expire(&mut self, now: Time, lifetime: Option<TimeDelta>, book: &mut Book) -> usize {
+        if lifetime.is_none() {
             return 0;
         }
         let mut dropped = 0;
         while let Some(ent) = self.expiry.pop_front_if(|d| d.at <= now) {
-            self.stats.heap_pops += 1;
+            book.stats.heap_pops += 1;
             // Current iff the live row still carries this entry's seq; a
             // refresh/replace stamped a newer seq (and queued its own
             // entry), making this one stale.
             let Some((key, row)) = self.take_current(ent.key, ent.seq) else {
                 continue;
             };
-            Table::index_remove(&mut self.indexes, &key, &row.tuple);
-            self.expirations += 1;
+            Keyed::index_remove(&mut self.indexes, &key, &row.tuple);
+            book.expirations += 1;
             dropped += 1;
-            if self.archive_enrolled {
-                // The drop time is the expiry *deadline*, not the
-                // (read-pattern-dependent) observation time: archives
-                // must be deterministic.
-                self.spilled.push(SpilledRow {
-                    tuple: row.tuple,
-                    inserted_at: row.inserted_at,
-                    dropped_at: ent.at,
-                });
-            }
-        }
-        if dropped > 0 {
-            self.version += 1;
+            // The drop time is the expiry *deadline*, not the
+            // (read-pattern-dependent) observation time: archives must
+            // be deterministic.
+            book.spill(|| row.tuple, row.inserted_at, ent.at);
         }
         dropped
     }
@@ -475,12 +782,36 @@ impl Table {
         self.order.push_back((key, seq));
     }
 
+    /// Take over a live row from a ring: queued as a fresh write, with
+    /// its own validity start and deadline.
+    pub(crate) fn adopt(
+        &mut self,
+        spec: &TableSpec,
+        tuple: Tuple,
+        inserted_at: Time,
+        expires_at: Option<Time>,
+    ) {
+        let key = spec.key_arc(&tuple);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Keyed::index_add(&mut self.indexes, &key, &tuple);
+        self.rows.insert(
+            key.clone(),
+            Row {
+                tuple,
+                seq,
+                inserted_at,
+            },
+        );
+        self.enqueue(key, seq, expires_at);
+    }
+
     /// Evict the oldest rows until at most `max` remain: pop order-queue
     /// entries, skipping stale ones (amortized O(1)), one probe each
-    /// ([`Table::take_current`]). An evicted row moves into the spill
+    /// ([`Keyed::take_current`]). An evicted row moves into the spill
     /// buffer, and its expiry entry goes with it
-    /// ([`Table::drop_evicted_due`]).
-    fn evict_to(&mut self, max: usize, now: Time) {
+    /// ([`Keyed::drop_evicted_due`]).
+    fn evict_to(&mut self, max: usize, now: Time, book: &mut Book) {
         while self.rows.len() > max {
             let Some((k, s)) = self.order.pop_front() else {
                 break; // only stale entries; cannot happen with rows live
@@ -488,16 +819,10 @@ impl Table {
             let Some((k, r)) = self.take_current(k, s) else {
                 continue;
             };
-            Table::index_remove(&mut self.indexes, &k, &r.tuple);
-            self.evictions += 1;
+            Keyed::index_remove(&mut self.indexes, &k, &r.tuple);
+            book.evictions += 1;
             self.drop_evicted_due(s);
-            if self.archive_enrolled {
-                self.spilled.push(SpilledRow {
-                    tuple: r.tuple,
-                    inserted_at: r.inserted_at,
-                    dropped_at: now,
-                });
-            }
+            book.spill(|| r.tuple, r.inserted_at, now);
         }
     }
 
@@ -505,7 +830,7 @@ impl Table {
     /// stale entries ahead of it, off the expiry queue's front. With
     /// one lifetime and a clock that only advances, the oldest row's
     /// entry is the first current-looking one, so evicted rows leave
-    /// nothing behind for `expire` or [`Table::compact_expiry`] to drain
+    /// nothing behind for `expire` or [`Keyed::compact_expiry`] to drain
     /// later; otherwise the walk stops at the first entry that can still
     /// fire and the evicted one stays, stale, as a replaced row's does.
     fn drop_evicted_due(&mut self, seq: u64) {
@@ -521,29 +846,27 @@ impl Table {
         }
     }
 
-    /// Insert (or replace, or refresh) a tuple. One hash probe per row
-    /// (`entry`); a full table adds a presence probe and one probe per
-    /// row it evicts. Key copies beyond the first are refcount bumps.
-    pub fn insert(&mut self, tuple: Tuple, now: Time) -> InsertOutcome {
-        self.expire(now);
+    /// The body of [`Table::insert`] after its shared first steps.
+    fn insert(
+        &mut self,
+        spec: &TableSpec,
+        tuple: Tuple,
+        now: Time,
+        book: &mut Book,
+    ) -> InsertOutcome {
         self.compact_order();
         self.compact_expiry();
-        self.version += 1;
-        if self.spec.max_rows == Some(0) {
-            // Degenerate bound: nothing is ever stored.
-            return InsertOutcome::Inserted;
-        }
-        let key = self.spec.key_arc(&tuple);
-        let expires_at = self.spec.lifetime.map(|l| now + l);
+        let key = spec.key_arc(&tuple);
+        let expires_at = spec.lifetime.map(|l| now + l);
         let seq = self.next_seq;
         self.next_seq += 1;
 
         // Only a new row grows the table, so a full table makes room for
         // one first (replacements and refreshes don't grow, hence the
         // presence check).
-        if let Some(max) = self.spec.max_rows {
+        if let Some(max) = spec.max_rows {
             if self.rows.len() >= max && !self.rows.contains_key(&key) {
-                self.evict_to(max - 1, now);
+                self.evict_to(max - 1, now, book);
             }
         }
 
@@ -566,181 +889,78 @@ impl Table {
                     },
                 );
                 let key = e.key().clone();
-                Table::index_remove(&mut self.indexes, &key, &old.tuple);
-                if self.archive_enrolled {
-                    // A replaced row is history: the old version's
-                    // interval closes here, which is what lets forensic
-                    // queries see every successive value a key held.
-                    self.spilled.push(SpilledRow {
-                        tuple: old.tuple.clone(),
-                        inserted_at: old.inserted_at,
-                        dropped_at: now,
-                    });
-                }
-                let old = old.tuple;
-                Table::index_add(&mut self.indexes, &key, &new);
+                Keyed::index_remove(&mut self.indexes, &key, &old.tuple);
+                // A replaced row is history: the old version's interval
+                // closes here, which is what lets forensic queries see
+                // every successive value a key held.
+                book.spill(|| old.tuple.clone(), old.inserted_at, now);
+                Keyed::index_add(&mut self.indexes, &key, &new);
                 self.enqueue(key, seq, expires_at);
-                self.replacements += 1;
-                InsertOutcome::Replaced { old }
+                book.replacements += 1;
+                InsertOutcome::Replaced { old: old.tuple }
             }
             Entry::Vacant(v) => {
                 let key = v.key().clone();
-                Table::index_add(&mut self.indexes, &key, &tuple);
+                Keyed::index_add(&mut self.indexes, &key, &tuple);
                 v.insert(Row {
                     tuple,
                     seq,
                     inserted_at: now,
                 });
                 self.enqueue(key, seq, expires_at);
-                self.inserts += 1;
+                book.inserts += 1;
                 InsertOutcome::Inserted
             }
         }
     }
 
-    /// Remove the row whose primary key matches `tuple`'s. Returns the
-    /// removed row, if any. This is the executor for `delete` rules
-    /// (paper rules `cs10`/`cs11`).
-    pub fn delete_by_key(&mut self, tuple: &Tuple, now: Time) -> Option<Tuple> {
-        self.expire(now);
-        let key = self.spec.key_of(tuple);
-        let removed = self.rows.remove(&key[..]);
-        if let Some(r) = removed {
-            Table::index_remove(&mut self.indexes, &key, &r.tuple);
-            self.deletions += 1;
-            self.version += 1;
-            if self.archive_enrolled {
-                self.spilled.push(SpilledRow {
-                    tuple: r.tuple.clone(),
-                    inserted_at: r.inserted_at,
-                    dropped_at: now,
-                });
-            }
-            return Some(r.tuple);
-        }
-        None
+    fn delete_by_key(&mut self, key: &[Value], now: Time, book: &mut Book) -> Option<Tuple> {
+        let r = self.rows.remove(key)?;
+        Keyed::index_remove(&mut self.indexes, key, &r.tuple);
+        book.deletions += 1;
+        book.spill(|| r.tuple.clone(), r.inserted_at, now);
+        Some(r.tuple)
     }
 
-    /// Remove rows matching a predicate. Returns them. Used by the
-    /// reference-counted `tupleTable` flush (§2.1.3). Single pass: rows
-    /// are extracted as they match, and each removed row's own key (no
-    /// clone) drives index maintenance.
-    pub fn delete_where<F: FnMut(&Tuple) -> bool>(&mut self, now: Time, mut pred: F) -> Vec<Tuple> {
-        self.expire(now);
-        let mut out = Vec::new();
-        for (key, row) in self.rows.extract_if(|_, r| pred(&r.tuple)) {
-            Table::index_remove(&mut self.indexes, &key, &row.tuple);
-            self.deletions += 1;
-            if self.archive_enrolled {
-                self.spilled.push(SpilledRow {
-                    tuple: row.tuple.clone(),
-                    inserted_at: row.inserted_at,
-                    dropped_at: now,
-                });
-            }
-            out.push(row.tuple);
+    /// Each removed row's own key (no clone) drives index maintenance.
+    fn delete_where(
+        &mut self,
+        now: Time,
+        pred: &mut dyn FnMut(RowRef<'_>) -> bool,
+        book: &mut Book,
+    ) -> usize {
+        let mut removed = 0;
+        for (key, row) in self.rows.extract_if(|_, r| pred(RowRef::Tuple(&r.tuple))) {
+            Keyed::index_remove(&mut self.indexes, &key, &row.tuple);
+            book.deletions += 1;
+            book.spill(|| row.tuple, row.inserted_at, now);
+            removed += 1;
         }
-        if !out.is_empty() {
-            self.version += 1;
-        }
-        out
+        removed
     }
 
-    /// Snapshot all live rows (deterministic order: insertion sequence).
-    ///
-    /// The order queue is seq-ascending by construction, so no sort is
-    /// needed: walk it, skip stale entries, clone the `Arc`-backed
-    /// tuples.
-    pub fn scan(&mut self, now: Time) -> Vec<Tuple> {
-        self.expire(now);
-        let rows = &self.rows;
-        self.order
-            .iter()
-            .filter(|(k, s)| rows.get(k).is_some_and(|r| r.seq == *s))
-            .map(|(k, _)| rows[k].tuple.clone())
+    fn indexed_eq(&self, field: usize, value: &Value) -> Vec<Tuple> {
+        let mut hits: Vec<(u64, &Tuple)> = self
+            .indexes
+            .get(&field)
+            .and_then(|idx| idx.get(value))
+            .into_iter()
+            .flatten()
+            .filter_map(|k| self.rows.get(k))
+            .map(|r| (r.seq, &r.tuple))
+            .collect();
+        hits.sort_unstable_by_key(|(seq, _)| *seq);
+        hits.into_iter().map(|(_, t)| t.clone()).collect()
+    }
+
+    fn linear_eq(&self, field: usize, value: &Value) -> Vec<Tuple> {
+        self.live_seqs()
+            .filter(|r| r.tuple.get(field) == Some(value))
+            .map(|r| r.tuple.clone())
             .collect()
     }
 
-    /// Visit every live row by reference, in no particular order: for
-    /// callers that fold over a table (the tracer's §2.1.3 sweep reads
-    /// two ids per `ruleExec` row) and need neither [`Table::scan`]'s
-    /// snapshot nor its insertion order.
-    pub fn for_each_live(&mut self, now: Time, mut visit: impl FnMut(&Tuple)) {
-        self.expire(now);
-        for row in self.rows.values() {
-            visit(&row.tuple);
-        }
-    }
-
-    /// Snapshot rows where field `field` equals `value` — the probe side
-    /// of a join. Deterministic order as in [`Table::scan`].
-    ///
-    /// With a secondary index on `field` this touches only matching rows
-    /// (`rows_scanned == rows_returned`); otherwise it filters linearly
-    /// and, after [`DEFAULT_AUTO_INDEX_THRESHOLD`] unindexed probes of
-    /// the same field, creates the index on the fly.
-    pub fn scan_eq(&mut self, field: usize, value: &Value, now: Time) -> Vec<Tuple> {
-        self.expire(now);
-        if !self.indexes.contains_key(&field) {
-            if let Some(threshold) = self.auto_index_threshold {
-                let n = self.unindexed_probes.entry(field).or_insert(0);
-                *n += 1;
-                if *n >= threshold {
-                    self.ensure_index(field);
-                    self.stats.auto_indexes += 1;
-                }
-            }
-        }
-        if let Some(idx) = self.indexes.get(&field) {
-            self.stats.index_probes += 1;
-            let mut hits: Vec<(u64, &Tuple)> = idx
-                .get(value)
-                .into_iter()
-                .flatten()
-                .filter_map(|k| self.rows.get(k))
-                .map(|r| (r.seq, &r.tuple))
-                .collect();
-            hits.sort_unstable_by_key(|(seq, _)| *seq);
-            self.stats.rows_scanned += hits.len() as u64;
-            self.stats.rows_returned += hits.len() as u64;
-            hits.into_iter().map(|(_, t)| t.clone()).collect()
-        } else {
-            self.stats.linear_probes += 1;
-            self.stats.rows_scanned += self.rows.len() as u64;
-            let rows = &self.rows;
-            let out: Vec<Tuple> = self
-                .order
-                .iter()
-                .filter(|(k, s)| {
-                    rows.get(k)
-                        .is_some_and(|r| r.seq == *s && r.tuple.get(field) == Some(value))
-                })
-                .map(|(k, _)| rows[k].tuple.clone())
-                .collect();
-            self.stats.rows_returned += out.len() as u64;
-            out
-        }
-    }
-
-    /// The pre-index linear probe, kept as the oracle for the
-    /// equivalence proptests: filter every live row, sort by insertion
-    /// sequence.
-    /// Bypasses indexes, probe counters, and the auto-index fallback.
-    pub fn scan_eq_linear(&mut self, field: usize, value: &Value, now: Time) -> Vec<Tuple> {
-        self.expire(now);
-        let mut rows: Vec<&Row> = self
-            .rows
-            .values()
-            .filter(|r| r.tuple.get(field) == Some(value))
-            .collect();
-        rows.sort_by_key(|r| r.seq);
-        rows.into_iter().map(|r| r.tuple.clone()).collect()
-    }
-
-    /// Remove every row (used by snapshot resets in tests). Indexes stay
-    /// registered but empty.
-    pub fn clear(&mut self) {
-        self.version += 1;
+    fn clear(&mut self) {
         self.rows.clear();
         self.order.clear();
         self.expiry.clear();
@@ -828,7 +1048,10 @@ mod tests {
         assert!(!t.scan(Time::ZERO).contains(&tup("a", 0)));
         // The evicted row's expiry entry left with it: at its deadline
         // only the three live rows' entries pop.
-        assert_eq!(t.expiry.len(), 3);
+        let Rows::Keyed(k) = &t.rows else {
+            panic!("general storage")
+        };
+        assert_eq!(k.expiry.len(), 3);
         assert_eq!(t.len(Time::from_secs(10)), 0);
         assert_eq!(t.probe_stats().heap_pops, 3);
     }
@@ -899,9 +1122,9 @@ mod tests {
         }
         let removed = t.delete_where(
             Time::ZERO,
-            |x| matches!(x.get(1), Some(Value::Int(n)) if *n % 2 == 0),
+            |x| matches!(x.get(1), Some(Value::Int(n)) if n % 2 == 0),
         );
-        assert_eq!(removed.len(), 3);
+        assert_eq!(removed, 3);
         assert_eq!(t.len(Time::ZERO), 2);
     }
 
@@ -1024,7 +1247,7 @@ mod tests {
         assert!(t.scan_eq(1, &Value::Int(2), Time::ZERO).is_empty());
         t.delete_by_key(&tup("b", 0), Time::ZERO);
         assert!(t.scan_eq(1, &Value::Int(3), Time::ZERO).is_empty());
-        t.delete_where(Time::ZERO, |x| x.get(1) == Some(&Value::Int(4)));
+        t.delete_where(Time::ZERO, |x| x.field_is(1, &Value::Int(4)));
         assert!(t.scan_eq(1, &Value::Int(4), Time::ZERO).is_empty());
         assert_eq!(t.len(Time::ZERO), 0);
     }
@@ -1184,7 +1407,7 @@ mod tests {
                         m.delete_by_key(&tup3(a, 0, 0), now);
                     }
                     8 => {
-                        let p = |x: &Tuple| x.get(2) == Some(&Value::Int(c));
+                        let p = |x: RowRef<'_>| x.field_is(2, &Value::Int(c));
                         t.delete_where(now, p);
                         m.delete_where(now, p);
                     }

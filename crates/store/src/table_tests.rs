@@ -246,9 +246,8 @@ proptest! {
                     m.delete_by_key(&row(a, 0), now);
                 }
                 7 => {
-                    let p = |x: &Tuple| x.get(1) == Some(&Value::Int(b));
-                    t.delete_where(now, p);
-                    m.delete_where(now, p);
+                    t.delete_where(now, |x| x.field_is(1, &Value::Int(b)));
+                    m.delete_where(now, |x| x.get(1) == Some(&Value::Int(b)));
                 }
                 _ => {
                     t.expire(now);

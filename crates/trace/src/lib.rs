@@ -37,10 +37,7 @@ pub mod tracer;
 pub use record::{Record, RecordSet};
 pub use tracer::{TraceConfig, Tracer, EVENT_LOG_LIFETIME, EVENT_LOG_MAX_ROWS};
 
-/// Table name for rule-execution rows.
-pub const RULE_EXEC: &str = "ruleExec";
-/// Table name for tuple memoization rows.
-pub const TUPLE_TABLE: &str = "tupleTable";
+pub use p2_types::trace_row::{RULE_EXEC, TUPLE_TABLE};
 /// Table name for system-event rows (`eventLog(loc, relation, op, T)`),
 /// §2.1's arrival/removal log. Populated only when
 /// [`TraceConfig::log_events`] is on.

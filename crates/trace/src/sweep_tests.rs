@@ -4,7 +4,8 @@
 //! in-place sweep — four `std` maps and a set, a `gc` that snapshots
 //! `ruleExec` through `Catalog::scan` — kept whole as the reference the
 //! proptest below runs the real [`Tracer`] against, each over its own
-//! catalog, on random schedules of taps, sends, receives, drains, clock
+//! catalog — the real one's trace tables keep records, the model's
+//! tuples — on random schedules of taps, sends, receives, drains, clock
 //! advances and sweeps.
 
 use crate::record::RecordSet;
@@ -12,7 +13,7 @@ use crate::tracer::UNREFERENCED_GRACE;
 use crate::{TraceConfig, Tracer, RULE_EXEC, TUPLE_TABLE};
 use p2_dataflow::{TapEvent, TapKind, TapSink};
 use p2_store::{Catalog, SpilledRow};
-use p2_types::{Addr, RingId, Time, TimeDelta, Tuple, TupleId, Value};
+use p2_types::{Addr, RingId, Time, TimeDelta, TraceRow, Tuple, TupleId, Value};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -127,7 +128,8 @@ impl Model {
             .values()
             .map(|t| t.approx_bytes() + 24)
             .sum::<usize>()
-            + self.pending.iter().map(|t| t.approx_bytes()).sum::<usize>()
+            // Queued rows are records now, whatever their model form.
+            + self.pending.len() * std::mem::size_of::<TraceRow>()
     }
 
     fn tap(&mut self, event: TapEvent) {
@@ -194,12 +196,17 @@ fn records_of<'a>(
     records.get_mut(strand).expect("just inserted")
 }
 
-/// A catalog with the trace tables, `tupleTable` enrolled so the order
-/// its rows leave in (the spill order the archive seals) is observable.
-fn trace_catalog(tracer: &Tracer) -> Catalog {
+/// A catalog with the trace tables — kept as records, or as tuples the
+/// way the reference tracer's were — `tupleTable` enrolled so the rows
+/// it drops (what the archive seals) are observable.
+fn trace_catalog(tracer: &Tracer, records: bool) -> Catalog {
     let mut cat = Catalog::new();
-    for spec in tracer.table_specs() {
-        cat.register(spec).unwrap();
+    for (spec, kind) in tracer.table_specs() {
+        if records {
+            cat.register_records(spec, kind).unwrap();
+        } else {
+            cat.register(spec).unwrap();
+        }
     }
     cat.table_mut(TUPLE_TABLE)
         .unwrap()
@@ -207,8 +214,19 @@ fn trace_catalog(tracer: &Tracer) -> Catalog {
     cat
 }
 
-fn spilled(cat: &mut Catalog) -> Vec<SpilledRow> {
-    cat.table_mut(TUPLE_TABLE).unwrap().take_spilled()
+/// The rows `tupleTable` dropped since the last call, as a multiset: a
+/// sweep deletes in the table's own order (write order for records, map
+/// order for tuples), so only the set it drops is the sweep's answer.
+fn spilled(cat: &mut Catalog) -> Vec<(Time, Time, Tuple)> {
+    let mut rows: Vec<_> = cat
+        .table_mut(TUPLE_TABLE)
+        .unwrap()
+        .take_spilled()
+        .into_iter()
+        .map(|r: SpilledRow| (r.dropped_at, r.inserted_at, r.tuple))
+        .collect();
+    rows.sort();
+    rows
 }
 
 /// A small pool, so schedules revisit tuples: memo hits, re-description
@@ -229,8 +247,8 @@ proptest! {
         let peer = Addr::new("z");
         let mut real = Tracer::new(local.clone(), TraceConfig::default());
         let mut model = Model::new(local);
-        let mut real_cat = trace_catalog(&real);
-        let mut model_cat = trace_catalog(&real);
+        let mut real_cat = trace_catalog(&real, true);
+        let mut model_cat = trace_catalog(&real, false);
         let mut now = Time::ZERO;
         let mut seen: Vec<Tuple> = Vec::new();
         // Every schedule ends drained and swept, so each is compared.
@@ -284,10 +302,11 @@ proptest! {
                 }
                 9 => {
                     let rows = real.drain_rows();
-                    prop_assert_eq!(&rows, &std::mem::take(&mut model.pending));
-                    for row in rows {
-                        real_cat.insert(row.clone(), now).unwrap();
-                        model_cat.insert(row, now).unwrap();
+                    let tuples: Vec<Tuple> = rows.iter().map(TraceRow::to_tuple).collect();
+                    prop_assert_eq!(&tuples, &std::mem::take(&mut model.pending));
+                    for (row, tuple) in rows.into_iter().zip(tuples) {
+                        real_cat.insert_row(row, now).unwrap();
+                        model_cat.insert(tuple, now).unwrap();
                     }
                 }
                 // 30-s steps, as the harness sweeps: rows and IDs meet

@@ -4,8 +4,8 @@ use crate::record::RecordSet;
 use crate::{RULE_EXEC, TUPLE_TABLE};
 use p2_dataflow::{TapEvent, TapKind, TapSink};
 use p2_store::hash::{FxHashMap, FxHashSet};
-use p2_store::Catalog;
-use p2_types::{Addr, RingId, Time, TimeDelta, Tuple, TupleId, Value};
+use p2_store::{Catalog, TableSpec};
+use p2_types::{Addr, Time, TimeDelta, TraceKind, TraceRow, Tuple, TupleId, Value};
 use std::sync::Arc;
 
 /// Lifetime of `ruleExec` rows.
@@ -66,11 +66,8 @@ pub struct Tracer {
     /// unreferenced-grace GC).
     content: FxHashMap<TupleId, (Tuple, Time)>,
     next_id: u64,
-    /// Rows awaiting insertion into the catalog.
-    pending: Vec<Tuple>,
-    /// The two relation names, interned once: every row shares them.
-    rule_exec: Arc<str>,
-    tuple_table: Arc<str>,
+    /// Rows awaiting insertion into the catalog, as records.
+    pending: Vec<TraceRow>,
 }
 
 impl Tracer {
@@ -84,24 +81,30 @@ impl Tracer {
             content: FxHashMap::default(),
             next_id: 1,
             pending: Vec::new(),
-            rule_exec: Arc::from(RULE_EXEC),
-            tuple_table: Arc::from(TUPLE_TABLE),
         }
     }
 
-    /// The table declarations the tracer needs in the catalog. The node
-    /// runtime registers these when tracing is enabled.
-    pub fn table_specs(&self) -> Vec<p2_store::TableSpec> {
+    /// The table declarations the tracer needs in the catalog, with the
+    /// record kind each table keeps
+    /// ([`Catalog::register_records`]). The node runtime registers these
+    /// when tracing is enabled.
+    pub fn table_specs(&self) -> Vec<(TableSpec, TraceKind)> {
         vec![
             // ruleExec(loc, rule, cause, effect, tIn, tOut, isEvent)
-            p2_store::TableSpec::new(
-                RULE_EXEC,
-                Some(RULE_EXEC_LIFETIME),
-                Some(RULE_EXEC_MAX_ROWS),
-                vec![0, 1, 2, 3, 6],
+            (
+                TableSpec::new(
+                    RULE_EXEC,
+                    Some(RULE_EXEC_LIFETIME),
+                    Some(RULE_EXEC_MAX_ROWS),
+                    vec![0, 1, 2, 3, 6],
+                ),
+                TraceKind::RuleExec,
             ),
             // tupleTable(loc, id, srcAddr, srcId, dstAddr)
-            p2_store::TableSpec::new(TUPLE_TABLE, None, Some(TUPLE_TABLE_MAX_ROWS), vec![0, 1]),
+            (
+                TableSpec::new(TUPLE_TABLE, None, Some(TUPLE_TABLE_MAX_ROWS), vec![0, 1]),
+                TraceKind::TupleTable,
+            ),
         ]
     }
 
@@ -142,16 +145,13 @@ impl Tracer {
 
     /// Queue the `tupleTable` row `(id, src, src_id, dst)`.
     fn push_tuple_row(&mut self, id: TupleId, src: Addr, src_id: TupleId, dst: Addr) {
-        self.pending.push(Tuple::with_name(
-            self.tuple_table.clone(),
-            [
-                Value::Addr(self.local.clone()),
-                Value::Id(RingId(id.0)),
-                Value::Addr(src),
-                Value::Id(RingId(src_id.0)),
-                Value::Addr(dst),
-            ],
-        ));
+        self.pending.push(TraceRow::TupleTable {
+            loc: self.local.clone(),
+            id: id.0,
+            src,
+            src_id: src_id.0,
+            dst,
+        });
     }
 
     /// Record that `t` was sent to `dest`: sender-side `tupleTable` row
@@ -200,13 +200,13 @@ impl Tracer {
         self.records.len()
     }
 
-    /// Take the accumulated `ruleExec`/`tupleTable` rows. The node
-    /// runtime inserts them into the catalog (insertions into these
-    /// tables fire delta rules like any other, which is what makes
+    /// Take the accumulated `ruleExec`/`tupleTable` rows, as records.
+    /// The node runtime inserts them into the catalog (insertions into
+    /// these tables fire delta rules like any other, which is what makes
     /// higher-order tracing queries possible — but executions of strands
     /// *triggered by* trace tables are themselves untraced, preventing
     /// the obvious regress; the runtime enforces that).
-    pub fn drain_rows(&mut self) -> Vec<Tuple> {
+    pub fn drain_rows(&mut self) -> Vec<TraceRow> {
         std::mem::take(&mut self.pending)
     }
 
@@ -259,7 +259,7 @@ impl Tracer {
             .values()
             .map(|(t, _)| t.approx_bytes() + 24)
             .sum::<usize>()
-            + self.pending.iter().map(|t| t.approx_bytes()).sum::<usize>()
+            + self.pending.len() * std::mem::size_of::<TraceRow>()
     }
 }
 
@@ -307,18 +307,15 @@ impl TapSink for Tracer {
                     .into_iter()
                     .chain(preconditions.map(|pre| (pre.0, pre.1, false)))
                 {
-                    self.pending.push(Tuple::with_name(
-                        self.rule_exec.clone(),
-                        [
-                            Value::Addr(self.local.clone()),
-                            Value::Str(rule_label.clone()),
-                            Value::Id(RingId(cause.0)),
-                            Value::Id(RingId(effect.0)),
-                            Value::Time(t_in),
-                            Value::Time(at),
-                            Value::Bool(is_event),
-                        ],
-                    ));
+                    self.pending.push(TraceRow::RuleExec {
+                        loc: self.local.clone(),
+                        rule: rule_label.clone(),
+                        cause: cause.0,
+                        effect: effect.0,
+                        t_in,
+                        t_out: at,
+                        is_event,
+                    });
                 }
             }
         }
@@ -336,6 +333,11 @@ enum Tapped {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2_types::RingId;
+
+    fn drain(tr: &mut Tracer) -> Vec<Tuple> {
+        tr.drain_rows().iter().map(TraceRow::to_tuple).collect()
+    }
 
     fn tap(tracer: &mut Tracer, strand: &str, stages: usize, at: u64, kind: TapKind) {
         tracer.tap(TapEvent {
@@ -380,7 +382,7 @@ mod tests {
                 tuple: head.clone(),
             },
         );
-        let rows = tr.drain_rows();
+        let rows = drain(&mut tr);
         let execs: Vec<&Tuple> = rows.iter().filter(|r| r.name() == RULE_EXEC).collect();
         assert_eq!(execs.len(), 2);
         let ev_row = execs
@@ -419,7 +421,7 @@ mod tests {
         let mut sender = Tracer::new(Addr::new("n"), TraceConfig::default());
         let t = tup("msg", 9);
         let o1 = sender.on_send(&t, &Addr::new("z"), Time::ZERO);
-        let row = sender.drain_rows().pop().unwrap();
+        let row = drain(&mut sender).pop().unwrap();
         assert_eq!(row.name(), TUPLE_TABLE);
         assert_eq!(row.get(0), Some(&Value::addr("n")));
         assert_eq!(row.get(1), Some(&Value::Id(RingId(o1.0))));
@@ -428,7 +430,7 @@ mod tests {
 
         let mut receiver = Tracer::new(Addr::new("z"), TraceConfig::default());
         let d1 = receiver.on_receive(&t, &Addr::new("n"), o1, Time::ZERO);
-        let row = receiver.drain_rows().pop().unwrap();
+        let row = drain(&mut receiver).pop().unwrap();
         assert_eq!(row.get(0), Some(&Value::addr("z")));
         assert_eq!(row.get(1), Some(&Value::Id(RingId(d1.0))));
         assert_eq!(row.get(2), Some(&Value::addr("n")));
@@ -440,8 +442,8 @@ mod tests {
     fn gc_drops_unreferenced_tuple_rows() {
         let mut tr = Tracer::new(Addr::new("n"), TraceConfig::default());
         let mut cat = Catalog::new();
-        for spec in tr.table_specs() {
-            cat.register(spec).unwrap();
+        for (spec, kind) in tr.table_specs() {
+            cat.register_records(spec, kind).unwrap();
         }
         // A full execution: rows flow into the catalog.
         tap(
@@ -475,7 +477,7 @@ mod tests {
         // And one orphan tuple described via send but never referenced.
         tr.on_send(&tup("orphan", 9), &Addr::new("z"), Time::ZERO);
         for row in tr.drain_rows() {
-            cat.insert(row, Time::ZERO).unwrap();
+            cat.insert_row(row, Time::ZERO).unwrap();
         }
         assert_eq!(cat.scan(TUPLE_TABLE, Time::ZERO).len(), 4);
         // Young unreferenced entries survive the grace window (a
@@ -516,8 +518,7 @@ mod tests {
                 tuple: tup("head", 1),
             },
         );
-        let execs: Vec<Tuple> = tr
-            .drain_rows()
+        let execs: Vec<Tuple> = drain(&mut tr)
             .into_iter()
             .filter(|r| r.name() == RULE_EXEC)
             .collect();
@@ -577,8 +578,7 @@ mod tests {
             },
         );
         tap(&mut tr, "r2", 2, 10, TapKind::Output { tuple: tup("h", 2) });
-        let rows: Vec<Tuple> = tr
-            .drain_rows()
+        let rows: Vec<Tuple> = drain(&mut tr)
             .into_iter()
             .filter(|r| r.name() == RULE_EXEC)
             .collect();

@@ -11,6 +11,7 @@
 //!
 //! * [`Value`] — the dynamically-typed scalar/list values carried in tuples,
 //! * [`Tuple`] — immutable named relation rows (also used as messages),
+//! * [`TraceRow`] — a `ruleExec`/`tupleTable` row held as a record,
 //! * [`Addr`] — node addresses (field 0 of every tuple, by P2 convention),
 //! * [`RingId`] and [`Interval`] — Chord-style ring identifier algebra,
 //! * [`Time`] / [`TimeDelta`] — the virtual/real timestamp type,
@@ -25,6 +26,7 @@ pub mod error;
 pub mod ring;
 pub mod rng;
 pub mod time;
+pub mod trace_row;
 pub mod tuple;
 pub mod value;
 
@@ -33,6 +35,7 @@ pub use error::ValueError;
 pub use ring::{Interval, RingId};
 pub use rng::DetRng;
 pub use time::{Time, TimeDelta};
+pub use trace_row::{Cell, TraceKind, TraceRow};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;
 

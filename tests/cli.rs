@@ -248,3 +248,38 @@ fn a_store_of_another_format_is_refused_and_left_untouched() {
     assert!(files(&store) == before, "p2ql recover changed the store");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// `p2ql trace --dump ruleExec --dump tupleTable` is the trace tables'
+/// user surface, and its bytes are pinned: a short run of the
+/// path-vector program, and a heartbeat run long enough to cross the
+/// 120-s `ruleExec` lifetime and four reference-count sweeps.
+#[test]
+fn trace_table_dumps_are_the_golden_bytes() {
+    for (program, secs, golden) in [
+        ("programs/paths.olg", "5", "tests/golden/trace_paths.txt"),
+        (
+            "programs/heartbeat.olg",
+            "150",
+            "tests/golden/trace_heartbeat.txt",
+        ),
+    ] {
+        let out = p2ql(&[
+            "trace",
+            program,
+            "--nodes",
+            "3",
+            "--for",
+            secs,
+            "--dump",
+            "ruleExec",
+            "--dump",
+            "tupleTable",
+        ]);
+        assert!(out.status.success());
+        let want = std::fs::read_to_string(golden).expect("golden file");
+        assert!(
+            String::from_utf8_lossy(&out.stdout) == want,
+            "{program}: stdout differs from {golden}"
+        );
+    }
+}

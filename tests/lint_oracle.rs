@@ -71,7 +71,7 @@ fn measure(
     deletes: &BTreeSet<String>,
     maxima: &mut Maxima,
 ) {
-    fn id(v: Option<&Value>) -> Option<u64> {
+    fn id(v: Option<Value>) -> Option<u64> {
         match v {
             Some(Value::Id(r)) => Some(r.0),
             _ => None,
@@ -83,7 +83,7 @@ fn measure(
     if let Some(table) = catalog.table_mut(TUPLE_TABLE) {
         table.for_each_live(now, |r| {
             if r.get(2)
-                .and_then(Value::to_addr)
+                .and_then(|v| v.to_addr())
                 .is_some_and(|src| src != local)
             {
                 arrived.extend(id(r.get(1)));
@@ -99,8 +99,8 @@ fn measure(
             else {
                 return;
             };
-            if *at > since && row.get(6) == Some(&Value::Bool(true)) && !deletes.contains(&**rule) {
-                let edges = instants.entry(*at).or_default();
+            if at > since && row.field_is(6, &Value::Bool(true)) && !deletes.contains(&*rule) {
+                let edges = instants.entry(at).or_default();
                 edges.entry(cause).or_default().insert(effect);
             }
         });
