@@ -15,7 +15,7 @@
 //! tests never flake.
 
 use p2_chord::{chord_program, ChordConfig};
-use p2_monitor::{consistency, ordering, oscillation, ring, snapshot};
+use p2_monitor::{consistency, ordering, oscillation, profiling, ring, snapshot, watchpoints};
 use p2_planner::{compile_program, explain};
 use p2_types::Addr;
 use std::collections::HashSet;
@@ -139,23 +139,64 @@ fn snapshot_rules() {
     );
 }
 
+/// Tables the back-pointer and snapshot rules declare: what the
+/// initiator, the snapshot lookups and the snapshot probe install over.
+const SNAP_TABLES: &[&str] = &[
+    "backPointer",
+    "numBackPointers",
+    "snapState",
+    "currentSnap",
+    "snapBestSucc",
+    "snapFinger",
+    "snapPred",
+    "channelState",
+    "channelSuccDump",
+    "channelDoneCount",
+    "channelTotalCount",
+];
+
 #[test]
 fn snapshot_initiator() {
     check(
         "snapshot_initiator",
         &snapshot::initiator_program(&Addr::new("n0"), 45.0),
-        &[
-            "backPointer",
-            "numBackPointers",
-            "snapState",
-            "currentSnap",
-            "snapBestSucc",
-            "snapFinger",
-            "snapPred",
-            "channelState",
-            "channelSuccDump",
-            "channelDoneCount",
-            "channelTotalCount",
-        ],
+        SNAP_TABLES,
     );
+}
+
+#[test]
+fn snapshot_lookup() {
+    check(
+        "snapshot_lookup",
+        &snapshot::snapshot_lookup_program(),
+        SNAP_TABLES,
+    );
+}
+
+#[test]
+fn snapshot_probe() {
+    check(
+        "snapshot_probe",
+        &snapshot::snapshot_probe_program(8.0, 5, 5),
+        SNAP_TABLES,
+    );
+}
+
+#[test]
+fn ordering_opportunistic() {
+    check(
+        "ordering_opportunistic",
+        &ordering::opportunistic_program(),
+        &[],
+    );
+}
+
+#[test]
+fn profiling() {
+    check("profiling", &profiling::profiling_program(), &[]);
+}
+
+#[test]
+fn watchpoints_suite() {
+    check("watchpoints_suite", &watchpoints::suite_program(15), &[]);
 }

@@ -238,6 +238,7 @@ fn every_program_round_trips_through_the_pretty_printer() {
         profiling::profiling_program(),
         snapshot::backpointer_program(),
         snapshot::snapshot_program(),
+        snapshot::initiator_program(&Addr::new("n0"), 60.0),
         snapshot::snapshot_lookup_program(),
         snapshot::snapshot_probe_program(8.0, 5, 5),
         watchpoints::suite_program(15),
