@@ -191,9 +191,9 @@ scs9 sConsistency@NAddr(ProbeID, RespCount / LookupCount) :- periodic@NAddr(E, {
      sLookupCluster@NAddr(ProbeID, T, LookupCount), T < f_now() - {wait_secs},
      sMaxCluster@NAddr(ProbeID, RespCount).
 scs10 delete sLookupCluster@NAddr(ProbeID, T, Count) :-
-     sConsistency@NAddr(ProbeID, C), sLookupCluster@NAddr(ProbeID, T, Count).
+     sConsistency@NAddr(ProbeID, Consistency), sLookupCluster@NAddr(ProbeID, T, Count).
 scs11 delete sConLookupTable@NAddr(ProbeID, ReqID, T) :-
-     sConsistency@NAddr(ProbeID, C), sConLookupTable@NAddr(ProbeID, ReqID, T).
+     sConsistency@NAddr(ProbeID, Consistency), sConLookupTable@NAddr(ProbeID, ReqID, T).
 "#
     )
 }
