@@ -442,23 +442,7 @@ fn rule_fanout(
 /// each, emit P2W601 / P2N604 / P2N605.
 pub(crate) fn check(model: &FlowModel, diags: &mut Diagnostics) {
     // Relation-level adjacency with the edge indices per hop.
-    let mut adj: BTreeMap<&str, BTreeMap<&str, Vec<usize>>> = BTreeMap::new();
-    for (i, e) in model.edges.iter().enumerate() {
-        adj.entry(e.from.as_str())
-            .or_default()
-            .entry(e.to.as_str())
-            .or_default()
-            .push(i);
-    }
-
-    let nodes: Vec<&str> = {
-        let mut set: BTreeSet<&str> = BTreeSet::new();
-        for e in &model.edges {
-            set.insert(e.from.as_str());
-            set.insert(e.to.as_str());
-        }
-        set.into_iter().collect()
-    };
+    let (nodes, adj) = relation_graph(model.edges.iter().map(|e| (&*e.from, &*e.to)));
     let sccs = strongly_connected(&nodes, &adj);
     let scc_of: BTreeMap<&str, usize> = sccs
         .iter()
@@ -469,12 +453,7 @@ pub(crate) fn check(model: &FlowModel, diags: &mut Diagnostics) {
     let mut cycles: Vec<Vec<&str>> = Vec::new();
     for scc in &sccs {
         let members: BTreeSet<&str> = scc.iter().copied().collect();
-        let cyclic = scc.len() > 1
-            || scc
-                .first()
-                .map(|n| adj.get(n).and_then(|m| m.get(n)).is_some())
-                .unwrap_or(false);
-        if !cyclic {
+        if !is_cyclic(scc, &adj) {
             continue;
         }
         // Enumerate node-simple cycles, each rooted at its smallest
@@ -598,7 +577,7 @@ fn render_path(model: &FlowModel, chosen: &[usize]) -> String {
 fn dfs_cycles<'a>(
     root: &'a str,
     at: &'a str,
-    adj: &BTreeMap<&'a str, BTreeMap<&'a str, Vec<usize>>>,
+    adj: &Adj<'a>,
     allowed: &BTreeSet<&'a str>,
     path: &mut Vec<&'a str>,
     cycles: &mut Vec<Vec<&'a str>>,
@@ -624,11 +603,33 @@ fn dfs_cycles<'a>(
     }
 }
 
+/// A relation graph's adjacency: from → to → the indices of its edges.
+pub(crate) type Adj<'a> = BTreeMap<&'a str, BTreeMap<&'a str, Vec<usize>>>;
+
+/// The graph of `(from, to)` edges: every relation an edge touches,
+/// sorted, and the adjacency.
+pub(crate) fn relation_graph<'a>(
+    edges: impl Iterator<Item = (&'a str, &'a str)>,
+) -> (Vec<&'a str>, Adj<'a>) {
+    let (mut nodes, mut adj) = (BTreeSet::new(), Adj::new());
+    for (i, (from, to)) in edges.enumerate() {
+        adj.entry(from).or_default().entry(to).or_default().push(i);
+        nodes.extend([from, to]);
+    }
+    (nodes.into_iter().collect(), adj)
+}
+
+/// Whether a strongly connected component holds a cycle: more than one
+/// member, or one member with an edge to itself.
+pub(crate) fn is_cyclic(scc: &[&str], adj: &Adj) -> bool {
+    scc.len() > 1
+        || scc
+            .first()
+            .is_some_and(|n| adj.get(n).is_some_and(|m| m.contains_key(n)))
+}
+
 /// Iterative Tarjan over the relation graph; returns SCCs, each sorted.
-pub(crate) fn strongly_connected<'a>(
-    nodes: &[&'a str],
-    adj: &BTreeMap<&'a str, BTreeMap<&'a str, Vec<usize>>>,
-) -> Vec<Vec<&'a str>> {
+pub(crate) fn strongly_connected<'a>(nodes: &[&'a str], adj: &Adj<'a>) -> Vec<Vec<&'a str>> {
     struct State<'a> {
         index: BTreeMap<&'a str, usize>,
         low: BTreeMap<&'a str, usize>,

@@ -25,7 +25,7 @@
 //! join is ordinary fan-out (a broadcast over neighbors); two is almost
 //! always a missing key.
 
-use crate::cascade::{strongly_connected, FlowModel};
+use crate::cascade::{is_cyclic, relation_graph, strongly_connected, FlowModel};
 use crate::{AnalysisCtx, Bound};
 use p2_overlog::{Diagnostic, Diagnostics, Severity};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,30 +40,17 @@ pub(crate) struct CostReport {
 
 /// Compute per-relation depth and amplification bounds.
 pub(crate) fn analyze(model: &FlowModel, ctx: &AnalysisCtx) -> CostReport {
-    let mut adj: BTreeMap<&str, BTreeMap<&str, Vec<usize>>> = BTreeMap::new();
+    let (nodes, adj) = relation_graph(model.edges.iter().map(|e| (&*e.from, &*e.to)));
     let mut out_edges: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut nodes_set: BTreeSet<&str> = BTreeSet::new();
     for (i, e) in model.edges.iter().enumerate() {
-        adj.entry(e.from.as_str())
-            .or_default()
-            .entry(e.to.as_str())
-            .or_default()
-            .push(i);
         out_edges.entry(e.from.as_str()).or_default().push(i);
-        nodes_set.insert(e.from.as_str());
-        nodes_set.insert(e.to.as_str());
     }
-    let nodes: Vec<&str> = nodes_set.iter().copied().collect();
 
     // Relations inside a cyclic SCC, then everything that reaches one.
     let sccs = strongly_connected(&nodes, &adj);
     let mut tainted: BTreeSet<&str> = BTreeSet::new();
     for scc in &sccs {
-        let self_loop = scc
-            .first()
-            .map(|n| adj.get(n).and_then(|m| m.get(n)).is_some())
-            .unwrap_or(false);
-        if scc.len() > 1 || self_loop {
+        if is_cyclic(scc, &adj) {
             tainted.extend(scc.iter().copied());
         }
     }

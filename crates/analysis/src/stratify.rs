@@ -24,29 +24,14 @@
 //! k+1. The assignment depends only on the edge set, never on rule
 //! order (a property the test suite pins with a reordering proptest).
 
-use crate::cascade::{strongly_connected, FlowModel};
+use crate::cascade::{is_cyclic, relation_graph, strongly_connected, FlowModel};
 use p2_overlog::{Diagnostic, Diagnostics, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Emit P2E603 findings and return the relation → stratum map for every
 /// materialized relation in the model.
 pub(crate) fn check(model: &FlowModel, diags: &mut Diagnostics) -> BTreeMap<String, usize> {
-    let mut adj: BTreeMap<&str, BTreeMap<&str, Vec<usize>>> = BTreeMap::new();
-    for (i, e) in model.strat_edges.iter().enumerate() {
-        adj.entry(e.from.as_str())
-            .or_default()
-            .entry(e.to.as_str())
-            .or_default()
-            .push(i);
-    }
-    let nodes: Vec<&str> = {
-        let mut set: BTreeSet<&str> = BTreeSet::new();
-        for e in &model.strat_edges {
-            set.insert(e.from.as_str());
-            set.insert(e.to.as_str());
-        }
-        set.into_iter().collect()
-    };
+    let (nodes, adj) = relation_graph(model.strat_edges.iter().map(|e| (&*e.from, &*e.to)));
     let sccs = strongly_connected(&nodes, &adj);
     let mut scc_of: BTreeMap<&str, usize> = BTreeMap::new();
     let mut cyclic: Vec<bool> = Vec::with_capacity(sccs.len());
@@ -54,11 +39,7 @@ pub(crate) fn check(model: &FlowModel, diags: &mut Diagnostics) -> BTreeMap<Stri
         for n in scc {
             scc_of.insert(n, i);
         }
-        let self_loop = scc
-            .first()
-            .map(|n| adj.get(n).and_then(|m| m.get(n)).is_some())
-            .unwrap_or(false);
-        cyclic.push(scc.len() > 1 || self_loop);
+        cyclic.push(is_cyclic(scc, &adj));
     }
 
     // P2E603: an aggregating edge inside a cyclic component.

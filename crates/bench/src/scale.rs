@@ -101,11 +101,11 @@ fn chord_run<H: Population>(sim: &mut H, n: usize, warm: u64, window: u64) -> (f
     let t0 = Instant::now();
     let chord = p2_chord::ChordConfig::default();
     let ring = build_ring(sim, n, &chord);
+    let probe = p2_monitor::ring::active_probe_program(2);
+    let suite = p2_monitor::watchpoints::suite_program(5);
     for a in ring.addrs.clone() {
-        sim.install(&a, &p2_monitor::ring::active_probe_program(2))
-            .expect("install ring probes");
-        sim.install(&a, &p2_monitor::watchpoints::suite_program(5))
-            .expect("install watchpoint suite");
+        sim.install(&a, &probe).expect("install ring probes");
+        sim.install(&a, &suite).expect("install watchpoint suite");
     }
     sim.run_for(TimeDelta::from_secs(warm));
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;

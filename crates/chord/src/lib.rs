@@ -37,5 +37,5 @@ pub mod program;
 pub mod testbed;
 
 pub use oracle::{collect_ring, lookup_oracle, ring_is_ordered, ring_is_well_formed};
-pub use program::{chord_program, node_facts, ChordConfig};
+pub use program::{chord_program, node_facts, ChordConfig, LOOKUP_RULES};
 pub use testbed::{build_ring, issue_lookup, ChordRing};

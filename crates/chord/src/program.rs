@@ -65,6 +65,28 @@ impl Default for ChordConfig {
     }
 }
 
+/// Chord's lookup rules (`l1`–`l4`), the last section of [`chord_program`].
+/// The §3.3 lookups over a snapshot are these rules, rewritten.
+pub const LOOKUP_RULES: &str = r#"/* ------------------------------------------------ lookups (paper l1-l3) */
+l1 lookupResults@ReqAddr(K, SID, SAddr, E, NAddr) :- node@NAddr(NID),
+     lookup@NAddr(K, ReqAddr, E), bestSucc@NAddr(SID, SAddr), K in (NID, SID].
+l2 bestLookupDist@NAddr(K, ReqAddr, E, min<D>) :- node@NAddr(NID),
+     lookup@NAddr(K, ReqAddr, E), finger@NAddr(FPos, FID, FAddr),
+     D := K - FID - 1, FID in (NID, K).
+/* Several finger positions can hold the best finger; the hop goes to its
+   node once, not once per position (min<> picks among rows that share
+   one FID and so one address). */
+l3 lookupHop@NAddr(K, ReqAddr, E, min<FAddr>) :- node@NAddr(NID),
+     bestLookupDist@NAddr(K, ReqAddr, E, D), finger@NAddr(FPos, FID, FAddr),
+     D == K - FID - 1, FID in (NID, K), FAddr != NAddr.
+l3b lookup@FAddr(K, ReqAddr, E) :- lookupHop@NAddr(K, ReqAddr, E, FAddr).
+l2b lookupFingerCount@NAddr(K, ReqAddr, E, count<*>) :- node@NAddr(NID),
+     lookup@NAddr(K, ReqAddr, E), finger@NAddr(FPos, FID, FAddr), FID in (NID, K).
+l4 lookup@SAddr(K, ReqAddr, E) :- lookupFingerCount@NAddr(K, ReqAddr, E, C),
+     C == 0, node@NAddr(NID), bestSucc@NAddr(SID, SAddr), K in (SID, NID],
+     SAddr != NAddr.
+"#;
+
 /// The Chord rule program (tables + rules, no per-node facts).
 pub fn chord_program(cfg: &ChordConfig) -> String {
     let ChordConfig {
@@ -192,25 +214,7 @@ ft6 delete pingPending@NAddr(FAddr, E, T2) :- faultyNode@NAddr(FAddr, T),
 ft7 delete bestSucc@NAddr(SID, FAddr) :- faultyNode@NAddr(FAddr, T),
      bestSucc@NAddr(SID, FAddr).
 
-/* ------------------------------------------------ lookups (paper l1-l3) */
-l1 lookupResults@ReqAddr(K, SID, SAddr, E, NAddr) :- node@NAddr(NID),
-     lookup@NAddr(K, ReqAddr, E), bestSucc@NAddr(SID, SAddr), K in (NID, SID].
-l2 bestLookupDist@NAddr(K, ReqAddr, E, min<D>) :- node@NAddr(NID),
-     lookup@NAddr(K, ReqAddr, E), finger@NAddr(FPos, FID, FAddr),
-     D := K - FID - 1, FID in (NID, K).
-/* Several finger positions can hold the best finger; the hop goes to its
-   node once, not once per position (min<> picks among rows that share
-   one FID and so one address). */
-l3 lookupHop@NAddr(K, ReqAddr, E, min<FAddr>) :- node@NAddr(NID),
-     bestLookupDist@NAddr(K, ReqAddr, E, D), finger@NAddr(FPos, FID, FAddr),
-     D == K - FID - 1, FID in (NID, K), FAddr != NAddr.
-l3b lookup@FAddr(K, ReqAddr, E) :- lookupHop@NAddr(K, ReqAddr, E, FAddr).
-l2b lookupFingerCount@NAddr(K, ReqAddr, E, count<*>) :- node@NAddr(NID),
-     lookup@NAddr(K, ReqAddr, E), finger@NAddr(FPos, FID, FAddr), FID in (NID, K).
-l4 lookup@SAddr(K, ReqAddr, E) :- lookupFingerCount@NAddr(K, ReqAddr, E, C),
-     C == 0, node@NAddr(NID), bestSucc@NAddr(SID, SAddr), K in (SID, NID],
-     SAddr != NAddr.
-"#
+{LOOKUP_RULES}"#
     )
 }
 

@@ -22,11 +22,11 @@
 //!   `tupleTable` backwards from a lookup response, splitting latency
 //!   into rule, local-queue, and network time (`ep1`–`ep6`);
 //! * [`snapshot`] — §3.3 Chandy–Lamport consistent snapshots adapted to
-//!   unknown incoming links (`bp1`–`bp2`, `sr1`–`sr16`) and lookups over
-//!   a snapshot (`l1s`–`l4s`);
+//!   unknown incoming links (`bp1`–`bp4`, `sr0`–`sr15`), and Chord's
+//!   lookups and the probe rewritten over a snapshot (`l1s`, `scs1`, ...);
 //! * [`watchpoints`] — §1.3's persistent watchpoints: the passive
-//!   detectors bundled as an always-on regression suite with a periodic
-//!   alarm roll-up;
+//!   detectors (their own rules, relabelled) bundled as an always-on
+//!   regression suite with a periodic alarm roll-up;
 //! * [`retrospect`] — the §3.1 invariants re-checked **after the
 //!   fact** from archived history (DESIGN.md §2.11): reconstruct the
 //!   ring at a past instant and ask whether it was well-formed,
@@ -47,3 +47,9 @@ pub mod retrospect;
 pub mod ring;
 pub mod snapshot;
 pub mod watchpoints;
+
+/// Parse OverLog this crate ships, to derive another program from it.
+#[expect(clippy::expect_used, reason = "our own text: failing is a bug here")]
+fn shipped(src: &str) -> p2_overlog::Program {
+    p2_overlog::parse_program(src).expect("shipped OverLog parses")
+}

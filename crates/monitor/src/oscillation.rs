@@ -75,12 +75,7 @@ os9 chaotic@NAddr(OscillAddr) :- nbrOscillCount@NAddr(OscillAddr, Count),
 /// All three layers with the paper's thresholds (60 s checks, 3
 /// oscillations, quorum 3).
 pub fn full_program() -> String {
-    format!(
-        "{}{}{}",
-        single_program(),
-        repeat_program(60, 3),
-        collaborative_program(3)
-    )
+    single_program() + &repeat_program(60, 3) + &collaborative_program(3)
 }
 
 /// Addresses named by watched verdict tuples (`oscill`, `repeatOscill`,

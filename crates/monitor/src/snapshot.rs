@@ -6,7 +6,7 @@
 //! exactly as the paper does — `bp1`/`bp2` reconstruct a `backPointer`
 //! view of incoming links from the liveness pings every neighbor sends.
 //!
-//! The snapshot rules `sr1`–`sr15`:
+//! The snapshot rules `sr0`–`sr15` (there is no `sr14`, see below):
 //!
 //! * a designated initiator starts snapshot `I+1` periodically (`sr1`);
 //! * starting a snapshot records `bestSucc`/`finger`/`pred` into
@@ -22,10 +22,11 @@
 //! * when every incoming link is done, the node's snapshot phase flips
 //!   to `"Done"` (`sr12`/`sr13`).
 //!
-//! [`snapshot_lookup_program`] adds the paper's `l1s`–`l3s`: Chord
+//! [`snapshot_lookup_program`] adds the paper's `l1s`–`l4s`: Chord
 //! lookups evaluated **over the frozen snapshot tables** instead of live
 //! state — the fix for the §3.1.4 probes' false positives — while regular
-//! lookups keep running on live state, no restart required.
+//! lookups keep running on live state, no restart required. It and
+//! [`snapshot_probe_program`] rewrite the live rules, not copy them.
 //!
 //! Deviations (documented in DESIGN.md): the paper's `sr14` treats
 //! lookup responses from "the future" of a snapshot as markers; like the
@@ -33,7 +34,9 @@
 //! snapshot, and our `sLookup` traffic carries its snapshot ID
 //! explicitly, so `sr14` is unnecessary for the properties we check.
 
-use p2_types::{Addr, Tuple, Value};
+use crate::consistency::{probe_program, ProbeConfig};
+use p2_overlog::{Arg, Predicate, Statement, Term};
+use p2_types::{Addr, Value};
 
 /// Per-snapshot node phase: `snapState(N, I, Phase)`.
 pub const SNAP_STATE: &str = "snapState";
@@ -126,100 +129,65 @@ sr1c snap@NAddr(I + 1) :- curSnapId@NAddr(I).
     )
 }
 
-/// Lookups over a frozen snapshot (`l1s`–`l3s`, `l3sb` + the successor
-/// fall-back, mirroring the live rules: one hop per next-hop node).
+/// Lookups over a frozen snapshot (`l1s`–`l4s`): [`p2_chord::LOOKUP_RULES`]
+/// with each relation they touch but `node` renamed to its snapshot twin,
+/// which carries a `SnapID` after the location, and an `s` after each
+/// label's rule number.
 pub fn snapshot_lookup_program() -> String {
-    r#"
-l1s sLookupResults@ReqAddr(SnapID, K, SID, SAddr, E, NAddr) :- node@NAddr(NID),
-     sLookup@NAddr(SnapID, K, ReqAddr, E), snapBestSucc@NAddr(SnapID, SID, SAddr),
-     K in (NID, SID].
-l2s sBestLookupDist@NAddr(SnapID, K, ReqAddr, E, min<D>) :- node@NAddr(NID),
-     sLookup@NAddr(SnapID, K, ReqAddr, E), snapFinger@NAddr(SnapID, FPos, FID, FAddr),
-     D := K - FID - 1, FID in (NID, K).
-l3s sLookupHop@NAddr(SnapID, K, ReqAddr, E, min<FAddr>) :- node@NAddr(NID),
-     sBestLookupDist@NAddr(SnapID, K, ReqAddr, E, D),
-     snapFinger@NAddr(SnapID, FPos, FID, FAddr), D == K - FID - 1, FID in (NID, K),
-     FAddr != NAddr.
-l3sb sLookup@FAddr(SnapID, K, ReqAddr, E) :- sLookupHop@NAddr(SnapID, K, ReqAddr, E, FAddr).
-l2sb sFingerCount@NAddr(SnapID, K, ReqAddr, E, count<*>) :- node@NAddr(NID),
-     sLookup@NAddr(SnapID, K, ReqAddr, E), snapFinger@NAddr(SnapID, FPos, FID, FAddr),
-     FID in (NID, K).
-l4s sLookup@SAddr(SnapID, K, ReqAddr, E) :- sFingerCount@NAddr(SnapID, K, ReqAddr, E, C),
-     C == 0, node@NAddr(NID), snapBestSucc@NAddr(SnapID, SID, SAddr), K in (SID, NID],
-     SAddr != NAddr.
-"#
-    .to_string()
+    let twins = [
+        ("lookup", "sLookup"),
+        ("lookupResults", "sLookupResults"),
+        ("bestLookupDist", "sBestLookupDist"),
+        ("lookupHop", "sLookupHop"),
+        ("lookupFingerCount", "sFingerCount"),
+        ("finger", "snapFinger"),
+        ("bestSucc", "snapBestSucc"),
+    ];
+    let live = crate::shipped(p2_chord::LOOKUP_RULES);
+    let label = |l: &str| format!("{}s{}", &l[..2], &l[2..]);
+    live.rewrite(&twins, &twins.map(|(n, _)| n), "SnapID", label)
+        .to_string()
 }
 
 /// §3.3 "Routing Consistency Revisited": the §3.1.4 consistency probe
-/// re-targeted at a **frozen snapshot** (the paper's `cs4s`/`cs5s`
-/// rewrite). Live probes can report false inconsistencies when
-/// concurrent lookups race overlay churn; snapshot probes cannot — every
-/// probe lookup is evaluated against the same consistent global state,
-/// while regular traffic keeps using live tables. The snapshot ID is
-/// pinned from the initiator's `currentSnap` at probe time.
+/// re-targeted at a **frozen snapshot**, so that concurrent lookups
+/// racing overlay churn cannot report false inconsistencies. The rules
+/// are [`probe_program`]'s `cs1`–`cs11` as `scs*`, with every relation
+/// they derive (and `lookupResults`) renamed `s`-Capitalised. The rule
+/// that gains a `SnapID` no body atom binds (`cs4`) reads it from the
+/// initiator's `currentSnap`: the paper's `cs4s`.
 ///
 /// Emits `sConsistency(N, ProbeID, Metric)`; requires
 /// [`snapshot_program`] and [`snapshot_lookup_program`] everywhere.
 pub fn snapshot_probe_program(probe_secs: f64, tally_secs: u32, wait_secs: u32) -> String {
-    format!(
-        r#"
-materialize(sConLookupTable, 100, 1000, keys(1, 3)).
-materialize(sConRespTable, 100, 1000, keys(1, 3)).
-materialize(sRespCluster, 100, 1000, keys(1, 2, 3)).
-materialize(sMaxCluster, 100, 1000, keys(1, 2)).
-materialize(sLookupCluster, 100, 1000, keys(1, 2)).
-
-scs1 sConProbe@NAddr(ProbeID, K, T) :- periodic@NAddr(ProbeID, {probe_secs}),
-     K := f_randID(), T := f_now().
-scs2 sConLookup@NAddr(ProbeID, K, FAddr, ReqID, T) :- sConProbe@NAddr(ProbeID, K, T),
-     uniqueFinger@NAddr(FAddr, FID), ReqID := f_rand().
-scs3 sConLookupTable@NAddr(ProbeID, ReqID, T) :-
-     sConLookup@NAddr(ProbeID, K, FAddr, ReqID, T).
-/* cs4s: the probe lookups run over the frozen snapshot. */
-scs4 sLookup@FAddr(SnapID, K, NAddr, ReqID) :-
-     sConLookup@NAddr(ProbeID, K, FAddr, ReqID, T), currentSnap@NAddr(SnapID).
-/* cs5s: responses carry the snapshot ID back. */
-scs5 sConRespTable@NAddr(ProbeID, ReqID, SAddr) :-
-     sLookupResults@NAddr(SnapID, K, SID, SAddr, ReqID, Responder),
-     sConLookupTable@NAddr(ProbeID, ReqID, T).
-scs6 sRespCluster@NAddr(ProbeID, SAddr, count<*>) :-
-     sConRespTable@NAddr(ProbeID, ReqID, SAddr).
-scs7 sMaxCluster@NAddr(ProbeID, max<Count>) :- sRespCluster@NAddr(ProbeID, SAddr, Count).
-scs8 sLookupCluster@NAddr(ProbeID, T, count<*>) :- sConLookupTable@NAddr(ProbeID, ReqID, T).
-scs9 sConsistency@NAddr(ProbeID, RespCount / LookupCount) :- periodic@NAddr(E, {tally_secs}),
-     sLookupCluster@NAddr(ProbeID, T, LookupCount), T < f_now() - {wait_secs},
-     sMaxCluster@NAddr(ProbeID, RespCount).
-scs10 delete sLookupCluster@NAddr(ProbeID, T, Count) :-
-     sConsistency@NAddr(ProbeID, Consistency), sLookupCluster@NAddr(ProbeID, T, Count).
-scs11 delete sConLookupTable@NAddr(ProbeID, ReqID, T) :-
-     sConsistency@NAddr(ProbeID, Consistency), sConLookupTable@NAddr(ProbeID, ReqID, T).
-"#
-    )
-}
-
-/// Issue a lookup over snapshot `snap_id` starting at `at`.
-pub fn issue_snapshot_lookup<H: p2_core::Population>(
-    sim: &mut H,
-    at: &Addr,
-    snap_id: i64,
-    key: p2_types::RingId,
-    req_addr: &Addr,
-    req_id: u64,
-) {
-    sim.inject(
-        at,
-        Tuple::new(
-            "sLookup",
-            [
-                Value::Addr(at.clone()),
-                Value::Int(snap_id),
-                Value::Id(key),
-                Value::Addr(req_addr.clone()),
-                Value::id(req_id),
-            ],
-        ),
-    );
+    let cfg = ProbeConfig {
+        probe_secs,
+        tally_secs,
+        wait_secs,
+        ..Default::default()
+    };
+    let mut live = crate::shipped(&probe_program(&cfg));
+    live.statements
+        .retain(|s| !matches!(s, Statement::Rule(r) if r.label.as_deref() == Some("cs12")));
+    let heads = live.rules().map(|r| r.head.name.as_str());
+    let twins: Vec<_> = (heads.chain(["lookupResults"]))
+        .map(|n| (n, format!("s{}{}", n[..1].to_uppercase(), &n[1..])))
+        .collect();
+    let threaded = ["lookup", "lookupResults"];
+    let mut snap = live.rewrite(&twins, &threaded, "SnapID", |l| format!("s{l}"));
+    let snap_id = Arg::Var("SnapID".into());
+    let binds = |p: &Predicate| p.args.contains(&snap_id);
+    for s in &mut snap.statements {
+        let Statement::Rule(r) = s else { continue };
+        let unbound = binds(&r.head) && !r.body_predicates().any(binds);
+        let first = r.body_predicates().next().filter(|_| unbound).cloned();
+        if let Some(mut pin) = first {
+            pin.name = "currentSnap".into();
+            pin.args = vec![pin.args[0].clone(), snap_id.clone()];
+            r.body.push(Term::Pred(pin));
+        }
+    }
+    snap.to_string()
 }
 
 /// Read a node's phase for snapshot `id` (`None` if it never saw it).
@@ -247,8 +215,32 @@ mod tests {
     use super::*;
     use p2_chord::{build_ring, ChordConfig, ChordRing};
     use p2_core::SimHarness;
-    use p2_types::{RingId, TimeDelta};
+    use p2_types::{RingId, TimeDelta, Tuple};
     use std::collections::HashMap;
+
+    /// Issue a lookup over snapshot `snap_id` starting at `at`.
+    fn issue_snapshot_lookup<H: p2_core::Population>(
+        sim: &mut H,
+        at: &Addr,
+        snap_id: i64,
+        key: p2_types::RingId,
+        req_addr: &Addr,
+        req_id: u64,
+    ) {
+        sim.inject(
+            at,
+            Tuple::new(
+                "sLookup",
+                [
+                    Value::Addr(at.clone()),
+                    Value::Int(snap_id),
+                    Value::Id(key),
+                    Value::Addr(req_addr.clone()),
+                    Value::id(req_id),
+                ],
+            ),
+        );
+    }
 
     fn snapshotting_ring(seed: u64, n: usize) -> (SimHarness, ChordRing) {
         let mut sim = SimHarness::with_seed(seed);
@@ -341,6 +333,33 @@ mod tests {
             p2_chord::oracle::forms_ring(&succ, &ring.addrs),
             "snapped ring is not well-formed: {succ:?}"
         );
+    }
+
+    #[test]
+    fn snapshot_lookups_read_no_live_chord_state() {
+        // Every relation Chord declares or derives, except `node`, must
+        // reach the snapshot lookups renamed: one left live in a body
+        // would mix live state into snapshot answers.
+        let chord =
+            p2_overlog::parse_program(&p2_chord::chord_program(&ChordConfig::default())).unwrap();
+        let heads = chord.rules().map(|r| r.head.name.as_str());
+        let live: std::collections::HashSet<&str> = chord
+            .materializations()
+            .map(|m| m.table.as_str())
+            .chain(heads)
+            .collect();
+        let snap = p2_overlog::parse_program(&snapshot_lookup_program()).unwrap();
+        assert_eq!(snap.rules().count(), 6, "l1s, l2s, l3s, l3sb, l2sb, l4s");
+        for r in snap.rules() {
+            for b in r.body_predicates() {
+                assert!(
+                    b.name == "node" || !live.contains(b.name.as_str()),
+                    "{:?} reads live Chord relation {}",
+                    r.label,
+                    b.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,16 +5,20 @@
 //!
 //! This module bundles the **cheap, passive** detectors — the ones that
 //! ride existing traffic and cost no messages of their own — into one
-//! installable suite, and adds a periodic roll-up so an operator (or an
-//! outer autonomic loop, see `examples/autonomic.rs`) can poll a single
-//! relation instead of five:
+//! installable suite (their modules' own rules, relabelled `w*`), and
+//! adds a periodic roll-up so an operator (or an outer autonomic loop,
+//! see `examples/autonomic.rs`) can poll a single relation instead of
+//! five:
 //!
 //! * `rp4` — ring-link inconsistency from stabilization traffic;
 //! * `ri1` — ID-ordering violations from lookup responses;
-//! * `os1`/`os2` — single state oscillations from gossip;
+//! * `os1`/`os2` — single state oscillations from gossip, into the event
+//!   `oscillW` (the suite keeps no `oscill` history);
 //! * `wp*` — every alarm is logged into a bounded `alarmLog` table and
 //!   counted per kind into `alarmCount` every `rollup_secs`.
 
+use crate::{ordering, oscillation, ring};
+use p2_overlog::Statement;
 use p2_types::Value;
 
 /// The per-kind roll-up relation: `alarmCount(N, Kind, Count)`.
@@ -25,23 +29,19 @@ pub const ALARM_LOG: &str = "alarmLog";
 /// The passive watchpoint suite. Installs on a node already running
 /// Chord; generates no probe traffic.
 pub fn suite_program(rollup_secs: u32) -> String {
+    let live = ring::passive_check_program()
+        + &ordering::opportunistic_program()
+        + &oscillation::single_program();
+    let mut rules =
+        crate::shipped(&live).rewrite(&[("oscill", "oscillW")], &[], "", |l| format!("w{l}"));
+    rules.statements.retain(|s| matches!(s, Statement::Rule(_)));
     format!(
         r#"
 materialize(alarmLog, 300, 1000, keys(1, 2, 3, 4)).
 materialize(alarmCount, 300, 64, keys(1, 2)).
 
 /* ---- the detectors (paper rules rp4, ri1, os1, os2) ---- */
-wrp4 inconsistentPred@NAddr(SomeAddr, SomeAddr) :- stabilizeRequest@NAddr(SomeID, SomeAddr),
-     pred@NAddr(PID, PAddr), SomeAddr != PAddr, PAddr != "-".
-wri1 closerID@NAddr(ResltNodeID, ResltNodeAddr) :-
-     lookupResults@NAddr(Key, ResltNodeID, ResltNodeAddr, ReqNo, RespAddr),
-     pred@NAddr(PID, PAddr), bestSucc@NAddr(SID, SAddr), node@NAddr(NID),
-     PAddr != "-", ResltNodeID != NID, ResltNodeID in (PID, SID).
-wos1 oscillW@NAddr(SAddr, T) :- sendPred@NAddr(SID, SAddr),
-     faultyNode@NAddr(SAddr, T1), T := f_now().
-wos2 oscillW@NAddr(SAddr, T) :- returnSucc@NAddr(SID, SAddr, Sender),
-     faultyNode@NAddr(SAddr, T1), T := f_now().
-
+{rules}
 /* ---- funnel every alarm into the log ---- */
 wl1 alarmLog@NAddr("inconsistentPred", Detail, T) :- inconsistentPred@NAddr(Detail, D2),
      T := f_now().

@@ -39,6 +39,43 @@ impl Program {
     pub fn extend(&mut self, other: Program) {
         self.statements.extend(other.statements);
     }
+
+    /// The program with relations renamed by `names` (old, new), rule
+    /// labels mapped by `label`, and `var` put after the location of each
+    /// atom of a `threaded` relation (old names; a `materialize` keeps its keys).
+    pub fn rewrite(
+        &self,
+        names: &[(impl AsRef<str>, impl AsRef<str>)],
+        threaded: &[&str],
+        var: &str,
+        label: impl Fn(&str) -> String,
+    ) -> Program {
+        let rename = |n: &mut String| {
+            if let Some((_, new)) = names.iter().find(|(old, _)| old.as_ref() == n) {
+                *n = new.as_ref().to_string();
+            }
+        };
+        let mut out = self.clone();
+        for s in &mut out.statements {
+            match s {
+                Statement::Materialize(m) => rename(&mut m.table),
+                Statement::Rule(r) => {
+                    r.label = r.label.as_deref().map(&label);
+                    let body = r.body.iter_mut().filter_map(|t| match t {
+                        Term::Pred(p) => Some(p),
+                        _ => None,
+                    });
+                    for p in std::iter::once(&mut r.head).chain(body) {
+                        if threaded.contains(&p.name.as_str()) {
+                            p.args.insert(1, Arg::Var(var.to_string()));
+                        }
+                        rename(&mut p.name);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 /// A top-level statement.
@@ -458,6 +495,26 @@ mod tests {
             assert_eq!(AggFunc::from_name(f.name()), Some(f));
         }
         assert_eq!(AggFunc::from_name("median"), None);
+    }
+
+    #[test]
+    fn rewrite_renames_threads_and_relabels() {
+        let src = "materialize(t, 10, 5, keys(1, 2)).
+            r1 out@N(X) :- ev@N(X), t@N(X), u@N(X), X > 1.
+            out@N(7).";
+        let live = crate::parse_program(src).unwrap();
+        let got = live.rewrite(&[("out", "sOut"), ("t", "sT")], &["out", "ev"], "I", |l| {
+            format!("{l}x")
+        });
+        let want = crate::parse_program(
+            "materialize(sT, 10, 5, keys(1, 2)).
+            r1x sOut@N(I, X) :- ev@N(I, X), sT@N(X), u@N(X), X > 1.
+            sOut@N(I, 7).",
+        )
+        .unwrap();
+        assert_eq!(got, want);
+        // The source program is left as it was.
+        assert_eq!(live, crate::parse_program(src).unwrap());
     }
 
     #[test]

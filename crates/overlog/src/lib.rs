@@ -11,7 +11,9 @@
 //!
 //! * [`lexer`] — tokenization with source positions,
 //! * [`ast`] — the abstract syntax (programs, `materialize` declarations,
-//!   rules, predicates, expressions, aggregates),
+//!   rules, predicates, expressions, aggregates), and [`Program::rewrite`],
+//!   which renames relations and labels and threads a new field through
+//!   (the §3.3 snapshot programs are the live ones, rewritten),
 //! * [`parser`] — a recursive-descent parser for the dialect used by every
 //!   listing in the paper (location specifiers `pred@A(...)`, rule labels,
 //!   `delete` rules, `count<*>`/`min<X>`/`max<X>` head aggregates,
