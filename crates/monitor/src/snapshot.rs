@@ -170,7 +170,8 @@ pub fn snapshot_probe_program(probe_secs: f64, tally_secs: u32, wait_secs: u32) 
     live.statements
         .retain(|s| !matches!(s, Statement::Rule(r) if r.label.as_deref() == Some("cs12")));
     let heads = live.rules().map(|r| r.head.name.as_str());
-    let twins: Vec<_> = (heads.chain(["lookupResults"]))
+    let twins: Vec<_> = heads
+        .chain(["lookupResults"])
         .map(|n| (n, format!("s{}{}", n[..1].to_uppercase(), &n[1..])))
         .collect();
     let threaded = ["lookup", "lookupResults"];
