@@ -1,6 +1,6 @@
 //! The experiments of Section 4.
 
-use crate::harness::{aggregate, build_testbed, measure_window, BenchParams};
+use crate::harness::{aggregate, build_testbed, measure_window, BenchParams, Testbed};
 use crate::report::Row;
 use p2_core::NodeConfig;
 use p2_monitor::{consistency, ring, snapshot};
@@ -85,21 +85,39 @@ fn sweep_rule_counts(
     name: &str,
     program: fn(usize) -> String,
 ) -> Vec<Row> {
+    let points = counts
+        .iter()
+        .map(|&n| (format!("{n} rules"), (n > 0).then_some(n)));
+    sweep(params, name, points, |tb, &n| {
+        let measured = tb.measured.clone();
+        tb.sim
+            .install(&measured, &program(n))
+            .expect("install bench rules");
+    })
+}
+
+/// One row per point of a figure's sweep: for each seed a fresh
+/// testbed, `install`ed with the point's setting unless it has none
+/// (the baseline), then one measured window; the row holds the seeds'
+/// mean and deviation.
+fn sweep<P>(
+    params: &BenchParams,
+    name: &str,
+    points: impl IntoIterator<Item = (impl Into<String>, Option<P>)>,
+    install: impl Fn(&mut Testbed, &P),
+) -> Vec<Row> {
     let mut rows = Vec::new();
-    for &n in counts {
+    for (label, setting) in points {
         let mut samples = Vec::new();
         for &seed in &params.seeds {
             let mut tb = build_testbed(params, seed, NodeConfig::default());
-            if n > 0 {
-                let measured = tb.measured.clone();
-                tb.sim
-                    .install(&measured, &program(n))
-                    .expect("install bench rules");
+            if let Some(s) = &setting {
+                install(&mut tb, s);
             }
             samples.push(measure_window(&mut tb, params.window_secs));
         }
         let (mean, std) = aggregate(&samples);
-        rows.push(Row::from_samples(name, format!("{n} rules"), mean, std));
+        rows.push(Row::from_samples(name, label, mean, std));
     }
     rows
 }
@@ -122,60 +140,38 @@ pub fn figure_rates() -> Vec<(&'static str, Option<f64>)> {
 /// Paper shape: memory and messages grow ~linearly with the rate; CPU
 /// grows superlinearly (frequent probes' parallel lookups contend).
 pub fn fig6_consistency_probes(params: &BenchParams) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (label, period) in figure_rates() {
-        let mut samples = Vec::new();
-        for &seed in &params.seeds {
-            let mut tb = build_testbed(params, seed, NodeConfig::default());
-            if let Some(p) = period {
-                let cfg = consistency::ProbeConfig {
-                    probe_secs: p,
-                    tally_secs: 20,
-                    wait_secs: 20,
-                    ..Default::default()
-                };
-                let measured = tb.measured.clone();
-                tb.sim
-                    .install(&measured, &consistency::probe_program(&cfg))
-                    .expect("install probes");
-            }
-            samples.push(measure_window(&mut tb, params.window_secs));
-        }
-        let (mean, std) = aggregate(&samples);
-        rows.push(Row::from_samples("fig6", label, mean, std));
-    }
-    rows
+    sweep(params, "fig6", figure_rates(), |tb, &p| {
+        let cfg = consistency::ProbeConfig {
+            probe_secs: p,
+            tally_secs: 20,
+            wait_secs: 20,
+            ..Default::default()
+        };
+        let measured = tb.measured.clone();
+        tb.sim
+            .install(&measured, &consistency::probe_program(&cfg))
+            .expect("install probes");
+    })
 }
 
 /// Figure 7: cost of consistent snapshots vs initiation rate. Paper
 /// shape: same trends as Figure 6 but markedly cheaper at equal rates —
 /// snapshots tax the system much less than the probes' parallel lookups.
 pub fn fig7_snapshots(params: &BenchParams) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (label, period) in figure_rates() {
-        let mut samples = Vec::new();
-        for &seed in &params.seeds {
-            let mut tb = build_testbed(params, seed, NodeConfig::default());
-            if let Some(p) = period {
-                for a in tb.ring.addrs.clone() {
-                    tb.sim
-                        .install(&a, &snapshot::backpointer_program())
-                        .expect("install bp");
-                    tb.sim
-                        .install(&a, &snapshot::snapshot_program())
-                        .expect("install snapshot");
-                }
-                let measured = tb.measured.clone();
-                tb.sim
-                    .install(&measured, &snapshot::initiator_program(&measured, p))
-                    .expect("install initiator");
-            }
-            samples.push(measure_window(&mut tb, params.window_secs));
+    sweep(params, "fig7", figure_rates(), |tb, &p| {
+        for a in tb.ring.addrs.clone() {
+            tb.sim
+                .install(&a, &snapshot::backpointer_program())
+                .expect("install bp");
+            tb.sim
+                .install(&a, &snapshot::snapshot_program())
+                .expect("install snapshot");
         }
-        let (mean, std) = aggregate(&samples);
-        rows.push(Row::from_samples("fig7", label, mean, std));
-    }
-    rows
+        let measured = tb.measured.clone();
+        tb.sim
+            .install(&measured, &snapshot::initiator_program(&measured, p))
+            .expect("install initiator");
+    })
 }
 
 /// Ablation (§3.1.1's stated trade-off): the active ring probe

@@ -245,16 +245,12 @@ impl Node {
             let idx = self.strands.len();
             match &runtime.plan().trigger {
                 Trigger::Event { name } => {
-                    self.event_dispatch
-                        .entry(name.clone())
-                        .or_default()
-                        .push(idx);
+                    let idxs = self.event_dispatch.entry(name.clone()).or_default();
+                    *idxs = idxs.iter().copied().chain([idx]).collect();
                 }
                 Trigger::TableInsert { name } => {
-                    self.table_dispatch
-                        .entry(name.clone())
-                        .or_default()
-                        .push(idx);
+                    let idxs = self.table_dispatch.entry(name.clone()).or_default();
+                    *idxs = idxs.iter().copied().chain([idx]).collect();
                 }
                 Trigger::Periodic { period_secs } => {
                     let period = TimeDelta::from_secs_f64(*period_secs);

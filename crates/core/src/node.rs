@@ -21,11 +21,11 @@ use crate::metrics::NodeMetrics;
 use p2_dataflow::{NullSink, StrandRuntime, TapSink};
 use p2_net::Envelope;
 use p2_planner::expr::EvalCtx;
-use p2_store::Catalog;
+use p2_store::{Catalog, FxHashMap};
 use p2_trace::{TraceConfig, Tracer};
 use p2_types::{Addr, DetRng, Time, TraceRow, Tuple, Value};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -233,8 +233,11 @@ pub struct Node {
     pub(crate) strands: Vec<StrandRuntime>,
     /// Strand index per program, for uninstall.
     pub(crate) strand_programs: Vec<ProgramId>,
-    pub(crate) event_dispatch: HashMap<String, Vec<usize>>,
-    pub(crate) table_dispatch: HashMap<String, Vec<usize>>,
+    /// Strand indexes per triggering relation: an event's, and a
+    /// table's (fired on its deltas). Each list is a shared slice, so a
+    /// dispatch holds it while firing strands without copying it.
+    pub(crate) event_dispatch: FxHashMap<String, Arc<[usize]>>,
+    pub(crate) table_dispatch: FxHashMap<String, Arc<[usize]>>,
     pub(crate) timers: Vec<crate::scheduler::TimerState>,
     /// Pending firings: (next_fire, timer index). Peeked for scheduling,
     /// popped on firing — O(log n) per timer event instead of a scan
@@ -248,7 +251,7 @@ pub struct Node {
     /// worklist, replacing an O(strands) scan per pump iteration.
     pub(crate) active_strands: BTreeSet<usize>,
     pub(crate) outbox: Vec<Envelope>,
-    pub(crate) watches: HashMap<String, Vec<(Time, Tuple)>>,
+    pub(crate) watches: FxHashMap<String, Vec<(Time, Tuple)>>,
     pub(crate) metrics: NodeMetrics,
     /// Shard counters published by the engine when it has more than
     /// one shard (otherwise `sysStat` carries no `shard.*` rows).
@@ -322,8 +325,8 @@ impl Node {
             catalog: Catalog::new(),
             strands: Vec::new(),
             strand_programs: Vec::new(),
-            event_dispatch: HashMap::new(),
-            table_dispatch: HashMap::new(),
+            event_dispatch: FxHashMap::default(),
+            table_dispatch: FxHashMap::default(),
             timers: Vec::new(),
             timer_heap: BinaryHeap::new(),
             tracer,
@@ -331,7 +334,7 @@ impl Node {
             pending: VecDeque::new(),
             active_strands: BTreeSet::new(),
             outbox: Vec::new(),
-            watches: HashMap::new(),
+            watches: FxHashMap::default(),
             metrics: NodeMetrics::default(),
             shard_stats: None,
             next_program: 1,

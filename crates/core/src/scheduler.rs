@@ -100,7 +100,7 @@ impl Node {
                 }
                 budget -= 1;
                 if let Some(idxs) = self.event_dispatch.get(tuple.name()).cloned() {
-                    for idx in idxs {
+                    for &idx in idxs.iter() {
                         self.fire_strand(idx, &tuple, traced, now);
                     }
                 }
@@ -214,7 +214,7 @@ impl Node {
                 }
             }
             if let Some(idxs) = self.table_dispatch.get(name).cloned() {
-                for idx in idxs {
+                for &idx in idxs.iter() {
                     self.fire_strand(idx, &tuple, traced, now);
                 }
             }
@@ -225,7 +225,7 @@ impl Node {
             if self.ship_stage_event(&idxs, &tuple, traced, now) {
                 return;
             }
-            for idx in idxs {
+            for &idx in idxs.iter() {
                 self.fire_strand(idx, &tuple, traced, now);
             }
         }

@@ -76,6 +76,32 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+fn utf8(bytes: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+}
+
+/// A string or address value as it stands in the frame: its tag (the
+/// variant) and its payload bytes, length-checked, not yet UTF-8
+/// checked. Two texts are equal when they would decode to the same
+/// value: a `Str` never equals an `Addr` of the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Text<'a> {
+    /// The payload of a [`Value::Str`].
+    Str(&'a [u8]),
+    /// The payload of a [`Value::Addr`].
+    Addr(&'a [u8]),
+}
+
+impl Text<'_> {
+    /// The value: UTF-8 checked, then one fresh allocation.
+    pub fn decode(self) -> Result<Value, WireError> {
+        Ok(match self {
+            Text::Str(b) => Value::str(utf8(b)?),
+            Text::Addr(b) => Value::addr(utf8(b)?),
+        })
+    }
+}
+
 /// The one bounds-checked cursor over bytes from outside (datagrams,
 /// ship frames, segment frames): every read is checked against the
 /// buffer, every offset sum is a `checked_add`, and every failure is a
@@ -120,6 +146,7 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(b))
     }
 
+    #[inline]
     fn u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(u64::from_le_bytes(b))
@@ -144,21 +171,28 @@ impl<'a> Reader<'a> {
     }
 
     fn str(&mut self) -> Result<&'a str, WireError> {
-        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
+        utf8(self.bytes()?)
     }
 
     /// One tagged value (the tag-per-value format of this module).
     pub fn value(&mut self) -> Result<Value, WireError> {
-        decode_value(self, 0, None)
+        decode_value(self, 0, &mut Text::decode)
     }
 
-    /// [`Reader::value`], sharing `prev`'s allocation when the value
-    /// decodes to the same string or address. A segment's columns repeat
-    /// row after row (`ruleExec`'s location is constant, its rule nearly
-    /// so): handed the previous row's value, a decoded history holds one
-    /// copy of each run instead of one per row.
-    pub fn value_sharing(&mut self, prev: Option<&Value>) -> Result<Value, WireError> {
-        decode_value(self, 0, prev)
+    /// [`Reader::value`], with every string and address — nested in a
+    /// list or not — built by `text` from its still-encoded [`Text`]
+    /// instead of decoded afresh. A segment's columns repeat row after
+    /// row (`ruleExec`'s location is constant, its rule labels few): a
+    /// caller that keeps what `text` built decodes each distinct string
+    /// once and shares it after. Everything else is checked as
+    /// [`Reader::value`] checks it, in the same order, with the same
+    /// first error, provided `text` fails exactly where
+    /// [`Text::decode`] would.
+    pub fn value_with(
+        &mut self,
+        text: &mut impl FnMut(Text<'a>) -> Result<Value, WireError>,
+    ) -> Result<Value, WireError> {
+        decode_value(self, 0, text)
     }
 
     /// Step over one tagged value, checking it exactly as
@@ -297,10 +331,14 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn decode_value(
-    r: &mut Reader<'_>,
+/// One value at nesting `depth`. Not recursive itself — a list's items
+/// are [`decode_list`]'s — so it inlines into its caller and the value
+/// is built in place rather than passed back through memory.
+#[inline]
+fn decode_value<'a>(
+    r: &mut Reader<'a>,
     depth: usize,
-    prev: Option<&Value>,
+    text: &mut impl FnMut(Text<'a>) -> Result<Value, WireError>,
 ) -> Result<Value, WireError> {
     if depth > MAX_DEPTH {
         return Err(WireError::TooDeep);
@@ -311,25 +349,26 @@ fn decode_value(
         TAG_FLOAT => Value::Float(f64::from_bits(r.u64()?)),
         TAG_ID => Value::Id(RingId(r.u64()?)),
         TAG_TIME => Value::Time(Time(r.u64()?)),
-        TAG_STR => match (r.str()?, prev) {
-            (s, Some(Value::Str(p))) if **p == *s => Value::Str(p.clone()),
-            (s, _) => Value::str(s),
-        },
-        TAG_ADDR => match (r.str()?, prev) {
-            (s, Some(Value::Addr(p))) if p.as_str() == s => Value::Addr(p.clone()),
-            (s, _) => Value::addr(s),
-        },
-        TAG_LIST => {
-            let n = r.count()?;
-            let mut items = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                items.push(decode_value(r, depth + 1, None)?);
-            }
-            Value::list(items)
-        }
+        TAG_STR => text(Text::Str(r.bytes()?))?,
+        TAG_ADDR => text(Text::Addr(r.bytes()?))?,
+        TAG_LIST => decode_list(r, depth, text)?,
         TAG_BYTES => Value::Bytes(r.bytes()?.into()),
         t => return Err(WireError::BadTag(t)),
     })
+}
+
+/// The items of a list at nesting `depth`, past its tag.
+fn decode_list<'a>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    text: &mut impl FnMut(Text<'a>) -> Result<Value, WireError>,
+) -> Result<Value, WireError> {
+    let n = r.count()?;
+    let mut items = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        items.push(decode_value(r, depth + 1, text)?);
+    }
+    Ok(Value::list(items))
 }
 
 /// The items of a list at nesting `depth`, past its tag: what
@@ -377,7 +416,7 @@ fn decode_tuple_inner(r: &mut Reader<'_>) -> Result<Tuple, WireError> {
     let n = r.count()?;
     let mut vals = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        vals.push(decode_value(r, 0, None)?);
+        vals.push(r.value()?);
     }
     Ok(Tuple::new(name, vals))
 }

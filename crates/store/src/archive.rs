@@ -26,9 +26,9 @@
 //!   length prefixes all surface as typed [`SegmentError`]s.
 
 use crate::durable::{DurableStats, DurableStore};
-use p2_net::wire::{encode_value_into, Reader, WireError};
+use p2_net::wire::{encode_value_into, Reader, Text, WireError};
 use p2_types::{Time, TimeDelta, Tuple, Value};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -247,7 +247,7 @@ impl Segment {
     /// Decode and fully validate an encoded segment frame. Every byte
     /// is checked: header, each row, and that nothing trails.
     pub fn from_bytes(buf: &[u8]) -> Result<Segment, SegmentError> {
-        let mut seg = Segment::walk(buf, None, |_| {})?;
+        let mut seg = Segment::walk(buf, None, &mut Texts::default(), |_| {})?;
         seg.bytes = buf.to_vec();
         Ok(seg)
     }
@@ -256,7 +256,8 @@ impl Segment {
     pub fn rows(&self) -> Result<Vec<SpilledRow>, SegmentError> {
         let mut rows = Vec::with_capacity(self.row_count as usize);
         let everything = (Time::ZERO, Time(u64::MAX), &[][..]);
-        Segment::walk(&self.bytes, Some(everything), |row| rows.push(row))?;
+        let texts = &mut Texts::default();
+        Segment::walk(&self.bytes, Some(everything), texts, |row| rows.push(row))?;
         Ok(rows)
     }
 
@@ -268,9 +269,13 @@ impl Segment {
     /// over with [`Reader::skip_value`], which checks exactly what a
     /// decode would: a frame walked for a few rows is as validated as
     /// one decoded whole. `want` `None` builds nothing (validation only).
-    fn walk(
-        buf: &[u8],
+    /// Strings and addresses are decoded through `texts`, which the
+    /// walk empties first: equal ones within the frame share one
+    /// allocation.
+    fn walk<'a>(
+        buf: &'a [u8],
         want: Option<Wanted<'_>>,
+        texts: &mut Texts<'a>,
         mut emit: impl FnMut(SpilledRow),
     ) -> Result<Segment, SegmentError> {
         let mut r = Reader::new(buf);
@@ -302,12 +307,11 @@ impl Segment {
             col_min.push(r.value()?);
             col_max.push(r.value()?);
         }
-        // One relation-name allocation per segment, and one per run of
-        // equal strings down a column (see `Reader::value_sharing`; the
-        // row above is the last one built).
+        // One relation-name allocation per segment, one per distinct
+        // string or address.
         let name: Arc<str> = Arc::from(relation.as_str());
-        let mut above: Option<Tuple> = None;
-        let mut vals: Vec<Value> = Vec::new();
+        texts.seen.clear();
+        let text = &mut |t| texts.value(t);
         for _ in 0..row_count {
             let inserted_at = r.time_field("inserted_at")?;
             let dropped_at = r.time_field("dropped_at")?;
@@ -321,18 +325,27 @@ impl Segment {
                     continue;
                 }
             };
-            vals.clear();
-            for col in 0..arity {
-                let prev = above.as_ref().and_then(|t| t.get(col));
-                vals.push(r.value_sharing(prev)?);
+            // Each value is decoded straight into the row's own slice,
+            // allocated once at its arity; after a failure the rest are
+            // placeholders, nothing more is read, and the error returns.
+            let mut failed = None;
+            let vals: Arc<[Value]> = (0..arity)
+                .map(|_| match failed {
+                    None => r.value_with(text).unwrap_or_else(|e| {
+                        failed = Some(e);
+                        Value::Bool(false)
+                    }),
+                    Some(_) => Value::Bool(false),
+                })
+                .collect();
+            if let Some(e) = failed {
+                return Err(e.into());
             }
             if !eqs_hold(&vals, eqs) {
                 continue;
             }
-            let tuple = Tuple::with_name(name.clone(), vals.drain(..));
-            above = Some(tuple.clone());
             emit(SpilledRow {
-                tuple,
+                tuple: Tuple::with_values(name.clone(), vals),
                 inserted_at,
                 dropped_at,
             });
@@ -580,30 +593,75 @@ fn archived(row: SpilledRow) -> ArchivedRow {
     }
 }
 
+/// Most distinct strings and addresses one segment walk keeps
+/// ([`Texts`]); a frame with more decodes the rest afresh.
+const TEXTS_CAP: usize = 1024;
+
+/// The strings and addresses one segment walk has decoded, keyed by
+/// their tag and encoded bytes ([`Text`]): each distinct one is UTF-8
+/// checked and allocated once per segment and shared by `Arc` after. A
+/// hashed lookup under a cap, so a column of unique strings costs one
+/// hash per value, not a search, and the map stays small. The keys are
+/// frame bytes, which may come from a peer or a log file, so the map
+/// keeps the standard keyed hasher: no crafted frame makes every
+/// lookup collide.
+#[derive(Default)]
+struct Texts<'a> {
+    seen: HashMap<Text<'a>, Value>,
+}
+
+impl<'a> Texts<'a> {
+    /// `text`'s value: the one decoded before, or a fresh decode (kept
+    /// while there is room). A text that fails to decode is never kept,
+    /// so it fails again wherever it recurs.
+    fn value(&mut self, text: Text<'a>) -> Result<Value, WireError> {
+        if let Some(v) = self.seen.get(&text) {
+            return Ok(v.clone());
+        }
+        let v = text.decode()?;
+        if self.seen.len() < TEXTS_CAP {
+            self.seen.insert(text, v.clone());
+        }
+        Ok(v)
+    }
+}
+
+/// Whether a scan of `[t0, t1]` under `eqs` must walk `seg`: its header
+/// bounds meet the window and its per-column summary admits `eqs`.
+fn walked(seg: &Segment, t0: Time, t1: Time, eqs: &[(usize, Value)]) -> bool {
+    seg.min_inserted() <= t1 && seg.max_dropped() >= t0 && seg.may_match_eqs(eqs)
+}
+
 /// The one segment walk behind every history scan, own tier or
-/// imported: segments whose header bounds miss `[t0, t1]` — or whose
-/// per-column summary proves no row can satisfy `eqs` — are pruned
+/// imported: segments a scan need not walk ([`walked`]) are pruned
 /// without decoding; the rest are walked whole (every byte validated)
-/// and their [`scan_hit`]s — the only rows built — appended to `out`
-/// in frame order. Returns the number pruned.
-fn scan_segments<'a>(
-    segments: impl IntoIterator<Item = &'a Segment>,
+/// and their [`scan_hit`]s — the only rows built — returned in frame
+/// order, in a `Vec` reserved once for every row the walked segments
+/// hold plus `room` more. Also returns the number pruned.
+fn scan_segments<'a, S>(
+    segments: S,
     t0: Time,
     t1: Time,
     eqs: &[(usize, Value)],
-    out: &mut Vec<ArchivedRow>,
-) -> Result<u64, SegmentError> {
-    let mut pruned = 0;
-    for seg in segments {
-        if seg.min_inserted() > t1 || seg.max_dropped() < t0 || !seg.may_match_eqs(eqs) {
-            pruned += 1;
-            continue;
-        }
-        Segment::walk(&seg.bytes, Some((t0, t1, eqs)), |row| {
+    room: usize,
+) -> Result<(Vec<ArchivedRow>, u64), SegmentError>
+where
+    S: IntoIterator<Item = &'a Segment>,
+    S::IntoIter: Clone,
+{
+    let segments = segments.into_iter();
+    let walk = segments.clone().filter(|s| walked(s, t0, t1, eqs));
+    let rows: u64 = walk.clone().map(Segment::row_count).sum();
+    let mut out = Vec::with_capacity(rows as usize + room);
+    let mut texts = Texts::default();
+    let mut n = 0;
+    for seg in walk {
+        Segment::walk(&seg.bytes, Some((t0, t1, eqs)), &mut texts, |row| {
             out.push(archived(row))
         })?;
+        n += 1;
     }
-    Ok(pruned)
+    Ok((out, segments.count() as u64 - n))
 }
 
 /// The per-node frozen tier: one epoch-segmented history per enrolled
@@ -763,22 +821,28 @@ impl Archive {
     /// equality predicate in `eqs`, in spill order: the sealed segments
     /// (one whose header bounds miss the window, or whose per-column
     /// summary rules out `eqs`, is pruned unread), then the open buffer.
-    /// An inverted window (`t0 > t1`) is empty: nothing is scanned.
+    /// An inverted window (`t0 > t1`) is empty: nothing is scanned. The
+    /// `Vec` is reserved once, for every row the walked segments and the
+    /// open buffer hold plus `room` more (the caller's live rows).
     pub fn scan_range(
         &mut self,
         relation: &str,
         t0: Time,
         t1: Time,
         eqs: &[(usize, Value)],
+        room: usize,
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
         let Some(ra) = self.relations.get_mut(relation).filter(|_| t0 <= t1) else {
-            return Ok(Vec::new());
+            return Ok(Vec::with_capacity(room));
         };
         ra.stats.scans += 1;
-        let mut out = Vec::new();
-        ra.stats.pruned_segments += scan_segments(&ra.sealed, t0, t1, eqs, &mut out)?;
-        let open = ra.open.iter().filter(|r| scan_hit(r, t0, t1, eqs));
-        out.extend(open.cloned().map(archived));
+        let (mut out, pruned) = scan_segments(&ra.sealed, t0, t1, eqs, ra.open.len() + room)?;
+        ra.stats.pruned_segments += pruned;
+        for row in &ra.open {
+            if scan_hit(row, t0, t1, eqs) {
+                out.push(archived(row.clone()));
+            }
+        }
         ra.stats.scan_hits += out.len() as u64;
         Ok(out)
     }
@@ -952,10 +1016,8 @@ impl ImportedHistory {
         t1: Time,
         eqs: &[(usize, Value)],
     ) -> Result<Vec<ArchivedRow>, SegmentError> {
-        let mut out = Vec::new();
         let frames = self.frames(origin, relation).filter(|_| t0 <= t1);
-        scan_segments(frames.unwrap_or_default(), t0, t1, eqs, &mut out)?;
-        Ok(out)
+        Ok(scan_segments(frames.unwrap_or_default(), t0, t1, eqs, 0)?.0)
     }
 }
 
@@ -990,8 +1052,9 @@ mod tests {
     #[test]
     fn repeated_column_strings_decode_equal_and_shared() {
         // ruleExec-shaped rows: the location never changes, the rule
-        // label runs; a string also turns up where the row above held
-        // the same text as an address, and the other way round.
+        // label runs and comes back; a string also turns up where the
+        // row above held the same text as an address, and the other way
+        // round.
         let rule = ["r1", "r1", "r2", "r2", "r1"];
         let rows: Vec<SpilledRow> = (0..5)
             .map(|i| SpilledRow {
@@ -1025,7 +1088,8 @@ mod tests {
             };
         assert!((1..5).all(|i| shares(0, i, 0)), "constant column: one copy");
         assert!(shares(0, 1, 1) && shares(2, 3, 1), "a run shares");
-        assert!(!shares(1, 2, 1) && !shares(0, 4, 1), "a new run does not");
+        assert!(shares(0, 4, 1), "a label seen before shares, run or not");
+        assert!(!shares(1, 2, 1), "another label does not");
         for i in 0..5 {
             // Same text, other variant: decoded as written, never shared.
             let written = matches!(rows[i].tuple.get(2), Some(Value::Str(_)));
@@ -1106,13 +1170,13 @@ mod tests {
         a.spill("t", vec![row(1, 0, 5), row(2, 3, 15), row(3, 20, 25)]);
         a.seal_all();
         let hits = a
-            .scan_range("t", Time::from_secs(6), Time::from_secs(14), &[])
+            .scan_range("t", Time::from_secs(6), Time::from_secs(14), &[], 0)
             .unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].tuple.get(1), Some(&Value::Int(2)));
         // Unknown relations scan empty, not error.
         assert!(a
-            .scan_range("nope", Time::ZERO, Time::from_secs(99), &[])
+            .scan_range("nope", Time::ZERO, Time::from_secs(99), &[], 0)
             .unwrap()
             .is_empty());
         let s = a.stats()[0].1;
@@ -1141,7 +1205,7 @@ mod tests {
         );
         // The newest rows survive; the oldest are gone.
         let hits = a
-            .scan_range("t", Time::ZERO, Time::from_secs(100), &[])
+            .scan_range("t", Time::ZERO, Time::from_secs(100), &[], 0)
             .unwrap();
         assert!(hits
             .iter()
@@ -1168,7 +1232,7 @@ mod tests {
 
         let eqs = [(1usize, Value::Int(11))];
         let hits = a
-            .scan_range("t", Time::ZERO, Time::from_secs(100), &eqs)
+            .scan_range("t", Time::ZERO, Time::from_secs(100), &eqs, 0)
             .unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].tuple.get(1), Some(&Value::Int(11)));
@@ -1185,6 +1249,7 @@ mod tests {
                 Time::ZERO,
                 Time::from_secs(100),
                 &[(1, Value::Int(99))],
+                0,
             )
             .unwrap();
         assert!(hits.is_empty());
@@ -1194,7 +1259,7 @@ mod tests {
         // everything and filters row-by-row to the same answer as a full
         // scan plus a filter.
         let all = a
-            .scan_range("t", Time::ZERO, Time::from_secs(100), &[])
+            .scan_range("t", Time::ZERO, Time::from_secs(100), &[], 0)
             .unwrap();
         let filtered = a
             .scan_range(
@@ -1202,6 +1267,7 @@ mod tests {
                 Time::ZERO,
                 Time::from_secs(100),
                 &[(0, Value::addr("n1"))],
+                0,
             )
             .unwrap();
         assert_eq!(filtered, all, "shared-value hint filters nothing out");
@@ -1225,7 +1291,7 @@ mod tests {
             "epochs older than the window must age out: {s:?}"
         );
         let hits = a
-            .scan_range("t", Time::ZERO, Time::from_secs(100), &[])
+            .scan_range("t", Time::ZERO, Time::from_secs(100), &[], 0)
             .unwrap();
         assert!(hits
             .iter()
@@ -1254,7 +1320,7 @@ mod tests {
         assert_eq!(segs[0].row_count(), 20);
         // Merged content is intact and ordered.
         let hits = a
-            .scan_range("t", Time::ZERO, Time::from_secs(100), &[])
+            .scan_range("t", Time::ZERO, Time::from_secs(100), &[], 0)
             .unwrap();
         assert_eq!(hits.len(), 20);
         assert!(hits.windows(2).all(|w| w[0].dropped_at <= w[1].dropped_at));

@@ -11,9 +11,9 @@ use crate::archive::{
     SegmentError, SpilledRow, LIVE_SENTINEL,
 };
 use crate::durable::{DurableStats, DurableStore};
+use crate::hash::FxHashMap;
 use crate::table::{InsertOutcome, ProbeStats, Table, TableSpec};
 use p2_types::{Time, TraceKind, TraceRow, Tuple, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::RangeInclusive;
 
@@ -69,7 +69,7 @@ pub struct HistoryExport {
 /// All materialized tables of one node.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    tables: FxHashMap<String, Table>,
     /// The frozen tier (DESIGN.md §2.11); `None` = archiving disabled,
     /// which costs the live path nothing.
     archive: Option<Archive>,
@@ -362,29 +362,29 @@ impl Catalog {
         if t0 > t1 {
             return Ok(Vec::new());
         }
-        // Expire the live table FIRST: rows past due at `now` spill,
-        // and must land in the archive before the segment walk below —
-        // otherwise a row expiring at scan time would be neither live
-        // nor archived. (Nothing is enrolled while archiving is
-        // disabled, so that case touches nothing.)
-        let enrolled = |t: &&mut Table| t.archive_enrolled();
-        if let Some(t) = self.tables.get_mut(name).filter(enrolled) {
-            t.expire(now);
-        }
+        // Read the live rows FIRST: reading expires the table, and the
+        // rows past due at `now` spill and must land in the archive
+        // before the segment walk below — otherwise a row expiring at
+        // scan time would be neither live nor archived. (Nothing is
+        // enrolled while archiving is disabled, so that case touches
+        // nothing.)
+        let live = match self.tables.get_mut(name) {
+            Some(t) if t.archive_enrolled() => t.live_where(now, |row, inserted_at| {
+                inserted_at <= t1 && eqs.iter().all(|(i, v)| row.field_is(*i, v))
+            }),
+            _ => Vec::new(),
+        };
         self.archive_maintain();
         let Some(archive) = self.archive.as_mut() else {
             return Ok(Vec::new());
         };
-        let mut out = archive.scan_range(name, t0, t1, eqs)?;
-        if let Some(t) = self.tables.get_mut(name).filter(enrolled) {
-            let live = t.live_where(now, |row, inserted_at| {
-                inserted_at <= t1 && eqs.iter().all(|(i, v)| row.field_is(*i, v))
-            });
-            out.extend(live.into_iter().map(|(tuple, inserted_at)| ArchivedRow {
+        let mut out = archive.scan_range(name, t0, t1, eqs, live.len())?;
+        for (tuple, inserted_at) in live {
+            out.push(ArchivedRow {
                 tuple,
                 inserted_at,
                 dropped_at: None,
-            }));
+            });
         }
         Ok(out)
     }
@@ -498,10 +498,16 @@ impl Catalog {
         }
         let mut out = Vec::new();
         for origin in origins {
-            if origin == local {
-                out.extend(self.archive_scan(name, t0, t1, now, eqs)?);
+            let rows = if origin == local {
+                self.archive_scan(name, t0, t1, now, eqs)?
             } else {
-                out.extend(self.imported.scan(&origin, name, t0, t1, eqs)?);
+                self.imported.scan(&origin, name, t0, t1, eqs)?
+            };
+            // The first origin's answer is adopted whole, not copied.
+            if out.is_empty() {
+                out = rows;
+            } else {
+                out.extend(rows);
             }
         }
         Ok(out)

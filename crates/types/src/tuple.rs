@@ -80,6 +80,13 @@ impl Tuple {
         }
     }
 
+    /// A tuple around an interned relation name and an already-built
+    /// value slice: a decoder that fills the slice in place hands it
+    /// over as it is.
+    pub fn with_values(name: Arc<str>, vals: Arc<[Value]>) -> Tuple {
+        Tuple { name, vals }
+    }
+
     /// The relation name.
     pub fn name(&self) -> &str {
         &self.name
