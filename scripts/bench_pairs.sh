@@ -5,8 +5,8 @@
 #
 #   scripts/bench_pairs.sh <workload[,workload...]|all> <parent-checkout> <change-checkout> [pairs=10] [ledger run options...]
 #
-#   scripts/bench_pairs.sh realtime_echo /root/scratch/parent . 10
-#   scripts/bench_pairs.sh all /root/scratch/parent . 10        # every BENCHMARK.json workload
+#   scripts/bench_pairs.sh realtime_echo ../parent . 10
+#   scripts/bench_pairs.sh all ../parent . 10        # every BENCHMARK.json workload
 #   scripts/bench_pairs.sh realtime_echo . . 1 --seconds 1      # smoke: both sides one tree
 #
 # Builds each checkout's ledger (crates/bench/src/bin/ledger, into its own
