@@ -296,7 +296,7 @@ mod tests {
             got,
             vec![
                 ("tracing off", 362.0, 21.0, 100.0, 2_475.0),
-                ("tracing on", 1_398.0, 1_445.0, 100.0, 207_464.0),
+                ("tracing on", 1_398.0, 1_445.0, 100.0, 164_472.0),
             ]
         );
     }

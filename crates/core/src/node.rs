@@ -426,9 +426,17 @@ impl Node {
         &mut self.catalog
     }
 
-    /// Resolve a traced tuple ID back to content (forensics helper).
+    /// Resolve a traced tuple ID back to content (forensics helper): a
+    /// walk over the tracer's memo, so a caller resolving many IDs
+    /// indexes [`Node::trace_contents`] once instead.
     pub fn trace_content_of(&self, id: p2_types::TupleId) -> Option<&Tuple> {
         self.tracer.content_of(id)
+    }
+
+    /// Every traced tuple this node still memoizes, with its ID, in no
+    /// particular order.
+    pub fn trace_contents(&self) -> impl Iterator<Item = (p2_types::TupleId, &Tuple)> {
+        self.tracer.contents()
     }
 
     /// The trace ID this node assigned to a tuple it has seen (forensics

@@ -41,5 +41,6 @@ pub use durable::{
 };
 pub use hash::{FxHashMap, FxHashSet};
 pub use table::{
-    InsertOutcome, Key, ProbeStats, RowRef, Table, TableSpec, DEFAULT_AUTO_INDEX_THRESHOLD,
+    InsertOutcome, Key, ProbeStats, RowRef, Table, TableSpec, TraceRef,
+    DEFAULT_AUTO_INDEX_THRESHOLD,
 };

@@ -18,12 +18,32 @@
 //! `delete_where`, which each storage walks in its own order), the same
 //! lifetime counters and the same probe counters — all but `heapPops`,
 //! which counts the general storage's stale expiry entries too — and
-//! the ring's own invariants must hold.
+//! the ring's own invariants must hold. Rows are compared in their
+//! typed form ([`typed`]): one rule label has an address's text, so a
+//! record that decoded a label as an address, or the reverse, differs.
 
-use crate::table::{RowRef, Table, TableSpec};
+use crate::table::{InsertOutcome, RowRef, Table, TableSpec};
 use p2_types::{Addr, Time, TimeDelta, TraceKind, TraceRow, Tuple, Value};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Rows as text that tells every value's variant apart: `==` on values
+/// and a tuple's own `Debug` both take a string and an address of the
+/// same text for one another, each value's `Debug` does not.
+pub(crate) fn typed<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<String> {
+    rows.into_iter()
+        .map(|t| format!("{}{:?}", t.name(), t.values()))
+        .collect()
+}
+
+/// An insert outcome in typed form ([`typed`]).
+fn outcome(o: InsertOutcome) -> String {
+    match o {
+        InsertOutcome::Replaced { old } => format!("Replaced {:?}", typed([&old])),
+        other => format!("{other:?}"),
+    }
+}
 
 fn spec(kind: TraceKind, bound: Option<usize>) -> TableSpec {
     match kind {
@@ -46,7 +66,8 @@ fn row(kind: TraceKind, a: u8, b: u8) -> TraceRow {
     match kind {
         TraceKind::RuleExec => TraceRow::RuleExec {
             loc: addr(a % 2),
-            rule: Arc::from(["r1", "r2"][(a / 2 % 2) as usize]),
+            // "n1" is also an address's text.
+            rule: Arc::from(["r1", "n1"][(a / 2 % 2) as usize]),
             cause: (a / 4 % 3) as u64,
             effect: (a / 12 % 2) as u64,
             t_in: Time::from_secs((b % 3) as u64),
@@ -77,11 +98,11 @@ fn probe(kind: TraceKind, field: usize, a: u8, b: u8) -> Value {
     }
 }
 
-type Spilled = Vec<(Time, Time, Tuple)>;
+type Spilled = Vec<(Time, Time, Vec<String>)>;
 
 fn spilled(t: &mut Table) -> Spilled {
     let rows = t.take_spilled().into_iter();
-    rows.map(|r| (r.dropped_at, r.inserted_at, r.tuple))
+    rows.map(|r| (r.dropped_at, r.inserted_at, typed([&r.tuple])))
         .collect()
 }
 
@@ -118,16 +139,16 @@ proptest! {
             match op {
                 0..=3 => {
                     let now = Time::from_secs(secs);
-                    prop_assert_eq!(t.insert(row(kind, a, b).to_tuple(), now), m.insert(row(kind, a, b).to_tuple(), now));
+                    prop_assert_eq!(outcome(t.insert(row(kind, a, b).to_tuple(), now)), outcome(m.insert(row(kind, a, b).to_tuple(), now)));
                 }
                 4..=6 => {
                     let now = Time::from_secs(secs);
-                    prop_assert_eq!(t.insert_row(row(kind, a, b), now), m.insert(row(kind, a, b).to_tuple(), now));
+                    prop_assert_eq!(outcome(t.insert_row(row(kind, a, b), now)), outcome(m.insert(row(kind, a, b).to_tuple(), now)));
                 }
                 7 => {
                     let now = Time::from_secs(secs);
                     let key = row(kind, a, b).to_tuple();
-                    prop_assert_eq!(t.delete_by_key(&key, now), m.delete_by_key(&key, now));
+                    prop_assert_eq!(typed(&t.delete_by_key(&key, now)), typed(&m.delete_by_key(&key, now)));
                 }
                 8 => {
                     let now = Time::from_secs(secs);
@@ -144,7 +165,7 @@ proptest! {
                 12 | 13 => {
                     let now = Time::from_secs(secs);
                     let v = probe(kind, field, a, b);
-                    prop_assert_eq!(t.scan_eq(field, &v, now), m.scan_eq(field, &v, now));
+                    prop_assert_eq!(typed(&t.scan_eq(field, &v, now)), typed(&m.scan_eq(field, &v, now)));
                 }
                 14 if strays > 0 && a % 4 == 0 => {
                     // A tuple no record fits: the table's rows move to
@@ -153,7 +174,7 @@ proptest! {
                     let mut vals = row(kind, a, b).to_tuple().values().to_vec();
                     vals[1] = Value::Int(a as i64);
                     let stray = Tuple::new(kind.relation(), vals);
-                    prop_assert_eq!(t.insert(stray.clone(), now), m.insert(stray, now));
+                    prop_assert_eq!(outcome(t.insert(stray.clone(), now)), outcome(m.insert(stray, now)));
                 }
                 14 if strays > 1 && a % 4 == 1 => secs = secs.saturating_sub((b % 40) as u64),
                 15..=19 => {
@@ -161,12 +182,12 @@ proptest! {
                     // and again, so holes pile up behind the rows left
                     // alone, until the ring compacts.
                     let now = Time::from_secs(secs);
-                    prop_assert_eq!(t.insert_row(row(kind, a % 2, b), now), m.insert(row(kind, a % 2, b).to_tuple(), now));
+                    prop_assert_eq!(outcome(t.insert_row(row(kind, a % 2, b), now)), outcome(m.insert(row(kind, a % 2, b).to_tuple(), now)));
                 }
                 _ => {}
             }
             let now = Time::from_secs(secs);
-            prop_assert_eq!(t.scan(now), m.scan(now));
+            prop_assert_eq!(typed(&t.scan(now)), typed(&m.scan(now)));
             let (ts, ms) = (spilled(&mut t), spilled(&mut m));
             if as_set {
                 prop_assert_eq!(sorted(ts), sorted(ms));
@@ -183,5 +204,146 @@ proptest! {
             prop_assert_eq!(t.raw_len(), m.raw_len());
             t.assert_sound();
         }
+    }
+}
+
+/// The capacity rule, seen from outside: a table at a 10,000-row bound
+/// whose oldest row stays while the rows behind it are deleted from the
+/// middle (as the tracer's sweep deletes `tupleTable` rows a live
+/// `ruleExec` row still pins), refilled, and in time expired keeps a
+/// slot array no larger than the next power of two above 1.25 × its
+/// peak live rows + 32: holes at most a quarter of the live rows, plus
+/// 32. (Holes up to the live rows, the old rule, reach 32,768 slots.)
+#[test]
+fn slot_array_stays_sized_to_its_rows() {
+    let bound = 10_000;
+    let mut t = Table::records(spec(TraceKind::RuleExec, Some(bound)), TraceKind::RuleExec);
+    let row = |cause: u64, now: Time| TraceRow::RuleExec {
+        loc: Addr::new("n0"),
+        rule: Arc::from("r1"),
+        cause,
+        effect: cause,
+        t_in: now,
+        t_out: now,
+        is_event: true,
+    };
+    // The pinned row, cause 0, expires at 120 s.
+    t.insert_row(row(0, Time::ZERO), Time::ZERO);
+    let (mut cause, mut peak) = (0u64, 0usize);
+    for cycle in 0..40u64 {
+        let now = Time::from_secs(cycle * 4);
+        // Keep the youngest rows and the pinned one: room for the refill.
+        let keep_from = (cause + 1).saturating_sub(bound as u64 - 2_501);
+        t.delete_where(
+            now,
+            |r| matches!(r.get(2), Some(Value::Id(c)) if c.0 != 0 && c.0 < keep_from),
+        );
+        for _ in 0..2_500 {
+            cause += 1;
+            t.insert_row(row(cause, now), now);
+        }
+        let live = t.raw_len();
+        peak = peak.max(live);
+        let (cap, _) = t.ring_shape().expect("still a ring");
+        let limit = (peak + peak / 4 + 32).next_power_of_two();
+        assert!(
+            cap <= limit,
+            "capacity {cap} over {limit} (live {live}, peak {peak}) at {now:?}"
+        );
+        if cycle % 5 == 0 {
+            t.assert_sound();
+        }
+    }
+    assert_eq!(peak, bound, "the schedule reaches the bound");
+    let (_, _, evictions, expirations, _) = t.counters();
+    assert_eq!(
+        (evictions, expirations),
+        (0, 1),
+        "the pinned row expires; none is evicted"
+    );
+}
+
+/// The dictionary holds only what the live rows name: 10,000 distinct
+/// labels and addresses churn through a 100-row ring — some rows built
+/// by [`TraceRow::from_tuple`] with a location that is not the ring's
+/// node, some labels with an address's text — and through the churn the
+/// ring's invariants hold (each dictionary entry counted by exactly the
+/// live fields that name it, so no more texts than they name), every
+/// outcome and row is general storage's in typed form, and at the end
+/// the dictionary holds one entry per text the live rows name.
+#[test]
+fn texts_churn_through_a_small_ring() {
+    for kind in [TraceKind::RuleExec, TraceKind::TupleTable] {
+        let spec = spec(kind, Some(100));
+        let (mut t, mut m) = (Table::records(spec.clone(), kind), Table::new(spec));
+        for i in 0..10_000u64 {
+            let now = Time::from_secs(i / 100);
+            let text = |j: u64| format!("x{}", (i + j) % 10_000);
+            let row = match kind {
+                TraceKind::RuleExec => TraceRow::RuleExec {
+                    loc: Addr::new(if i % 3 == 0 {
+                        "n0".to_string()
+                    } else {
+                        text(1)
+                    }),
+                    // Every seventh label is an address text in use.
+                    rule: Arc::from(if i % 7 == 0 { text(1) } else { format!("r{i}") }),
+                    cause: i % 150,
+                    effect: i,
+                    t_in: now,
+                    t_out: now,
+                    is_event: i % 2 == 0,
+                },
+                TraceKind::TupleTable => TraceRow::TupleTable {
+                    loc: Addr::new(if i % 3 == 0 {
+                        "n0".to_string()
+                    } else {
+                        text(0)
+                    }),
+                    id: i % 150,
+                    src: Addr::new(text(2)),
+                    src_id: i,
+                    dst: Addr::new(text(3)),
+                },
+            };
+            let tuple = row.to_tuple();
+            let (got, want) = if i % 2 == 0 {
+                let row = TraceRow::from_tuple(&tuple).expect("a trace row's shape");
+                (t.insert_row(row, now), m.insert(tuple, now))
+            } else {
+                (t.insert(tuple.clone(), now), m.insert(tuple, now))
+            };
+            assert_eq!(outcome(got), outcome(want), "write {i}");
+            // A count that leaks stays wrong, so every seventh check
+            // sees it.
+            if i % 7 == 0 {
+                t.assert_sound();
+            }
+            if i % 97 == 0 {
+                assert_eq!(
+                    typed(&t.scan(now)),
+                    typed(&m.scan(now)),
+                    "rows after write {i}"
+                );
+            }
+        }
+        let now = Time::from_secs(100);
+        let rows = t.scan(now);
+        assert_eq!(typed(&rows), typed(&m.scan(now)));
+        let named: HashSet<String> = rows
+            .iter()
+            .flat_map(|r| r.values().iter())
+            .filter_map(|v| match v {
+                Value::Addr(a) => Some(a.to_string()),
+                Value::Str(s) => Some(s.to_string()),
+                _ => None,
+            })
+            .collect();
+        let (_, texts) = t.ring_shape().expect("still a ring");
+        assert_eq!(
+            texts,
+            named.len(),
+            "{kind:?}: one entry per text the live rows name"
+        );
     }
 }

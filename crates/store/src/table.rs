@@ -3,6 +3,7 @@
 use crate::archive::SpilledRow;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::ring::Ring;
+pub use crate::ring::TraceRef;
 use p2_types::{Time, TimeDelta, TraceKind, TraceRow, Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -96,7 +97,7 @@ pub enum RowRef<'a> {
     /// A row of general storage.
     Tuple(&'a Tuple),
     /// A row of a trace table's ring.
-    Trace(&'a TraceRow),
+    Trace(TraceRef<'a>),
 }
 
 impl RowRef<'_> {
@@ -188,8 +189,9 @@ impl Book {
 enum Rows {
     /// Any relation: tuples in a primary-key map.
     Keyed(Keyed),
-    /// A trace relation: records in write order ([`Ring`]).
-    Ring(Ring),
+    /// A trace relation: records in write order ([`Ring`]), boxed so
+    /// that every other table stays the size of general storage.
+    Ring(Box<Ring>),
 }
 
 /// A soft-state table: primary-keyed rows with lifetime and size bounds.
@@ -230,7 +232,8 @@ impl Table {
     /// behaviour as [`Table::new`], a fraction of the memory per row.
     /// General storage when `spec`'s key names a field `kind` lacks.
     pub fn records(spec: TableSpec, kind: TraceKind) -> Table {
-        let rows = Ring::new(&spec, kind).map_or(Rows::Keyed(Keyed::default()), Rows::Ring);
+        let rows = Ring::new(&spec, kind)
+            .map_or(Rows::Keyed(Keyed::default()), |r| Rows::Ring(Box::new(r)));
         Table::with_rows(spec, rows)
     }
 
@@ -325,7 +328,7 @@ impl Table {
     pub fn indexed_fields(&self) -> Vec<usize> {
         let mut out: Vec<usize> = match &self.rows {
             Rows::Keyed(k) => k.indexes.keys().copied().collect(),
-            Rows::Ring(r) => r.indexed_fields().collect(),
+            Rows::Ring(r) => r.indexed_fields(),
         };
         out.sort_unstable();
         out
@@ -395,6 +398,16 @@ impl Table {
     pub(crate) fn assert_sound(&self) {
         if let Rows::Ring(r) = &self.rows {
             r.assert_sound();
+        }
+    }
+
+    /// The slot array's capacity and the dictionary's entry count,
+    /// while the rows are a ring's.
+    #[cfg(test)]
+    pub(crate) fn ring_shape(&self) -> Option<(usize, usize)> {
+        match &self.rows {
+            Rows::Ring(r) => Some(r.shape()),
+            Rows::Keyed(_) => None,
         }
     }
 

@@ -58,13 +58,11 @@ pub struct Tracer {
     config: TraceConfig,
     records: FxHashMap<Arc<str>, RecordSet>,
     /// Content → node-unique ID memoization (§2.1.3: "This ID is used to
-    /// memoize the tuple"), and whether a `tupleTable` row describes the
-    /// ID yet: one probe answers both.
-    memo: FxHashMap<Tuple, (TupleId, bool)>,
-    /// Reverse map, serving content lookups during forensic traversals,
-    /// with the time each ID was first memoized (drives the
-    /// unreferenced-grace GC).
-    content: FxHashMap<TupleId, (Tuple, Time)>,
+    /// memoize the tuple"): the ID, the time it was assigned (which
+    /// drives the unreferenced-grace GC), and whether a `tupleTable` row
+    /// describes it yet. One probe answers all three. Forensic lookups
+    /// by ID walk it ([`Tracer::content_of`], [`Tracer::contents`]).
+    memo: FxHashMap<Tuple, Memo>,
     next_id: u64,
     /// Rows awaiting insertion into the catalog, as records.
     pending: Vec<TraceRow>,
@@ -78,7 +76,6 @@ impl Tracer {
             config,
             records: FxHashMap::default(),
             memo: FxHashMap::default(),
-            content: FxHashMap::default(),
             next_id: 1,
             pending: Vec::new(),
         }
@@ -108,14 +105,17 @@ impl Tracer {
         ]
     }
 
-    /// The one memo probe: `t`'s ID (assigned on first sight, at `now`)
-    /// and the described flag to read or set.
-    fn intern(&mut self, t: Tuple, now: Time) -> &mut (TupleId, bool) {
-        self.memo.entry(t).or_insert_with_key(|t| {
+    /// The one memo probe: `t`'s entry, its ID assigned on first sight,
+    /// at `now`.
+    fn intern(&mut self, t: Tuple, now: Time) -> &mut Memo {
+        self.memo.entry(t).or_insert_with(|| {
             let id = TupleId(self.next_id);
             self.next_id += 1;
-            self.content.insert(id, (t.clone(), now));
-            (id, false)
+            Memo {
+                id,
+                birth: now,
+                described: false,
+            }
         })
     }
 
@@ -123,24 +123,31 @@ impl Tracer {
     /// it already was.
     fn describe(&mut self, t: Tuple, now: Time) -> (TupleId, bool) {
         let entry = self.intern(t, now);
-        (entry.0, std::mem::replace(&mut entry.1, true))
+        (entry.id, std::mem::replace(&mut entry.described, true))
     }
 
     /// The node-local ID of a tuple, assigning one on first sight at
     /// time `now`.
     pub fn id_of(&mut self, t: &Tuple, now: Time) -> TupleId {
-        self.intern(t.clone(), now).0
+        self.intern(t.clone(), now).id
     }
 
     /// The content of a memoized tuple (forensic traversals resolve
-    /// `ruleExec` IDs back to tuples through this).
+    /// `ruleExec` IDs back to tuples through this). A walk over the
+    /// memo: a caller resolving many IDs indexes [`Tracer::contents`]
+    /// once instead.
     pub fn content_of(&self, id: TupleId) -> Option<&Tuple> {
-        self.content.get(&id).map(|(t, _)| t)
+        self.contents().find(|(i, _)| *i == id).map(|(_, t)| t)
+    }
+
+    /// Every memoized tuple with its ID, in no particular order.
+    pub fn contents(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
+        self.memo.iter().map(|(t, m)| (m.id, t))
     }
 
     /// The ID of an already-memoized tuple, without assigning one.
     pub fn lookup_id(&self, t: &Tuple) -> Option<TupleId> {
-        self.memo.get(t).map(|(id, _)| *id)
+        self.memo.get(t).map(|m| m.id)
     }
 
     /// Queue the `tupleTable` row `(id, src, src_id, dst)`.
@@ -231,33 +238,35 @@ impl Tracer {
                 }
             });
         }
-        // Sweep the table and, in step with it, the memoization maps —
-        // but keep young unreferenced entries: a referring ruleExec row
-        // (or a forensic walk) may still arrive for them.
-        let young = |birth: Time| birth + UNREFERENCED_GRACE > now;
-        let content = &mut self.content;
+        // Sweep the table and, in step with it, the memo — but keep young
+        // unreferenced entries: a referring ruleExec row (or a forensic
+        // walk) may still arrive for them. A row whose ID is not young
+        // in the memo (dropped, or never assigned here) goes unless
+        // referenced.
+        let young = |m: &Memo| m.birth + UNREFERENCED_GRACE > now;
+        let young_ids: FxHashSet<u64> = self
+            .memo
+            .values()
+            .filter(|m| young(m))
+            .map(|m| m.id.0)
+            .collect();
         if let Some(table) = catalog.table_mut(TUPLE_TABLE) {
             table.delete_where(now, |row| match row.get(1) {
-                Some(Value::Id(rid)) => {
-                    !referenced.contains(&rid.0)
-                        && !content
-                            .get(&TupleId(rid.0))
-                            .is_some_and(|(_, birth)| young(*birth))
-                }
+                Some(Value::Id(rid)) => !referenced.contains(&rid.0) && !young_ids.contains(&rid.0),
                 _ => true,
             });
         }
-        content.retain(|id, (_, birth)| referenced.contains(&id.0) || young(*birth));
-        self.memo.retain(|_, (id, _)| content.contains_key(id));
+        self.memo
+            .retain(|_, m| referenced.contains(&m.id.0) || young(m));
     }
 
     /// Approximate memory footprint of tracer-internal state in bytes
     /// (counted into the node's memory metric; the paper's §4 logging
     /// cost includes this).
     pub fn approx_bytes(&self) -> usize {
-        self.content
-            .values()
-            .map(|(t, _)| t.approx_bytes() + 24)
+        self.memo
+            .keys()
+            .map(|t| t.approx_bytes() + 24)
             .sum::<usize>()
             + self.pending.len() * std::mem::size_of::<TraceRow>()
     }
@@ -320,6 +329,14 @@ impl TapSink for Tracer {
             }
         }
     }
+}
+
+/// A memoized tuple's ID, when it was assigned, and whether a
+/// `tupleTable` row describes it yet.
+struct Memo {
+    id: TupleId,
+    birth: Time,
+    described: bool,
 }
 
 /// A [`TapKind`] whose tuple has been exchanged for its ID.
@@ -502,6 +519,42 @@ mod tests {
         tr.gc(&mut cat, later);
         assert_eq!(cat.scan(TUPLE_TABLE, later).len(), 0);
         assert_eq!(tr.approx_bytes(), 0);
+    }
+
+    #[test]
+    fn gc_keeps_a_row_only_for_a_young_or_referenced_id() {
+        // Rows no tap wrote: an ID the memo dropped, a young one, one
+        // never assigned, and 0. Only the young one outlives the sweep.
+        let mut tr = Tracer::new(Addr::new("n"), TraceConfig::default());
+        let mut cat = Catalog::new();
+        for (spec, kind) in tr.table_specs() {
+            cat.register_records(spec, kind).unwrap();
+        }
+        let dropped = tr.id_of(&tup("old", 1), Time::ZERO);
+        let now = Time::from_secs(200);
+        tr.gc(&mut cat, now);
+        assert_eq!(tr.lookup_id(&tup("old", 1)), None);
+        assert_eq!(tr.content_of(dropped), None);
+        let young = tr.id_of(&tup("young", 2), now);
+        for id in [dropped.0, young.0, young.0 + 10, 0] {
+            let n = Addr::new("n");
+            let row = TraceRow::TupleTable {
+                loc: n.clone(),
+                id,
+                src: n.clone(),
+                src_id: id,
+                dst: n,
+            };
+            cat.insert_row(row, now).unwrap();
+        }
+        tr.gc(&mut cat, now);
+        let ids: Vec<Option<Value>> = cat
+            .scan(TUPLE_TABLE, now)
+            .iter()
+            .map(|r| r.get(1).cloned())
+            .collect();
+        assert_eq!(ids, vec![Some(Value::Id(RingId(young.0)))]);
+        assert_eq!(tr.content_of(young), Some(&tup("young", 2)));
     }
 
     #[test]

@@ -47,6 +47,12 @@ impl From<&str> for Addr {
     }
 }
 
+impl From<Arc<str>> for Addr {
+    fn from(s: Arc<str>) -> Self {
+        Addr(s)
+    }
+}
+
 impl From<String> for Addr {
     fn from(s: String) -> Self {
         Addr::new(s)

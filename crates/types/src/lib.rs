@@ -35,7 +35,7 @@ pub use error::ValueError;
 pub use ring::{Interval, RingId};
 pub use rng::DetRng;
 pub use time::{Time, TimeDelta};
-pub use trace_row::{Cell, TraceKind, TraceRow};
+pub use trace_row::{Cell, TraceField, TraceKind, TraceRow};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;
 

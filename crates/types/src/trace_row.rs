@@ -4,10 +4,11 @@
 //! at a rate far above any application table's. A [`TraceRow`] is one
 //! row of either, held as a fixed-size record — the rule label shared,
 //! tuple IDs and times as `u64`, addresses as shared [`Addr`]s — rather
-//! than as a [`Tuple`] of boxed [`Value`]s. The store keeps these
-//! records as they are and builds the tuple only when something reads
-//! the row ([`TraceRow::to_tuple`]); [`TraceRow::from_tuple`] is the
-//! way back for rows that arrive as tuples.
+//! than as a [`Tuple`] of boxed [`Value`]s. It is how the tracer hands
+//! rows to the store, which keeps them in records of its own and builds
+//! the tuple only when something reads the row ([`TraceRow::to_tuple`]
+//! is that tuple); [`TraceRow::from_tuple`] is the way back for rows
+//! that arrive as tuples.
 
 use crate::{Addr, RingId, Time, Tuple, Value};
 use std::sync::{Arc, OnceLock};
@@ -28,29 +29,34 @@ pub enum TraceKind {
 
 /// The type a trace relation declares for one field position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FieldType {
+pub enum TraceField {
+    /// A node address ([`Value::Addr`]).
     Addr,
+    /// A label ([`Value::Str`]).
     Str,
+    /// A tuple ID ([`Value::Id`]).
     Id,
+    /// A time ([`Value::Time`]).
     Time,
+    /// A flag ([`Value::Bool`]).
     Bool,
 }
 
-const RULE_EXEC_FIELDS: [FieldType; 7] = [
-    FieldType::Addr,
-    FieldType::Str,
-    FieldType::Id,
-    FieldType::Id,
-    FieldType::Time,
-    FieldType::Time,
-    FieldType::Bool,
+const RULE_EXEC_FIELDS: [TraceField; 7] = [
+    TraceField::Addr,
+    TraceField::Str,
+    TraceField::Id,
+    TraceField::Id,
+    TraceField::Time,
+    TraceField::Time,
+    TraceField::Bool,
 ];
-const TUPLE_TABLE_FIELDS: [FieldType; 5] = [
-    FieldType::Addr,
-    FieldType::Id,
-    FieldType::Addr,
-    FieldType::Id,
-    FieldType::Addr,
+const TUPLE_TABLE_FIELDS: [TraceField; 5] = [
+    TraceField::Addr,
+    TraceField::Id,
+    TraceField::Addr,
+    TraceField::Id,
+    TraceField::Addr,
 ];
 
 impl TraceKind {
@@ -76,23 +82,28 @@ impl TraceKind {
         self.fields().len()
     }
 
-    fn fields(self) -> &'static [FieldType] {
+    /// The declared type of each field, in field order.
+    pub fn fields(self) -> &'static [TraceField] {
         match self {
             TraceKind::RuleExec => &RULE_EXEC_FIELDS,
             TraceKind::TupleTable => &TUPLE_TABLE_FIELDS,
         }
     }
 
-    /// The relation name, interned once per process: every tuple built
-    /// from a record of this kind shares it.
-    fn name_arc(self) -> Arc<str> {
+    /// A tuple of this relation with `values`. The relation name is
+    /// interned once per process: every tuple built from a record of
+    /// this kind shares it.
+    pub fn tuple(self, values: impl IntoIterator<Item = Value>) -> Tuple {
         static RULE: OnceLock<Arc<str>> = OnceLock::new();
         static TUPLE: OnceLock<Arc<str>> = OnceLock::new();
         let cell = match self {
             TraceKind::RuleExec => &RULE,
             TraceKind::TupleTable => &TUPLE,
         };
-        cell.get_or_init(|| Arc::from(self.relation())).clone()
+        Tuple::with_name(
+            cell.get_or_init(|| Arc::from(self.relation())).clone(),
+            values,
+        )
     }
 }
 
@@ -155,14 +166,14 @@ impl Cell<'_> {
     pub fn probe(kind: TraceKind, field: usize, v: &Value) -> Option<Cell<'_>> {
         let ty = *kind.fields().get(field)?;
         match (ty, v) {
-            (FieldType::Addr | FieldType::Str, Value::Addr(a)) => Some(Cell::Text(a.as_str())),
-            (FieldType::Addr | FieldType::Str, Value::Str(s)) => Some(Cell::Text(s)),
-            (FieldType::Id, Value::Id(i)) => Some(Cell::Num(i.0)),
-            (FieldType::Time, Value::Time(t)) => Some(Cell::Num(t.0)),
-            (FieldType::Id | FieldType::Time, Value::Int(n)) if *n >= 0 => {
+            (TraceField::Addr | TraceField::Str, Value::Addr(a)) => Some(Cell::Text(a.as_str())),
+            (TraceField::Addr | TraceField::Str, Value::Str(s)) => Some(Cell::Text(s)),
+            (TraceField::Id, Value::Id(i)) => Some(Cell::Num(i.0)),
+            (TraceField::Time, Value::Time(t)) => Some(Cell::Num(t.0)),
+            (TraceField::Id | TraceField::Time, Value::Int(n)) if *n >= 0 => {
                 Some(Cell::Num(*n as u64))
             }
-            (FieldType::Bool, Value::Bool(b)) => Some(Cell::Flag(*b)),
+            (TraceField::Bool, Value::Bool(b)) => Some(Cell::Flag(*b)),
             _ => None,
         }
     }
@@ -201,12 +212,6 @@ impl TraceRow {
         })
     }
 
-    /// Whether field `i` equals `v` (under [`Value`]'s equality).
-    pub fn field_is(&self, i: usize, v: &Value) -> bool {
-        let probe = Cell::probe(self.kind(), i, v);
-        probe.is_some() && probe == self.cell(i)
-    }
-
     /// Field `i` as the value its tuple would hold.
     pub fn get(&self, i: usize) -> Option<Value> {
         Some(match (self, i) {
@@ -229,10 +234,7 @@ impl TraceRow {
     /// The row as the tuple the relation holds.
     pub fn to_tuple(&self) -> Tuple {
         let kind = self.kind();
-        Tuple::with_name(
-            kind.name_arc(),
-            (0..kind.arity()).filter_map(|i| self.get(i)),
-        )
+        kind.tuple((0..kind.arity()).filter_map(|i| self.get(i)))
     }
 
     /// The record a tuple of a trace relation makes, when it has that
@@ -287,6 +289,12 @@ impl TraceRow {
 mod tests {
     use super::*;
 
+    /// Whether field `i` of `row` equals `v`, by cells alone.
+    fn field_is(row: &TraceRow, i: usize, v: &Value) -> bool {
+        let probe = Cell::probe(row.kind(), i, v);
+        probe.is_some() && probe == row.cell(i)
+    }
+
     fn rule_exec() -> TraceRow {
         TraceRow::RuleExec {
             loc: Addr::new("n1"),
@@ -315,7 +323,7 @@ mod tests {
             assert_eq!(TraceRow::from_tuple(&t), Some(row.clone()));
             for (i, v) in t.values().iter().enumerate() {
                 assert_eq!(row.get(i).as_ref(), Some(v));
-                assert!(row.field_is(i, v));
+                assert!(field_is(&row, i, v));
             }
         }
         assert_eq!(
@@ -345,14 +353,14 @@ mod tests {
     fn cells_follow_value_equality() {
         let row = rule_exec();
         // An int equals the same id or time; a string equals an address.
-        assert!(row.field_is(2, &Value::Int(2)));
-        assert!(row.field_is(4, &Value::Int(10)));
-        assert!(row.field_is(0, &Value::str("n1")));
-        assert!(row.field_is(1, &Value::addr("r1")));
-        assert!(!row.field_is(2, &Value::Int(-2)));
-        assert!(!row.field_is(2, &Value::Time(Time(2))));
-        assert!(!row.field_is(6, &Value::Int(1)));
-        assert!(!row.field_is(9, &Value::Int(1)));
+        assert!(field_is(&row, 2, &Value::Int(2)));
+        assert!(field_is(&row, 4, &Value::Int(10)));
+        assert!(field_is(&row, 0, &Value::str("n1")));
+        assert!(field_is(&row, 1, &Value::addr("r1")));
+        assert!(!field_is(&row, 2, &Value::Int(-2)));
+        assert!(!field_is(&row, 2, &Value::Time(Time(2))));
+        assert!(!field_is(&row, 6, &Value::Int(1)));
+        assert!(!field_is(&row, 9, &Value::Int(1)));
         for (a, b) in [
             (Value::Int(2), Value::Id(RingId(2))),
             (Value::str("n1"), Value::addr("n1")),

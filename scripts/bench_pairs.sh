@@ -22,7 +22,10 @@
 # median says which mode the majority of runs fell in, not what a run
 # costs. A metric whose change median is worse than the parent's by more
 # than its BENCHMARK.json bound (a share of the parent's median, as
-# `ledger compare` counts it) is flagged `WORSE beyond bound`.
+# `ledger compare` counts it) is flagged `WORSE beyond bound`. A run of
+# more than one workload ends with a verdict table, one line per
+# workload and end-to-end metric: the change/parent median ratio, the
+# pairs the change won, and the flag where it applies.
 #
 # Seeds are <base>+1 .. <base>+pairs for every workload; the base is the
 # clock unless `--seed BASE` is among the options. Exit status: non-zero
@@ -104,6 +107,7 @@ import json, statistics, sys
 
 out, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 bench = json.load(open(sys.argv[4]))
+verdicts = open(f"{out}/verdicts.txt", "a")
 
 def load(side, i):
     return json.load(open(f"{out}/{workload}.{side}.{i}.json"))
@@ -138,5 +142,12 @@ for m in bench["end_to_end"]:
     flag = "; WORSE beyond bound" if worse > m["bound"] else ""
     print(f"  change wins {wins} of {pairs} pairs ({ties} ties); change/parent medians = {ratio:.3f};"
           f" medians {abs(med['change'] - med['parent']):.6g} apart, parent IQR {iqr['parent']:.6g}{flag}")
+    verdicts.write(f"{workload:<22} {name:<17} {ratio:>8.3f} {wins:>4}/{pairs:<4}{flag[2:]}\n")
 EOF
 done
+
+if [ "$(echo "$workloads" | wc -w)" -gt 1 ]; then
+  echo "bench_pairs: verdicts (change/parent median ratio, pairs the change won)"
+  printf '%-22s %-17s %8s %6s\n' workload metric ratio won
+  cat "$out/verdicts.txt"
+fi

@@ -91,7 +91,8 @@
 use p2ql::core::{NodeConfig, ParallelHarness, SimHarness};
 use p2ql::net::SimConfig;
 use p2ql::store::AuditRefused;
-use p2ql::types::{TimeDelta, Value};
+use p2ql::types::{TimeDelta, Tuple, Value};
+use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -555,12 +556,16 @@ fn run(src: &str, args: &[String], tracing: bool) -> ExitCode {
         for a in &addrs {
             let execs = sim.node_mut(a).table_scan("ruleExec", now);
             println!("-- {a}: {} ruleExec rows", execs.len());
+            // Resolve memoized IDs back to content for readability.
+            let contents: HashMap<u64, &Tuple> = sim
+                .node(a)
+                .trace_contents()
+                .map(|(id, t)| (id.0, t))
+                .collect();
             for row in execs.iter().take(50) {
-                // Resolve memoized IDs back to content for readability.
                 let fmt_id = |v: Option<&Value>| match v {
-                    Some(Value::Id(i)) => sim
-                        .node(a)
-                        .trace_content_of(p2ql::types::TupleId(i.0))
+                    Some(Value::Id(i)) => contents
+                        .get(&i.0)
                         .map(|t| t.to_string())
                         .unwrap_or_else(|| format!("{i}")),
                     Some(other) => other.to_string(),
